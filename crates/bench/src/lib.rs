@@ -3,9 +3,9 @@
 //! [`evaluate`] runs one benchmark under one [`Scheme`] on one platform and
 //! returns the metrics every figure is built from: on-chip network latency,
 //! execution time, runtime overhead, MAI/CAI estimation error, and the
-//! fraction of iteration sets moved by load balancing. The `fig*`/`table*`
-//! binaries in `src/bin` are thin loops over this function that print the
-//! paper's rows and series.
+//! fraction of iteration sets moved by load balancing. The `figures`
+//! binary in `src/bin` prints the paper's rows and series from loops over
+//! this function; [`corun`] is the co-run study's counterpart.
 //!
 //! Execution-time accounting mirrors the paper's methodology: applications
 //! run an outer timing loop (`Workload::timing_iters`); pass 1 runs cold
@@ -27,7 +27,8 @@ use locmap_core::{
     Platform,
 };
 use locmap_loopir::{DataEnv, NestId, Program};
-use locmap_sim::{RunResult, SimConfig, Simulator};
+use locmap_noc::LocmapError;
+use locmap_sim::{run_multiprogram, MultiprogramResult, RunResult, SimConfig, Simulator, Slot};
 use locmap_workloads::Workload;
 use serde::{Deserialize, Serialize};
 
@@ -413,6 +414,38 @@ pub fn evaluate(workload: &Workload, exp: &Experiment, scheme: Scheme) -> AppOut
         cai_error: if err_nests == 0 { 0.0 } else { cai_err_sum / err_nests as f64 },
         frac_moved: if total_sets == 0 { 0.0 } else { moved as f64 / total_sets as f64 },
     }
+}
+
+/// Co-runs nest 0 of every app in `apps` together on one `platform`
+/// machine, once under the default mapping and once under the
+/// location-aware one, and returns `(baseline, optimized)`. The optimized
+/// arm maps irregular apps with their own index data: the knowledge the
+/// inspector would have gathered.
+pub fn corun(
+    apps: &[Workload],
+    platform: &Platform,
+) -> Result<(MultiprogramResult, MultiprogramResult), LocmapError> {
+    let compiler = Compiler::builder(platform.clone()).build()?;
+    let run = |optimized: bool| -> Result<MultiprogramResult, LocmapError> {
+        let mappings: Vec<NestMapping> = apps
+            .iter()
+            .map(|w| {
+                if optimized {
+                    compiler.map_nest(&w.program, NestId(0), &w.data)
+                } else {
+                    compiler.default_mapping(&w.program, NestId(0))
+                }
+            })
+            .collect();
+        let mut sim = Simulator::builder(platform.clone()).build()?;
+        let slots: Vec<Slot<'_>> = apps
+            .iter()
+            .zip(&mappings)
+            .map(|(w, m)| Slot { program: &w.program, mapping: m, data: &w.data })
+            .collect();
+        Ok(run_multiprogram(&mut sim, &slots))
+    };
+    Ok((run(false)?, run(true)?))
 }
 
 /// Builds the benchmark set a harness binary should run: all 21 by

@@ -1,16 +1,17 @@
 //! Resilience experiments: how much performance survives component death.
 //!
 //! [`evaluate_resilience`] runs one workload three ways and reports the
-//! comparison the `locmap faults` subcommand and the `resilience` binary
+//! comparison the `locmap faults` subcommand and `figures resilience`
 //! print:
 //!
 //! 1. **fault-free** — the location-aware mapping on a healthy machine
 //!    (the reference everything degrades from);
-//! 2. **degraded-aware** — [`Compiler::new_degraded`] maps around the
-//!    faults (affinity folded onto redirect targets, dead regions
-//!    evacuated, only surviving cores placed) and runs on the faulted
-//!    simulator; irregular nests go through the bounded re-inspection
-//!    loop ([`Inspector::run_with_retry`]);
+//! 2. **degraded-aware** — a compiler built with
+//!    [`CompilerBuilder::faults`](locmap_core::CompilerBuilder::faults)
+//!    maps around the faults (affinity folded onto redirect targets,
+//!    dead regions evacuated, only surviving cores placed) and runs on
+//!    the faulted simulator; irregular nests go through the bounded
+//!    re-inspection loop ([`Inspector::run_with_retry`]);
 //! 3. **fault-oblivious** — round-robin over the surviving cores (the OS
 //!    never schedules onto a dead core, but the deal is location-blind),
 //!    on the same faulted simulator.
@@ -193,8 +194,9 @@ fn run_arm(
 ///
 /// Returns a typed error — never panics — when the fault state is not
 /// survivable (machine partitioned, all MCs dead, no core left, …); the
-/// checks are the same ones [`Simulator::set_faults`] and
-/// [`Compiler::new_degraded`] perform.
+/// checks are the same ones [`Simulator::set_faults`] and a compiler built
+/// with [`CompilerBuilder::faults`](locmap_core::CompilerBuilder::faults)
+/// perform.
 pub fn evaluate_resilience(
     workload: &Workload,
     exp: &Experiment,

@@ -7,7 +7,7 @@ use locmap_bench::resilience::evaluate_resilience;
 use locmap_bench::{evaluate, Experiment};
 use locmap_core::{region_loads, Compiler, Mac, MacPolicy, Platform};
 use locmap_noc::{FaultCounts, FaultPlan, Mesh, RegionGrid};
-use locmap_sim::{run_multiprogram, SimConfig, Simulator, Slot};
+use locmap_sim::{MultiprogramResult, SimConfig};
 use locmap_workloads::{build, names};
 use std::process::ExitCode;
 
@@ -341,38 +341,12 @@ pub fn corun(args: &Args) -> Result<(), String> {
     }
     let scale = args.scale()?;
     let platform = Platform::paper_default_with(args.llc()?);
-    let compiler = Compiler::builder(platform.clone()).build().map_err(String::from)?;
     let apps: Vec<_> = app_names.iter().map(|n| build(n, scale)).collect();
+    let (base, opt) = locmap_bench::corun(&apps, &platform).map_err(String::from)?;
 
-    let mut results = Vec::new();
-    for optimized in [false, true] {
-        let mappings: Vec<_> = apps
-            .iter()
-            .map(|w| {
-                let nid = locmap_loopir::NestId(0);
-                if optimized {
-                    compiler.map_nest(&w.program, nid, &w.data)
-                } else {
-                    compiler.default_mapping(&w.program, nid)
-                }
-            })
-            .collect();
-        let mut sim = Simulator::builder(platform.clone()).build().map_err(String::from)?;
-        let slots: Vec<Slot<'_>> = apps
-            .iter()
-            .zip(&mappings)
-            .map(|(w, m)| Slot { program: &w.program, mapping: m, data: &w.data })
-            .collect();
-        results.push(run_multiprogram(&mut sim, &slots));
-    }
-
-    let (base, opt) = (&results[0], &results[1]);
     println!("apps        : {app_names:?}");
     println!("makespan    : {} -> {} cycles", base.total_cycles, opt.total_cycles);
-    println!(
-        "improvement : {:+.1}%",
-        locmap_sim::MultiprogramResult::improvement_pct(base, opt)
-    );
+    println!("improvement : {:+.1}%", MultiprogramResult::improvement_pct(&base, &opt));
     println!("net latency : {:.1} -> {:.1}", base.avg_net_latency, opt.avg_net_latency);
     for (i, n) in app_names.iter().enumerate() {
         println!("  {n}: {} -> {} cycles", base.app_cycles[i], opt.app_cycles[i]);

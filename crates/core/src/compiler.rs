@@ -252,22 +252,6 @@ impl Compiler {
         }
     }
 
-    /// Creates a compiler for `platform` with `options`.
-    #[deprecated(note = "use Compiler::builder")]
-    pub fn new(platform: Platform, options: MappingOptions) -> Self {
-        Self::build_clean(platform, options)
-    }
-
-    /// Creates a degraded-mode compiler (see [`Compiler::builder`]).
-    #[deprecated(note = "use Compiler::builder")]
-    pub fn new_degraded(
-        platform: Platform,
-        options: MappingOptions,
-        state: &FaultState,
-    ) -> Result<Self, LocmapError> {
-        Self::build_degraded(platform, options, state)
-    }
-
     fn build_clean(platform: Platform, options: MappingOptions) -> Self {
         let mac = Mac::compute(&platform, options.mac_policy);
         let cac = Cac::compute(&platform, options.cac_policy);
@@ -652,7 +636,7 @@ impl Compiler {
                     self.options.placement,
                     &d.alive_cores,
                 )
-                // new_degraded guarantees an alive region exists and every
+                // build_degraded guarantees an alive region exists and every
                 // set was redirected into one above.
                 .expect("degraded mapping keeps sets out of dead regions")
             }

@@ -106,11 +106,6 @@ impl RetryPolicy {
     }
 }
 
-/// Deprecated alias kept for one release so out-of-tree callers of the
-/// inspector-private type keep compiling; pin in `deprecated_compat.rs`.
-#[deprecated(note = "RetryPolicy moved to locmap_core::resilience; use RetryPolicy directly")]
-pub type InspectorRetryPolicy = RetryPolicy;
-
 /// The controller's verdict on one fault incident.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FaultClass {

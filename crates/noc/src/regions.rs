@@ -41,19 +41,6 @@ pub struct RegionGrid {
 }
 
 impl RegionGrid {
-    /// Partitions `mesh` into `cols x rows` regions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either region-grid dimension is zero or exceeds the
-    /// corresponding mesh dimension.
-    #[deprecated(
-        note = "use RegionGrid::try_new, which reports invalid grids instead of panicking"
-    )]
-    pub fn new(mesh: Mesh, cols: u16, rows: u16) -> Self {
-        Self::try_new(mesh, cols, rows).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Validating constructor: errors instead of panicking when the grid
     /// is empty or does not fit the mesh, so user-supplied partitions
     /// become diagnostics rather than crashes.

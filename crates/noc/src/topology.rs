@@ -68,16 +68,6 @@ pub struct Mesh {
 }
 
 impl Mesh {
-    /// Creates a `width x height` mesh.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    #[deprecated(note = "use Mesh::try_new, which reports invalid sizes instead of panicking")]
-    pub fn new(width: u16, height: u16) -> Self {
-        Self::try_new(width, height).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Validating constructor: errors instead of panicking on a zero
     /// dimension, so user-supplied sizes (CLI flags, config files) turn
     /// into diagnostics rather than crashes.

@@ -108,10 +108,10 @@ pub(crate) enum Level {
 
 /// Step-by-step construction of a [`Simulator`].
 ///
-/// Obtained from [`Simulator::builder`]. Unlike the deprecated
-/// [`Simulator::new`], [`SimulatorBuilder::build`] validates the timing
-/// configuration and platform consistency, returning a typed error instead
-/// of panicking, and can start the machine directly in degraded mode.
+/// Obtained from [`Simulator::builder`]. [`SimulatorBuilder::build`]
+/// validates the timing configuration and platform consistency, returning
+/// a typed error instead of panicking, and can start the machine directly
+/// in degraded mode.
 #[derive(Debug, Clone)]
 pub struct SimulatorBuilder {
     platform: Platform,
@@ -159,23 +159,6 @@ impl Simulator {
     /// Starts building the machine described by `platform`.
     pub fn builder(platform: Platform) -> SimulatorBuilder {
         SimulatorBuilder { platform, cfg: SimConfig::default(), faults: None }
-    }
-
-    /// Builds the machine described by `platform` with timing `cfg`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the platform's address map expects a different number of
-    /// LLC banks than the mesh has nodes.
-    #[deprecated(note = "use Simulator::builder")]
-    pub fn new(platform: Platform, cfg: SimConfig) -> Self {
-        let nodes = platform.mesh.node_count();
-        assert_eq!(
-            platform.addr_map.config().llc_banks as usize,
-            nodes,
-            "address map bank count must match mesh node count"
-        );
-        Self::construct(platform, cfg)
     }
 
     fn construct(platform: Platform, cfg: SimConfig) -> Self {

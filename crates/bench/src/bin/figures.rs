@@ -20,7 +20,9 @@ use locmap_bench::resilience::{evaluate_online, evaluate_resilience};
 use locmap_bench::{
     corun, evaluate, geomean, print_table, selected_apps, AppOutcome, Experiment, Scheme,
 };
-use locmap_core::{Compiler, LlcOrg, Platform};
+use locmap_core::{
+    AlphaPolicy, Compiler, EtaMetric, LlcOrg, MappingOptions, PlacementPolicy, Platform,
+};
 use locmap_mem::{AddrMap, AddrMapConfig, Interleave};
 use locmap_noc::{FaultCounts, FaultPlan, LocmapError, McPlacement, Mesh, RegionGrid};
 use locmap_sim::{knl_platform, KnlMode, MultiprogramResult, SimConfig};
@@ -44,6 +46,7 @@ const FIGURES: &[(&str, fn())] = &[
     ("fig17", fig17),
     ("multiprog", multiprog),
     ("resilience", resilience),
+    ("ablations", ablations),
 ];
 
 const LLCS: [LlcOrg; 2] = [LlcOrg::Private, LlcOrg::SharedSNuca];
@@ -629,6 +632,53 @@ fn resilience() {
             &rows,
         );
     }
+}
+
+/// Ablations of the design choices DESIGN.md calls out, on moldyn at
+/// scale 0.4 with a shared LLC: η metric (L1 is the paper's), α policy
+/// (estimated from hits is the paper's), load balancing and within-region
+/// placement (balanced + random is the paper's).
+fn ablations() {
+    let exp = Experiment::paper_default(LlcOrg::SharedSNuca);
+    let paper = exp.opts;
+    let random = PlacementPolicy::Random { seed: 0x5eed };
+    let variants = [
+        ("eta=l1", MappingOptions { eta: EtaMetric::L1, ..paper }),
+        ("eta=l2", MappingOptions { eta: EtaMetric::L2, ..paper }),
+        ("eta=cosine", MappingOptions { eta: EtaMetric::Cosine, ..paper }),
+        ("alpha=from-hits", MappingOptions { alpha: AlphaPolicy::FromHits, ..paper }),
+        ("alpha=fixed-0", MappingOptions { alpha: AlphaPolicy::Fixed(0.0), ..paper }),
+        ("alpha=fixed-0.5", MappingOptions { alpha: AlphaPolicy::Fixed(0.5), ..paper }),
+        ("alpha=fixed-1", MappingOptions { alpha: AlphaPolicy::Fixed(1.0), ..paper }),
+        ("balanced+random", MappingOptions { balance: true, placement: random, ..paper }),
+        ("unbalanced", MappingOptions { balance: false, placement: random, ..paper }),
+        (
+            "balanced+roundrobin",
+            MappingOptions { balance: true, placement: PlacementPolicy::RoundRobin, ..paper },
+        ),
+        (
+            "balanced+leastloaded",
+            MappingOptions { balance: true, placement: PlacementPolicy::LeastLoaded, ..paper },
+        ),
+    ];
+    let w = build("moldyn", Scale::new(0.4));
+    let rows: Vec<Vec<String>> = variants
+        .into_iter()
+        .map(|(name, opts)| {
+            let out = evaluate(&w, &Experiment { opts, ..exp.clone() }, Scheme::LocationAware);
+            vec![
+                name.to_string(),
+                format!("{:.1}", out.net_reduction_pct()),
+                format!("{:.1}", out.exec_improvement_pct()),
+                format!("{:.0}", out.frac_moved * 100.0),
+            ]
+        })
+        .collect();
+    print_table(
+        "Ablations: location-aware variants on moldyn, scale 0.4, shared LLC (%)",
+        &["variant", "net-latency-reduction", "exec-improvement", "sets-moved"],
+        &rows,
+    );
 }
 
 /// One row per app from `row`, or the app's name and the error.

@@ -4,7 +4,7 @@
 //! [`heal_run`] is the piece that ties the resilience stack together:
 //!
 //! * the simulator executes each nest with
-//!   `Simulator::run_nest_with_plan`, which surfaces mid-run component
+//!   `Simulator::run` on a fault timeline, which surfaces mid-run component
 //!   deaths as typed `SimError::Transient` faults instead of silently
 //!   completing work on dead hardware;
 //! * the [`ResilienceController`] classifies each incident
@@ -335,7 +335,7 @@ pub fn heal_run(
             if mapping.sets.is_empty() {
                 break;
             }
-            match sim.run_nest_with_plan(program, &mapping, data, &overlay, now) {
+            match sim.run(program, &mapping, data, Some((&overlay, now)), None) {
                 Ok(r) => {
                     now = now.saturating_add(r.cycles);
                     merge(&mut total, &r);

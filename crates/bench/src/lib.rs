@@ -27,7 +27,7 @@ use locmap_core::{
     Platform,
 };
 use locmap_loopir::{DataEnv, NestId, Program};
-use locmap_noc::LocmapError;
+use locmap_noc::{LocmapError, RunControl};
 use locmap_sim::{run_multiprogram, MultiprogramResult, RunResult, SimConfig, Simulator, Slot};
 use locmap_workloads::Workload;
 use serde::{Deserialize, Serialize};
@@ -251,7 +251,9 @@ fn plan(
                 .iter()
                 .map(|&nid| {
                     let oracle = OracleModel(profile[nid.0 as usize].measured.clone());
-                    compiler.map_nest_with_model(program, nid, data, &oracle)
+                    compiler
+                        .map_nest_with_model(program, nid, data, &oracle, &RunControl::unlimited())
+                        .expect("an unlimited RunControl never aborts")
                 })
                 .collect(),
             overhead: 0,

@@ -27,7 +27,7 @@ use locmap_core::{
 };
 use locmap_loopir::{DataEnv, NestId, Program};
 use locmap_noc::{FaultPlan, FaultState, LocmapError};
-use locmap_sim::Simulator;
+use locmap_sim::{SimError, Simulator};
 use locmap_workloads::Workload;
 use serde::{Deserialize, Serialize};
 
@@ -96,6 +96,11 @@ fn nest_ids(program: &Program) -> Vec<NestId> {
     program.nest_ids().collect()
 }
 
+/// A static-fault run that failed: the mapping put work on a dead core.
+fn invalid_mapping(e: SimError) -> LocmapError {
+    LocmapError::InvalidConfig(e.to_string())
+}
+
 /// Runs one arm: profile pass under `compiler`'s default mapping, then the
 /// measurement pass under `aware ? map_nest : default` mappings.
 fn run_arm(
@@ -119,7 +124,7 @@ fn run_arm(
         nests.iter().map(|&n| compiler.default_mapping(program, n)).collect();
     let mut profile = Vec::with_capacity(defaults.len());
     for m in &defaults {
-        profile.push(sim.try_run_nest(program, m, data)?);
+        profile.push(sim.run(program, m, data, None, None).map_err(invalid_mapping)?);
     }
 
     let mut overhead = 0u64;
@@ -150,10 +155,7 @@ fn run_arm(
                     |candidate| {
                         let mut probe = Simulator::builder(exp.platform.clone()).config(exp.sim).build().unwrap();
                         probe.set_faults(f).expect("state validated by the outer sim");
-                        probe
-                            .try_run_nest(program, candidate, data)
-                            .expect("degraded mappings only use surviving cores")
-                            .measured
+                        probe.run_nest(program, candidate, data).measured
                     },
                     retry,
                 ),
@@ -175,7 +177,7 @@ fn run_arm(
 
     let (mut cycles, mut lat, mut msgs) = (0u64, 0u64, 0u64);
     for m in &mappings {
-        let r = sim.try_run_nest(program, m, data)?;
+        let r = sim.run(program, m, data, None, None).map_err(invalid_mapping)?;
         cycles += r.cycles;
         lat += r.network.total_latency;
         msgs += r.network.messages;
@@ -268,7 +270,7 @@ fn oracle_arm(
     let mut cycles = 0u64;
     for nid in nest_ids(program) {
         let m = compiler.map_nest(program, nid, data);
-        cycles += sim.try_run_nest(program, &m, data)?.cycles;
+        cycles += sim.run(program, &m, data, None, None).map_err(invalid_mapping)?.cycles;
     }
     Ok(cycles)
 }

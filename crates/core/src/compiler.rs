@@ -374,48 +374,22 @@ impl Compiler {
     /// (when `data` lacks their index arrays) get a default round-robin
     /// schedule with `needs_inspector = true`.
     pub fn map_nest(&self, program: &Program, nest_id: NestId, data: &DataEnv) -> NestMapping {
-        let estimate = self.estimate_nest(program, nest_id, data);
-        self.map_nest_with_estimate(program, nest_id, data, estimate)
-    }
-
-    /// [`Compiler::map_nest`] under cooperative control: both the CME
-    /// analysis and the affinity/mapping phases checkpoint `ctl`, so a
-    /// cancellation or exhausted budget aborts within a bounded number of
-    /// iterations and surfaces as [`LocmapError::Cancelled`] /
-    /// [`LocmapError::DeadlineExceeded`]. An uncancelled run returns the
-    /// bit-identical mapping of [`Compiler::map_nest`].
-    pub fn map_nest_ctl(
-        &self,
-        program: &Program,
-        nest_id: NestId,
-        data: &DataEnv,
-        ctl: &RunControl,
-    ) -> Result<NestMapping, LocmapError> {
-        let estimate = self.estimate_nest_ctl(program, nest_id, data, ctl)?;
-        self.map_nest_with_estimate_ctl(program, nest_id, data, estimate, ctl)
+        let ctl = RunControl::unlimited();
+        self.estimate_nest(program, nest_id, data, &ctl)
+            .and_then(|estimate| self.map_nest_with_estimate(program, nest_id, data, estimate, &ctl))
+            .expect("an unlimited RunControl never aborts")
     }
 
     /// Runs only the CME analysis phase of [`Compiler::map_nest`].
     ///
-    /// Returns `None` when CME is disabled or the nest has index arrays
+    /// Returns `Ok(None)` when CME is disabled or the nest has index arrays
     /// missing from `data` (nothing is statically analyzable). The estimate
     /// depends on the nest, its data layout and the CME/sampling options —
     /// not on the platform's fault state — so [`crate::MappingSession`]
-    /// reuses it across fault epochs.
+    /// reuses it across fault epochs. The CME symbolic execution
+    /// checkpoints `ctl` every [`locmap_cme::CHECKPOINT_INTERVAL`]
+    /// iterations.
     pub fn estimate_nest(
-        &self,
-        program: &Program,
-        nest_id: NestId,
-        data: &DataEnv,
-    ) -> Option<CmeEstimate> {
-        self.estimate_nest_ctl(program, nest_id, data, &RunControl::unlimited())
-            .expect("an unlimited RunControl never aborts")
-    }
-
-    /// [`Compiler::estimate_nest`] under cooperative control: the CME
-    /// symbolic execution checkpoints `ctl` every
-    /// [`locmap_cme::CHECKPOINT_INTERVAL`] iterations.
-    pub fn estimate_nest_ctl(
         &self,
         program: &Program,
         nest_id: NestId,
@@ -436,22 +410,16 @@ impl Compiler {
     /// Completes [`Compiler::map_nest`] from a precomputed CME estimate.
     ///
     /// `map_nest(p, n, d)` ≡ `map_nest_with_estimate(p, n, d,
-    /// estimate_nest(p, n, d))` bit for bit; passing a cached estimate from
-    /// an equivalent earlier call therefore cannot change the result.
+    /// estimate_nest(p, n, d, ctl)?, ctl)` bit for bit; passing a cached
+    /// estimate from an equivalent earlier call therefore cannot change the
+    /// result.
+    ///
+    /// The affinity/mapping phases checkpoint `ctl`, so a cancellation or
+    /// exhausted budget aborts within a bounded number of iterations and
+    /// surfaces as [`LocmapError::Cancelled`] /
+    /// [`LocmapError::DeadlineExceeded`]. An uncancelled run returns the
+    /// bit-identical mapping.
     pub fn map_nest_with_estimate(
-        &self,
-        program: &Program,
-        nest_id: NestId,
-        data: &DataEnv,
-        estimate: Option<CmeEstimate>,
-    ) -> NestMapping {
-        self.map_nest_with_estimate_ctl(program, nest_id, data, estimate, &RunControl::unlimited())
-            .expect("an unlimited RunControl never aborts")
-    }
-
-    /// [`Compiler::map_nest_with_estimate`] under cooperative control
-    /// (see [`Compiler::map_nest_ctl`] for the abort contract).
-    pub fn map_nest_with_estimate_ctl(
         &self,
         program: &Program,
         nest_id: NestId,
@@ -496,22 +464,9 @@ impl Compiler {
     }
 
     /// Maps a nest using an explicit hit model — the entry point for the
-    /// inspector (measured rates) and the Figure 15 oracle.
+    /// inspector (measured rates) and the Figure 15 oracle. Aborts under
+    /// `ctl` like [`Compiler::map_nest_with_estimate`].
     pub fn map_nest_with_model(
-        &self,
-        program: &Program,
-        nest_id: NestId,
-        data: &DataEnv,
-        model: &dyn HitModel,
-    ) -> NestMapping {
-        self.map_nest_with_model_ctl(program, nest_id, data, model, &RunControl::unlimited())
-            .expect("an unlimited RunControl never aborts")
-    }
-
-    /// [`Compiler::map_nest_with_model`] under cooperative control (see
-    /// [`Compiler::map_nest_ctl`] for the abort contract) — the entry
-    /// point for a deadline-bounded inspector.
-    pub fn map_nest_with_model_ctl(
         &self,
         program: &Program,
         nest_id: NestId,

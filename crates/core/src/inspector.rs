@@ -16,7 +16,7 @@ use crate::compiler::{Compiler, NestMapping};
 use crate::hits::MeasuredRates;
 use crate::resilience::RetryPolicy;
 use locmap_loopir::{DataEnv, IterationSpace, NestId, Program};
-use locmap_noc::{LocmapError, RunControl};
+use locmap_noc::RunControl;
 use serde::{Deserialize, Serialize};
 
 /// Cost model for inspector execution time.
@@ -111,25 +111,10 @@ impl<'a> Inspector<'a> {
         data: &DataEnv,
         measured: &MeasuredRates,
     ) -> InspectorReport {
-        self.run_ctl(program, nest_id, data, measured, &RunControl::unlimited())
-            .expect("an unlimited RunControl never aborts")
-    }
-
-    /// [`Inspector::run`] under a deadline/cancellation [`RunControl`].
-    ///
-    /// The analysis loops poll `ctl` at bounded intervals; an exhausted
-    /// budget or cancelled token aborts the inspection with a typed
-    /// [`LocmapError`] instead of holding the executor hostage — the
-    /// admission layer then falls back down its quality ladder.
-    pub fn run_ctl(
-        &self,
-        program: &Program,
-        nest_id: NestId,
-        data: &DataEnv,
-        measured: &MeasuredRates,
-        ctl: &RunControl,
-    ) -> Result<InspectorReport, LocmapError> {
-        let mapping = self.compiler.map_nest_with_model_ctl(program, nest_id, data, measured, ctl)?;
+        let mapping = self
+            .compiler
+            .map_nest_with_model(program, nest_id, data, measured, &RunControl::unlimited())
+            .expect("an unlimited RunControl never aborts");
 
         let nest = program.nest(nest_id);
         let space = IterationSpace::enumerate(nest, &program.params());
@@ -140,7 +125,7 @@ impl<'a> Inspector<'a> {
             + (analyzed_accesses * self.cost.cycles_per_access / par) as u64
             + (mapping.sets.len() as f64 * self.cost.cycles_per_set / par) as u64;
 
-        Ok(InspectorReport { mapping, overhead_cycles, retries: 0 })
+        InspectorReport { mapping, overhead_cycles, retries: 0 }
     }
 
     /// Inspector–executor loop with bounded re-inspection (degraded mode).
@@ -318,8 +303,8 @@ mod tests {
     }
 
     #[test]
-    fn run_ctl_is_bit_identical_and_cancellable() {
-        use locmap_noc::{Budget, CancelToken, LocmapError, RunControl};
+    fn cancelled_model_mapping_returns_cancelled() {
+        use locmap_noc::{Budget, CancelToken, LocmapError};
         let (p, id, data) = irregular_program(4000);
         let compiler = Compiler::builder(Platform::paper_default()).build().unwrap();
         let inspector = Inspector::new(&compiler, InspectorCostModel::default());
@@ -328,12 +313,11 @@ mod tests {
 
         let base = inspector.run(&p, id, &data, &measured);
         let ctl = RunControl::unlimited();
-        let rep = inspector.run_ctl(&p, id, &data, &measured, &ctl).unwrap();
-        assert_eq!(rep.mapping, base.mapping);
-        assert_eq!(rep.overhead_cycles, base.overhead_cycles);
+        let mapping = compiler.map_nest_with_model(&p, id, &data, &measured, &ctl).unwrap();
+        assert_eq!(mapping, base.mapping);
 
         let cancelled = RunControl::new(CancelToken::cancel_after_polls(0), Budget::unlimited());
-        let err = inspector.run_ctl(&p, id, &data, &measured, &cancelled).unwrap_err();
+        let err = compiler.map_nest_with_model(&p, id, &data, &measured, &cancelled).unwrap_err();
         assert!(matches!(err, LocmapError::Cancelled { .. }));
     }
 

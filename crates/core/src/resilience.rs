@@ -5,7 +5,7 @@
 //! this module supplies the policy layer for faults that arrive while a
 //! workload is running. The [`ResilienceController`] consumes the typed
 //! fault notifications the simulator surfaces (see
-//! `locmap_sim::Simulator::run_nest_with_plan`) and decides, per incident:
+//! `locmap_sim::Simulator::run` on a fault timeline) and decides, per incident:
 //!
 //! * **transient** — retry the same mapping after an exponential backoff
 //!   (with optional deterministic jitter), quarantining the flaky

@@ -26,6 +26,7 @@ use crate::platform::Platform;
 use locmap_cme::CmeEstimate;
 use locmap_loopir::{DataEnv, NestId, Program};
 use locmap_noc::{FaultState, LocmapError, RunControl};
+use std::collections::HashMap;
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -51,7 +52,11 @@ pub struct MapResponse {
     /// The mapping — bit-identical to what a serial
     /// [`Compiler::map_nest`] call would produce.
     pub mapping: NestMapping,
-    /// True when the mapping was answered from the memo cache.
+    /// True when the mapping was answered from the memo cache. Within a
+    /// batch the flags do not depend on which worker computed a shared
+    /// key: every later duplicate of a request is a hit, and its first
+    /// occurrence is a miss if any request with that key computed the
+    /// mapping.
     pub cache_hit: bool,
 }
 
@@ -170,7 +175,8 @@ struct Gate {
 /// let out = session.map_batch(&reqs);
 /// assert_eq!(out.len(), 3);
 /// assert_eq!(out[0].mapping, out[2].mapping);
-/// // Which worker computes the shared key is a race; the counts are not.
+/// assert!(!out[0].cache_hit);
+/// assert!(out[1].cache_hit && out[2].cache_hit);
 /// let stats = session.cache_stats().mappings;
 /// assert_eq!((stats.misses, stats.hits), (1, 2));
 /// ```
@@ -253,8 +259,9 @@ impl MappingSession {
 
     /// Maps every request, fanning out across the session's workers.
     ///
-    /// `out[i]` answers `requests[i]`; results are bit-identical to calling
-    /// [`Compiler::map_nest`] serially per request, for any worker count.
+    /// `out[i]` answers `requests[i]`; mappings are bit-identical to calling
+    /// [`Compiler::map_nest`] serially per request, and whole responses
+    /// are the same for any worker count.
     pub fn map_batch(&self, requests: &[MapRequest<'_>]) -> Vec<MapResponse> {
         self.map_batch_ctl(requests, &RunControl::unlimited())
             .expect("an unlimited RunControl never aborts")
@@ -274,15 +281,14 @@ impl MappingSession {
         ctl: &RunControl,
     ) -> Result<Vec<MapResponse>, LocmapError> {
         let workers = self.threads.min(requests.len()).max(1);
-        if workers == 1 {
-            return requests.iter().map(|r| self.map_one_ctl(r, ctl)).collect();
-        }
-
-        // Dynamic dispatch: workers pull the next unclaimed request index,
-        // so imbalanced kernels don't idle a statically partitioned pool.
-        let next = AtomicUsize::new(0);
-        let mut collected: Vec<Vec<(usize, Result<MapResponse, LocmapError>)>> =
-            std::thread::scope(|scope| {
+        let mut keyed: Vec<(CacheKey, MapResponse)> = if workers == 1 {
+            requests.iter().map(|r| self.map_keyed(r, ctl)).collect::<Result<_, _>>()?
+        } else {
+            // Dynamic dispatch: workers pull the next unclaimed request
+            // index, so imbalanced kernels don't idle a statically
+            // partitioned pool.
+            let next = AtomicUsize::new(0);
+            let mut collected: Vec<Vec<_>> = std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
                     .map(|_| {
                         scope.spawn(|| {
@@ -292,7 +298,7 @@ impl MappingSession {
                                 if i >= requests.len() {
                                     break;
                                 }
-                                local.push((i, self.map_one_ctl(&requests[i], ctl)));
+                                local.push((i, self.map_keyed(&requests[i], ctl)));
                             }
                             local
                         })
@@ -301,15 +307,27 @@ impl MappingSession {
                 handles.into_iter().map(|h| h.join().expect("mapping worker panicked")).collect()
             });
 
-        let mut out: Vec<Option<Result<MapResponse, LocmapError>>> = vec![None; requests.len()];
-        for (i, resp) in collected.drain(..).flatten() {
-            out[i] = Some(resp);
+            let mut out: Vec<Option<_>> = vec![None; requests.len()];
+            for (i, resp) in collected.drain(..).flatten() {
+                out[i] = Some(resp);
+            }
+            out.into_iter()
+                .map(|slot| slot.expect("every request index was claimed exactly once"))
+                .collect::<Result<_, _>>()?
+        };
+
+        // Which worker computes a shared key is a race; the flags are not:
+        // every later duplicate is a hit, and the first occurrence is a hit
+        // only if nobody in its group computed the mapping.
+        let mut first: HashMap<CacheKey, usize> = HashMap::new();
+        for i in 0..keyed.len() {
+            let f = *first.entry(keyed[i].0).or_insert(i);
+            if f != i {
+                keyed[f].1.cache_hit &= keyed[i].1.cache_hit;
+                keyed[i].1.cache_hit = true;
+            }
         }
-        let mut responses = Vec::with_capacity(requests.len());
-        for slot in out {
-            responses.push(slot.expect("every request index was claimed exactly once")?);
-        }
-        Ok(responses)
+        Ok(keyed.into_iter().map(|(_, resp)| resp).collect())
     }
 
     /// Maps a single request through the caches.
@@ -329,13 +347,24 @@ impl MappingSession {
         r: &MapRequest<'_>,
         ctl: &RunControl,
     ) -> Result<MapResponse, LocmapError> {
-        let (mapping, cache_hit) = self.mappings.get_or_try_insert_with(self.mapping_key(r), || {
+        self.map_keyed(r, ctl).map(|(_, resp)| resp)
+    }
+
+    /// [`MappingSession::map_one_ctl`], also returning the request's
+    /// mapping-cache key.
+    fn map_keyed(
+        &self,
+        r: &MapRequest<'_>,
+        ctl: &RunControl,
+    ) -> Result<(CacheKey, MapResponse), LocmapError> {
+        let key = self.mapping_key(r);
+        let (mapping, cache_hit) = self.mappings.get_or_try_insert_with(key, || {
             let (estimate, _) = self.cme.get_or_try_insert_with(self.cme_key(r), || {
-                self.compiler.estimate_nest_ctl(r.program, r.nest, r.data, ctl)
+                self.compiler.estimate_nest(r.program, r.nest, r.data, ctl)
             })?;
-            self.compiler.map_nest_with_estimate_ctl(r.program, r.nest, r.data, estimate, ctl)
+            self.compiler.map_nest_with_estimate(r.program, r.nest, r.data, estimate, ctl)
         })?;
-        Ok(MapResponse { mapping, cache_hit })
+        Ok((key, MapResponse { mapping, cache_hit }))
     }
 
     /// Answers a request from the memo cache alone (the
@@ -646,7 +675,7 @@ mod tests {
         // Measure the work of the CME stage alone and of the full pipeline.
         let probe = MappingSession::builder(Platform::paper_default()).build().unwrap();
         let est_ctl = RunControl::unlimited();
-        probe.compiler().estimate_nest_ctl(&p, id, &data, &est_ctl).unwrap();
+        probe.compiler().estimate_nest(&p, id, &data, &est_ctl).unwrap();
         let cme_units = est_ctl.spent_units();
         let full_ctl = RunControl::unlimited();
         let baseline = probe.map_one_ctl(&r, &full_ctl).unwrap();

@@ -56,7 +56,7 @@ struct RefCounters {
     llc_hits: u64,
 }
 
-/// Live timeline state for [`Simulator::run_nest_with_plan`].
+/// Live timeline state for [`Simulator::run`].
 #[derive(Debug)]
 struct TimelineCtx<'a> {
     plan: &'a FaultPlan,
@@ -249,122 +249,73 @@ impl Simulator {
     }
 
     /// Executes one mapped nest to completion and returns its metrics.
+    ///
+    /// Panics if the mapping places work on a core whose router is dead
+    /// under the faults set by [`Simulator::set_faults`]; use
+    /// [`Simulator::run`] to get that as a typed error instead.
     pub fn run_nest(&mut self, program: &Program, mapping: &NestMapping, data: &DataEnv) -> RunResult {
-        self.run_nest_offset(program, mapping, data, 0)
+        self.run(program, mapping, data, None, None).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible variant of [`Self::run_nest`] for degraded mode: rejects
-    /// mappings that place work on a core whose router is dead (a fault
-    /// injected *after* mapping — the caller should remap, e.g. with the
-    /// degraded compiler, and retry).
-    pub fn try_run_nest(
+    /// Executes one mapped nest, optionally while a fault timeline
+    /// advances and under a deadline/cancellation [`RunControl`].
+    ///
+    /// Mappings with work on a dead core are rejected with
+    /// [`SimError::InvalidMapping`] before anything runs: dead under the
+    /// faults set by [`Simulator::set_faults`], or, with a `timeline`,
+    /// under its plan's state at the start cycle.
+    ///
+    /// With `timeline = Some((plan, start_cycle))` the segment starts at
+    /// absolute cycle `start_cycle` (the returned metrics are relative to
+    /// it) in `plan.state_at(start_cycle)`. At every later boundary of
+    /// [`FaultPlan::change_cycles`] the machine swaps in
+    /// `state_at(boundary)`; in-flight work that a newly-dead
+    /// link/router/MC/bank interrupts surfaces as [`SimError::Transient`]
+    /// (carrying which sets completed and the partial metrics), and a
+    /// state the machine cannot survive — partitioned mesh, no MC or bank
+    /// left — as [`SimError::Unsurvivable`]. The caller (normally the
+    /// resilience heal driver, `locmap_bench::heal`) retries transient
+    /// faults, remaps the incomplete sets after persistent ones, or
+    /// degrades. On success the machine is left in the state of the last
+    /// crossed boundary, so a follow-on segment continues from a
+    /// consistent machine.
+    ///
+    /// With `ctl = Some(..)` the engine checkpoints it once per simulated
+    /// iteration (one work unit each), so a cancellation or exhausted
+    /// budget is observed within one iteration's worth of host work and
+    /// surfaces as [`SimError::Aborted`] carrying the metrics accumulated
+    /// so far. With an unlimited control the result is bit-identical to
+    /// [`Simulator::run_nest`]. The machine state (caches, network) is
+    /// left as of the abort point — call [`Simulator::reset`] before
+    /// reusing the simulator for an unrelated experiment.
+    pub fn run(
         &mut self,
         program: &Program,
         mapping: &NestMapping,
         data: &DataEnv,
-    ) -> Result<RunResult, LocmapError> {
+        timeline: Option<(&FaultPlan, u64)>,
+        ctl: Option<&RunControl>,
+    ) -> Result<RunResult, SimError> {
+        let mut timeline = match timeline {
+            Some((plan, start_cycle)) => {
+                self.set_faults(&plan.state_at(start_cycle))
+                    .map_err(|source| SimError::Unsurvivable { cycle: start_cycle, source })?;
+                let boundaries: Vec<u64> =
+                    plan.change_cycles().into_iter().filter(|&b| b > start_cycle).collect();
+                Some(TimelineCtx { plan, start_cycle, boundaries, next: 0 })
+            }
+            None => None,
+        };
         if let Some(f) = &self.faults {
             for (s, &core) in mapping.assignment.iter().enumerate() {
                 if !f.state.router_alive(core) {
-                    return Err(LocmapError::InvalidConfig(format!(
+                    return Err(SimError::InvalidMapping(format!(
                         "iteration set {s} is mapped to dead core {core}; remap before running"
                     )));
                 }
             }
         }
-        Ok(self.run_nest(program, mapping, data))
-    }
 
-    /// Like [`run_nest`](Self::run_nest) but with every physical address
-    /// offset by `addr_offset` bytes — used by the multiprogramming harness
-    /// to give co-running applications disjoint address spaces.
-    pub fn run_nest_offset(
-        &mut self,
-        program: &Program,
-        mapping: &NestMapping,
-        data: &DataEnv,
-        addr_offset: u64,
-    ) -> RunResult {
-        match self.run_nest_inner(program, mapping, data, addr_offset, None, None) {
-            Ok(r) => r,
-            Err(e) => unreachable!("timeline-free runs cannot fault: {e}"),
-        }
-    }
-
-    /// [`Simulator::run_nest`] under a deadline/cancellation
-    /// [`RunControl`].
-    ///
-    /// The engine checkpoints `ctl` once per simulated iteration (one
-    /// work unit each), so a cancellation or exhausted budget is observed
-    /// within one iteration's worth of host work and surfaces as
-    /// [`SimError::Aborted`] carrying the metrics accumulated so far.
-    /// With an unlimited control the result is bit-identical to
-    /// [`Simulator::run_nest`]. The machine state (caches, network) is
-    /// left as of the abort point — call [`Simulator::reset`] before
-    /// reusing the simulator for an unrelated experiment.
-    pub fn run_nest_ctl(
-        &mut self,
-        program: &Program,
-        mapping: &NestMapping,
-        data: &DataEnv,
-        ctl: &RunControl,
-    ) -> Result<RunResult, SimError> {
-        self.run_nest_inner(program, mapping, data, 0, None, Some(ctl))
-    }
-
-    /// Executes one mapped nest while `plan`'s fault clock advances.
-    ///
-    /// The segment starts at absolute cycle `start_cycle` (the returned
-    /// metrics are relative to it) in `plan.state_at(start_cycle)`. At
-    /// every later boundary of [`FaultPlan::change_cycles`] the machine
-    /// swaps in `state_at(boundary)`; in-flight work that a newly-dead
-    /// link/router/MC/bank interrupts surfaces as [`SimError::Transient`]
-    /// (carrying which sets completed and the partial metrics), and a
-    /// state the machine cannot survive — partitioned mesh, no MC or bank
-    /// left — as [`SimError::Unsurvivable`]. Mappings with work on a core
-    /// that is already dead at `start_cycle` are rejected with
-    /// [`SimError::InvalidMapping`] before anything runs.
-    ///
-    /// The caller (normally the resilience heal driver,
-    /// `locmap_bench::heal`) retries transient faults, remaps the
-    /// incomplete sets after persistent ones, or degrades. On success the
-    /// machine is left in the state of the last crossed boundary, so a
-    /// follow-on segment continues from a consistent machine.
-    pub fn run_nest_with_plan(
-        &mut self,
-        program: &Program,
-        mapping: &NestMapping,
-        data: &DataEnv,
-        plan: &FaultPlan,
-        start_cycle: u64,
-    ) -> Result<RunResult, SimError> {
-        let state = plan.state_at(start_cycle);
-        self.set_faults(&state)
-            .map_err(|source| SimError::Unsurvivable { cycle: start_cycle, source })?;
-        if let Some(f) = &self.faults {
-            for (s, &core) in mapping.assignment.iter().enumerate() {
-                if !f.state.router_alive(core) {
-                    return Err(SimError::InvalidMapping(format!(
-                        "iteration set {s} is mapped to dead core {core} at cycle {start_cycle}"
-                    )));
-                }
-            }
-        }
-        let boundaries: Vec<u64> =
-            plan.change_cycles().into_iter().filter(|&b| b > start_cycle).collect();
-        let ctx = TimelineCtx { plan, start_cycle, boundaries, next: 0 };
-        self.run_nest_inner(program, mapping, data, 0, Some(ctx), None)
-    }
-
-    fn run_nest_inner(
-        &mut self,
-        program: &Program,
-        mapping: &NestMapping,
-        data: &DataEnv,
-        addr_offset: u64,
-        mut timeline: Option<TimelineCtx>,
-        ctl: Option<&RunControl>,
-    ) -> Result<RunResult, SimError> {
         // The run's clock starts at zero: release link and bank occupancy
         // left over from earlier runs (cache contents stay warm).
         self.net.reset_contention();
@@ -496,7 +447,7 @@ impl Simulator {
 
             let iv = space.get(k);
             for (ri, r) in nest.refs.iter().enumerate() {
-                let addr = program.resolve(r, iv, data) + addr_offset;
+                let addr = program.resolve(r, iv, data);
                 let acc = match r.access {
                     Access::Read => MemAccess::Read,
                     Access::Write => MemAccess::Write,
@@ -1147,7 +1098,7 @@ mod tests {
         let mut sim = Simulator::builder(platform.clone()).build().unwrap();
         let state = FaultPlan::new(platform.mesh, platform.mc_count()).dead_mc(0).state_at(0);
         sim.set_faults(&state).unwrap();
-        let degraded = sim.try_run_nest(&p, &mapping, &DataEnv::new()).unwrap();
+        let degraded = sim.run_nest(&p, &mapping, &DataEnv::new());
 
         // Same work completes, but 3 MCs serve 4 MCs' worth of addresses
         // over longer average distances.
@@ -1190,7 +1141,7 @@ mod tests {
     }
 
     #[test]
-    fn try_run_nest_rejects_mappings_on_dead_cores() {
+    fn run_rejects_mappings_on_dead_cores() {
         use locmap_noc::FaultPlan;
         let (p, id) = demo_program(5_000, 2);
         let platform = Platform::paper_default();
@@ -1200,10 +1151,25 @@ mod tests {
         let mut sim = Simulator::builder(platform.clone()).build().unwrap();
         sim.set_faults(&FaultPlan::new(platform.mesh, platform.mc_count()).dead_router(dead).state_at(0))
             .unwrap();
-        let err = sim.try_run_nest(&p, &mapping, &DataEnv::new()).unwrap_err();
-        assert!(matches!(err, LocmapError::InvalidConfig(_)), "{err}");
+        let err = sim.run(&p, &mapping, &DataEnv::new(), None, None).unwrap_err();
+        assert!(matches!(err, SimError::InvalidMapping(_)), "{err}");
         sim.clear_faults();
-        assert!(sim.try_run_nest(&p, &mapping, &DataEnv::new()).is_ok());
+        assert!(sim.run(&p, &mapping, &DataEnv::new(), None, None).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "dead core")]
+    fn run_nest_panics_on_mapping_to_dead_core() {
+        use locmap_noc::FaultPlan;
+        let (p, id) = demo_program(5_000, 2);
+        let platform = Platform::paper_default();
+        let compiler = Compiler::builder(platform.clone()).build().unwrap();
+        let mapping = compiler.default_mapping(&p, id);
+        let dead = platform.mesh.node_at(3, 3);
+        let mut sim = Simulator::builder(platform.clone()).build().unwrap();
+        sim.set_faults(&FaultPlan::new(platform.mesh, platform.mc_count()).dead_router(dead).state_at(0))
+            .unwrap();
+        sim.run_nest(&p, &mapping, &DataEnv::new());
     }
 
     #[test]
@@ -1222,7 +1188,7 @@ mod tests {
         let run = |platform: &Platform| {
             let mut sim = Simulator::builder(platform.clone()).build().unwrap();
             sim.set_faults(&plan.final_state()).unwrap();
-            sim.try_run_nest(&p, &mapping, &DataEnv::new()).unwrap()
+            sim.run_nest(&p, &mapping, &DataEnv::new())
         };
         let a = run(&platform);
         let b = run(&platform);
@@ -1242,7 +1208,7 @@ mod tests {
         let dead = platform.mesh.node_at(0, 0);
         sim.set_faults(&FaultPlan::new(platform.mesh, platform.mc_count()).dead_bank(dead).state_at(0))
             .unwrap();
-        let r = sim.try_run_nest(&p, &mapping, &DataEnv::new()).unwrap();
+        let r = sim.run_nest(&p, &mapping, &DataEnv::new());
         assert!(r.cycles > 0);
         // No LLC hit may be served from the dead bank's region... the bank
         // itself, rather: its L2 must stay untouched.
@@ -1260,7 +1226,7 @@ mod tests {
         let plain = sim.run_nest(&p, &mapping, &DataEnv::new());
         let mut sim = Simulator::builder(platform.clone()).build().unwrap();
         let plan = FaultPlan::new(platform.mesh, platform.mc_count());
-        let timed = sim.run_nest_with_plan(&p, &mapping, &DataEnv::new(), &plan, 0).unwrap();
+        let timed = sim.run(&p, &mapping, &DataEnv::new(), Some((&plan, 0)), None).unwrap();
         assert_eq!(plain.cycles, timed.cycles);
         assert_eq!(plain.network, timed.network);
     }
@@ -1282,7 +1248,7 @@ mod tests {
         })
         .unwrap();
         let mut sim = Simulator::builder(platform).build().unwrap();
-        let r = sim.run_nest_with_plan(&p, &mapping, &DataEnv::new(), &plan, 0).unwrap();
+        let r = sim.run(&p, &mapping, &DataEnv::new(), Some((&plan, 0)), None).unwrap();
         assert_eq!(r.cycles, clean.cycles);
     }
 
@@ -1303,7 +1269,7 @@ mod tests {
         plan.push(FaultEvent { component: FaultComponent::Router(dead), inject_at: mid, repair_at: None })
             .unwrap();
         let mut sim = Simulator::builder(platform.clone()).build().unwrap();
-        let err = sim.run_nest_with_plan(&p, &mapping, &DataEnv::new(), &plan, 0).unwrap_err();
+        let err = sim.run(&p, &mapping, &DataEnv::new(), Some((&plan, 0)), None).unwrap_err();
         match err {
             SimError::Transient(t) => {
                 assert_eq!(t.cycle, mid);
@@ -1337,7 +1303,7 @@ mod tests {
                 .unwrap();
         }
         let mut sim = Simulator::builder(platform).build().unwrap();
-        let err = sim.run_nest_with_plan(&p, &mapping, &DataEnv::new(), &plan, 0).unwrap_err();
+        let err = sim.run(&p, &mapping, &DataEnv::new(), Some((&plan, 0)), None).unwrap_err();
         assert!(matches!(err, SimError::Unsurvivable { cycle, .. } if cycle == mid), "{err}");
     }
 
@@ -1352,7 +1318,7 @@ mod tests {
         let plan = FaultPlan::new(platform.mesh, platform.mc_count())
             .dead_router(platform.mesh.node_at(2, 2));
         let mut sim = Simulator::builder(platform).build().unwrap();
-        let err = sim.run_nest_with_plan(&p, &mapping, &DataEnv::new(), &plan, 0).unwrap_err();
+        let err = sim.run(&p, &mapping, &DataEnv::new(), Some((&plan, 0)), None).unwrap_err();
         assert!(matches!(err, SimError::InvalidMapping(_)), "{err}");
     }
 
@@ -1373,15 +1339,13 @@ mod tests {
         })
         .unwrap();
         let mut sim = Simulator::builder(platform.clone()).build().unwrap();
-        let r = sim
-            .run_nest_with_plan(&p, &mapping, &DataEnv::new(), &plan, 10_000)
-            .unwrap();
+        let r = sim.run(&p, &mapping, &DataEnv::new(), Some((&plan, 10_000)), None).unwrap();
         assert!(r.cycles > 0);
         assert!(sim.faults().is_some_and(FaultState::is_clean), "machine healed");
     }
 
     #[test]
-    fn run_nest_ctl_unlimited_is_bit_identical() {
+    fn run_under_unlimited_ctl_is_bit_identical() {
         let (p, id) = demo_program(10_000, 2);
         let platform = Platform::paper_default();
         let compiler = Compiler::builder(platform.clone()).build().unwrap();
@@ -1390,14 +1354,14 @@ mod tests {
         let plain = sim.run_nest(&p, &mapping, &DataEnv::new());
         let mut sim = Simulator::builder(platform).build().unwrap();
         let under_ctl =
-            sim.run_nest_ctl(&p, &mapping, &DataEnv::new(), &RunControl::unlimited()).unwrap();
+            sim.run(&p, &mapping, &DataEnv::new(), None, Some(&RunControl::unlimited())).unwrap();
         assert_eq!(plain.cycles, under_ctl.cycles);
         assert_eq!(plain.network, under_ctl.network);
         assert_eq!(plain.dram.requests, under_ctl.dram.requests);
     }
 
     #[test]
-    fn run_nest_ctl_budget_aborts_with_partial_metrics() {
+    fn run_budget_aborts_with_partial_metrics() {
         use locmap_noc::{Budget, CancelToken};
         let (p, id) = demo_program(10_000, 2);
         let platform = Platform::paper_default();
@@ -1406,7 +1370,7 @@ mod tests {
         let mut sim = Simulator::builder(platform).build().unwrap();
         let budget = Budget::unlimited().with_work_units(500);
         let ctl = RunControl::new(CancelToken::new(), budget);
-        let err = sim.run_nest_ctl(&p, &mapping, &DataEnv::new(), &ctl).unwrap_err();
+        let err = sim.run(&p, &mapping, &DataEnv::new(), None, Some(&ctl)).unwrap_err();
         match err {
             SimError::Aborted { reason, partial } => {
                 assert!(
@@ -1423,7 +1387,7 @@ mod tests {
     }
 
     #[test]
-    fn run_nest_ctl_cancellation_is_observed_within_one_iteration() {
+    fn run_cancellation_is_observed_within_one_iteration() {
         use locmap_noc::{Budget, CancelToken};
         let (p, id) = demo_program(10_000, 2);
         let platform = Platform::paper_default();
@@ -1431,7 +1395,7 @@ mod tests {
         let mapping = compiler.map_nest(&p, id, &DataEnv::new());
         let mut sim = Simulator::builder(platform).build().unwrap();
         let ctl = RunControl::new(CancelToken::cancel_after_polls(7), Budget::unlimited());
-        let err = sim.run_nest_ctl(&p, &mapping, &DataEnv::new(), &ctl).unwrap_err();
+        let err = sim.run(&p, &mapping, &DataEnv::new(), None, Some(&ctl)).unwrap_err();
         match err {
             SimError::Aborted { reason, .. } => {
                 assert_eq!(reason, LocmapError::Cancelled { completed: 7, total: 10_000 });

@@ -6,7 +6,7 @@ set -u
 cd "$(dirname "$0")"
 mkdir -p results
 cargo build --release -q -p locmap-bench --bin figures
-FIGURES_FULL="table4 fig02 fig07 fig08 table3 fig12 fig13 fig14 fig15 multiprog"
+FIGURES_FULL="table4 fig02 fig07 fig08 table3 fig12 fig13 fig14 fig15 multiprog ablations"
 FIGURES_SWEEP="fig09 fig10 fig11 fig16 fig17"
 for f in $FIGURES_FULL; do
   echo "=== $f ==="

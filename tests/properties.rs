@@ -191,7 +191,7 @@ proptest! {
         let run = || -> Result<(u64, u64, u64), String> {
             let mut sim = Simulator::builder(platform.clone()).build().unwrap();
             sim.set_faults(&state).map_err(|e| e.to_string())?;
-            let r = sim.try_run_nest(&p, &mapping, &data).map_err(|e| e.to_string())?;
+            let r = sim.run(&p, &mapping, &data, None, None).map_err(|e| e.to_string())?;
             Ok((r.cycles, r.network.total_latency, r.network.messages))
         };
         prop_assert_eq!(run(), run());
@@ -213,8 +213,9 @@ proptest! {
 proptest! {
     /// The contract the batch engine is allowed to parallelize under: any
     /// worker count produces exactly the mappings a serial
-    /// `Compiler::map_nest` loop would, and in-flight dedup means every
-    /// distinct key is computed exactly once regardless of racing.
+    /// `Compiler::map_nest` loop would and the same responses, `cache_hit`
+    /// flags included, and in-flight dedup means every distinct key is
+    /// computed exactly once regardless of racing.
     #[test]
     fn batch_mapping_is_worker_count_invariant(
         sizes in proptest::collection::vec(512u64..4096, 1..5),
@@ -254,7 +255,7 @@ proptest! {
 
         for ((s, a), b) in serial.iter().zip(&out1).zip(&outn) {
             prop_assert_eq!(s, &a.mapping, "1-worker session != serial map_nest");
-            prop_assert_eq!(&a.mapping, &b.mapping, "worker count changed a mapping");
+            prop_assert_eq!(a, b, "worker count changed a response");
         }
         for stats in [one.cache_stats().mappings, many.cache_stats().mappings] {
             prop_assert_eq!(stats.hits + stats.misses, reqs.len() as u64);
@@ -455,7 +456,7 @@ proptest! {
                 // An uninterrupted run must be bit-identical to the
                 // uncancelled serial reference — no third outcome.
                 for (e, o) in expected.iter().zip(&out) {
-                    prop_assert_eq!(&e.mapping, &o.mapping, "abort machinery changed a mapping");
+                    prop_assert_eq!(e, o, "abort machinery changed a response");
                 }
             }
             Err(LocmapError::Cancelled { completed, total }) => {

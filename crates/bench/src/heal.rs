@@ -33,7 +33,7 @@ use locmap_core::{
     QuarantineConfig, RecoveryEvent, ResilienceController, ResilienceSummary, RetryPolicy,
 };
 use locmap_loopir::{DataEnv, NestId, Program};
-use locmap_noc::{FaultComponent, FaultPlan, FaultState, LocmapError};
+use locmap_noc::{FaultPlan, FaultState, LocmapError};
 use locmap_sim::{RunResult, SimError, Simulator};
 use locmap_verify::{Code, Severity, VerifyConfig, VerifyMapping};
 use locmap_workloads::Workload;
@@ -136,15 +136,6 @@ pub struct HealOutcome {
     pub summary: ResilienceSummary,
 }
 
-fn component_alive(state: &FaultState, c: FaultComponent) -> bool {
-    match c {
-        FaultComponent::Link(l) => state.link_alive(l),
-        FaultComponent::Router(n) => state.router_alive(n),
-        FaultComponent::Mc(k) => state.mc_alive(k),
-        FaultComponent::Bank(n) => state.bank_alive(n),
-    }
-}
-
 /// Folds one executed segment into the running tally. Traffic and event
 /// counters accumulate; rate-style observations (measured hit rates,
 /// observed MAI/CAI) are replaced, so the final complete segment wins.
@@ -186,13 +177,7 @@ fn map_at(
     now: u64,
 ) -> Result<NestMapping, HealError> {
     let state = ctrl.overlay(plan).state_at(now);
-    let applied = if state.is_clean() {
-        session.clear_faults();
-        Ok(())
-    } else {
-        session.set_faults(&state)
-    };
-    if let Err(e) = applied {
+    if let Err(e) = session.set_faults(&state) {
         if ctrl.quarantined().is_empty() {
             return Err(HealError::Unsurvivable { cycle: now, source: e });
         }
@@ -368,7 +353,7 @@ pub fn heal_run(
                         loop {
                             let attempt = ctrl.strike_count(t.component).saturating_sub(1);
                             now = ctrl.charge_retry(t.component, now, attempt);
-                            if component_alive(&plan.state_at(now), t.component) {
+                            if plan.state_at(now).alive(t.component) {
                                 break;
                             }
                             class = ctrl.record_fault(t.component, now);
@@ -448,7 +433,7 @@ mod tests {
     use super::*;
     use locmap_core::LlcOrg;
     use locmap_loopir::{Access, AffineExpr, LoopNest};
-    use locmap_noc::FaultEvent;
+    use locmap_noc::{FaultComponent, FaultEvent};
     use locmap_workloads::{build, Scale, Table3Info};
 
     /// A workload whose every access misses to memory: constant MC/NoC

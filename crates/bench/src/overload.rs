@@ -9,7 +9,7 @@
 //! * arrivals are evenly spaced at `saturation / multiplier` work units
 //!   and admitted through [`MappingSession::try_admit`], so backpressure
 //!   ([`TryMapError::QueueFull`]) sheds exactly like the production path;
-//! * admitted requests wait in a class-ordered [`AdmissionQueue`] and are
+//! * admitted requests wait in a class-ordered `AdmissionQueue` and are
 //!   served by [`MappingSession::serve`] under a per-request work budget,
 //!   walking the quality ladder (full → cached → heuristic) the ticket's
 //!   admission depth chose;
@@ -30,13 +30,13 @@
 
 use crate::Experiment;
 use locmap_core::{
-    AdmissionConfig, AdmissionQueue, BreakerState, MapRequest, MappingSession, Priority,
-    QualityLevel, TryMapError,
+    AdmissionConfig, BreakerState, MapRequest, MappingSession, Priority, QualityLevel, TryMapError,
 };
 use locmap_loopir::{Access, AffineExpr, DataEnv, LoopNest, NestId, Program};
 use locmap_noc::{Budget, CancelToken, LocmapError, RunControl};
 use locmap_verify::{Code, Severity, VerifyConfig, VerifyMapping};
 use locmap_workloads::Workload;
+use std::collections::VecDeque;
 use std::fmt;
 
 /// One kernel of the request stream: a program, the nest to map, and its
@@ -282,6 +282,60 @@ struct Pending<'s> {
     deadline: u64,
 }
 
+/// A bounded multi-class FIFO: one queue per [`Priority`], dequeued
+/// highest class first, FIFO within a class, with one shared capacity so
+/// a flood of low-priority work still backpressures instead of starving
+/// memory.
+#[derive(Debug, Clone)]
+struct AdmissionQueue<T> {
+    /// One FIFO per class, in [`Priority::ALL`] order.
+    classes: [VecDeque<T>; 3],
+    capacity: usize,
+}
+
+impl<T> AdmissionQueue<T> {
+    /// An empty queue holding at most `capacity` items across all
+    /// classes (`capacity` 0 is clamped to 1 — a queue that can hold
+    /// nothing would shed everything).
+    fn bounded(capacity: usize) -> Self {
+        AdmissionQueue {
+            classes: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
+            capacity: capacity.max(1),
+        }
+    }
+
+    /// Enqueues `item`, or rejects it with [`TryMapError::QueueFull`]
+    /// when the shared bound is reached.
+    fn try_push(&mut self, priority: Priority, item: T) -> Result<(), TryMapError> {
+        let depth = self.len();
+        if depth >= self.capacity {
+            return Err(TryMapError::QueueFull { depth, capacity: self.capacity });
+        }
+        let class =
+            Priority::ALL.iter().position(|&p| p == priority).expect("ALL lists every class");
+        self.classes[class].push_back(item);
+        Ok(())
+    }
+
+    /// Dequeues the oldest item of the highest non-empty class.
+    fn pop(&mut self) -> Option<(Priority, T)> {
+        Priority::ALL
+            .into_iter()
+            .zip(&mut self.classes)
+            .find_map(|(p, class)| class.pop_front().map(|item| (p, item)))
+    }
+
+    /// Items queued across all classes.
+    fn len(&self) -> usize {
+        self.classes.iter().map(VecDeque::len).sum()
+    }
+
+    /// True when nothing is queued.
+    fn is_empty(&self) -> bool {
+        self.classes.iter().all(VecDeque::is_empty)
+    }
+}
+
 /// Worst-case service cost of a ticket's quality rung, used for the
 /// shed-at-dequeue decision that keeps every served request inside its
 /// deadline.
@@ -468,6 +522,30 @@ mod tests {
     use super::*;
     use locmap_core::LlcOrg;
     use locmap_workloads::Scale;
+
+    #[test]
+    fn queue_orders_by_class_then_fifo() {
+        let mut q = AdmissionQueue::bounded(8);
+        q.try_push(Priority::Low, "l1").unwrap();
+        q.try_push(Priority::Normal, "n1").unwrap();
+        q.try_push(Priority::High, "h1").unwrap();
+        q.try_push(Priority::Normal, "n2").unwrap();
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, x)| x)).collect();
+        assert_eq!(order, ["h1", "n1", "n2", "l1"]);
+    }
+
+    #[test]
+    fn queue_backpressures_at_shared_capacity() {
+        let mut q = AdmissionQueue::bounded(2);
+        q.try_push(Priority::Low, 1).unwrap();
+        q.try_push(Priority::High, 2).unwrap();
+        let err = q.try_push(Priority::High, 3).unwrap_err();
+        assert_eq!(err, TryMapError::QueueFull { depth: 2, capacity: 2 });
+        // Draining frees the bound.
+        assert_eq!(q.pop(), Some((Priority::High, 2)));
+        q.try_push(Priority::Normal, 4).unwrap();
+        assert_eq!(q.len(), 2);
+    }
 
     fn test_setup() -> (Experiment, Vec<Workload>, OverloadConfig) {
         let exp = Experiment::paper_default(LlcOrg::Private);

@@ -6,7 +6,7 @@ use locmap_bench::heal::{heal_run, HealConfig};
 use locmap_bench::resilience::evaluate_resilience;
 use locmap_bench::{evaluate, Experiment};
 use locmap_core::{region_loads, Compiler, Mac, MacPolicy, Platform};
-use locmap_noc::{FaultCounts, FaultPlan, Mesh, RegionGrid};
+use locmap_noc::{FaultCounts, FaultPlan, FaultState, Mesh, RegionGrid};
 use locmap_sim::{MultiprogramResult, SimConfig};
 use locmap_workloads::{build, names};
 use std::process::ExitCode;
@@ -382,18 +382,17 @@ pub fn verify(args: &Args) -> Result<(), String> {
     // Platform-wide passes run once: X-Y deadlock-freedom, and — under a
     // fault plan — reachability across every arm of the plan.
     routing::check_topology(&platform, &mut sink);
-    let compiler = if faulty {
+    let state = if faulty {
         let seed = args.seed()?;
         let plan = FaultPlan::random(seed, platform.mesh, platform.mc_coords.len(), counts);
         println!("fault plan : seed {seed}; {}", plan.summary());
         routing::check_fault_plan(&platform, &plan, &mut sink);
-        Compiler::builder(platform.clone())
-            .faults(&plan.final_state())
-            .build()
-            .map_err(String::from)?
+        plan.final_state()
     } else {
-        Compiler::builder(platform.clone()).build().map_err(String::from)?
+        FaultState::none(platform.mesh, platform.mc_coords.len())
     };
+    let compiler =
+        Compiler::builder(platform.clone()).faults(&state).build().map_err(String::from)?;
     vectors::check_platform_vectors(&compiler, &cfg, &mut sink);
 
     let mut nests_checked = 0usize;

@@ -3,7 +3,7 @@
 //!
 //! A mapping service under overload has three defenses, applied in order:
 //!
-//! 1. **Backpressure** — the admission queue is bounded; requests beyond
+//! 1. **Backpressure** — admission is bounded; requests beyond
 //!    capacity are rejected with [`TryMapError::QueueFull`] instead of
 //!    queueing without limit (the caller retries, redirects, or drops).
 //! 2. **Load shedding down a quality ladder** — admitted requests are
@@ -45,14 +45,6 @@ pub enum Priority {
 impl Priority {
     /// All classes, highest first (dequeue order).
     pub const ALL: [Priority; 3] = [Priority::High, Priority::Normal, Priority::Low];
-
-    fn index(self) -> usize {
-        match self {
-            Priority::High => 0,
-            Priority::Normal => 1,
-            Priority::Low => 2,
-        }
-    }
 }
 
 impl fmt::Display for Priority {
@@ -184,64 +176,6 @@ impl AdmissionConfig {
         } else {
             QualityLevel::Heuristic
         }
-    }
-}
-
-/// A bounded multi-class FIFO: one queue per [`Priority`], dequeued
-/// highest class first, FIFO within a class, with one shared capacity so
-/// a flood of low-priority work still backpressures instead of starving
-/// memory.
-#[derive(Debug, Clone)]
-pub struct AdmissionQueue<T> {
-    classes: [VecDeque<T>; 3],
-    capacity: usize,
-}
-
-impl<T> AdmissionQueue<T> {
-    /// An empty queue holding at most `capacity` items across all
-    /// classes (`capacity` 0 is clamped to 1 — a queue that can hold
-    /// nothing would shed everything).
-    pub fn bounded(capacity: usize) -> Self {
-        AdmissionQueue {
-            classes: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Enqueues `item`, or rejects it with [`TryMapError::QueueFull`]
-    /// when the shared bound is reached.
-    pub fn try_push(&mut self, priority: Priority, item: T) -> Result<(), TryMapError> {
-        let depth = self.len();
-        if depth >= self.capacity {
-            return Err(TryMapError::QueueFull { depth, capacity: self.capacity });
-        }
-        self.classes[priority.index()].push_back(item);
-        Ok(())
-    }
-
-    /// Dequeues the oldest item of the highest non-empty class.
-    pub fn pop(&mut self) -> Option<(Priority, T)> {
-        for p in Priority::ALL {
-            if let Some(item) = self.classes[p.index()].pop_front() {
-                return Some((p, item));
-            }
-        }
-        None
-    }
-
-    /// Items queued across all classes.
-    pub fn len(&self) -> usize {
-        self.classes.iter().map(VecDeque::len).sum()
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.classes.iter().all(VecDeque::is_empty)
-    }
-
-    /// The shared capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 }
 
@@ -393,30 +327,6 @@ impl CircuitBreaker {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn queue_orders_by_class_then_fifo() {
-        let mut q = AdmissionQueue::bounded(8);
-        q.try_push(Priority::Low, "l1").unwrap();
-        q.try_push(Priority::Normal, "n1").unwrap();
-        q.try_push(Priority::High, "h1").unwrap();
-        q.try_push(Priority::Normal, "n2").unwrap();
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, x)| x)).collect();
-        assert_eq!(order, ["h1", "n1", "n2", "l1"]);
-    }
-
-    #[test]
-    fn queue_backpressures_at_shared_capacity() {
-        let mut q = AdmissionQueue::bounded(2);
-        q.try_push(Priority::Low, 1).unwrap();
-        q.try_push(Priority::High, 2).unwrap();
-        let err = q.try_push(Priority::High, 3).unwrap_err();
-        assert_eq!(err, TryMapError::QueueFull { depth: 2, capacity: 2 });
-        // Draining frees the bound.
-        assert_eq!(q.pop(), Some((Priority::High, 2)));
-        q.try_push(Priority::Normal, 4).unwrap();
-        assert_eq!(q.len(), 2);
-    }
 
     #[test]
     fn quality_degrades_with_depth_and_priority() {

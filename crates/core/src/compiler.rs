@@ -15,7 +15,7 @@ use crate::affinity::{
 use crate::assign::{assign_private, assign_shared, AlphaPolicy};
 use crate::balance::{balance_regions_masked, BalanceReport};
 use crate::hits::{AllMissModel, CmeModel, HitModel};
-use crate::placement::{place_in_regions, place_in_regions_masked, PlacementPolicy};
+use crate::placement::{place_in_regions_masked, PlacementPolicy};
 use crate::platform::{LlcOrg, Platform};
 use crate::vectors::{AffinityVec, Cac, CacPolicy, EtaMetric, Mac, MacPolicy};
 use locmap_cme::{CmeConfig, CmeEstimate, CmeEstimator};
@@ -115,11 +115,12 @@ impl NestMapping {
     }
 }
 
-/// Fault-derived redirect tables the degraded-mode mapper consults.
+/// Fault-derived redirect tables the mapper consults.
 ///
 /// Built once per fault state from the same [`FaultState`] redirect
 /// functions the simulator uses, so mapper and machine agree on where
-/// displaced traffic lands.
+/// displaced traffic lands. On a healthy machine ([`FaultState::none`])
+/// every redirect is the identity and every mask is all-alive.
 #[derive(Debug, Clone)]
 struct DegradedInfo {
     /// `mc_redirect[k]` = the alive MC absorbing MC `k`'s traffic
@@ -164,7 +165,7 @@ pub struct Compiler {
     options: MappingOptions,
     mac: Mac,
     cac: Cac,
-    degraded: Option<DegradedInfo>,
+    degraded: DegradedInfo,
 }
 
 /// Step-by-step construction of a [`Compiler`].
@@ -226,10 +227,10 @@ impl CompilerBuilder {
             }
             options.alpha = AlphaPolicy::Fixed(a);
         }
-        match &self.faults {
-            Some(state) => Compiler::build_degraded(self.platform, options, state),
-            None => Ok(Compiler::build_clean(self.platform, options)),
-        }
+        let state = self
+            .faults
+            .unwrap_or_else(|| FaultState::none(self.platform.mesh, self.platform.mc_coords.len()));
+        Compiler::construct(self.platform, options, &state)
     }
 }
 
@@ -252,13 +253,7 @@ impl Compiler {
         }
     }
 
-    fn build_clean(platform: Platform, options: MappingOptions) -> Self {
-        let mac = Mac::compute(&platform, options.mac_policy);
-        let cac = Cac::compute(&platform, options.cac_policy);
-        Compiler { platform, options, mac, cac, degraded: None }
-    }
-
-    fn build_degraded(
+    fn construct(
         platform: Platform,
         options: MappingOptions,
         state: &FaultState,
@@ -323,29 +318,29 @@ impl Compiler {
             options,
             mac,
             cac,
-            degraded: Some(DegradedInfo {
+            degraded: DegradedInfo {
                 mc_redirect,
                 bank_region_redirect,
                 alive_cores,
                 alive_regions,
                 core_region_redirect,
                 state: eff,
-            }),
+            },
         })
     }
 
     /// True when this compiler maps for a degraded (faulted) machine.
     pub fn is_degraded(&self) -> bool {
-        self.degraded.is_some()
+        !self.fault_state().is_clean()
     }
 
     /// The effective [`FaultState`] this compiler maps around — the state
     /// passed to the builder with router deaths folded onto co-located
-    /// banks and MCs (see [`FaultState::effective`]) — or `None` for a
-    /// fault-free compiler. External verifiers recompute redirect tables
-    /// and masks from this to audit the mapper.
-    pub fn fault_state(&self) -> Option<&FaultState> {
-        self.degraded.as_ref().map(|d| &d.state)
+    /// banks and MCs (see [`FaultState::effective`]), or
+    /// [`FaultState::none`] for a healthy machine. External verifiers
+    /// recompute redirect tables and masks from this to audit the mapper.
+    pub fn fault_state(&self) -> &FaultState {
+        &self.degraded.state
     }
 
     /// The platform description.
@@ -506,13 +501,12 @@ impl Compiler {
         // comparison against MAC/CAC — which are unit-mass preference
         // vectors — only the *direction* matters, so compare normalized
         // copies; the hit/miss magnitude split is what α carries.
+        let d = &self.degraded;
         let mut mai = compute_mai_ctl(&inputs, &self.platform, model, ctl)?;
-        if let Some(d) = &self.degraded {
-            // Traffic aimed at a dead MC is served by its redirect target;
-            // give the affinity weight to where the requests actually go.
-            for v in &mut mai {
-                DegradedInfo::fold(v, &d.mc_redirect);
-            }
+        // Traffic aimed at a dead MC is served by its redirect target; give
+        // the affinity weight to where the requests actually go.
+        for v in &mut mai {
+            DegradedInfo::fold(v, &d.mc_redirect);
         }
         let mai_n: Vec<AffinityVec> = mai.iter().map(|v| v.clone().normalized()).collect();
         let (cai, cai_n, alphas, mut regions) = match self.platform.llc {
@@ -529,10 +523,8 @@ impl Compiler {
                         compute_cai_ctl(&inputs, &self.platform, model, ctl)?
                     }
                 };
-                if let Some(d) = &self.degraded {
-                    for v in &mut cai {
-                        DegradedInfo::fold(v, &d.bank_region_redirect);
-                    }
+                for v in &mut cai {
+                    DegradedInfo::fold(v, &d.bank_region_redirect);
                 }
                 let cai_n: Vec<AffinityVec> =
                     cai.iter().map(|v| v.clone().normalized()).collect();
@@ -554,19 +546,13 @@ impl Compiler {
             }
         };
 
-        if let Some(d) = &self.degraded {
-            // Evacuate assignments out of regions with no surviving core
-            // before balancing, so the masked balancer only shuffles load
-            // among schedulable regions.
-            for r in &mut regions {
-                *r = d.core_region_redirect[r.index()];
-            }
+        // Evacuate assignments out of regions with no surviving core before
+        // balancing, so the masked balancer only shuffles load among
+        // schedulable regions.
+        for r in &mut regions {
+            *r = d.core_region_redirect[r.index()];
         }
 
-        let alive_regions = match &self.degraded {
-            Some(d) => d.alive_regions.clone(),
-            None => vec![true; self.platform.regions.region_count()],
-        };
         let balance = if self.options.balance {
             let cost = |s: usize, r: RegionId| -> f64 {
                 let eta_m = mai_n[s].eta_with(self.mac.of(r), self.options.eta);
@@ -578,25 +564,20 @@ impl Compiler {
                     }
                 }
             };
-            balance_regions_masked(&mut regions, &self.platform.regions, &cost, &alive_regions)
+            balance_regions_masked(&mut regions, &self.platform.regions, &cost, &d.alive_regions)
         } else {
             BalanceReport { moved: 0, total: sets.len() }
         };
 
-        let assignment = match &self.degraded {
-            Some(d) => {
-                place_in_regions_masked(
-                    &regions,
-                    &self.platform.regions,
-                    self.options.placement,
-                    &d.alive_cores,
-                )
-                // build_degraded guarantees an alive region exists and every
-                // set was redirected into one above.
-                .expect("degraded mapping keeps sets out of dead regions")
-            }
-            None => place_in_regions(&regions, &self.platform.regions, self.options.placement),
-        };
+        let assignment = place_in_regions_masked(
+            &regions,
+            &self.platform.regions,
+            self.options.placement,
+            &d.alive_cores,
+        )
+        // construct guarantees an alive region exists and every set was
+        // redirected into one above.
+        .expect("mapping keeps sets out of dead regions");
 
         Ok(NestMapping {
             nest: nest_id,
@@ -614,14 +595,12 @@ impl Compiler {
     /// The evaluation's *default mapping* baseline: iteration sets dealt to
     /// cores round-robin, location-blind.
     ///
-    /// Under a degraded compiler the deal cycles over *surviving* cores
-    /// only — still blind to location, but schedulable (the OS would never
-    /// dispatch a thread to a dead core).
+    /// The deal cycles over *surviving* cores only — still blind to
+    /// location, but schedulable (the OS would never dispatch a thread to a
+    /// dead core).
     pub fn round_robin_schedule(&self, nest_id: NestId, sets: &[IterationSet]) -> NestMapping {
-        let cores: Vec<NodeId> = match &self.degraded {
-            Some(d) => self.platform.mesh.nodes().filter(|n| d.alive_cores[n.index()]).collect(),
-            None => self.platform.mesh.nodes().collect(),
-        };
+        let alive = &self.degraded.alive_cores;
+        let cores: Vec<NodeId> = self.platform.mesh.nodes().filter(|n| alive[n.index()]).collect();
         let assignment: Vec<NodeId> = sets.iter().map(|s| cores[s.id % cores.len()]).collect();
         let regions: Vec<RegionId> =
             assignment.iter().map(|&n| self.platform.regions.region_of(n)).collect();
@@ -661,25 +640,21 @@ impl Compiler {
     /// region-membership passes.
     pub fn locality_schedule(&self, nest_id: NestId, sets: &[IterationSet]) -> NestMapping {
         let regions = &self.platform.regions;
-        let alive: Vec<RegionId> = match &self.degraded {
-            Some(d) => regions.regions().filter(|r| d.alive_regions[r.index()]).collect(),
-            None => regions.regions().collect(),
-        };
+        let d = &self.degraded;
+        let alive: Vec<RegionId> =
+            regions.regions().filter(|r| d.alive_regions[r.index()]).collect();
         let n = sets.len();
         // Block deal: set s lands in alive region floor(s * |alive| / n),
         // giving contiguous blocks whose sizes differ by at most one.
         let assignment_regions: Vec<RegionId> =
             (0..n).map(|s| alive[s * alive.len() / n.max(1)]).collect();
-        let assignment = match &self.degraded {
-            Some(d) => place_in_regions_masked(
-                &assignment_regions,
-                regions,
-                self.options.placement,
-                &d.alive_cores,
-            )
-            .expect("locality schedule only targets alive regions"),
-            None => place_in_regions(&assignment_regions, regions, self.options.placement),
-        };
+        let assignment = place_in_regions_masked(
+            &assignment_regions,
+            regions,
+            self.options.placement,
+            &d.alive_cores,
+        )
+        .expect("locality schedule only targets alive regions");
         NestMapping {
             nest: nest_id,
             sets: sets.to_vec(),
@@ -849,10 +824,11 @@ mod degraded_tests {
         let clean = FaultPlan::new(platform.mesh, platform.mc_coords.len()).final_state();
         let c0 = Compiler::builder(platform.clone()).build().unwrap();
         let c1 = Compiler::builder(platform).faults(&clean).build().unwrap();
-        let m0 = c0.map_nest(&p, id, &DataEnv::new());
-        let m1 = c1.map_nest(&p, id, &DataEnv::new());
-        assert_eq!(m0.assignment, m1.assignment);
-        assert_eq!(m0.regions, m1.regions);
+        assert!(!c1.is_degraded());
+        assert_eq!(c0.fault_state(), c1.fault_state());
+        assert_eq!(c0.map_nest(&p, id, &DataEnv::new()), c1.map_nest(&p, id, &DataEnv::new()));
+        assert_eq!(c0.default_mapping(&p, id), c1.default_mapping(&p, id));
+        assert_eq!(c0.heuristic_mapping(&p, id), c1.heuristic_mapping(&p, id));
     }
 
     #[test]

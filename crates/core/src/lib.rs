@@ -64,8 +64,8 @@ mod session;
 mod vectors;
 
 pub use admission::{
-    AdmissionConfig, AdmissionQueue, BreakerConfig, BreakerState, CircuitBreaker, Priority,
-    QualityLevel, TryMapError,
+    AdmissionConfig, BreakerConfig, BreakerState, CircuitBreaker, Priority, QualityLevel,
+    TryMapError,
 };
 pub use affinity::{
     compute_cai, compute_cai_ctl, compute_cai_reaching, compute_cai_reaching_ctl, compute_mai,

@@ -233,7 +233,8 @@ impl MappingSession {
         self.cme.clear();
     }
 
-    /// Switches the session to map around the faults in `state`.
+    /// Switches the session to map around the faults in `state`;
+    /// [`FaultState::none`] returns it to fault-free mapping.
     ///
     /// Bumps the fault epoch: cached mappings from other epochs stop
     /// matching (their key embeds the epoch), while cached CME estimates —
@@ -246,15 +247,6 @@ impl MappingSession {
             .build()?;
         self.epoch += 1;
         Ok(())
-    }
-
-    /// Returns the session to fault-free mapping (bumps the epoch).
-    pub fn clear_faults(&mut self) {
-        self.compiler = Compiler::builder(self.platform.clone())
-            .options(self.options)
-            .build()
-            .expect("fault-free build cannot fail");
-        self.epoch += 1;
     }
 
     /// Maps every request, fanning out across the session's workers.
@@ -640,7 +632,7 @@ mod tests {
             .final_state();
         session.set_faults(&state).unwrap();
         let _ = session.map_batch(&req);
-        session.clear_faults();
+        session.set_faults(&FaultState::none(platform.mesh, platform.mc_coords.len())).unwrap();
         assert_eq!(session.epoch(), 2);
 
         let back = session.map_batch(&req);

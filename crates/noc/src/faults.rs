@@ -4,7 +4,7 @@
 //! A [`FaultPlan`] is a declarative list of [`FaultEvent`]s — *component X
 //! dies at cycle N, optionally repaired at cycle M*. Evaluating the plan
 //! at a cycle yields a [`FaultState`]: dense alive/dead bitmaps that the
-//! router ([`crate::route_faulty`]), the network ([`crate::Network`]) and
+//! router ([`crate::route`]), the network ([`crate::Network`]) and
 //! the higher layers (simulator, degraded-mode mapper) all consume, so
 //! every layer sees the *same* picture of the machine.
 //!
@@ -583,6 +583,17 @@ impl FaultState {
     /// True when the LLC bank at `node` holds data.
     pub fn bank_alive(&self, node: NodeId) -> bool {
         !self.dead_bank[node.index()]
+    }
+
+    /// True when `component` is alive — the per-kind query above, picked
+    /// by the component's kind.
+    pub fn alive(&self, component: FaultComponent) -> bool {
+        match component {
+            FaultComponent::Link(l) => self.link_alive(l),
+            FaultComponent::Router(n) => self.router_alive(n),
+            FaultComponent::Mc(k) => self.mc_alive(k),
+            FaultComponent::Bank(n) => self.bank_alive(n),
+        }
     }
 
     /// Marks a router dead (used when folding derived faults).

@@ -52,8 +52,7 @@ pub use network::{Network, NocConfig, TopologyKind};
 pub use packet::{MessageKind, FLIT_BYTES};
 pub use regions::{RegionGrid, RegionId};
 pub use routing::{
-    link_target, link_target_torus, route_faulty, route_faulty_torus, route_xy, route_xy_torus,
-    Direction, Link,
+    link_target, link_target_torus, route, route_xy, route_xy_torus, Direction, Link,
 };
 pub use stats::NetworkStats;
 pub use topology::{Coord, Mesh, NodeId};

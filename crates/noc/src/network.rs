@@ -20,7 +20,7 @@
 use crate::error::RouteError;
 use crate::faults::FaultState;
 use crate::packet::MessageKind;
-use crate::routing::{route_faulty, route_faulty_torus, route_xy, route_xy_torus, Link};
+use crate::routing::{route, Link};
 use crate::stats::NetworkStats;
 use crate::topology::{Mesh, NodeId};
 use serde::{Deserialize, Serialize};
@@ -157,8 +157,9 @@ pub struct Network {
     /// Cumulative cycles each link has spent carrying flits.
     link_busy: Vec<u64>,
     stats: NetworkStats,
-    /// Active fault state; `None` routes on the intact machine.
-    faults: Option<FaultState>,
+    /// The fault state messages route around; [`FaultState::none`] until
+    /// [`Network::set_faults`] installs another.
+    faults: FaultState,
 }
 
 impl Network {
@@ -170,25 +171,20 @@ impl Network {
             links: vec![LinkSched::default(); Link::slot_count(mesh)],
             link_busy: vec![0; Link::slot_count(mesh)],
             stats: NetworkStats::default(),
-            faults: None,
+            // Routing reads only links and routers, so no MCs are needed.
+            faults: FaultState::none(mesh, 0),
         }
     }
 
-    /// Installs (or clears) the fault state messages must route around.
+    /// Installs the fault state messages must route around;
+    /// [`FaultState::none`] returns the network to fault-free routing.
     ///
     /// # Panics
     ///
     /// Panics if the state describes a different mesh.
-    pub fn set_faults(&mut self, faults: Option<FaultState>) {
-        if let Some(f) = &faults {
-            assert_eq!(f.mesh(), self.mesh, "fault state describes a different mesh");
-        }
-        self.faults = faults;
-    }
-
-    /// The active fault state, if any.
-    pub fn faults(&self) -> Option<&FaultState> {
-        self.faults.as_ref()
+    pub fn set_faults(&mut self, faults: &FaultState) {
+        assert_eq!(faults.mesh(), self.mesh, "fault state describes a different mesh");
+        self.faults = faults.clone();
     }
 
     /// The mesh this network spans.
@@ -228,10 +224,8 @@ impl Network {
         dst: NodeId,
         kind: MessageKind,
     ) -> Result<u64, RouteError> {
-        if let Some(f) = &self.faults {
-            if !f.router_alive(src) || !f.router_alive(dst) {
-                return Err(RouteError::Unreachable { from: src, to: dst });
-            }
+        if !self.faults.router_alive(src) || !self.faults.router_alive(dst) {
+            return Err(RouteError::Unreachable { from: src, to: dst });
         }
         if self.cfg.ideal || src == dst {
             // Local or ideal: deliver instantly, still count the message so
@@ -243,12 +237,7 @@ impl Network {
 
         let flits = kind.flits() as u64;
         let dur = flits * self.cfg.link_traversal;
-        let route = match (&self.faults, self.cfg.topology) {
-            (None, TopologyKind::Mesh) => route_xy(self.mesh, src, dst),
-            (None, TopologyKind::Torus) => route_xy_torus(self.mesh, src, dst),
-            (Some(f), TopologyKind::Mesh) => route_faulty(self.mesh, src, dst, f)?,
-            (Some(f), TopologyKind::Torus) => route_faulty_torus(self.mesh, src, dst, f)?,
-        };
+        let route = route(self.mesh, self.cfg.topology, &self.faults, src, dst)?;
         let hops = route.len() as u64;
 
         let mut head = now;
@@ -509,10 +498,10 @@ mod tests {
         let clean = net.send(0, src, dst, MessageKind::LlcRequest);
         net.reset_contention();
         let cut = Link { from: m.node_at(1, 0), dir: Direction::East };
-        net.set_faults(Some(FaultPlan::new(m, 4).dead_link(cut).state_at(0)));
+        net.set_faults(&FaultPlan::new(m, 4).dead_link(cut).state_at(0));
         let faulted = net.try_send(0, src, dst, MessageKind::LlcRequest).unwrap();
         assert!(faulted > clean, "detour must cost extra hops ({faulted} vs {clean})");
-        net.set_faults(None);
+        net.set_faults(&FaultState::none(m, 4));
         net.reset_contention();
         assert_eq!(net.send(0, src, dst, MessageKind::LlcRequest), clean);
     }
@@ -523,7 +512,7 @@ mod tests {
         let mut net = net6();
         let m = net.mesh();
         let dead = m.node_at(2, 2);
-        net.set_faults(Some(FaultPlan::new(m, 4).dead_router(dead).state_at(0)));
+        net.set_faults(&FaultPlan::new(m, 4).dead_router(dead).state_at(0));
         let err = net.try_send(0, m.node_at(0, 0), dead, MessageKind::LlcRequest).unwrap_err();
         assert_eq!(err, crate::RouteError::Unreachable { from: m.node_at(0, 0), to: dead });
         // Messages between alive nodes still flow.

@@ -6,6 +6,7 @@
 
 use crate::error::RouteError;
 use crate::faults::{link_exists, FaultState};
+use crate::network::TopologyKind;
 use crate::topology::{Coord, Mesh, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -111,40 +112,25 @@ pub fn route_xy(mesh: Mesh, src: NodeId, dst: NodeId) -> Vec<Link> {
     links
 }
 
-/// Fault-aware routing on a **mesh**: takes the plain X-Y route when every
-/// link and intermediate router on it is alive, otherwise falls back to a
-/// deterministic breadth-first detour over the surviving subgraph
-/// (neighbors explored in fixed E, W, N, S order, so the same fault state
-/// always yields the same detour). Returns
-/// [`RouteError::Unreachable`] when no surviving path exists — never a
-/// route to the wrong node.
-pub fn route_faulty(
+/// The route a message takes from `src` to `dst` on a `topology` network
+/// in fault state `faults`.
+///
+/// This is the dimension-ordered route ([`route_xy`], or
+/// [`route_xy_torus`] on a torus) when every link and intermediate router
+/// on it is alive — always, on a [`FaultState::none`] chip — and otherwise
+/// a deterministic breadth-first detour over the surviving subgraph
+/// (neighbors explored in fixed E, W, N, S order, wrap links included on
+/// a torus, so the same fault state always yields the same detour).
+/// Returns [`RouteError::Unreachable`] when no surviving path exists —
+/// never a route to the wrong node.
+pub fn route(
     mesh: Mesh,
+    topology: TopologyKind,
+    faults: &FaultState,
     src: NodeId,
     dst: NodeId,
-    faults: &FaultState,
 ) -> Result<Vec<Link>, RouteError> {
-    route_faulty_inner(mesh, src, dst, faults, false)
-}
-
-/// Fault-aware routing on a **torus**: like [`route_faulty`] but the fast
-/// path is wrap-aware X-Y and the detour search may use wrap links.
-pub fn route_faulty_torus(
-    mesh: Mesh,
-    src: NodeId,
-    dst: NodeId,
-    faults: &FaultState,
-) -> Result<Vec<Link>, RouteError> {
-    route_faulty_inner(mesh, src, dst, faults, true)
-}
-
-fn route_faulty_inner(
-    mesh: Mesh,
-    src: NodeId,
-    dst: NodeId,
-    faults: &FaultState,
-    torus: bool,
-) -> Result<Vec<Link>, RouteError> {
+    let torus = topology == TopologyKind::Torus;
     let unreachable = RouteError::Unreachable { from: src, to: dst };
     if !faults.router_alive(src) || !faults.router_alive(dst) {
         return Err(unreachable);
@@ -327,7 +313,14 @@ mod tests {
         let clean = crate::faults::FaultState::none(m, 4);
         for a in m.nodes() {
             for b in m.nodes() {
-                assert_eq!(route_faulty(m, a, b, &clean).unwrap(), route_xy(m, a, b));
+                assert_eq!(
+                    route(m, TopologyKind::Mesh, &clean, a, b).unwrap(),
+                    route_xy(m, a, b)
+                );
+                assert_eq!(
+                    route(m, TopologyKind::Torus, &clean, a, b).unwrap(),
+                    route_xy_torus(m, a, b)
+                );
             }
         }
     }
@@ -340,18 +333,18 @@ mod tests {
         let dst = m.node_at(3, 0);
         let cut = Link { from: m.node_at(1, 0), dir: Direction::East };
         let state = FaultPlan::new(m, 4).dead_link(cut).state_at(0);
-        let route = route_faulty(m, src, dst, &state).unwrap();
+        let path = route(m, TopologyKind::Mesh, &state, src, dst).unwrap();
         // Detour exists, avoids the cut channel, and still arrives.
-        assert!(route.iter().all(|l| state.link_alive(*l)));
+        assert!(path.iter().all(|l| state.link_alive(*l)));
         let mut cur = m.coord_of(src);
-        for l in &route {
+        for l in &path {
             assert_eq!(m.coord_of(l.from), cur, "route not contiguous");
             cur = link_target(m, *l);
         }
         assert_eq!(cur, m.coord_of(dst));
-        assert_eq!(route.len(), 5, "minimal detour is 2 extra hops");
+        assert_eq!(path.len(), 5, "minimal detour is 2 extra hops");
         // Determinism: same state, same route.
-        assert_eq!(route, route_faulty(m, src, dst, &state).unwrap());
+        assert_eq!(path, route(m, TopologyKind::Mesh, &state, src, dst).unwrap());
     }
 
     #[test]
@@ -360,15 +353,16 @@ mod tests {
         let m = Mesh::try_new(6, 6).unwrap();
         let dead = m.node_at(2, 0);
         let state = FaultPlan::new(m, 4).dead_router(dead).state_at(0);
-        let route = route_faulty(m, m.node_at(0, 0), m.node_at(5, 0), &state).unwrap();
-        for l in &route {
+        let path =
+            route(m, TopologyKind::Mesh, &state, m.node_at(0, 0), m.node_at(5, 0)).unwrap();
+        for l in &path {
             assert_ne!(l.from, dead, "route passes through dead router");
             let t = link_target(m, *l);
             assert_ne!(m.node_at(t.x, t.y), dead, "route enters dead router");
         }
         // Endpoints on dead routers are unreachable by definition.
-        assert!(route_faulty(m, dead, m.node_at(5, 5), &state).is_err());
-        assert!(route_faulty(m, m.node_at(5, 5), dead, &state).is_err());
+        assert!(route(m, TopologyKind::Mesh, &state, dead, m.node_at(5, 5)).is_err());
+        assert!(route(m, TopologyKind::Mesh, &state, m.node_at(5, 5), dead).is_err());
     }
 
     #[test]
@@ -380,7 +374,8 @@ mod tests {
             .dead_link(Link { from: m.node_at(0, 0), dir: Direction::East })
             .dead_link(Link { from: m.node_at(0, 0), dir: Direction::South })
             .state_at(0);
-        let err = route_faulty(m, m.node_at(0, 0), m.node_at(1, 1), &state).unwrap_err();
+        let err = route(m, TopologyKind::Mesh, &state, m.node_at(0, 0), m.node_at(1, 1))
+            .unwrap_err();
         assert_eq!(
             err,
             crate::error::RouteError::Unreachable { from: m.node_at(0, 0), to: m.node_at(1, 1) }
@@ -395,8 +390,8 @@ mod tests {
         let dst = m.node_at(1, 0);
         let cut = Link { from: src, dir: Direction::East };
         let state = FaultPlan::new(m, 4).dead_link(cut).state_at(0);
-        let mesh_route = route_faulty(m, src, dst, &state).unwrap();
-        let torus_route = route_faulty_torus(m, src, dst, &state).unwrap();
+        let mesh_route = route(m, TopologyKind::Mesh, &state, src, dst).unwrap();
+        let torus_route = route(m, TopologyKind::Torus, &state, src, dst).unwrap();
         // The torus detour may wrap; both must avoid the cut and arrive.
         for (route, wrap) in [(&mesh_route, false), (&torus_route, true)] {
             assert!(route.iter().all(|l| state.link_alive(*l)));

@@ -13,8 +13,8 @@
 use crate::config::VerifyConfig;
 use crate::diag::{Code, Diagnostic, DiagnosticSink, Entity};
 use locmap_core::{
-    assign_private, assign_shared, balance_regions_masked, place_in_regions,
-    place_in_regions_masked, region_loads, AffinityVec, Compiler, LlcOrg, NestMapping,
+    assign_private, assign_shared, balance_regions_masked, place_in_regions_masked, region_loads,
+    AffinityVec, Compiler, LlcOrg, NestMapping,
 };
 use locmap_loopir::{DataEnv, IterationSpace, NestId, Program};
 use locmap_noc::RegionId;
@@ -351,11 +351,7 @@ pub fn check_mapping(
     if options.balance {
         balance_regions_masked(&mut rec, &p.regions, &cost, &alive_regions);
     }
-    let placed = if compiler.is_degraded() {
-        place_in_regions_masked(&rec, &p.regions, options.placement, &alive_cores)
-    } else {
-        Ok(place_in_regions(&rec, &p.regions, options.placement))
-    };
+    let placed = place_in_regions_masked(&rec, &p.regions, options.placement, &alive_cores);
 
     let diverged = match &placed {
         Ok(placed) => rec != mapping.regions || *placed != mapping.assignment,
@@ -400,10 +396,8 @@ pub fn check_mapping(
 /// (all-alive when the compiler is clean).
 fn liveness(compiler: &Compiler) -> (Vec<bool>, Vec<bool>) {
     let p = compiler.platform();
-    let alive_cores: Vec<bool> = match compiler.fault_state() {
-        Some(state) => p.mesh.nodes().map(|n| state.router_alive(n)).collect(),
-        None => vec![true; p.mesh.node_count()],
-    };
+    let state = compiler.fault_state();
+    let alive_cores: Vec<bool> = p.mesh.nodes().map(|n| state.router_alive(n)).collect();
     let alive_regions: Vec<bool> = p
         .regions
         .regions()

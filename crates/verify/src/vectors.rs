@@ -92,10 +92,8 @@ fn check_mac(compiler: &Compiler, cfg: &VerifyConfig, sink: &mut DiagnosticSink)
     let p = compiler.platform();
     let m = p.mc_count();
     let eps = cfg.epsilon;
-    let alive: Vec<bool> = match compiler.fault_state() {
-        Some(state) => (0..m).map(|k| state.mc_alive(k)).collect(),
-        None => vec![true; m],
-    };
+    let state = compiler.fault_state();
+    let alive: Vec<bool> = (0..m).map(|k| state.mc_alive(k)).collect();
 
     for r in p.regions.regions() {
         let got = compiler.mac().of(r);
@@ -161,15 +159,13 @@ fn check_cac(compiler: &Compiler, cfg: &VerifyConfig, sink: &mut DiagnosticSink)
 
     // Fraction of each region's banks still alive (1.0 everywhere on a
     // clean machine).
+    let state = compiler.fault_state();
     let alive_frac: Vec<f64> = p
         .regions
         .regions()
         .map(|r| {
             let nodes = p.regions.nodes_in(r);
-            let alive = match compiler.fault_state() {
-                Some(state) => nodes.iter().filter(|&&node| state.bank_alive(node)).count(),
-                None => nodes.len(),
-            };
+            let alive = nodes.iter().filter(|&&node| state.bank_alive(node)).count();
             alive as f64 / nodes.len() as f64
         })
         .collect();

@@ -6,7 +6,8 @@ use locmap_core::{
     Mac, MacPolicy, PlacementPolicy,
 };
 use locmap_noc::{
-    link_target, route_faulty, route_xy, FaultCounts, MessageKind, Network, NocConfig, RouteError,
+    link_target, route, route_xy, FaultCounts, MessageKind, Network, NocConfig, RouteError,
+    TopologyKind,
 };
 use proptest::prelude::*;
 
@@ -144,13 +145,13 @@ proptest! {
         let (src, dst) = (NodeId(a % n), NodeId(b % n));
         let counts = FaultCounts { links, routers, ..FaultCounts::default() };
         let state = FaultPlan::random(seed, mesh, 4, counts).final_state();
-        match route_faulty(mesh, src, dst, &state) {
-            Ok(route) => {
+        match route(mesh, TopologyKind::Mesh, &state, src, dst) {
+            Ok(path) => {
                 // The route is contiguous from src, ends exactly at dst
                 // (never a wrong node), and every traversed link and
                 // entered router is alive.
                 let mut cur = src;
-                for l in &route {
+                for l in &path {
                     prop_assert_eq!(l.from, cur, "route not contiguous");
                     prop_assert!(state.link_alive(*l), "route uses dead link");
                     let t = link_target(mesh, *l);
@@ -307,7 +308,7 @@ proptest! {
                 "the CME estimate must survive the epoch bump"
             );
 
-            session.clear_faults();
+            session.set_faults(&FaultState::none(platform.mesh, platform.mc_coords.len())).unwrap();
             let back = session.map_batch(&req);
             prop_assert!(!back[0].cache_hit);
             prop_assert_eq!(&back[0].mapping, &clean, "fault-free mapping restored bit for bit");

@@ -3,7 +3,7 @@
 use crate::affine::{ParamEnv, ParamId};
 use crate::nest::{ArrayRef, LoopNest, NestId, RefKind};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Identifier of an array within a [`Program`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -53,7 +53,9 @@ impl Array {
 /// references. Regular programs use an empty env.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct DataEnv {
-    index_arrays: HashMap<ArrayId, Vec<i64>>,
+    /// A program has a handful of index arrays, so an ordered map finds
+    /// one in a few compares, with no hashing per indirect reference.
+    index_arrays: BTreeMap<ArrayId, Vec<i64>>,
 }
 
 impl DataEnv {
@@ -87,13 +89,9 @@ impl DataEnv {
     }
 
     /// All installed index arrays in ascending [`ArrayId`] order. The
-    /// deterministic ordering makes the environment content-hashable (the
-    /// underlying map iterates in arbitrary order).
+    /// deterministic ordering makes the environment content-hashable.
     pub fn entries(&self) -> Vec<(ArrayId, &[i64])> {
-        let mut v: Vec<(ArrayId, &[i64])> =
-            self.index_arrays.iter().map(|(&a, c)| (a, c.as_slice())).collect();
-        v.sort_unstable_by_key(|&(a, _)| a);
-        v
+        self.index_arrays.iter().map(|(&a, c)| (a, c.as_slice())).collect()
     }
 }
 

@@ -115,18 +115,39 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-struct Entry {
-    tag: u64,
-    state: LineState,
-    last_use: u64,
+/// Every state, indexed by its declaration order (`state as u64`).
+const STATES: [LineState; 4] =
+    [LineState::Modified, LineState::Owned, LineState::Exclusive, LineState::Shared];
+
+/// A slot's stamp: the tick of its last use, with the line's state in the
+/// two low bits. Ticks are unique, so stamps order slots as ticks do.
+fn stamp(tick: u64, state: LineState) -> u64 {
+    tick << 2 | state as u64
+}
+
+fn state_of_stamp(stamp: u64) -> LineState {
+    STATES[(stamp & 3) as usize]
 }
 
 /// A set-associative, write-back, write-allocate cache model.
+///
+/// The sets live in flat `sets × ways` slot arrays: set `s` is the first
+/// `fill[s]` slots from `s * ways`, in no particular order (the LRU victim
+/// is the slot with the smallest stamp).
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Entry>>,
+    ways: usize,
+    /// `sets - 1`: line `l` lives in set `l & set_mask`.
+    set_mask: u64,
+    /// `log2(line_bytes)`: byte address `a` lies in line `a >> line_shift`.
+    line_shift: u32,
+    /// The line index each slot holds.
+    tags: Vec<u64>,
+    /// Each slot's [`stamp`].
+    stamps: Vec<u64>,
+    /// Occupied slots per set.
+    fill: Vec<u16>,
     tick: u64,
     stats: CacheStats,
 }
@@ -144,9 +165,17 @@ impl Cache {
         let sets = cfg.sets();
         assert!(sets > 0, "cache smaller than one set");
         assert!(sets.is_power_of_two(), "set count must be a power of two");
+        let slots = sets as usize * cfg.ways as usize;
+        // Zeroed arrays are allocated zeroed (calloc), so construction is
+        // cheap and the pages of sets never touched need not be resident.
         Cache {
             cfg,
-            sets: (0..sets).map(|_| Vec::with_capacity(cfg.ways as usize)).collect(),
+            ways: cfg.ways as usize,
+            set_mask: sets - 1,
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            tags: vec![0; slots],
+            stamps: vec![0; slots],
+            fill: vec![0; sets as usize],
             tick: 0,
             stats: CacheStats::default(),
         }
@@ -159,11 +188,20 @@ impl Cache {
 
     /// The line index of byte address `addr` for this cache's line size.
     pub fn line_of(&self, addr: u64) -> u64 {
-        addr / self.cfg.line_bytes
+        addr >> self.line_shift
     }
 
-    fn set_of(&self, line: u64) -> usize {
-        (line % self.sets.len() as u64) as usize
+    /// The set of `line` and the first slot of that set.
+    fn set_of(&self, line: u64) -> (usize, usize) {
+        let set = (line & self.set_mask) as usize;
+        (set, set * self.ways)
+    }
+
+    /// The slot holding `line`, if any.
+    fn find(&self, line: u64) -> Option<usize> {
+        let (set, base) = self.set_of(line);
+        let used = &self.tags[base..base + self.fill[set] as usize];
+        used.iter().position(|&t| t == line).map(|i| base + i)
     }
 
     /// Accesses `line` (a line index, not a byte address). On a miss the
@@ -174,16 +212,12 @@ impl Cache {
     /// write hit) installs/upgrades to `Modified`.
     pub fn access(&mut self, line: u64, access: Access) -> Lookup {
         self.tick += 1;
-        let tick = self.tick;
-        let set_idx = self.set_of(line);
-        let ways = self.cfg.ways as usize;
-        let set = &mut self.sets[set_idx];
-
-        if let Some(e) = set.iter_mut().find(|e| e.tag == line) {
-            e.last_use = tick;
-            if access == Access::Write {
-                e.state = LineState::Modified;
-            }
+        if let Some(slot) = self.find(line) {
+            let state = match access {
+                Access::Read => state_of_stamp(self.stamps[slot]),
+                Access::Write => LineState::Modified,
+            };
+            self.stamps[slot] = stamp(self.tick, state);
             self.stats.hits += 1;
             return Lookup::Hit;
         }
@@ -193,62 +227,58 @@ impl Cache {
             Access::Read => LineState::Exclusive,
             Access::Write => LineState::Modified,
         };
-        let evicted = if set.len() < ways {
-            None
+        let (set, base) = self.set_of(line);
+        let used = self.fill[set] as usize;
+        let (slot, evicted) = if used < self.ways {
+            self.fill[set] += 1;
+            (base + used, None)
         } else {
-            let lru = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.last_use)
-                .map(|(i, _)| i)
-                .expect("non-empty full set");
-            let victim = set.swap_remove(lru);
-            if victim.state.is_dirty() {
+            let stamps = &self.stamps[base..base + self.ways];
+            let lru = base + (0..self.ways).min_by_key(|&i| stamps[i]).expect("non-empty full set");
+            let dirty = state_of_stamp(self.stamps[lru]).is_dirty();
+            if dirty {
                 self.stats.writebacks += 1;
             }
-            Some(Evicted { line: victim.tag, dirty: victim.state.is_dirty() })
+            (lru, Some(Evicted { line: self.tags[lru], dirty }))
         };
-        set.push(Entry { tag: line, state: fill_state, last_use: tick });
+        self.tags[slot] = line;
+        self.stamps[slot] = stamp(self.tick, fill_state);
         Lookup::Miss { evicted }
     }
 
     /// Checks for presence without changing replacement state or counters.
     pub fn probe(&self, line: u64) -> bool {
-        let set_idx = self.set_of(line);
-        self.sets[set_idx].iter().any(|e| e.tag == line)
+        self.find(line).is_some()
     }
 
     /// The coherence state of `line` if present.
     pub fn state_of(&self, line: u64) -> Option<LineState> {
-        let set_idx = self.set_of(line);
-        self.sets[set_idx].iter().find(|e| e.tag == line).map(|e| e.state)
+        self.find(line).map(|slot| state_of_stamp(self.stamps[slot]))
     }
 
     /// Downgrades `line` to `Shared` (e.g. on a remote read); returns true
     /// if the line was present and dirty (owner keeps responsibility → we
     /// model it as `Owned`).
     pub fn downgrade(&mut self, line: u64) -> bool {
-        let set_idx = self.set_of(line);
-        if let Some(e) = self.sets[set_idx].iter_mut().find(|e| e.tag == line) {
-            let was_dirty = e.state.is_dirty();
-            e.state = if was_dirty { LineState::Owned } else { LineState::Shared };
-            was_dirty
-        } else {
-            false
-        }
+        let Some(slot) = self.find(line) else { return false };
+        let was_dirty = state_of_stamp(self.stamps[slot]).is_dirty();
+        let state = if was_dirty { LineState::Owned } else { LineState::Shared };
+        self.stamps[slot] = stamp(self.stamps[slot] >> 2, state);
+        was_dirty
     }
 
     /// Invalidates `line` (e.g. on a remote write); returns whether it was
     /// present and dirty (a writeback is then required).
     pub fn invalidate(&mut self, line: u64) -> Option<bool> {
-        let set_idx = self.set_of(line);
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.iter().position(|e| e.tag == line) {
-            let e = set.swap_remove(pos);
-            Some(e.state.is_dirty())
-        } else {
-            None
-        }
+        let slot = self.find(line)?;
+        let dirty = state_of_stamp(self.stamps[slot]).is_dirty();
+        // The set's last occupied slot moves into the hole.
+        let (set, base) = self.set_of(line);
+        self.fill[set] -= 1;
+        let last = base + self.fill[set] as usize;
+        self.tags[slot] = self.tags[last];
+        self.stamps[slot] = self.stamps[last];
+        Some(dirty)
     }
 
     /// Hit/miss counters.
@@ -263,22 +293,137 @@ impl Cache {
 
     /// Empties the cache and resets counters.
     pub fn flush(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
+        self.fill.fill(0);
         self.stats = CacheStats::default();
         self.tick = 0;
     }
 
     /// Number of lines currently resident.
     pub fn resident_lines(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.fill.iter().map(|&n| n as usize).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The reference model: the cache as it was before the flat slot
+    /// arrays, one `Vec` of entries per set, indexed with `%`.
+    struct NestedCache {
+        ways: usize,
+        sets: Vec<Vec<Entry>>,
+        tick: u64,
+        stats: CacheStats,
+    }
+
+    #[derive(Clone, Copy)]
+    struct Entry {
+        tag: u64,
+        state: LineState,
+        last_use: u64,
+    }
+
+    impl NestedCache {
+        fn new(cfg: CacheConfig) -> Self {
+            let ways = cfg.ways as usize;
+            let sets = (0..cfg.sets()).map(|_| Vec::with_capacity(ways)).collect();
+            NestedCache { ways, sets, tick: 0, stats: CacheStats::default() }
+        }
+
+        fn set(&mut self, line: u64) -> &mut Vec<Entry> {
+            let n = self.sets.len() as u64;
+            &mut self.sets[(line % n) as usize]
+        }
+
+        fn access(&mut self, line: u64, access: Access) -> Lookup {
+            self.tick += 1;
+            let (tick, ways) = (self.tick, self.ways);
+            if let Some(e) = self.set(line).iter_mut().find(|e| e.tag == line) {
+                e.last_use = tick;
+                if access == Access::Write {
+                    e.state = LineState::Modified;
+                }
+                self.stats.hits += 1;
+                return Lookup::Hit;
+            }
+            self.stats.misses += 1;
+            let state = match access {
+                Access::Read => LineState::Exclusive,
+                Access::Write => LineState::Modified,
+            };
+            let set = self.set(line);
+            let evicted = if set.len() < ways {
+                None
+            } else {
+                let lru = (0..set.len()).min_by_key(|&i| set[i].last_use).unwrap();
+                let victim = set.swap_remove(lru);
+                Some(Evicted { line: victim.tag, dirty: victim.state.is_dirty() })
+            };
+            set.push(Entry { tag: line, state, last_use: tick });
+            if evicted.is_some_and(|e| e.dirty) {
+                self.stats.writebacks += 1;
+            }
+            Lookup::Miss { evicted }
+        }
+
+        fn state_of(&mut self, line: u64) -> Option<LineState> {
+            self.set(line).iter().find(|e| e.tag == line).map(|e| e.state)
+        }
+
+        fn downgrade(&mut self, line: u64) -> bool {
+            let Some(e) = self.set(line).iter_mut().find(|e| e.tag == line) else { return false };
+            let was_dirty = e.state.is_dirty();
+            e.state = if was_dirty { LineState::Owned } else { LineState::Shared };
+            was_dirty
+        }
+
+        fn invalidate(&mut self, line: u64) -> Option<bool> {
+            let set = self.set(line);
+            let pos = set.iter().position(|e| e.tag == line)?;
+            Some(set.swap_remove(pos).state.is_dirty())
+        }
+
+        fn resident_lines(&self) -> usize {
+            self.sets.iter().map(Vec::len).sum()
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn flat_cache_matches_nested_sets(
+            geometry in 0u8..3,
+            ops in collection::vec((0u8..8, 0u64..1 << 14, 0u64..3), 1..3_000),
+        ) {
+            let cfg = match geometry {
+                0 => CacheConfig { size_bytes: 512, ways: 2, line_bytes: 64 },
+                1 => CacheConfig::paper_l1(),
+                _ => CacheConfig::paper_l2_bank(),
+            };
+            let (sets, ways) = (cfg.sets(), cfg.ways as u64);
+            let (mut flat, mut nested) = (Cache::new(cfg), NestedCache::new(cfg));
+            for (op, line, hot) in ops {
+                // A third of the stream re-touches eight hot lines, a third
+                // crowds four sets with four times their ways, and a third
+                // spans twice the capacity.
+                let line = match hot {
+                    0 => line % 8,
+                    1 => (line / 4 % (4 * ways)) * sets + line % 4,
+                    _ => line % (2 * sets * ways),
+                };
+                match op {
+                    0..=3 => prop_assert_eq!(flat.access(line, Access::Read), nested.access(line, Access::Read)),
+                    4 | 5 => prop_assert_eq!(flat.access(line, Access::Write), nested.access(line, Access::Write)),
+                    6 => prop_assert_eq!(flat.invalidate(line), nested.invalidate(line)),
+                    _ => prop_assert_eq!(flat.downgrade(line), nested.downgrade(line)),
+                }
+                prop_assert_eq!(flat.state_of(line), nested.state_of(line));
+                prop_assert_eq!(flat.stats(), &nested.stats);
+            }
+            prop_assert_eq!(flat.resident_lines(), nested.resident_lines());
+        }
+    }
 
     fn tiny() -> Cache {
         // 4 sets x 2 ways x 64 B = 512 B.

@@ -4,27 +4,51 @@
 //! consults it to generate invalidation traffic when a core writes a line
 //! that other cores cache. The workloads in the paper are parallel loop
 //! nests with mostly disjoint write sets, so the directory is small and
-//! sparse; we use a hash map of 64-bit sharer masks (up to 64 cores; larger
-//! meshes chunk the mask).
+//! sparse; it is consulted on every L1 miss and write, so each line's
+//! sharers are one inline 64-bit mask per 64 cores, with no per-line
+//! allocation, in a map hashed by a single multiply.
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// FxHash's multiply step, the hasher `locmap_core`'s memo keys use:
+/// deterministic, and one multiply per line index.
+#[derive(Debug, Clone, Copy, Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+/// Line index → the line's sharers among one group of 64 cores.
+type MaskMap = HashMap<u64, u64, BuildHasherDefault<LineHasher>>;
 
 /// A sparse full-map directory: line index → sharer bitmask(s).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Directory {
-    sharers: HashMap<u64, Vec<u64>>,
+    /// `masks[w]` holds bit `c % 64` of every line that core
+    /// `c = 64 * w + ..` shares; a line with no sharer in a word has no
+    /// entry there. One map on a mesh of up to 64 cores.
+    masks: Vec<MaskMap>,
     cores: usize,
 }
 
 impl Directory {
     /// Creates a directory for `cores` cores.
     pub fn new(cores: usize) -> Self {
-        Directory { sharers: HashMap::new(), cores }
-    }
-
-    fn words(&self) -> usize {
-        self.cores.div_ceil(64).max(1)
+        let words = cores.div_ceil(64).max(1);
+        Directory { masks: vec![MaskMap::default(); words], cores }
     }
 
     /// Records that `core` now holds `line`.
@@ -34,86 +58,142 @@ impl Directory {
     /// Panics if `core` is out of range.
     pub fn add_sharer(&mut self, line: u64, core: usize) {
         assert!(core < self.cores, "core {core} out of range");
-        let words = self.words();
-        let mask = self.sharers.entry(line).or_insert_with(|| vec![0; words]);
-        mask[core / 64] |= 1 << (core % 64);
+        *self.masks[core / 64].entry(line).or_insert(0) |= 1 << (core % 64);
     }
 
     /// Records that `core` dropped `line` (eviction or invalidation).
     pub fn remove_sharer(&mut self, line: u64, core: usize) {
-        if let Some(mask) = self.sharers.get_mut(&line) {
-            mask[core / 64] &= !(1 << (core % 64));
-            if mask.iter().all(|&w| w == 0) {
-                self.sharers.remove(&line);
+        let map = &mut self.masks[core / 64];
+        if let Some(mask) = map.get_mut(&line) {
+            *mask &= !(1 << (core % 64));
+            if *mask == 0 {
+                map.remove(&line);
             }
         }
     }
 
-    /// The cores (other than `writer`) holding `line`; these must be
-    /// invalidated when `writer` stores to it.
+    /// Whether `core` holds `line`.
+    pub fn is_sharer(&self, line: u64, core: usize) -> bool {
+        self.masks
+            .get(core / 64)
+            .and_then(|map| map.get(&line))
+            .is_some_and(|mask| mask & 1 << (core % 64) != 0)
+    }
+
+    /// `line`'s sharer masks as `(word, mask)` in ascending word order,
+    /// with `writer`'s bit cleared.
+    fn masks_excluding(&self, line: u64, writer: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.masks.iter().enumerate().filter_map(move |(w, map)| {
+            let mut mask = *map.get(&line)?;
+            if writer / 64 == w {
+                mask &= !(1 << (writer % 64));
+            }
+            Some((w, mask))
+        })
+    }
+
+    /// The cores (other than `writer`) holding `line`, in ascending order;
+    /// these must be invalidated when `writer` stores to it.
     pub fn sharers_excluding(&self, line: u64, writer: usize) -> Vec<usize> {
-        match self.sharers.get(&line) {
-            None => Vec::new(),
-            Some(mask) => {
-                let mut out = Vec::new();
-                for (w, &word) in mask.iter().enumerate() {
-                    let mut bits = word;
-                    while bits != 0 {
-                        let b = bits.trailing_zeros() as usize;
-                        let core = w * 64 + b;
-                        if core != writer {
-                            out.push(core);
-                        }
-                        bits &= bits - 1;
-                    }
-                }
-                out
+        let mut out = Vec::new();
+        for (w, mut bits) in self.masks_excluding(line, writer) {
+            while bits != 0 {
+                out.push(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
             }
         }
+        out
     }
 
     /// Whether any core other than `writer` holds `line`.
     pub fn is_shared_beyond(&self, line: u64, writer: usize) -> bool {
-        match self.sharers.get(&line) {
-            None => false,
-            Some(mask) => mask.iter().enumerate().any(|(w, &word)| {
-                let mut word = word;
-                if writer / 64 == w {
-                    word &= !(1 << (writer % 64));
-                }
-                word != 0
-            }),
-        }
+        self.masks_excluding(line, writer).any(|(_, mask)| mask != 0)
     }
 
     /// Drops all sharers of `line` (after a write, the writer re-adds
     /// itself).
     pub fn clear_line(&mut self, line: u64) {
-        self.sharers.remove(&line);
+        for map in &mut self.masks {
+            map.remove(&line);
+        }
     }
 
     /// Forgets every line `core` holds — the bookkeeping for a core whose
     /// router died: its L1 contents are gone with it, and no invalidation
     /// can (or need) ever be delivered to it again.
     pub fn purge_core(&mut self, core: usize) {
-        let (w, bit) = (core / 64, 1u64 << (core % 64));
-        self.sharers.retain(|_, mask| {
-            if let Some(word) = mask.get_mut(w) {
-                *word &= !bit;
-            }
-            mask.iter().any(|&word| word != 0)
-        });
+        let bit = 1u64 << (core % 64);
+        if let Some(map) = self.masks.get_mut(core / 64) {
+            map.retain(|_, mask| {
+                *mask &= !bit;
+                *mask != 0
+            });
+        }
     }
 
     /// Number of lines with at least one sharer.
     pub fn tracked_lines(&self) -> usize {
-        self.sharers.len()
+        // Count each line in the first word where it has a sharer.
+        let mut lines = 0;
+        for (w, map) in self.masks.iter().enumerate() {
+            lines +=
+                map.keys().filter(|l| !self.masks[..w].iter().any(|m| m.contains_key(l))).count();
+        }
+        lines
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    proptest! {
+        #[test]
+        fn directory_matches_set_model(
+            wide in 0u8..2,
+            ops in collection::vec((0u8..7, 0u64..24, 0usize..72), 1..400),
+        ) {
+            // The reference model: line → the set of cores holding it.
+            let cores = if wide == 1 { 72 } else { 36 };
+            let mut model: BTreeMap<u64, BTreeSet<usize>> = BTreeMap::new();
+            let mut d = Directory::new(cores);
+            for (op, line, core) in ops {
+                let core = core % cores;
+                match op {
+                    0 | 1 => {
+                        d.add_sharer(line, core);
+                        model.entry(line).or_default().insert(core);
+                    }
+                    2 => {
+                        d.remove_sharer(line, core);
+                        if let Some(set) = model.get_mut(&line) {
+                            set.remove(&core);
+                        }
+                    }
+                    3 => {
+                        d.purge_core(core);
+                        model.values_mut().for_each(|set| {
+                            set.remove(&core);
+                        });
+                    }
+                    4 => {
+                        d.clear_line(line);
+                        model.remove(&line);
+                    }
+                    _ => {}
+                }
+                model.retain(|_, set| !set.is_empty());
+                let held = model.get(&line).cloned().unwrap_or_default();
+                let others: Vec<usize> = held.iter().copied().filter(|&c| c != core).collect();
+                prop_assert_eq!(d.sharers_excluding(line, core), others.clone());
+                prop_assert_eq!(d.is_shared_beyond(line, core), !others.is_empty());
+                prop_assert_eq!(d.is_sharer(line, core), held.contains(&core));
+                prop_assert_eq!(d.tracked_lines(), model.len());
+            }
+        }
+    }
 
     #[test]
     fn add_and_query_sharers() {
@@ -121,9 +201,7 @@ mod tests {
         d.add_sharer(100, 3);
         d.add_sharer(100, 7);
         d.add_sharer(100, 35);
-        let mut s = d.sharers_excluding(100, 7);
-        s.sort_unstable();
-        assert_eq!(s, vec![3, 35]);
+        assert_eq!(d.sharers_excluding(100, 7), vec![3, 35]);
         assert!(d.is_shared_beyond(100, 7));
         assert!(!d.is_shared_beyond(100, 3) || d.sharers_excluding(100, 3).len() == 2);
     }
@@ -161,9 +239,7 @@ mod tests {
         let mut d = Directory::new(72); // KNL-sized
         d.add_sharer(42, 70);
         d.add_sharer(42, 1);
-        let mut s = d.sharers_excluding(42, 99999);
-        s.sort_unstable();
-        assert_eq!(s, vec![1, 70]);
+        assert_eq!(d.sharers_excluding(42, 99999), vec![1, 70], "ascending across words");
     }
 
     #[test]

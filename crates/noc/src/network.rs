@@ -83,6 +83,39 @@ struct LinkSched {
 }
 
 impl LinkSched {
+    /// The index of the first interval that ends after `t`.
+    ///
+    /// Ends strictly increase (the intervals are disjoint and coalesced),
+    /// and almost every message arrives at or near the tail of a schedule
+    /// that may hold a thousand intervals. So gallop back from the tail —
+    /// 1, 2, 4, … intervals — to the first probe that ends at or before
+    /// `t`, then binary-search the last step: the common case reads one
+    /// interval, and a message far behind the tail still costs O(log n).
+    fn first_ending_after(&self, t: u64) -> usize {
+        let iv = &self.intervals;
+        // Every interval from `hi` on ends after `t`.
+        let mut hi = iv.len();
+        let mut step = 1;
+        while hi > 0 {
+            let probe = hi.saturating_sub(step);
+            if iv[probe].1 <= t {
+                let mut lo = probe + 1;
+                while lo < hi {
+                    let mid = (lo + hi) / 2;
+                    if iv[mid].1 <= t {
+                        lo = mid + 1;
+                    } else {
+                        hi = mid;
+                    }
+                }
+                return lo;
+            }
+            hi = probe;
+            step *= 2;
+        }
+        0
+    }
+
     /// Reserves the earliest `dur`-cycle slot starting at or after `ready`.
     /// Returns the slot's start time.
     fn reserve(&mut self, ready: u64, dur: u64) -> u64 {
@@ -96,19 +129,7 @@ impl LinkSched {
             }
         }
 
-        // Binary search for the first interval that ends after `ready`;
-        // everything before it is irrelevant.
-        let mut lo = 0usize;
-        let mut hi = self.intervals.len();
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.intervals[mid].1 <= ready {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-
+        let lo = self.first_ending_after(ready);
         let mut start = ready;
         let mut idx = self.intervals.len();
         for i in lo..self.intervals.len() {
@@ -316,6 +337,116 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The reference model: the schedule as it was before the tail gallop,
+    /// binary-searching the whole deque for the first interval that ends
+    /// after `ready`. Pruning, gap search and coalescing are the same.
+    #[derive(Clone, Default)]
+    struct BinarySearchSched {
+        intervals: VecDeque<(u64, u64)>,
+    }
+
+    impl BinarySearchSched {
+        fn reserve(&mut self, ready: u64, dur: u64) -> u64 {
+            let horizon = ready.saturating_sub(PRUNE_WINDOW);
+            while let Some(&(_, e)) = self.intervals.front() {
+                if e < horizon {
+                    self.intervals.pop_front();
+                } else {
+                    break;
+                }
+            }
+            let mut lo = 0usize;
+            let mut hi = self.intervals.len();
+            while lo < hi {
+                let mid = (lo + hi) / 2;
+                if self.intervals[mid].1 <= ready {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            let mut start = ready;
+            let mut idx = self.intervals.len();
+            for i in lo..self.intervals.len() {
+                let (s, e) = self.intervals[i];
+                if e <= start {
+                    continue;
+                }
+                if s >= start + dur {
+                    idx = i;
+                    break;
+                }
+                start = e;
+                idx = i + 1;
+            }
+            let end = start + dur;
+            self.intervals.insert(idx, (start, end));
+            while idx > 0 && self.intervals[idx - 1].1 >= self.intervals[idx].0 {
+                let (s0, e0) = self.intervals[idx - 1];
+                let (s1, e1) = self.intervals[idx];
+                self.intervals[idx - 1] = (s0.min(s1), e0.max(e1));
+                self.intervals.remove(idx);
+                idx -= 1;
+            }
+            while idx + 1 < self.intervals.len() && self.intervals[idx].1 >= self.intervals[idx + 1].0 {
+                let (s0, e0) = self.intervals[idx];
+                let (s1, e1) = self.intervals[idx + 1];
+                self.intervals[idx] = (s0.min(s1), e0.max(e1));
+                self.intervals.remove(idx + 1);
+            }
+            start
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn gallop_reserves_like_binary_search(
+            steps in collection::vec(((0u64..40, 0u64..50), 0u64..3_000, 1u64..24), 1..600),
+        ) {
+            // A clock that advances a little per message, and now and then
+            // jumps 20k cycles so that old intervals are pruned. Each message
+            // is presented up to 3,000 cycles behind the clock — the
+            // simulator's bounded scheduling skew — so reservations land at
+            // the tail and in gaps alike.
+            let (mut gallop, mut reference) = (LinkSched::default(), BinarySearchSched::default());
+            let mut clock = 0u64;
+            for ((advance, jump), behind, dur) in steps {
+                clock += advance + if jump == 0 { 20_000 } else { 0 };
+                let ready = clock.saturating_sub(behind);
+                prop_assert_eq!(gallop.reserve(ready, dur), reference.reserve(ready, dur));
+                prop_assert_eq!(&gallop.intervals, &reference.intervals);
+            }
+        }
+    }
+
+    #[test]
+    fn far_behind_message_gets_the_binary_search_slot() {
+        // 2,000 28-cycle intervals with 4-cycle gaps, spanning 64k cycles
+        // so that nothing is pruned: a 4-cycle train fits any gap, a
+        // 5-cycle train none.
+        let (mut gallop, mut reference) = (LinkSched::default(), BinarySearchSched::default());
+        for i in 0..2_000u64 {
+            let ready = 1_000 + 32 * i;
+            assert_eq!(gallop.reserve(ready, 28), reference.reserve(ready, 28));
+        }
+        assert_eq!(gallop.intervals.len(), 2_000);
+        let tail = gallop.intervals.back().unwrap().1;
+        // 60k cycles behind the tail lies deep inside the schedule, so the
+        // gallop must take its slow path down to the binary search; try
+        // every phase of one period.
+        for behind in 60_000..60_032 {
+            for dur in [4, 5] {
+                let (mut g, mut r) = (gallop.clone(), reference.clone());
+                let ready = tail - behind;
+                let want = r.reserve(ready, dur);
+                assert_eq!(g.reserve(ready, dur), want, "{behind} behind, {dur} cycles");
+                assert_eq!(g.intervals, r.intervals);
+                assert!(dur == 4 || want == tail, "no gap fits five cycles");
+            }
+        }
+    }
 
     fn net6() -> Network {
         Network::new(NocConfig::default(), Mesh::try_new(6, 6).unwrap())

@@ -801,7 +801,10 @@ impl Simulator {
         // L1 lookup.
         match self.l1s[c].access(l1_line, acc) {
             locmap_mem::Lookup::Hit => {
-                self.dir.add_sharer(l1_line, c);
+                // Fills, evictions, invalidations, `purge_core` and `reset`
+                // keep the directory in step with the L1s, so a hit needs
+                // no directory update.
+                debug_assert!(self.dir.is_sharer(l1_line, c), "L1 {c} holds line {l1_line} untracked");
                 return (t + self.cfg.l1_hit_cycles, Level::L1, 0, 0);
             }
             locmap_mem::Lookup::Miss { evicted } => {

@@ -31,6 +31,9 @@ use locmap_noc::{LocmapError, RunControl};
 use locmap_sim::{run_multiprogram, MultiprogramResult, RunResult, SimConfig, Simulator, Slot};
 use locmap_workloads::Workload;
 use serde::{Deserialize, Serialize};
+use std::panic;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::thread;
 
 /// Which mapping scheme to evaluate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -166,13 +169,6 @@ impl Experiment {
     }
 }
 
-/// Per-nest mapping plus accumulated inspector overhead.
-#[derive(Debug)]
-struct SchedulePlan {
-    mappings: Vec<NestMapping>,
-    overhead: u64,
-}
-
 fn all_nests(program: &Program) -> Vec<NestId> {
     program.nest_ids().collect()
 }
@@ -206,48 +202,37 @@ fn warm_latency(results: &[RunResult]) -> f64 {
     }
 }
 
-/// Builds the scheme's mapping plan for `program`, profiling with
-/// `profile_results` (the default-mapping pass) where runtime knowledge is
-/// needed.
+/// True for the schemes that map irregular nests with the inspector.
+fn inspects(scheme: Scheme) -> bool {
+    matches!(scheme, Scheme::LocationAware | Scheme::LayoutPlusLa)
+}
+
+/// The scheme's per-nest mappings for `program` as far as they can be
+/// built without running anything; `profile` is consulted only by Oracle
+/// and Hardware, which map every nest from the default-mapping pass. The
+/// inspector schemes' irregular nests keep the compile-time default
+/// schedule with `needs_inspector` set until [`inspect`] replaces it.
 fn plan(
     scheme: Scheme,
     compiler: &Compiler,
     program: &Program,
     data: &DataEnv,
     defaults: &[NestMapping],
-    profile: &[RunResult],
-) -> SchedulePlan {
+    profile: impl FnOnce() -> Vec<RunResult>,
+) -> Vec<NestMapping> {
     let nests = all_nests(program);
     match scheme {
-        Scheme::Default | Scheme::IdealNetwork | Scheme::LayoutOnly => SchedulePlan {
-            mappings: nests.iter().map(|&n| compiler.default_mapping(program, n)).collect(),
-            overhead: 0,
-        },
+        Scheme::Default | Scheme::IdealNetwork | Scheme::LayoutOnly => defaults.to_vec(),
         Scheme::LocationAware | Scheme::LayoutPlusLa => {
-            let inspector = Inspector::new(compiler, InspectorCostModel::default());
-            let mut overhead = 0;
             // The compile-time pass must not see runtime index-array
             // contents — that is exactly the knowledge gap the
             // inspector–executor exists to close.
             let compile_time_view = DataEnv::new();
-            let mappings = nests
-                .iter()
-                .map(|&nid| {
-                    let m = compiler.map_nest(program, nid, &compile_time_view);
-                    if m.needs_inspector {
-                        let rep =
-                            inspector.run(program, nid, data, &profile[nid.0 as usize].measured);
-                        overhead += rep.overhead_cycles;
-                        rep.mapping
-                    } else {
-                        m
-                    }
-                })
-                .collect();
-            SchedulePlan { mappings, overhead }
+            nests.iter().map(|&nid| compiler.map_nest(program, nid, &compile_time_view)).collect()
         }
-        Scheme::Oracle => SchedulePlan {
-            mappings: nests
+        Scheme::Oracle => {
+            let profile = profile();
+            nests
                 .iter()
                 .map(|&nid| {
                     let oracle = OracleModel(profile[nid.0 as usize].measured.clone());
@@ -255,11 +240,11 @@ fn plan(
                         .map_nest_with_model(program, nid, data, &oracle, &RunControl::unlimited())
                         .expect("an unlimited RunControl never aborts")
                 })
-                .collect(),
-            overhead: 0,
-        },
-        Scheme::Hardware => SchedulePlan {
-            mappings: nests
+                .collect()
+        }
+        Scheme::Hardware => {
+            let profile = profile();
+            nests
                 .iter()
                 .map(|&nid| {
                     let d = &defaults[nid.0 as usize];
@@ -269,81 +254,128 @@ fn plan(
                         prof.observed_mai.iter().map(|v| v.mass()).collect();
                     hardware_placement(compiler.platform(), nid, &d.sets, &intensity)
                 })
-                .collect(),
-            overhead: 0,
-        },
+                .collect()
+        }
     }
 }
 
-/// Evaluates `workload` under `scheme` in `exp`, returning both baseline
-/// and scheme metrics.
-pub fn evaluate(workload: &Workload, exp: &Experiment, scheme: Scheme) -> AppOutcome {
-    let data = workload.data.clone();
-    let timing = workload.timing_iters.max(1) as u64;
-
-    // The baseline always runs the *original* program under the default
-    // mapping; layout schemes additionally build a re-laid copy that only
-    // the scheme side executes (DO changes data placement, not the
-    // baseline the paper compares against).
-    let base_program = workload.program.clone();
-    let mut program = workload.program.clone();
-    if matches!(scheme, Scheme::LayoutOnly | Scheme::LayoutPlusLa) {
-        optimize_layout(&mut program, &exp.platform, &data, 8);
+/// Replaces every mapping that needs the inspector with the inspector's,
+/// profiled with `profile` (the default-mapping pass), and returns the
+/// inspector's overhead cycles.
+fn inspect(
+    mappings: &mut [NestMapping],
+    compiler: &Compiler,
+    program: &Program,
+    data: &DataEnv,
+    profile: &[RunResult],
+) -> u64 {
+    let inspector = Inspector::new(compiler, InspectorCostModel::default());
+    let mut overhead = 0;
+    for (i, m) in mappings.iter_mut().enumerate() {
+        if m.needs_inspector {
+            let rep = inspector.run(program, NestId(i as u32), data, &profile[i].measured);
+            overhead += rep.overhead_cycles;
+            *m = rep.mapping;
+        }
     }
+    overhead
+}
 
-    let compiler = Compiler::builder(exp.platform.clone()).options(exp.opts).build().unwrap();
-    let nests = all_nests(&program);
-    let defaults: Vec<NestMapping> =
-        nests.iter().map(|&n| compiler.default_mapping(&program, n)).collect();
+/// The baseline arm of [`evaluate`]: a cold pass and a warm pass under the
+/// default mapping. The cold pass's results go to `profile` as soon as it
+/// ends, for the scheme arm to plan from. Returns the baseline's cycles
+/// over the timing loop and its warm-pass network latency.
+fn baseline_arm(
+    exp: &Experiment,
+    program: &Program,
+    defaults: &[NestMapping],
+    data: &DataEnv,
+    timing: u64,
+    profile: Sender<Vec<RunResult>>,
+) -> (u64, f64) {
+    let mut sim = build_sim(exp, exp.sim);
+    let (cold, cold_res) = run_pass(&mut sim, program, defaults, data);
+    // A send fails only when the scheme arm has panicked; its panic is
+    // the one `evaluate` reports.
+    if timing == 1 {
+        let latency = warm_latency(&cold_res);
+        let _ = profile.send(cold_res);
+        return (cold, latency);
+    }
+    let _ = profile.send(cold_res);
+    let (warm, warm_res) = run_pass(&mut sim, program, defaults, data);
+    (cold + (timing - 1) * warm, warm_latency(&warm_res))
+}
 
-    // ---- Baseline: cold + (T-1) warm passes under the default mapping.
-    let mut base_sim = Simulator::builder(exp.platform.clone()).config(exp.sim).build().unwrap();
-    let (base_cold, base_cold_res) = run_pass(&mut base_sim, &base_program, &defaults, &data);
-    let (base_warm, base_warm_res) = if timing > 1 {
-        run_pass(&mut base_sim, &base_program, &defaults, &data)
+/// What the scheme arm of [`evaluate`] ran and measured.
+struct SchemeRun {
+    /// The final per-nest mappings.
+    mappings: Vec<NestMapping>,
+    /// Inspector overhead cycles.
+    overhead: u64,
+    /// Cycles over the timing loop, overhead included.
+    cycles: u64,
+    /// The steady-state pass.
+    warm: Vec<RunResult>,
+}
+
+/// The scheme arm of [`evaluate`]: plans `program`, runs pass 1, lets the
+/// inspector remap, then runs the rewarm and warm passes. `cold_rx`
+/// yields the baseline's cold pass; only the profile-driven planners wait
+/// for it.
+#[allow(clippy::too_many_arguments)]
+fn scheme_arm(
+    scheme: Scheme,
+    exp: &Experiment,
+    compiler: &Compiler,
+    program: &Program,
+    data: &DataEnv,
+    defaults: &[NestMapping],
+    timing: u64,
+    cold_rx: &Receiver<Vec<RunResult>>,
+) -> SchemeRun {
+    let base_cold = || cold_rx.recv().expect("the baseline arm panicked before its cold pass");
+    let nests = all_nests(program);
+    let sim_cfg = if scheme == Scheme::IdealNetwork {
+        SimConfig { noc: locmap_noc::NocConfig::ideal(), ..exp.sim }
     } else {
-        (base_cold, base_cold_res.clone())
+        exp.sim
     };
-    let base_cycles = base_cold + (timing - 1) * base_warm;
-    let base_latency = warm_latency(&base_warm_res);
+    let new_sim = || build_sim(exp, sim_cfg);
+    let mut mappings = plan(scheme, compiler, program, data, defaults, base_cold);
 
-    // Profiling (what the inspector observes during timing iteration 1)
-    // must see the layout the executor will run on: for layout schemes
-    // that is the re-laid program, so profile it separately.
-    let layout_profile = if matches!(scheme, Scheme::LayoutOnly | Scheme::LayoutPlusLa) {
-        let mut sim = Simulator::builder(exp.platform.clone()).config(exp.sim).build().unwrap();
-        Some(run_pass(&mut sim, &program, &defaults, &data).1)
-    } else {
-        None
-    };
-    let profile = layout_profile.as_ref().unwrap_or(&base_cold_res);
-
-    // ---- Scheme.
-    let sim_cfg = if scheme == Scheme::IdealNetwork { SimConfig { noc: locmap_noc::NocConfig::ideal(), ..exp.sim } } else { exp.sim };
-    let plan = plan(scheme, &compiler, &program, &data, &defaults, profile);
-
-    let mut opt_sim = Simulator::builder(exp.platform.clone()).config(sim_cfg).build().unwrap();
     // Pass 1: irregular nests execute the default mapping while the
-    // inspector observes; regular nests already run optimized.
-    let uses_inspector = matches!(scheme, Scheme::LocationAware | Scheme::LayoutPlusLa)
-        && nests.iter().any(|&nid| program.nest(nid).is_irregular());
-    let pass1: Vec<&NestMapping> = nests
-        .iter()
-        .map(|&nid| {
+    // inspector observes; regular nests already run optimized. With a
+    // single timing iteration nothing reads it: the measurement runs on a
+    // fresh machine below.
+    let mut opt_sim = new_sim();
+    let mut opt_cold = 0;
+    if timing > 1 {
+        for &nid in &nests {
             let i = nid.0 as usize;
-            if program.nest(nid).is_irregular()
-                && matches!(scheme, Scheme::LocationAware | Scheme::LayoutPlusLa)
-            {
+            let m = if inspects(scheme) && program.nest(nid).is_irregular() {
                 &defaults[i]
             } else {
-                &plan.mappings[i]
-            }
-        })
-        .collect();
-    let mut opt_cold = 0;
-    for m in &pass1 {
-        opt_cold += opt_sim.run_nest(&program, m, &data).cycles;
+                &mappings[i]
+            };
+            opt_cold += opt_sim.run_nest(program, m, data).cycles;
+        }
     }
+
+    // Profiling (what the inspector observes during timing iteration 1)
+    // must see the layout the executor will run on: for LA+DO that is the
+    // re-laid program, so profile it on a machine of its own.
+    let uses_inspector = inspects(scheme) && mappings.iter().any(|m| m.needs_inspector);
+    let overhead = if uses_inspector {
+        let profile = if scheme == Scheme::LayoutPlusLa {
+            run_pass(&mut new_sim(), program, defaults, data).1
+        } else {
+            base_cold()
+        };
+        inspect(&mut mappings, compiler, program, data, &profile)
+    } else {
+        0
+    };
 
     // When the mapping switches after pass 1 (inspector schemes), the
     // caches hold data placed for the *default* mapping: run one rewarm
@@ -352,31 +384,69 @@ pub fn evaluate(workload: &Workload, exp: &Experiment, scheme: Scheme) -> AppOut
     // latency metrics come from the steady-state pass of both schemes so
     // the comparison is symmetric.
     let rewarm = if uses_inspector && timing > 1 {
-        Some(run_pass(&mut opt_sim, &program, &plan.mappings, &data))
+        Some(run_pass(&mut opt_sim, program, &mappings, data).0)
     } else {
         None
     };
-    let (opt_warm, opt_warm_res) = if timing > 1 {
-        run_pass(&mut opt_sim, &program, &plan.mappings, &data)
+    let (opt_warm, warm) = if timing > 1 {
+        run_pass(&mut opt_sim, program, &mappings, data)
     } else {
         // Single-pass programs: the scheme pass *is* the measurement; run
         // on a fresh machine for metric collection.
-        let mut sim = Simulator::builder(exp.platform.clone()).config(sim_cfg).build().unwrap();
-        run_pass(&mut sim, &program, &plan.mappings, &data)
+        run_pass(&mut new_sim(), program, &mappings, data)
     };
-    let opt_cycles = if timing > 1 {
-        match &rewarm {
-            Some((rewarm_cycles, _)) => {
-                // pass1 (default, profiled) + rewarm pass + steady passes.
-                let steady = timing.saturating_sub(2);
-                opt_cold + rewarm_cycles + steady * opt_warm + plan.overhead
-            }
-            None => opt_cold + (timing - 1) * opt_warm + plan.overhead,
-        }
+    let cycles = match (timing > 1, rewarm) {
+        // pass1 (default, profiled) + rewarm pass + steady passes.
+        (true, Some(rewarm)) => opt_cold + rewarm + timing.saturating_sub(2) * opt_warm,
+        (true, None) => opt_cold + (timing - 1) * opt_warm,
+        (false, _) => opt_warm,
+    } + overhead;
+    SchemeRun { mappings, overhead, cycles, warm }
+}
+
+/// A fresh machine of `exp`'s platform with timing `cfg`.
+fn build_sim(exp: &Experiment, cfg: SimConfig) -> Simulator {
+    Simulator::builder(exp.platform.clone()).config(cfg).build().unwrap()
+}
+
+/// Evaluates `workload` under `scheme` in `exp`, returning both baseline
+/// and scheme metrics.
+///
+/// The baseline and scheme arms simulate separate machines, so they run
+/// on two threads: the baseline on a scoped thread, the scheme on the
+/// caller's. The only thing they share is the baseline's cold pass, which
+/// the inspector, the oracle and hardware placement profile; it crosses
+/// over a channel as soon as it ends. Each arm is single-threaded, so the
+/// outcome is the same as running the passes one after another.
+pub fn evaluate(workload: &Workload, exp: &Experiment, scheme: Scheme) -> AppOutcome {
+    let data = &workload.data;
+    let timing = workload.timing_iters.max(1) as u64;
+
+    // The baseline always runs the *original* program under the default
+    // mapping; layout schemes additionally build a re-laid copy that only
+    // the scheme side executes (DO changes data placement, not the
+    // baseline the paper compares against).
+    let relaid;
+    let program = if matches!(scheme, Scheme::LayoutOnly | Scheme::LayoutPlusLa) {
+        let mut p = workload.program.clone();
+        optimize_layout(&mut p, &exp.platform, data, 8);
+        relaid = p;
+        &relaid
     } else {
-        opt_warm + plan.overhead
+        &workload.program
     };
-    let opt_latency = warm_latency(&opt_warm_res);
+
+    let compiler = Compiler::builder(exp.platform.clone()).options(exp.opts).build().unwrap();
+    let defaults: Vec<NestMapping> =
+        all_nests(program).iter().map(|&n| compiler.default_mapping(program, n)).collect();
+
+    let (cold_tx, cold_rx) = mpsc::channel();
+    let ((base_cycles, base_latency), run) = thread::scope(|s| {
+        let base =
+            s.spawn(|| baseline_arm(exp, &workload.program, &defaults, data, timing, cold_tx));
+        let run = scheme_arm(scheme, exp, &compiler, program, data, &defaults, timing, &cold_rx);
+        (base.join().unwrap_or_else(|p| panic::resume_unwind(p)), run)
+    });
 
     // ---- Estimation-error metrics (predicted vs observed affinity).
     let mut mai_err_sum = 0.0;
@@ -384,13 +454,13 @@ pub fn evaluate(workload: &Workload, exp: &Experiment, scheme: Scheme) -> AppOut
     let mut err_nests = 0usize;
     let mut moved = 0usize;
     let mut total_sets = 0usize;
-    for (i, m) in plan.mappings.iter().enumerate() {
+    for (i, m) in run.mappings.iter().enumerate() {
         moved += m.balance.moved;
         total_sets += m.balance.total;
         if m.mai.is_empty() {
             continue;
         }
-        let obs = &opt_warm_res[i];
+        let obs = &run.warm[i];
         let pred_mai: Vec<_> = m.mai.iter().map(|v| v.clone().normalized()).collect();
         let obs_mai: Vec<_> = obs.observed_mai.iter().map(|v| v.clone().normalized()).collect();
         if pred_mai.len() == obs_mai.len() {
@@ -408,10 +478,10 @@ pub fn evaluate(workload: &Workload, exp: &Experiment, scheme: Scheme) -> AppOut
     AppOutcome {
         name: workload.name.to_string(),
         base_cycles,
-        opt_cycles,
+        opt_cycles: run.cycles,
         base_latency,
-        opt_latency,
-        overhead_cycles: plan.overhead,
+        opt_latency: warm_latency(&run.warm),
+        overhead_cycles: run.overhead,
         mai_error: if err_nests == 0 { 0.0 } else { mai_err_sum / err_nests as f64 },
         cai_error: if err_nests == 0 { 0.0 } else { cai_err_sum / err_nests as f64 },
         frac_moved: if total_sets == 0 { 0.0 } else { moved as f64 / total_sets as f64 },
@@ -422,7 +492,9 @@ pub fn evaluate(workload: &Workload, exp: &Experiment, scheme: Scheme) -> AppOut
 /// machine, once under the default mapping and once under the
 /// location-aware one, and returns `(baseline, optimized)`. The optimized
 /// arm maps irregular apps with their own index data: the knowledge the
-/// inspector would have gathered.
+/// inspector would have gathered. The two arms share nothing, so the
+/// baseline runs on a scoped thread while the caller's runs the optimized
+/// arm.
 pub fn corun(
     apps: &[Workload],
     platform: &Platform,
@@ -447,7 +519,12 @@ pub fn corun(
             .collect();
         Ok(run_multiprogram(&mut sim, &slots))
     };
-    Ok((run(false)?, run(true)?))
+    let (base, opt) = thread::scope(|s| {
+        let base = s.spawn(|| run(false));
+        let opt = run(true);
+        (base.join().unwrap_or_else(|p| panic::resume_unwind(p)), opt)
+    });
+    Ok((base?, opt?))
 }
 
 /// Builds the benchmark set a harness binary should run: all 21 by
@@ -554,6 +631,20 @@ mod tests {
         let out = evaluate(&w, &exp, Scheme::LocationAware);
         assert!(out.overhead_cycles > 0, "inspector must cost something");
         assert!(out.overhead_pct() < 50.0, "overhead {}% absurd", out.overhead_pct());
+    }
+
+    #[test]
+    fn a_panic_in_either_arm_reaches_the_caller() {
+        // Without its index arrays, moldyn's irregular references cannot
+        // resolve, so the baseline's cold pass panics. Oracle and Hardware
+        // wait for that pass: they must see the panic, not hang.
+        let mut w = build("moldyn", Scale::new(0.1));
+        w.data = DataEnv::new();
+        let exp = Experiment::paper_default(LlcOrg::Private);
+        for scheme in [Scheme::Oracle, Scheme::Hardware, Scheme::LocationAware, Scheme::Default] {
+            let out = std::panic::catch_unwind(|| evaluate(&w, &exp, scheme));
+            assert!(out.is_err(), "{scheme:?} returned despite a panicking arm");
+        }
     }
 
     #[test]

@@ -103,6 +103,115 @@ impl IterationSpace {
     }
 }
 
+/// A position in a nest's iteration space that moves in execution
+/// (lexicographic) order without materialising the space: it holds one
+/// iteration vector, however many iterations the nest has.
+///
+/// Bounds are evaluated as the cursor moves, so affine (triangular) limits
+/// and empty inner ranges behave exactly as in
+/// [`IterationSpace::enumerate`].
+#[derive(Debug, Clone)]
+pub struct IterCursor<'a> {
+    nest: &'a LoopNest,
+    env: &'a ParamEnv,
+    iv: IterVec,
+    /// Exclusive upper bound of the innermost loop under the current
+    /// prefix, so a step inside the innermost range evaluates no bound.
+    hi: i64,
+}
+
+impl<'a> IterCursor<'a> {
+    /// A cursor over `nest`'s space under `env`. It has no position until
+    /// the first [`IterCursor::seek`].
+    pub fn new(nest: &'a LoopNest, env: &'a ParamEnv) -> Self {
+        IterCursor { nest, env, iv: vec![0; nest.depth()], hi: 0 }
+    }
+
+    /// The current iteration vector.
+    pub fn iv(&self) -> &[i64] {
+        &self.iv
+    }
+
+    /// Moves to the first iteration at or after `prefix` in lexicographic
+    /// order; the empty prefix seeks the first iteration, and a full,
+    /// in-bounds iteration vector seeks itself. Every index of `prefix`
+    /// but the last must lie inside its loop's range. Returns `false`, and
+    /// leaves the cursor without a position, when no iteration is at or
+    /// after `prefix`.
+    pub fn seek(&mut self, prefix: &[i64]) -> bool {
+        match prefix.split_last() {
+            None => self.settle(0, i64::MIN),
+            Some((&last, outer)) => {
+                self.iv[..outer.len()].copy_from_slice(outer);
+                self.settle(outer.len(), last)
+            }
+        }
+    }
+
+    /// Advances to the next iteration in lexicographic order; `false` at
+    /// the end of the space.
+    pub fn step(&mut self) -> bool {
+        let last = self.iv.len() - 1;
+        let next = self.iv[last] + 1;
+        if next < self.hi {
+            self.iv[last] = next;
+            true
+        } else {
+            self.settle(last, next)
+        }
+    }
+
+    /// Completes the position to the first iteration whose prefix
+    /// `iv[..level]` is unchanged and whose index at `level` is at least
+    /// `from`. A loop with nothing left under its prefix carries into the
+    /// next value of the enclosing index.
+    fn settle(&mut self, mut level: usize, mut from: i64) -> bool {
+        let depth = self.iv.len();
+        while level < depth {
+            let b = &self.nest.bounds[level];
+            let outer = &self.iv[..level];
+            let (lo, hi) = (b.lower.eval(outer, self.env), b.upper.eval(outer, self.env));
+            let i = from.max(lo);
+            if i < hi {
+                self.iv[level] = i;
+                self.hi = hi;
+                level += 1;
+                from = i64::MIN;
+            } else if level == 0 {
+                return false;
+            } else {
+                level -= 1;
+                from = self.iv[level] + 1;
+            }
+        }
+        true
+    }
+
+    /// Walks the whole space once, from its first iteration, and returns
+    /// the iteration vectors at the indices `at` (in any order) together
+    /// with the space's iteration count. The vectors are flat: row `i`,
+    /// `depth` words wide, is iteration `at[i]`; a row whose index is not
+    /// below the count stays zero.
+    pub fn vectors_at(&mut self, at: &[usize]) -> (Vec<i64>, usize) {
+        let depth = self.iv.len();
+        let mut rows = vec![0; at.len() * depth];
+        let mut order: Vec<usize> = (0..at.len()).collect();
+        order.sort_unstable_by_key(|&i| at[i]);
+        let mut pending = order.iter().peekable();
+        let mut k = 0;
+        let mut more = self.seek(&[]);
+        while more {
+            while let Some(&&i) = pending.peek().filter(|&&&i| at[i] == k) {
+                rows[i * depth..(i + 1) * depth].copy_from_slice(&self.iv);
+                pending.next();
+            }
+            k += 1;
+            more = self.step();
+        }
+        (rows, k)
+    }
+}
+
 /// A set of consecutive iterations `[start, end)` of one nest — the unit of
 /// computation scheduling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -251,5 +360,107 @@ mod more_tests {
         let space = IterationSpace::enumerate(&nest, &ParamEnv::new());
         assert_eq!(space.depth(), 3);
         assert_eq!(space.len(), 24);
+    }
+}
+
+#[cfg(test)]
+mod cursor_tests {
+    use super::*;
+    use crate::affine::{AffineExpr, ParamId};
+    use crate::nest::LoopBound;
+    use proptest::prelude::*;
+
+    /// A 1–3-deep nest whose level-`l` bounds are `const + Σ c·i` over the
+    /// outer indices, with coefficients in -1..=1: rectangular, triangular,
+    /// zero-trip and empty-inner-range loops all occur. The outermost
+    /// upper bound is the parameter `N`, bound in the returned environment.
+    fn arb_nest() -> impl Strategy<Value = (LoopNest, ParamEnv)> {
+        let levels = collection::vec((-2i64..=3, 0i64..=6, collection::vec(-1i64..=1, 4)), 1..=3);
+        (levels, 0i64..=5).prop_map(|(levels, n)| {
+            let bounds = levels
+                .iter()
+                .enumerate()
+                .map(|(l, (lo, hi, c))| {
+                    let upper = if l == 0 {
+                        AffineExpr::param(ParamId(0), 1)
+                    } else {
+                        AffineExpr::linear(&c[2..2 + l.min(2)], *hi)
+                    };
+                    LoopBound { lower: AffineExpr::linear(&c[..l.min(2)], *lo), upper }
+                })
+                .collect();
+            (LoopNest::with_bounds("arb", bounds), ParamEnv::new().bind(ParamId(0), n))
+        })
+    }
+
+    /// Every iteration from the first, by stepping.
+    fn stepped(nest: &LoopNest, env: &ParamEnv) -> Vec<Vec<i64>> {
+        let mut c = IterCursor::new(nest, env);
+        let mut out = Vec::new();
+        let mut more = c.seek(&[]);
+        while more {
+            out.push(c.iv().to_vec());
+            more = c.step();
+        }
+        out
+    }
+
+    proptest! {
+        #[test]
+        fn stepping_visits_the_enumerated_sequence(case in arb_nest()) {
+            let (nest, env) = case;
+            let space = IterationSpace::enumerate(&nest, &env);
+            let want: Vec<Vec<i64>> = space.iter().map(<[i64]>::to_vec).collect();
+            prop_assert_eq!(stepped(&nest, &env), want, "nest {:?}", nest.bounds);
+        }
+
+        #[test]
+        fn seeking_set_starts_matches_get(case in arb_nest(), k in 1usize..=7) {
+            let (nest, env) = case;
+            let space = IterationSpace::enumerate(&nest, &env);
+            let starts: Vec<usize> = space.split(k).iter().rev().map(|s| s.start).collect();
+            let mut c = IterCursor::new(&nest, &env);
+            let (rows, count) = c.vectors_at(&starts);
+            prop_assert_eq!(count, space.len());
+            for (i, &s) in starts.iter().enumerate() {
+                let row = &rows[i * space.depth()..(i + 1) * space.depth()];
+                prop_assert_eq!(row, space.get(s));
+                prop_assert!(c.seek(row));
+                prop_assert_eq!(c.iv(), space.get(s));
+            }
+        }
+
+        #[test]
+        fn seek_finds_the_first_iteration_at_or_after_a_prefix(
+            case in arb_nest(),
+            pick in 0usize..1000,
+            len in 1usize..=3,
+            bump in -2i64..=1,
+        ) {
+            let (nest, env) = case;
+            let space = IterationSpace::enumerate(&nest, &env);
+            if !space.is_empty() {
+                let mut prefix = space.get(pick % space.len()).to_vec();
+                prefix.truncate(len.min(space.depth()));
+                *prefix.last_mut().unwrap() += bump;
+                let want = space.iter().find(|iv| iv[..prefix.len()] >= prefix[..]);
+                let mut c = IterCursor::new(&nest, &env);
+                let found = c.seek(&prefix);
+                prop_assert_eq!(found, want.is_some());
+                if let Some(want) = want {
+                    prop_assert_eq!(c.iv(), want, "prefix {:?}", prefix);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_inner_range_everywhere_leaves_no_iteration() {
+        let env = ParamEnv::new();
+        let empty_inner =
+            LoopNest::with_bounds("z", vec![LoopBound::range(3), LoopBound::range(0)]);
+        let mut c = IterCursor::new(&empty_inner, &env);
+        assert!(!c.seek(&[]));
+        assert_eq!(c.vectors_at(&[0]), (vec![0, 0], 0));
     }
 }

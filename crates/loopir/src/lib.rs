@@ -5,8 +5,8 @@
 //! implementation sees them — rectangular or triangular nests over arrays
 //! with affine subscripts (regular applications) or index-array subscripts
 //! (irregular applications) — and provides the analyses the mapping pass
-//! consumes: iteration enumeration, iteration-set formation, dependence
-//! testing (is the nest parallel?), and reuse classification.
+//! consumes: iteration enumeration and stepping, iteration-set formation,
+//! dependence testing (is the nest parallel?), and reuse classification.
 //!
 //! # Example
 //!
@@ -41,7 +41,7 @@ mod reuse;
 
 pub use affine::{AffineExpr, ParamEnv, ParamId};
 pub use deps::{DependenceKind, DependenceTest};
-pub use iter::{IterationSet, IterationSpace, IterVec};
+pub use iter::{IterCursor, IterationSet, IterationSpace, IterVec};
 pub use nest::{Access, ArrayRef, LoopBound, LoopNest, NestId, RefId, RefKind};
 pub use program::{Array, ArrayId, DataEnv, Program};
 pub use reuse::{ReuseAnalysis, ReuseKind};

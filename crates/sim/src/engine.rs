@@ -5,7 +5,7 @@ use crate::config::SimConfig;
 use crate::result::RunResult;
 use crate::timeline::{SimError, TransientFault};
 use locmap_core::{AffinityVec, LlcOrg, MeasuredRates, NestMapping, Platform};
-use locmap_loopir::{Access, DataEnv, Program};
+use locmap_loopir::{Access, DataEnv, IterCursor, IterationSet, LoopNest, ParamEnv, Program};
 use locmap_mem::{Access as MemAccess, Cache, Directory, Dram, PhysAddr};
 use locmap_noc::{
     route, FaultComponent, FaultPlan, FaultState, LocmapError, McId, MessageKind, Network, NodeId,
@@ -109,6 +109,42 @@ struct LastIter {
     mcs: Vec<usize>,
     /// LLC bank nodes that served or forwarded an access.
     banks: Vec<NodeId>,
+}
+
+/// Each iteration set's first iteration vector and the nest's iteration
+/// count, from one walk of its space: `nsets × depth` words, where the
+/// enumerated space would take `iterations × depth`.
+#[derive(Debug)]
+pub(crate) struct SetStarts<'a> {
+    sets: &'a [IterationSet],
+    rows: Vec<i64>,
+    depth: usize,
+    /// Iterations in the nest.
+    pub(crate) total: usize,
+}
+
+impl<'a> SetStarts<'a> {
+    pub(crate) fn new(nest: &LoopNest, env: &ParamEnv, sets: &'a [IterationSet]) -> Self {
+        let at: Vec<usize> = sets.iter().map(|s| s.start).collect();
+        let (rows, total) = IterCursor::new(nest, env).vectors_at(&at);
+        SetStarts { sets, rows, depth: nest.depth(), total }
+    }
+
+    /// Moves `cursor` to iteration `off` of set `s`: a seek to the set's
+    /// recorded first vector at `off == 0`, one step for each later one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the iteration lies past the end of the space.
+    pub(crate) fn advance(&self, cursor: &mut IterCursor<'_>, s: usize, off: usize) {
+        let k = self.sets[s].start + off;
+        let positioned = if off == 0 {
+            k < self.total && cursor.seek(&self.rows[s * self.depth..(s + 1) * self.depth])
+        } else {
+            cursor.step()
+        };
+        assert!(positioned, "iteration {k} lies outside the nest's {}-iteration space", self.total);
+    }
 }
 
 /// Stat totals at segment start, for delta collection.
@@ -333,11 +369,15 @@ impl Simulator {
         self.dram.release_timing();
 
         let nest = program.nest(mapping.nest);
-        let space = locmap_loopir::IterationSpace::enumerate(nest, &program.params());
+        let params = program.params();
         let nsets = mapping.sets.len();
         let nrefs = nest.refs.len();
         let nodes = self.platform.mesh.node_count();
         let tracking = timeline.is_some();
+
+        // Each core steps its own cursor through its sets.
+        let starts = SetStarts::new(nest, &params, &mapping.sets);
+        let mut cursors = vec![IterCursor::new(nest, &params); nodes];
 
         // Per-core ordered work list: (set index) in ascending set id.
         let mut work: Vec<Vec<usize>> = vec![Vec::new(); nodes];
@@ -443,7 +483,8 @@ impl Simulator {
             let (wi, off) = pos[c];
             let set_idx = work[c][wi];
             let set = mapping.sets[set_idx];
-            let k = set.start + off;
+            let cursor = &mut cursors[c];
+            starts.advance(cursor, set_idx, off);
 
             // Compute work of the iteration, then issue all of its memory
             // references together: in-order cores still overlap misses of
@@ -454,7 +495,7 @@ impl Simulator {
             let mut t = t0;
             let mut footprint = LastIter::default();
 
-            let iv = space.get(k);
+            let iv = cursor.iv();
             for (ri, r) in nest.refs.iter().enumerate() {
                 let addr = program.resolve(r, iv, data);
                 let acc = match r.access {
@@ -492,7 +533,7 @@ impl Simulator {
             // iteration, so an abort is observed within one iteration of
             // the token/budget tripping.
             if let Some(ctl) = ctl {
-                if let Err(reason) = ctl.checkpoint(1, issued, space.len()) {
+                if let Err(reason) = ctl.checkpoint(1, issued, starts.total) {
                     let cycles = clock.iter().cloned().fold(0.0, f64::max) as u64;
                     let partial = self.collect_result(
                         &base,
@@ -513,7 +554,7 @@ impl Simulator {
                 last_iter[c] = Some(footprint);
             }
 
-            // Advance this core's cursor.
+            // Advance this core's position.
             let (mut wi, mut off) = pos[c];
             off += 1;
             if set.start + off >= set.end {

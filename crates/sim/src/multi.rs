@@ -7,9 +7,9 @@
 //! time — the effect the co-run experiment measures.
 
 use crate::config::SimConfig;
-use crate::engine::{Level, Simulator};
+use crate::engine::{Level, SetStarts, Simulator};
 use locmap_core::{NestMapping, Platform};
-use locmap_loopir::{Access, DataEnv, IterationSpace, Program};
+use locmap_loopir::{Access, DataEnv, IterCursor, Program};
 use locmap_mem::Access as MemAccess;
 use locmap_noc::LocmapError;
 use serde::{Deserialize, Serialize};
@@ -63,15 +63,11 @@ pub fn run_multiprogram(sim: &mut Simulator, slots: &[Slot<'_>]) -> Multiprogram
     let nodes = sim.platform().mesh.node_count();
     let net0 = *sim.net_stats();
 
-    struct AppCtx {
-        space: IterationSpace,
-    }
-    let apps: Vec<AppCtx> = slots
+    let params: Vec<_> = slots.iter().map(|s| s.program.params()).collect();
+    let starts: Vec<SetStarts> = slots
         .iter()
-        .map(|s| {
-            let nest = s.program.nest(s.mapping.nest);
-            AppCtx { space: IterationSpace::enumerate(nest, &s.program.params()) }
-        })
+        .zip(&params)
+        .map(|(s, env)| SetStarts::new(s.program.nest(s.mapping.nest), env, &s.mapping.sets))
         .collect();
 
     // Per-core work queue: (app, set) pairs interleaved round-robin across
@@ -84,13 +80,13 @@ pub fn run_multiprogram(sim: &mut Simulator, slots: &[Slot<'_>]) -> Multiprogram
     }
     let mut work: Vec<Vec<(usize, usize)>> = vec![Vec::new(); nodes];
     for c in 0..nodes {
-        let mut cursors = vec![0usize; slots.len()];
+        let mut taken = vec![0usize; slots.len()];
         loop {
             let mut progressed = false;
             for ai in 0..slots.len() {
-                if cursors[ai] < per_app_core[ai][c].len() {
-                    work[c].push((ai, per_app_core[ai][c][cursors[ai]]));
-                    cursors[ai] += 1;
+                if taken[ai] < per_app_core[ai][c].len() {
+                    work[c].push((ai, per_app_core[ai][c][taken[ai]]));
+                    taken[ai] += 1;
                     progressed = true;
                 }
             }
@@ -100,6 +96,13 @@ pub fn run_multiprogram(sim: &mut Simulator, slots: &[Slot<'_>]) -> Multiprogram
         }
     }
 
+    // Per core, one cursor over each slot's space.
+    let slot_cursors: Vec<IterCursor<'_>> = slots
+        .iter()
+        .zip(&params)
+        .map(|(s, env)| IterCursor::new(s.program.nest(s.mapping.nest), env))
+        .collect();
+    let mut cursors = vec![slot_cursors; nodes];
     let mut pos = vec![(0usize, 0usize); nodes];
     let mut clock = vec![0.0f64; nodes];
     let mut app_finish = vec![0u64; slots.len()];
@@ -117,10 +120,11 @@ pub fn run_multiprogram(sim: &mut Simulator, slots: &[Slot<'_>]) -> Multiprogram
         let slot = &slots[ai];
         let nest = slot.program.nest(slot.mapping.nest);
         let set = slot.mapping.sets[set_idx];
-        let k = set.start + off;
+        let cursor = &mut cursors[c][ai];
+        starts[ai].advance(cursor, set_idx, off);
 
         let mut t = clock[c] + nest.work_per_iter as f64 * sim.config().cpi_base;
-        let iv = apps[ai].space.get(k);
+        let iv = cursor.iv();
         for r in &nest.refs {
             let addr = slot.program.resolve(r, iv, slot.data) + ai as u64 * SLOT_OFFSET;
             let acc = match r.access {

@@ -24,7 +24,7 @@ use crate::routing::{route, Link};
 use crate::stats::NetworkStats;
 use crate::topology::{Mesh, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Physical topology of the interconnect (the paper's §3.9 notes the
 /// approach generalizes beyond 2D meshes; the torus is the natural first
@@ -69,101 +69,59 @@ impl NocConfig {
 }
 
 /// How far behind the newest reservation an incoming message may be and
-/// still find its slot exactly; intervals that ended earlier than this
-/// window below the latest `ready` seen are pruned. The simulator's
-/// scheduling skew is bounded by one iteration's memory latency (a few
-/// thousand cycles), so 64k cycles is generous, and pruning keeps each
-/// link's schedule short.
+/// still find its slot exactly: intervals that ended this long before a
+/// message is ready are pruned. This bounds the schedules of callers that
+/// never call [`Network::advance`].
 const PRUNE_WINDOW: u64 = 1 << 16;
 
-/// Disjoint, sorted busy intervals `[start, end)` of one directed link.
+/// Disjoint, sorted busy intervals `[start, end)` of one directed link:
+/// ends strictly increase, and touching intervals are coalesced. Those
+/// before `head` are pruned; the vector drops them once they are half of it.
 #[derive(Debug, Clone, Default)]
 struct LinkSched {
-    intervals: VecDeque<(u64, u64)>,
+    intervals: Vec<(u64, u64)>,
+    head: usize,
 }
 
 impl LinkSched {
-    /// The index of the first interval that ends after `t`.
-    ///
-    /// Ends strictly increase (the intervals are disjoint and coalesced),
-    /// and almost every message arrives at or near the tail of a schedule
-    /// that may hold a thousand intervals. So gallop back from the tail —
-    /// 1, 2, 4, … intervals — to the first probe that ends at or before
-    /// `t`, then binary-search the last step: the common case reads one
-    /// interval, and a message far behind the tail still costs O(log n).
-    fn first_ending_after(&self, t: u64) -> usize {
-        let iv = &self.intervals;
-        // Every interval from `hi` on ends after `t`.
-        let mut hi = iv.len();
-        let mut step = 1;
-        while hi > 0 {
-            let probe = hi.saturating_sub(step);
-            if iv[probe].1 <= t {
-                let mut lo = probe + 1;
-                while lo < hi {
-                    let mid = (lo + hi) / 2;
-                    if iv[mid].1 <= t {
-                        lo = mid + 1;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                return lo;
-            }
-            hi = probe;
-            step *= 2;
-        }
-        0
-    }
-
-    /// Reserves the earliest `dur`-cycle slot starting at or after `ready`.
-    /// Returns the slot's start time.
-    fn reserve(&mut self, ready: u64, dur: u64) -> u64 {
-        // Prune reservations that ended long before `ready`.
+    /// Reserves the earliest `dur`-cycle slot starting at or after `ready`
+    /// and returns the slot's start time. No later reservation may be
+    /// ready before `floor`, so intervals that ended by then are pruned,
+    /// as are those that ended a [`PRUNE_WINDOW`] before `ready`.
+    fn reserve(&mut self, ready: u64, dur: u64, floor: u64) -> u64 {
         let horizon = ready.saturating_sub(PRUNE_WINDOW);
-        while let Some(&(_, e)) = self.intervals.front() {
-            if e < horizon {
-                self.intervals.pop_front();
-            } else {
-                break;
-            }
+        while self.intervals.get(self.head).is_some_and(|&(_, e)| e <= floor || e < horizon) {
+            self.head += 1;
+        }
+        if self.head > 0 && 2 * self.head >= self.intervals.len() {
+            self.intervals.drain(..self.head);
+            self.head = 0;
         }
 
-        let lo = self.first_ending_after(ready);
+        // Almost every message lands at or next to the tail, so scan back
+        // to the last interval that has ended by `ready`; from there, skip
+        // every interval the train would overlap.
+        let live = self.intervals[self.head..].iter().rposition(|&(_, e)| e <= ready);
+        let mut idx = self.head + live.map_or(0, |i| i + 1);
         let mut start = ready;
-        let mut idx = self.intervals.len();
-        for i in lo..self.intervals.len() {
-            let (s, e) = self.intervals[i];
-            if e <= start {
-                continue;
-            }
+        while let Some(&(s, e)) = self.intervals.get(idx) {
             if s >= start + dur {
-                // Gap before interval i fits the train.
-                idx = i;
                 break;
             }
-            // Overlaps: try right after this interval.
             start = e;
-            // idx stays "after i" unless a later gap fits.
-            idx = i + 1;
+            idx += 1;
         }
-        // Insert and coalesce with neighbors touching the new interval.
+
+        // The interval before `idx` ends at or before `start` and the one
+        // at `idx` starts at or after `end`: join whichever touches.
         let end = start + dur;
-        self.intervals.insert(idx, (start, end));
-        // Coalesce backwards.
-        while idx > 0 && self.intervals[idx - 1].1 >= self.intervals[idx].0 {
-            let (s0, e0) = self.intervals[idx - 1];
-            let (s1, e1) = self.intervals[idx];
-            self.intervals[idx - 1] = (s0.min(s1), e0.max(e1));
-            self.intervals.remove(idx);
-            idx -= 1;
-        }
-        // Coalesce forwards.
-        while idx + 1 < self.intervals.len() && self.intervals[idx].1 >= self.intervals[idx + 1].0 {
-            let (s0, e0) = self.intervals[idx];
-            let (s1, e1) = self.intervals[idx + 1];
-            self.intervals[idx] = (s0.min(s1), e0.max(e1));
-            self.intervals.remove(idx + 1);
+        let joins_prev = idx > self.head && self.intervals[idx - 1].1 == start;
+        let joins_next = self.intervals.get(idx).is_some_and(|&(s, _)| s == end);
+        match (joins_prev, joins_next) {
+            (true, true) => self.intervals[idx - 1].1 = self.intervals.remove(idx).1,
+            (true, false) => self.intervals[idx - 1].1 = end,
+            (false, true) => self.intervals[idx].0 = start,
+            (false, false) => self.intervals.insert(idx, (start, end)),
         }
         start
     }
@@ -181,6 +139,13 @@ pub struct Network {
     /// The fault state messages route around; [`FaultState::none`] until
     /// [`Network::set_faults`] installs another.
     faults: FaultState,
+    /// The link indices of every route sent so far under `faults`.
+    route_links: Vec<u32>,
+    /// Each (src, dst) pair's `[offset, len]` in `route_links`; `len` is 0
+    /// until the pair's first send. Both are cleared when `faults` changes.
+    route_slots: Vec<[u32; 2]>,
+    /// No message is injected before this cycle ([`Network::advance`]).
+    floor: u64,
 }
 
 impl Network {
@@ -194,6 +159,9 @@ impl Network {
             stats: NetworkStats::default(),
             // Routing reads only links and routers, so no MCs are needed.
             faults: FaultState::none(mesh, 0),
+            route_links: Vec::new(),
+            route_slots: Vec::new(),
+            floor: 0,
         }
     }
 
@@ -206,6 +174,16 @@ impl Network {
     pub fn set_faults(&mut self, faults: &FaultState) {
         assert_eq!(faults.mesh(), self.mesh, "fault state describes a different mesh");
         self.faults = faults.clone();
+        self.route_links.clear();
+        self.route_slots.clear();
+    }
+
+    /// Promises that no later message is injected before cycle `t`, so
+    /// link reservations that ended by then can be dropped. The promise
+    /// holds until [`Network::reset_contention`] restarts the clock.
+    pub fn advance(&mut self, t: u64) {
+        debug_assert!(t >= self.floor, "the floor moves back from {} to {t}", self.floor);
+        self.floor = t;
     }
 
     /// The mesh this network spans.
@@ -245,6 +223,7 @@ impl Network {
         dst: NodeId,
         kind: MessageKind,
     ) -> Result<u64, RouteError> {
+        debug_assert!(now >= self.floor, "message injected at {now}, before the floor {}", self.floor);
         if !self.faults.router_alive(src) || !self.faults.router_alive(dst) {
             return Err(RouteError::Unreachable { from: src, to: dst });
         }
@@ -258,17 +237,17 @@ impl Network {
 
         let flits = kind.flits() as u64;
         let dur = flits * self.cfg.link_traversal;
-        let route = route(self.mesh, self.cfg.topology, &self.faults, src, dst)?;
-        let hops = route.len() as u64;
+        let path = self.memoised_route(src, dst)?;
+        let hops = path.len() as u64;
 
         let mut head = now;
         let mut queue_cycles = 0;
-        for link in &route {
+        for link in self.route_links[path].iter().map(|&l| l as usize) {
             // Router pipeline at the upstream node.
             let ready = head + self.cfg.router_delay;
-            let depart = self.links[link.index()].reserve(ready, dur);
+            let depart = self.links[link].reserve(ready, dur, self.floor);
             queue_cycles += depart - ready;
-            self.link_busy[link.index()] += dur;
+            self.link_busy[link] += dur;
             head = depart + self.cfg.link_traversal;
         }
         // Tail flit trails the head by (flits - 1) link cycles.
@@ -282,6 +261,23 @@ impl Network {
         self.stats.total_flits += flits;
         self.stats.max_latency = self.stats.max_latency.max(latency);
         Ok(arrival)
+    }
+
+    /// The arena range of the link indices on the route from `src` to
+    /// `dst` (distinct nodes), routing the pair on its first use.
+    fn memoised_route(&mut self, src: NodeId, dst: NodeId) -> Result<Range<usize>, RouteError> {
+        let n = self.mesh.node_count();
+        if self.route_slots.is_empty() {
+            self.route_slots.resize(n * n, [0, 0]);
+        }
+        let pair = src.index() * n + dst.index();
+        if self.route_slots[pair][1] == 0 {
+            let links = route(self.mesh, self.cfg.topology, &self.faults, src, dst)?;
+            self.route_slots[pair] = [self.route_links.len() as u32, links.len() as u32];
+            self.route_links.extend(links.iter().map(|l| l.index() as u32));
+        }
+        let [offset, len] = self.route_slots[pair];
+        Ok(offset as usize..(offset + len) as usize)
     }
 
     /// The latency this message would experience on an empty network
@@ -308,9 +304,11 @@ impl Network {
         self.stats = NetworkStats::default();
     }
 
-    /// Releases all links (e.g. between independent simulation phases).
+    /// Releases all links (e.g. between independent simulation phases)
+    /// and sets the floor of [`Network::advance`] back to cycle 0.
     pub fn reset_contention(&mut self) {
-        self.links.iter_mut().for_each(|l| l.intervals.clear());
+        self.links.iter_mut().for_each(|l| *l = LinkSched::default());
+        self.floor = 0;
     }
 
     /// Cumulative busy cycles per directed-link slot (indexed by
@@ -338,10 +336,18 @@ impl Network {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::VecDeque;
 
-    /// The reference model: the schedule as it was before the tail gallop,
-    /// binary-searching the whole deque for the first interval that ends
-    /// after `ready`. Pruning, gap search and coalescing are the same.
+    impl LinkSched {
+        /// The intervals not yet pruned.
+        fn live(&self) -> &[(u64, u64)] {
+            &self.intervals[self.head..]
+        }
+    }
+
+    /// The reference model: a schedule that binary-searches the whole deque
+    /// for the first interval that ends after `ready`, coalesces in loops
+    /// and knows no floor, pruning only behind the 64k-cycle window.
     #[derive(Clone, Default)]
     struct BinarySearchSched {
         intervals: VecDeque<(u64, u64)>,
@@ -402,21 +408,34 @@ mod tests {
 
     proptest! {
         #[test]
-        fn gallop_reserves_like_binary_search(
-            steps in collection::vec(((0u64..40, 0u64..50), 0u64..3_000, 1u64..24), 1..600),
+        fn floored_schedule_reserves_like_binary_search(
+            steps in collection::vec(((0u64..40, 0u64..50), (0u64..3_000, 0u64..4_000), 1u64..24), 1..600),
         ) {
             // A clock that advances a little per message, and now and then
             // jumps 20k cycles so that old intervals are pruned. Each message
             // is presented up to 3,000 cycles behind the clock — the
             // simulator's bounded scheduling skew — so reservations land at
             // the tail and in gaps alike.
-            let (mut gallop, mut reference) = (LinkSched::default(), BinarySearchSched::default());
             let mut clock = 0u64;
-            for ((advance, jump), behind, dur) in steps {
-                clock += advance + if jump == 0 { 20_000 } else { 0 };
-                let ready = clock.saturating_sub(behind);
-                prop_assert_eq!(gallop.reserve(ready, dur), reference.reserve(ready, dur));
-                prop_assert_eq!(&gallop.intervals, &reference.intervals);
+            let readies: Vec<u64> = steps
+                .iter()
+                .map(|&((advance, jump), (behind, _), _)| {
+                    clock += advance + if jump == 0 { 20_000 } else { 0 };
+                    clock.saturating_sub(behind)
+                })
+                .collect();
+            // The floor rises to at most the earliest `ready` still to come,
+            // lagging it by a random amount, as the engine's core keys do.
+            let mut still_to_come = readies.clone();
+            for i in (1..still_to_come.len()).rev() {
+                still_to_come[i - 1] = still_to_come[i - 1].min(still_to_come[i]);
+            }
+            let (mut floored, mut reference) = (LinkSched::default(), BinarySearchSched::default());
+            let mut floor = 0;
+            for (i, &(_, (_, lag), dur)) in steps.iter().enumerate() {
+                floor = floor.max(still_to_come[i].saturating_sub(lag));
+                let ready = readies[i];
+                prop_assert_eq!(floored.reserve(ready, dur, floor), reference.reserve(ready, dur));
             }
         }
     }
@@ -426,23 +445,22 @@ mod tests {
         // 2,000 28-cycle intervals with 4-cycle gaps, spanning 64k cycles
         // so that nothing is pruned: a 4-cycle train fits any gap, a
         // 5-cycle train none.
-        let (mut gallop, mut reference) = (LinkSched::default(), BinarySearchSched::default());
+        let (mut sched, mut reference) = (LinkSched::default(), BinarySearchSched::default());
         for i in 0..2_000u64 {
             let ready = 1_000 + 32 * i;
-            assert_eq!(gallop.reserve(ready, 28), reference.reserve(ready, 28));
+            assert_eq!(sched.reserve(ready, 28, 0), reference.reserve(ready, 28));
         }
-        assert_eq!(gallop.intervals.len(), 2_000);
-        let tail = gallop.intervals.back().unwrap().1;
-        // 60k cycles behind the tail lies deep inside the schedule, so the
-        // gallop must take its slow path down to the binary search; try
+        assert_eq!(sched.live().len(), 2_000);
+        let tail = sched.live().last().unwrap().1;
+        // 60k cycles behind the tail lies deep inside the schedule; try
         // every phase of one period.
         for behind in 60_000..60_032 {
             for dur in [4, 5] {
-                let (mut g, mut r) = (gallop.clone(), reference.clone());
+                let (mut g, mut r) = (sched.clone(), reference.clone());
                 let ready = tail - behind;
                 let want = r.reserve(ready, dur);
-                assert_eq!(g.reserve(ready, dur), want, "{behind} behind, {dur} cycles");
-                assert_eq!(g.intervals, r.intervals);
+                assert_eq!(g.reserve(ready, dur, 0), want, "{behind} behind, {dur} cycles");
+                assert!(g.live().iter().eq(&r.intervals));
                 assert!(dur == 4 || want == tail, "no gap fits five cycles");
             }
         }
@@ -653,23 +671,102 @@ mod tests {
     #[test]
     fn interval_reserve_fills_gaps_and_coalesces() {
         let mut l = LinkSched::default();
-        assert_eq!(l.reserve(100, 5), 100); // [100,105)
-        assert_eq!(l.reserve(100, 5), 105); // queued: [105,110) coalesced
-        assert_eq!(l.intervals.len(), 1);
-        assert_eq!(l.reserve(0, 5), 0); // gap before: [0,5)
-        assert_eq!(l.intervals.len(), 2);
+        assert_eq!(l.reserve(100, 5, 0), 100); // [100,105)
+        assert_eq!(l.reserve(100, 5, 0), 105); // queued: [105,110) coalesced
+        assert_eq!(l.live().len(), 1);
+        assert_eq!(l.reserve(0, 5, 0), 0); // gap before: [0,5)
+        assert_eq!(l.live().len(), 2);
         // Fill a middle gap exactly.
-        assert_eq!(l.reserve(5, 95), 5);
-        assert_eq!(l.intervals.len(), 1);
-        assert_eq!(l.intervals[0], (0, 110));
+        assert_eq!(l.reserve(5, 95, 0), 5);
+        assert_eq!(l.live(), [(0, 110)]);
     }
 
     #[test]
     fn interval_reserve_skips_too_small_gaps() {
         let mut l = LinkSched::default();
-        l.reserve(0, 10); // [0,10)
-        l.reserve(15, 10); // [15,25)
+        l.reserve(0, 10, 0); // [0,10)
+        l.reserve(15, 10, 0); // [15,25)
         // 5-cycle gap at [10,15) cannot fit 6 cycles; next free is 25.
-        assert_eq!(l.reserve(10, 6), 25);
+        assert_eq!(l.reserve(10, 6, 0), 25);
+    }
+
+    #[test]
+    fn floor_drops_intervals_that_ended_by_it() {
+        let mut l = LinkSched::default();
+        l.reserve(0, 10, 0); // [0,10)
+        l.reserve(20, 10, 0); // [20,30)
+        l.reserve(40, 10, 0); // [40,50)
+        assert_eq!(l.reserve(45, 10, 10), 50);
+        assert_eq!(l.live(), [(20, 30), (40, 60)]);
+        assert_eq!(l.reserve(60, 10, 30), 60);
+        assert_eq!(l.live(), [(40, 70)]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "before the floor")]
+    fn send_before_the_floor_panics_in_debug() {
+        let mut net = net6();
+        let m = net.mesh();
+        net.advance(100);
+        net.send(99, m.node_at(0, 0), m.node_at(1, 0), MessageKind::LlcRequest);
+    }
+
+    /// The memoised route of every ordered pair of distinct nodes, asked
+    /// twice (filling the memo, then reading it), against [`route`].
+    fn assert_memo_matches_route(net: &mut Network, faults: &FaultState) {
+        let (m, topology) = (net.mesh(), net.config().topology);
+        for s in 0..m.node_count() as u16 {
+            for d in (0..m.node_count() as u16).filter(|&d| d != s) {
+                let (s, d) = (NodeId(s), NodeId(d));
+                let want =
+                    route(m, topology, faults, s, d).map(|r| r.iter().map(|l| l.index() as u32).collect());
+                for _ in 0..2 {
+                    let got = net.memoised_route(s, d).map(|r| net.route_links[r].to_vec());
+                    assert_eq!(got, want, "{s} -> {d}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn memoised_routes_match_route_on_every_pair() {
+        use crate::faults::FaultPlan;
+        use crate::routing::Direction;
+        let mesh = Mesh::try_new(6, 6).unwrap();
+        let none = FaultState::none(mesh, 0);
+        assert_memo_matches_route(&mut net6(), &none);
+        let torus = NocConfig { topology: TopologyKind::Torus, ..NocConfig::default() };
+        assert_memo_matches_route(&mut Network::new(torus, mesh), &none);
+        let faults = FaultPlan::new(mesh, 4)
+            .dead_link(Link { from: mesh.node_at(2, 1), dir: Direction::East })
+            .dead_router(mesh.node_at(3, 3))
+            .state_at(0);
+        let mut net = net6();
+        net.set_faults(&faults);
+        assert_memo_matches_route(&mut net, &faults);
+    }
+
+    #[test]
+    fn set_faults_reroutes_memoised_pairs() {
+        use crate::faults::FaultPlan;
+        use crate::routing::{route_xy, Direction};
+        let mut net = net6();
+        let m = net.mesh();
+        let (src, dst) = (m.node_at(0, 0), m.node_at(3, 0));
+        let xy: Vec<u32> = route_xy(m, src, dst).iter().map(|l| l.index() as u32).collect();
+        let memoised = |net: &mut Network| {
+            let r = net.memoised_route(src, dst).unwrap();
+            net.route_links[r].to_vec()
+        };
+        assert_eq!(memoised(&mut net), xy);
+        let cut = Link { from: m.node_at(1, 0), dir: Direction::East };
+        let faults = FaultPlan::new(m, 4).dead_link(cut).state_at(0);
+        net.set_faults(&faults);
+        let detour = memoised(&mut net);
+        assert!(!detour.contains(&(cut.index() as u32)), "the detour avoids the dead link");
+        assert!(detour.len() > xy.len());
+        net.set_faults(&FaultState::none(m, 4));
+        assert_eq!(memoised(&mut net), xy);
     }
 }

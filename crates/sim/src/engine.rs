@@ -12,7 +12,7 @@ use locmap_noc::{
     RunControl, TopologyKind,
 };
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// The simulated manycore: mutable machine state plus configuration.
 ///
@@ -363,10 +363,7 @@ impl Simulator {
             }
         }
 
-        // The run's clock starts at zero: release link and bank occupancy
-        // left over from earlier runs (cache contents stay warm).
-        self.net.reset_contention();
-        self.dram.release_timing();
+        self.restart_clock();
 
         let nest = program.nest(mapping.nest);
         let params = program.params();
@@ -479,7 +476,12 @@ impl Simulator {
                 continue;
             }
 
-            let Some(Reverse((rt, c))) = heap.pop() else { break };
+            // Every later message is injected at or after the earliest
+            // core's clock, and that clock never falls. The (cycle, core)
+            // keys are unique, so stepping the top in place keeps the order.
+            let Some(mut top) = heap.peek_mut() else { break };
+            let Reverse((rt, c)) = *top;
+            self.advance(rt);
             let (wi, off) = pos[c];
             let set_idx = work[c][wi];
             let set = mapping.sets[set_idx];
@@ -563,7 +565,9 @@ impl Simulator {
             }
             pos[c] = (wi, off);
             if wi < work[c].len() {
-                heap.push(Reverse((clock[c] as u64, c)));
+                *top = Reverse((clock[c] as u64, c));
+            } else {
+                PeekMut::pop(top);
             }
         }
 
@@ -809,6 +813,19 @@ impl Simulator {
     /// True when the private L2 bank at node `c` is offline.
     fn local_bank_dead(&self, c: usize) -> bool {
         !self.faults.state.bank_alive(NodeId(c as u16))
+    }
+
+    /// Starts a run's clock at cycle 0: releases the link and bank
+    /// occupancy left over from earlier runs (cache contents stay warm).
+    pub(crate) fn restart_clock(&mut self) {
+        self.net.reset_contention();
+        self.dram.release_timing();
+    }
+
+    /// Promises that no later access is issued before cycle `t`
+    /// ([`Network::advance`]).
+    pub(crate) fn advance(&mut self, t: u64) {
+        self.net.advance(t);
     }
 
     /// Simulates one memory access by core `c` at cycle `t`.

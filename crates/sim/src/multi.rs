@@ -14,7 +14,7 @@ use locmap_mem::Access as MemAccess;
 use locmap_noc::LocmapError;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One co-running application.
@@ -53,7 +53,8 @@ impl MultiprogramResult {
 ///
 /// Address spaces are made disjoint by offsetting each slot's addresses by
 /// `slot_index × 1 GiB` (page-aligned, so interleaving behavior per slot is
-/// unchanged).
+/// unchanged). As in [`Simulator::run`], the co-run's clock starts at
+/// cycle 0, so link and bank occupancy left by an earlier run is released.
 ///
 /// # Panics
 ///
@@ -62,6 +63,7 @@ pub fn run_multiprogram(sim: &mut Simulator, slots: &[Slot<'_>]) -> Multiprogram
     const SLOT_OFFSET: u64 = 1 << 30;
     let nodes = sim.platform().mesh.node_count();
     let net0 = *sim.net_stats();
+    sim.restart_clock();
 
     let params: Vec<_> = slots.iter().map(|s| s.program.params()).collect();
     let starts: Vec<SetStarts> = slots
@@ -114,7 +116,11 @@ pub fn run_multiprogram(sim: &mut Simulator, slots: &[Slot<'_>]) -> Multiprogram
         }
     }
 
-    while let Some(Reverse((_, c))) = heap.pop() {
+    // As in `Simulator::run`: the earliest core's clock is the network's
+    // floor, and the top is stepped in place.
+    while let Some(mut top) = heap.peek_mut() {
+        let Reverse((rt, c)) = *top;
+        sim.advance(rt);
         let (wi, off) = pos[c];
         let (ai, set_idx) = work[c][wi];
         let slot = &slots[ai];
@@ -146,7 +152,9 @@ pub fn run_multiprogram(sim: &mut Simulator, slots: &[Slot<'_>]) -> Multiprogram
         }
         pos[c] = (wi, off);
         if wi < work[c].len() {
-            heap.push(Reverse((clock[c] as u64, c)));
+            *top = Reverse((clock[c] as u64, c));
+        } else {
+            PeekMut::pop(top);
         }
     }
 
@@ -351,6 +359,22 @@ mod tests {
         let serial = run_multiprogram(&mut sim, &slots);
         assert_eq!(par.app_cycles, serial.app_cycles);
         assert_eq!(par.total_cycles, serial.total_cycles);
+    }
+
+    #[test]
+    fn corun_after_a_run_restarts_the_clock() {
+        // The run leaves the network's floor at its last core's clock; the
+        // co-run starts again at cycle 0, which a debug build's floor
+        // assertion would reject unless the co-run restarts the clock.
+        let platform = Platform::paper_default();
+        let compiler = Compiler::builder(platform.clone()).build().unwrap();
+        let (p, id) = app("again", 4000);
+        let d = DataEnv::new();
+        let m = compiler.default_mapping(&p, id);
+        let mut sim = Simulator::builder(platform).build().unwrap();
+        assert!(sim.run_nest(&p, &m, &d).cycles > 0);
+        let r = run_multiprogram(&mut sim, &[Slot { program: &p, mapping: &m, data: &d }]);
+        assert!(r.total_cycles > 0);
     }
 
     #[test]

@@ -1,0 +1,73 @@
+//! Golden figure outputs.
+//!
+//! Runs the `figures` binary and compares its stdout with the committed
+//! file, as CI does with the release build: `table4` in full, fft's
+//! `fig07` and `fig15`, and moldyn's `fig07`. moldyn is irregular, so its
+//! golden checks the inspector's hand-off from `evaluate`'s baseline arm
+//! to its scheme arm. `resilience` and `multiprog` take too long in a
+//! debug build and are checked in CI only.
+
+use std::process::Command;
+
+/// The stdout of `figures <name>`, run on the benchmarks `apps` (every
+/// benchmark when `None`), with no other `LOCMAP_*` setting inherited.
+fn figures(name: &str, apps: Option<&str>) -> String {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_figures"));
+    cmd.arg(name);
+    for (key, _) in std::env::vars().filter(|(k, _)| k.starts_with("LOCMAP_")) {
+        cmd.env_remove(key);
+    }
+    if let Some(apps) = apps {
+        cmd.env("LOCMAP_APPS", apps);
+    }
+    let out = cmd.output().expect("the figures binary runs");
+    assert!(
+        out.status.success(),
+        "figures {name} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("figures prints UTF-8")
+}
+
+/// Asserts that `figures <name>` on `apps` prints `golden`, naming the
+/// first line that differs.
+fn assert_golden(name: &str, apps: Option<&str>, golden: &str) {
+    let got = figures(name, apps);
+    let first_diff = got.lines().zip(golden.lines()).position(|(g, w)| g != w);
+    if let Some(i) = first_diff {
+        panic!(
+            "figures {name} ({apps:?}) line {}:\n  got:  {}\n  want: {}",
+            i + 1,
+            got.lines().nth(i).unwrap_or_default(),
+            golden.lines().nth(i).unwrap_or_default()
+        );
+    }
+    assert_eq!(
+        got, golden,
+        "figures {name} ({apps:?}) differs in length or line endings"
+    );
+}
+
+#[test]
+fn table4_matches_golden() {
+    assert_golden("table4", None, include_str!("../results/table4.txt"));
+}
+
+#[test]
+fn fft_fig07_matches_golden() {
+    assert_golden("fig07", Some("fft"), include_str!("golden/fig07.fft.txt"));
+}
+
+#[test]
+fn fft_fig15_matches_golden() {
+    assert_golden("fig15", Some("fft"), include_str!("golden/fig15.fft.txt"));
+}
+
+#[test]
+fn moldyn_fig07_matches_golden() {
+    assert_golden(
+        "fig07",
+        Some("moldyn"),
+        include_str!("golden/fig07.moldyn.txt"),
+    );
+}

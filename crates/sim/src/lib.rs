@@ -46,7 +46,7 @@ mod viz;
 pub use config::SimConfig;
 pub use engine::{Simulator, SimulatorBuilder};
 pub use knl::{knl_platform, KnlMode};
-pub use multi::{run_multiprogram, run_multiprogram_parallel, MultiprogramResult, Slot};
+pub use multi::{run_multiprogram, MultiprogramResult, Slot};
 pub use result::RunResult;
 pub use timeline::{SimError, TransientFault};
 pub use viz::{ascii_heatmap, core_load_map, router_pressure};
@@ -59,9 +59,7 @@ pub use viz::{ascii_heatmap, core_load_map, router_pressure};
 pub mod prelude {
     pub use crate::config::SimConfig;
     pub use crate::engine::{Simulator, SimulatorBuilder};
-    pub use crate::multi::{
-        run_multiprogram, run_multiprogram_parallel, MultiprogramResult, Slot,
-    };
+    pub use crate::multi::{run_multiprogram, MultiprogramResult, Slot};
     pub use crate::result::RunResult;
     pub use crate::timeline::{SimError, TransientFault};
     pub use locmap_core::prelude::*;

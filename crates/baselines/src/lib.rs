@@ -64,16 +64,19 @@ pub fn optimize_layout(
                 }
                 let space = IterationSpace::enumerate(nest, &program.params());
                 let sets = space.split_by_fraction(0.0025);
+                let target_refs: Vec<_> = nest
+                    .refs
+                    .iter()
+                    .filter(|r| r.array == locmap_loopir::ArrayId(target as u32))
+                    .map(|r| program.compile(r, nest.depth(), data))
+                    .collect();
                 for set in &sets {
                     let core = NodeId((set.id % cores) as u16);
                     let core_coord = platform.mesh.coord_of(core);
                     for k in set.indices().step_by(sample_stride.max(1)) {
                         let iv = space.get(k);
-                        for r in &nest.refs {
-                            if r.array != locmap_loopir::ArrayId(target as u32) {
-                                continue;
-                            }
-                            let addr = PhysAddr(program.resolve(r, iv, data));
+                        for r in &target_refs {
+                            let addr = PhysAddr(r.addr(iv));
                             let mc = platform.addr_map.mc_of(addr);
                             let mc_coord = platform.mc_coords[mc.index()];
                             cost += core_coord.manhattan(mc_coord) as f64;
@@ -340,12 +343,13 @@ fn mapped_distance(
             continue;
         }
         let space = IterationSpace::enumerate(nest, &program.params());
+        let refs = program.compile_refs(nest, data);
         for (si, set) in mapping.sets.iter().enumerate() {
             let core_coord = platform.mesh.coord_of(mapping.assignment[si]);
             for k in set.indices().step_by(sample_stride.max(1)) {
                 let iv = space.get(k);
-                for r in &nest.refs {
-                    let addr = PhysAddr(program.resolve(r, iv, data));
+                for r in &refs {
+                    let addr = PhysAddr(r.addr(iv));
                     let mc = platform.addr_map.mc_of(addr);
                     cost += core_coord.manhattan(platform.mc_coords[mc.index()]) as f64;
                     n += 1;

@@ -39,7 +39,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use locmap_loopir::{DataEnv, IterationSet, IterationSpace, LoopNest, Program};
+use locmap_loopir::{CompiledRef, DataEnv, IterationSet, IterationSpace, LoopNest, Program};
 use locmap_mem::{Access as MemAccess, Cache, CacheConfig};
 use locmap_loopir::Access;
 use locmap_noc::{LocmapError, RunControl};
@@ -235,6 +235,18 @@ impl CmeEstimator {
         let mut l1 = Cache::new(self.cfg.l1);
         let mut llc = Cache::new(self.cfg.llc);
         let nrefs = nest.refs.len();
+        let refs: Vec<(CompiledRef<'_>, MemAccess)> = nest
+            .refs
+            .iter()
+            .zip(program.compile_refs(nest, data))
+            .map(|(r, c)| {
+                let acc = match r.access {
+                    Access::Read => MemAccess::Read,
+                    Access::Write => MemAccess::Write,
+                };
+                (c, acc)
+            })
+            .collect();
 
         let mut hit = vec![vec![0.0f64; nrefs]; sets.len()];
         let mut l1hit = vec![vec![0.0f64; nrefs]; sets.len()];
@@ -253,12 +265,8 @@ impl CmeEstimator {
                     continue;
                 }
                 let iv = space.get(k);
-                for (ri, r) in nest.refs.iter().enumerate() {
-                    let addr = program.resolve(r, iv, data);
-                    let acc = match r.access {
-                        Access::Read => MemAccess::Read,
-                        Access::Write => MemAccess::Write,
-                    };
+                for (ri, &(r, acc)) in refs.iter().enumerate() {
+                    let addr = r.addr(iv);
                     sampled[set.id][ri] += 1;
                     let l1_line = l1.line_of(addr);
                     if l1.access(l1_line, acc).is_hit() {

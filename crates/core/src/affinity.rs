@@ -12,7 +12,7 @@
 use crate::hits::HitModel;
 use crate::platform::Platform;
 use crate::vectors::AffinityVec;
-use locmap_loopir::{DataEnv, IterationSet, IterationSpace, LoopNest, Program};
+use locmap_loopir::{CompiledRef, DataEnv, IterationSet, IterationSpace, LoopNest, Program};
 use locmap_mem::PhysAddr;
 use locmap_noc::{LocmapError, RunControl};
 
@@ -47,6 +47,10 @@ impl<'a> AffinityInputs<'a> {
         AffinityInputs { program, nest, space, sets, data, sample_stride: 1 }
     }
 
+    fn compile_refs(&self) -> Vec<CompiledRef<'a>> {
+        self.program.compile_refs(self.nest, self.data)
+    }
+
     fn sampled_indices(&self, set: &IterationSet) -> impl Iterator<Item = usize> + '_ {
         set.indices().step_by(self.sample_stride.max(1))
     }
@@ -74,6 +78,7 @@ pub fn compute_mai_ctl(
     ctl: &RunControl,
 ) -> Result<Vec<AffinityVec>, LocmapError> {
     let m = platform.mc_count();
+    let refs = inputs.compile_refs();
     let mut out = Vec::with_capacity(inputs.sets.len());
     for (si, set) in inputs.sets.iter().enumerate() {
         let mut w = vec![0.0f64; m];
@@ -82,8 +87,8 @@ pub fn compute_mai_ctl(
         for k in inputs.sampled_indices(set) {
             scanned += 1;
             let iv = inputs.space.get(k);
-            for (ri, r) in inputs.nest.refs.iter().enumerate() {
-                let addr = PhysAddr(inputs.program.resolve(r, iv, inputs.data));
+            for (ri, r) in refs.iter().enumerate() {
+                let addr = PhysAddr(r.addr(iv));
                 total += 1.0;
                 let reach_llc = 1.0 - model.l1_hit(set.id, ri);
                 let p_miss = reach_llc * (1.0 - model.llc_hit(set.id, ri));
@@ -124,6 +129,8 @@ pub fn compute_cai_ctl(
     ctl: &RunControl,
 ) -> Result<Vec<AffinityVec>, LocmapError> {
     let nregions = platform.region_count();
+    let bank_regions = platform.bank_regions();
+    let refs = inputs.compile_refs();
     let mut out = Vec::with_capacity(inputs.sets.len());
     for (si, set) in inputs.sets.iter().enumerate() {
         let mut w = vec![0.0f64; nregions];
@@ -132,15 +139,14 @@ pub fn compute_cai_ctl(
         for k in inputs.sampled_indices(set) {
             scanned += 1;
             let iv = inputs.space.get(k);
-            for (ri, r) in inputs.nest.refs.iter().enumerate() {
-                let addr = PhysAddr(inputs.program.resolve(r, iv, inputs.data));
+            for (ri, r) in refs.iter().enumerate() {
+                let addr = PhysAddr(r.addr(iv));
                 total += 1.0;
                 let reach_llc = 1.0 - model.l1_hit(set.id, ri);
                 let p_hit = reach_llc * model.llc_hit(set.id, ri);
                 if p_hit > 0.0 {
                     let bank = platform.addr_map.llc_bank_of(addr);
-                    let region = platform.regions.region_of(platform.bank_node(bank));
-                    w[region.index()] += p_hit;
+                    w[bank_regions[bank as usize].index()] += p_hit;
                 }
             }
         }
@@ -182,6 +188,8 @@ pub fn compute_cai_reaching_ctl(
     ctl: &RunControl,
 ) -> Result<Vec<AffinityVec>, LocmapError> {
     let nregions = platform.region_count();
+    let bank_regions = platform.bank_regions();
+    let refs = inputs.compile_refs();
     let mut out = Vec::with_capacity(inputs.sets.len());
     for (si, set) in inputs.sets.iter().enumerate() {
         let mut w = vec![0.0f64; nregions];
@@ -190,14 +198,13 @@ pub fn compute_cai_reaching_ctl(
         for k in inputs.sampled_indices(set) {
             scanned += 1;
             let iv = inputs.space.get(k);
-            for (ri, r) in inputs.nest.refs.iter().enumerate() {
-                let addr = PhysAddr(inputs.program.resolve(r, iv, inputs.data));
+            for (ri, r) in refs.iter().enumerate() {
+                let addr = PhysAddr(r.addr(iv));
                 total += 1.0;
                 let reach_llc = 1.0 - model.l1_hit(set.id, ri);
                 if reach_llc > 0.0 {
                     let bank = platform.addr_map.llc_bank_of(addr);
-                    let region = platform.regions.region_of(platform.bank_node(bank));
-                    w[region.index()] += reach_llc;
+                    w[bank_regions[bank as usize].index()] += reach_llc;
                 }
             }
         }

@@ -16,81 +16,12 @@
 
 use crate::compiler::MappingOptions;
 use crate::platform::Platform;
-use locmap_loopir::{DataEnv, NestId, Program};
+use locmap_loopir::{fx_digest, DataEnv, NestId, Program};
+pub use locmap_loopir::FxHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
-
-/// The multiplier from FxHash (Firefox's compiler hash): fast, good
-/// diffusion on small integer-heavy inputs, fully deterministic across
-/// platforms and runs.
-const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-/// A deterministic FxHash-style 64-bit hasher.
-///
-/// Unlike the std `DefaultHasher`, the result does not depend on a
-/// per-process random key, so fingerprints are stable across threads,
-/// sessions and runs — a requirement for reproducible cache statistics.
-#[derive(Debug, Clone)]
-pub struct FxHasher {
-    hash: u64,
-}
-
-impl FxHasher {
-    /// A hasher starting from `state` (different states give independent
-    /// hash functions over the same content).
-    pub fn with_state(state: u64) -> Self {
-        FxHasher { hash: state }
-    }
-
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(word));
-        }
-        // Length-prefix free: the callers below hash structured content
-        // whose field order and counts are fixed by type, and collections
-        // are hashed with an explicit length word first (std's derived
-        // `Hash` for `Vec`/`str` does the same).
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.add(x);
-    }
-
-    fn write_u32(&mut self, x: u32) {
-        self.add(x as u64);
-    }
-
-    fn write_u16(&mut self, x: u16) {
-        self.add(x as u64);
-    }
-
-    fn write_u8(&mut self, x: u8) {
-        self.add(x as u64);
-    }
-
-    fn write_usize(&mut self, x: usize) {
-        self.add(x as u64);
-    }
-
-    fn write_i64(&mut self, x: i64) {
-        self.add(x as u64);
-    }
-}
 
 /// A 128-bit content fingerprint: the same content hashed by two
 /// independently seeded [`FxHasher`]s.
@@ -104,11 +35,8 @@ pub struct CacheKey {
 
 /// Runs `content` through both hash passes and returns the fingerprint.
 pub fn fingerprint(content: impl Fn(&mut FxHasher)) -> CacheKey {
-    let mut a = FxHasher::with_state(0);
-    content(&mut a);
-    let mut b = FxHasher::with_state(0x9e37_79b9_7f4a_7c15);
-    content(&mut b);
-    CacheKey { lo: a.finish(), hi: b.finish() }
+    let [lo, hi] = fx_digest(content);
+    CacheKey { lo, hi }
 }
 
 /// Hashes an `f64` by bit pattern (content addressing wants exact-value
@@ -170,7 +98,8 @@ pub fn hash_platform<H: Hasher>(h: &mut H, p: &Platform) {
 /// Hashes one mapping request's content: the nest (bounds, references,
 /// work), the program's parameter bindings and complete array layout
 /// (re-layout moves every later array, so the whole table matters), and
-/// the installed index-array data.
+/// the installed index-array data through its [`DataEnv::digest`], which
+/// the env computes once rather than once per lookup.
 pub fn hash_request<H: Hasher>(h: &mut H, program: &Program, nest: NestId, data: &DataEnv) {
     program.nest(nest).hash(h);
     let params = program.params().entries();
@@ -184,14 +113,8 @@ pub fn hash_request<H: Hasher>(h: &mut H, program: &Program, nest: NestId, data:
         a.hash(h);
     }
     h.write_u64(program.page_bytes());
-    let index_arrays = data.entries();
-    h.write_usize(index_arrays.len());
-    for (a, contents) in index_arrays {
-        a.hash(h);
-        h.write_usize(contents.len());
-        for &x in contents {
-            h.write_i64(x);
-        }
+    for word in data.digest() {
+        h.write_u64(word);
     }
 }
 
@@ -239,7 +162,8 @@ enum Slot<V> {
 }
 
 /// A shared memo table: `RwLock`-protected map plus atomic hit/miss
-/// counters, safe to query from many worker threads at once.
+/// counters, safe to query from many worker threads at once. A hit on a
+/// finished value takes only the shared lock.
 ///
 /// [`MemoCache::get_or_insert_with`] deduplicates computations in flight:
 /// when several workers reach the same missing key, exactly one computes
@@ -315,6 +239,13 @@ impl<V: Clone> MemoCache<V> {
         key: CacheKey,
         compute: impl FnOnce() -> Result<V, E>,
     ) -> Result<(V, bool), E> {
+        // A ready value is served under the shared lock, so hits never
+        // queue behind each other; only a missing or pending key goes on
+        // to take the exclusive lock below.
+        if let Some(Slot::Ready(v)) = self.map.read().expect("memo cache poisoned").get(&key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok((v.clone(), true));
+        }
         let mut compute = Some(compute);
         loop {
             let cell: InFlight<V> = {
@@ -544,6 +475,26 @@ mod tests {
         assert!(values.iter().all(|&v| v == 33), "no waiter may observe the aborted value");
         assert_eq!(recomputed.load(Ordering::Relaxed), 1, "exactly one waiter re-claims");
         assert_eq!(cache.stats().entries, 1);
+    }
+
+    #[test]
+    fn a_hit_is_served_while_a_reader_holds_the_map() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let cache: MemoCache<u32> = MemoCache::new();
+        let k = fingerprint(|h| h.write_u64(21));
+        cache.insert(k, 5);
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|s| {
+            let reader = cache.map.read().unwrap();
+            s.spawn(|| tx.send(cache.get_or_insert_with(k, || 6)).unwrap());
+            // A hit that needed the exclusive lock would block until the
+            // guard drops; release it either way so the thread can finish.
+            let served = rx.recv_timeout(Duration::from_secs(10));
+            drop(reader);
+            assert_eq!(served, Ok((5, true)), "a hit must not wait for the exclusive lock");
+        });
     }
 
     #[test]

@@ -158,6 +158,10 @@ impl DegradedInfo {
     }
 }
 
+/// The computation of a nest's CME estimate that
+/// [`Compiler::map_nest_via`] hands to its `estimate` argument.
+type EstimateFn<'a> = dyn Fn() -> Result<Option<CmeEstimate>, LocmapError> + 'a;
+
 /// The location-aware mapping compiler.
 #[derive(Debug, Clone)]
 pub struct Compiler {
@@ -369,83 +373,67 @@ impl Compiler {
     /// (when `data` lacks their index arrays) get a default round-robin
     /// schedule with `needs_inspector = true`.
     pub fn map_nest(&self, program: &Program, nest_id: NestId, data: &DataEnv) -> NestMapping {
-        let ctl = RunControl::unlimited();
-        self.estimate_nest(program, nest_id, data, &ctl)
-            .and_then(|estimate| self.map_nest_with_estimate(program, nest_id, data, estimate, &ctl))
+        self.map_nest_via(program, nest_id, data, &RunControl::unlimited(), |estimate| estimate())
             .expect("an unlimited RunControl never aborts")
     }
 
-    /// Runs only the CME analysis phase of [`Compiler::map_nest`].
+    /// The one path behind [`Compiler::map_nest`] and a
+    /// [`crate::MappingSession`] miss: enumerates a resolvable nest once,
+    /// obtains the CME estimate through `estimate`, and maps over the same
+    /// space.
     ///
-    /// Returns `Ok(None)` when CME is disabled or the nest has index arrays
-    /// missing from `data` (nothing is statically analyzable). The estimate
-    /// depends on the nest, its data layout and the CME/sampling options —
-    /// not on the platform's fault state — so [`crate::MappingSession`]
-    /// reuses it across fault epochs. The CME symbolic execution
-    /// checkpoints `ctl` every [`locmap_cme::CHECKPOINT_INTERVAL`]
-    /// iterations.
-    pub fn estimate_nest(
-        &self,
-        program: &Program,
-        nest_id: NestId,
-        data: &DataEnv,
-        ctl: &RunControl,
-    ) -> Result<Option<CmeEstimate>, LocmapError> {
-        let nest = program.nest(nest_id);
-        if !self.options.use_cme || !Self::resolvable(nest, data) {
-            return Ok(None);
-        }
-        let space = IterationSpace::enumerate(nest, &program.params());
-        let sets = space.split_by_fraction(self.options.iteration_set_fraction);
-        CmeEstimator::new(self.options.cme)
-            .estimate_ctl(program, nest, &space, &sets, data, ctl)
-            .map(Some)
-    }
-
-    /// Completes [`Compiler::map_nest`] from a precomputed CME estimate.
-    ///
-    /// `map_nest(p, n, d)` ≡ `map_nest_with_estimate(p, n, d,
-    /// estimate_nest(p, n, d, ctl)?, ctl)` bit for bit; passing a cached
-    /// estimate from an equivalent earlier call therefore cannot change the
-    /// result.
-    ///
-    /// The affinity/mapping phases checkpoint `ctl`, so a cancellation or
-    /// exhausted budget aborts within a bounded number of iterations and
-    /// surfaces as [`LocmapError::Cancelled`] /
+    /// `estimate` receives the computation of the estimate and returns its
+    /// result, or an equal one from a cache: the estimate depends on the
+    /// nest, its data layout and the CME/sampling options — not on the
+    /// platform's fault state — so a session reuses it across fault
+    /// epochs. The computation yields `None` when CME is disabled or the
+    /// nest has index arrays missing from `data`. The CME symbolic
+    /// execution and the affinity phases checkpoint `ctl`, so a
+    /// cancellation or exhausted budget aborts within a bounded number of
+    /// iterations and surfaces as [`LocmapError::Cancelled`] /
     /// [`LocmapError::DeadlineExceeded`]. An uncancelled run returns the
     /// bit-identical mapping.
-    pub fn map_nest_with_estimate(
+    pub(crate) fn map_nest_via(
         &self,
         program: &Program,
         nest_id: NestId,
         data: &DataEnv,
-        estimate: Option<CmeEstimate>,
         ctl: &RunControl,
+        estimate: impl FnOnce(&EstimateFn<'_>) -> Result<Option<CmeEstimate>, LocmapError>,
     ) -> Result<NestMapping, LocmapError> {
         let nest = program.nest(nest_id);
-        let space = IterationSpace::enumerate(nest, &program.params());
-        let sets = space.split_by_fraction(self.options.iteration_set_fraction);
-
-        if !Self::resolvable(nest, data) {
-            // Compile time cannot see through index arrays: emit the
-            // default schedule; the inspector will redo it at runtime.
+        // Compile time cannot see through missing index arrays: such a
+        // nest gets the default schedule, split from its count, and the
+        // inspector redoes it at runtime.
+        let space = Self::resolvable(nest, data)
+            .then(|| IterationSpace::enumerate(nest, &program.params()));
+        let sets = match &space {
+            Some(space) => space.split_by_fraction(self.options.iteration_set_fraction),
+            None => self.split_nest(program, nest_id),
+        };
+        let estimate = estimate(&|| match &space {
+            Some(space) if self.options.use_cme => CmeEstimator::new(self.options.cme)
+                .estimate_ctl(program, nest, space, &sets, data, ctl)
+                .map(Some),
+            _ => Ok(None),
+        })?;
+        let Some(space) = space else {
             let mapping = self.round_robin_schedule(nest_id, &sets);
             return Ok(NestMapping { needs_inspector: true, ..mapping });
-        }
+        };
+        let cme = estimate.map(CmeModel::new);
+        let model: &dyn HitModel = match &cme {
+            Some(m) => m,
+            None => &AllMissModel,
+        };
+        self.map_with_model(program, nest_id, data, &space, sets, model, ctl)
+    }
 
-        match estimate {
-            Some(e) => {
-                let model = CmeModel::new(e);
-                self.map_with_model(program, nest_id, data, &space, sets, &model, ctl)
-            }
-            None if self.options.use_cme => {
-                let estimator = CmeEstimator::new(self.options.cme);
-                let e = estimator.estimate_ctl(program, nest, &space, &sets, data, ctl)?;
-                let model = CmeModel::new(e);
-                self.map_with_model(program, nest_id, data, &space, sets, &model, ctl)
-            }
-            None => self.map_with_model(program, nest_id, data, &space, sets, &AllMissModel, ctl),
-        }
+    /// The iteration sets of a nest, split from its iteration count
+    /// without enumerating it.
+    fn split_nest(&self, program: &Program, nest_id: NestId) -> Vec<IterationSet> {
+        let count = program.nest(nest_id).iteration_count(&program.params());
+        IterationSet::split_count(count as usize, self.options.iteration_set_fraction)
     }
 
     /// Whether every reference of `nest` can be resolved at compile time
@@ -459,8 +447,9 @@ impl Compiler {
     }
 
     /// Maps a nest using an explicit hit model — the entry point for the
-    /// inspector (measured rates) and the Figure 15 oracle. Aborts under
-    /// `ctl` like [`Compiler::map_nest_with_estimate`].
+    /// inspector (measured rates) and the Figure 15 oracle. Its affinity
+    /// phases checkpoint `ctl`, so it aborts like
+    /// [`crate::MappingSession::map_one_ctl`].
     pub fn map_nest_with_model(
         &self,
         program: &Program,
@@ -618,12 +607,10 @@ impl Compiler {
     }
 
     /// Convenience: the default mapping for a whole nest (used as the
-    /// baseline in every experiment).
+    /// baseline in every experiment), split from the nest's iteration
+    /// count.
     pub fn default_mapping(&self, program: &Program, nest_id: NestId) -> NestMapping {
-        let nest = program.nest(nest_id);
-        let space = IterationSpace::enumerate(nest, &program.params());
-        let sets = space.split_by_fraction(self.options.iteration_set_fraction);
-        self.round_robin_schedule(nest_id, &sets)
+        self.round_robin_schedule(nest_id, &self.split_nest(program, nest_id))
     }
 
     /// The overload-shedding heuristic: round-robin *with locality*.
@@ -670,12 +657,10 @@ impl Compiler {
 
     /// Convenience: the [`Compiler::locality_schedule`] heuristic for a
     /// whole nest — the quality-ladder floor a shedding session serves
-    /// when the full pipeline is over budget.
+    /// when the full pipeline is over budget. The sets come from the
+    /// nest's iteration count; the nest is never enumerated.
     pub fn heuristic_mapping(&self, program: &Program, nest_id: NestId) -> NestMapping {
-        let nest = program.nest(nest_id);
-        let space = IterationSpace::enumerate(nest, &program.params());
-        let sets = space.split_by_fraction(self.options.iteration_set_fraction);
-        self.locality_schedule(nest_id, &sets)
+        self.locality_schedule(nest_id, &self.split_nest(program, nest_id))
     }
 }
 
@@ -787,6 +772,42 @@ mod tests {
         let m1 = c.map_nest(&p, id, &DataEnv::new());
         let m2 = c.map_nest(&p, id, &DataEnv::new());
         assert_eq!(m1.assignment, m2.assignment);
+    }
+
+    #[test]
+    fn count_split_schedules_keep_the_enumerated_sets() {
+        use locmap_loopir::LoopBound;
+        let tri =
+            |lower: AffineExpr, upper: i64| LoopBound { lower, upper: AffineExpr::constant(upper) };
+        let shapes = [
+            // Triangular.
+            vec![LoopBound::range(40), tri(AffineExpr::var(0, 1), 40)],
+            // Zero-trip outer loop.
+            vec![LoopBound::range(0), LoopBound::range(8)],
+            // Inner range empty for half the outer indices.
+            vec![LoopBound::range(12), tri(AffineExpr::var(0, 1), 6)],
+            // Inner range empty everywhere.
+            vec![LoopBound::range(12), LoopBound::range(0)],
+        ];
+        let mut p = Program::new("shapes");
+        let a = p.add_array("A", 8, 64);
+        let idx = p.add_array("idx", 4, 64);
+        for bounds in shapes {
+            let mut nest = LoopNest::with_bounds("n", bounds);
+            nest.add_indirect_ref(a, idx, AffineExpr::var(1, 1), Access::Read);
+            p.add_nest(nest);
+        }
+        let opts = MappingOptions { iteration_set_fraction: 0.05, ..MappingOptions::default() };
+        let c = Compiler::builder(Platform::paper_default()).options(opts).build().unwrap();
+        for id in p.nest_ids() {
+            let want = IterationSpace::enumerate(p.nest(id), &p.params()).split_by_fraction(0.05);
+            assert_eq!(c.heuristic_mapping(&p, id).sets, want, "{:?}", p.nest(id).bounds);
+            assert_eq!(c.default_mapping(&p, id).sets, want);
+            // An irregular nest with no index data is split the same way.
+            let deferred = c.map_nest(&p, id, &DataEnv::new());
+            assert!(deferred.needs_inspector);
+            assert_eq!(deferred.sets, want);
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use crate::compiler::{Compiler, NestMapping};
 use crate::hits::MeasuredRates;
 use crate::resilience::RetryPolicy;
-use locmap_loopir::{DataEnv, IterationSpace, NestId, Program};
+use locmap_loopir::{DataEnv, NestId, Program};
 use locmap_noc::RunControl;
 use serde::{Deserialize, Serialize};
 
@@ -117,9 +117,9 @@ impl<'a> Inspector<'a> {
             .expect("an unlimited RunControl never aborts");
 
         let nest = program.nest(nest_id);
-        let space = IterationSpace::enumerate(nest, &program.params());
+        let iterations = nest.iteration_count(&program.params()) as usize;
         let stride = self.compiler.options().analysis_sample_stride.max(1);
-        let analyzed_accesses = (space.len() / stride) as f64 * nest.refs.len() as f64;
+        let analyzed_accesses = (iterations / stride) as f64 * nest.refs.len() as f64;
         let par = self.cost.parallel_cores.max(1) as f64;
         let overhead_cycles = self.cost.fixed_cycles
             + (analyzed_accesses * self.cost.cycles_per_access / par) as u64

@@ -72,6 +72,15 @@ impl Platform {
         locmap_noc::NodeId(bank)
     }
 
+    /// The region of each LLC bank's node, indexed by bank. Hot loops
+    /// build it once per call, so attributing an access to its home bank's
+    /// region is one load rather than a [`RegionGrid::region_of`].
+    pub fn bank_regions(&self) -> Vec<locmap_noc::RegionId> {
+        (0..self.mesh.node_count())
+            .map(|b| self.regions.region_of(self.bank_node(b as u16)))
+            .collect()
+    }
+
     /// The mesh node a memory controller attaches to.
     ///
     /// # Panics
@@ -101,6 +110,18 @@ mod tests {
         let p = Platform::paper_default();
         let nodes: Vec<_> = (0..4).map(|k| p.mc_node(locmap_noc::McId(k)).index()).collect();
         assert_eq!(nodes, vec![0, 5, 35, 30]);
+    }
+
+    #[test]
+    fn bank_regions_match_region_of() {
+        let mut p = Platform::paper_default();
+        p.mesh = Mesh::try_new(8, 4).unwrap();
+        p.regions = RegionGrid::try_new(p.mesh, 4, 2).unwrap();
+        let table = p.bank_regions();
+        assert_eq!(table.len(), 32);
+        for (b, &r) in table.iter().enumerate() {
+            assert_eq!(r, p.regions.region_of(p.bank_node(b as u16)));
+        }
     }
 
     #[test]

@@ -351,10 +351,9 @@ impl MappingSession {
     ) -> Result<(CacheKey, MapResponse), LocmapError> {
         let key = self.mapping_key(r);
         let (mapping, cache_hit) = self.mappings.get_or_try_insert_with(key, || {
-            let (estimate, _) = self.cme.get_or_try_insert_with(self.cme_key(r), || {
-                self.compiler.estimate_nest(r.program, r.nest, r.data, ctl)
-            })?;
-            self.compiler.map_nest_with_estimate(r.program, r.nest, r.data, estimate, ctl)
+            self.compiler.map_nest_via(r.program, r.nest, r.data, ctl, |estimate| {
+                self.cme.get_or_try_insert_with(self.cme_key(r), estimate).map(|(e, _)| e)
+            })
         })?;
         Ok((key, MapResponse { mapping, cache_hit }))
     }
@@ -659,6 +658,8 @@ mod tests {
 
     #[test]
     fn aborted_request_never_poisons_the_caches() {
+        use locmap_cme::CmeEstimator;
+        use locmap_loopir::IterationSpace;
         use locmap_noc::{Budget, CancelToken};
         let (p, id) = stream("abort", 4096);
         let data = DataEnv::new();
@@ -667,7 +668,10 @@ mod tests {
         // Measure the work of the CME stage alone and of the full pipeline.
         let probe = MappingSession::builder(Platform::paper_default()).build().unwrap();
         let est_ctl = RunControl::unlimited();
-        probe.compiler().estimate_nest(&p, id, &data, &est_ctl).unwrap();
+        let (nest, opts) = (p.nest(id), probe.compiler().options());
+        let space = IterationSpace::enumerate(nest, &p.params());
+        let sets = space.split_by_fraction(opts.iteration_set_fraction);
+        CmeEstimator::new(opts.cme).estimate_ctl(&p, nest, &space, &sets, &data, &est_ctl).unwrap();
         let cme_units = est_ctl.spent_units();
         let full_ctl = RunControl::unlimited();
         let baseline = probe.map_one_ctl(&r, &full_ctl).unwrap();
@@ -835,6 +839,47 @@ mod tests {
         let session =
             MappingSession::builder(Platform::paper_default()).threads(8).build().unwrap();
         assert!(session.map_batch(&[]).is_empty());
+    }
+
+    #[test]
+    fn index_arrays_key_the_cache_by_content() {
+        let n = 4096i64;
+        let mut p = Program::new("irr");
+        let a = p.add_array("A", 8, n as u64);
+        let (idx, rev) = (p.add_array("idx", 4, n as u64), p.add_array("rev", 4, n as u64));
+        let mut nest = LoopNest::rectangular("n", &[n]);
+        nest.add_indirect_ref(a, idx, AffineExpr::var(0, 1), Access::Read);
+        nest.add_indirect_ref(a, rev, AffineExpr::var(0, 1), Access::Write);
+        let id = p.add_nest(nest);
+        let scatter: Vec<i64> = (0..n).map(|i| (i * 7 + 3) % n).collect();
+        let mut data = DataEnv::new();
+        data.set_index_array(idx, scatter.clone());
+        data.set_index_array(rev, (0..n).rev().collect());
+
+        let platform = Platform::paper_default();
+        let session = MappingSession::builder(platform.clone()).build().unwrap();
+        let req = |data| MapRequest { program: &p, nest: id, data };
+        let first = session.map_one(&req(&data));
+        assert!(!first.cache_hit);
+
+        // A copy made after the lookup digested `data`, then changed in
+        // one element, must miss and map its own contents.
+        let mut changed = data.clone();
+        let mut one_off = scatter.clone();
+        one_off[5] = (one_off[5] + n / 2) % n;
+        changed.set_index_array(idx, one_off);
+        let diff = session.map_one(&req(&changed));
+        assert!(!diff.cache_hit, "a changed index-array element must miss");
+        let compiler = Compiler::builder(platform).build().unwrap();
+        assert_eq!(diff.mapping, compiler.map_nest(&p, id, &changed));
+
+        // Equal contents installed in the other order hit.
+        let mut reordered = DataEnv::new();
+        reordered.set_index_array(rev, (0..n).rev().collect());
+        reordered.set_index_array(idx, scatter);
+        let same = session.map_one(&req(&reordered));
+        assert!(same.cache_hit, "equal index arrays must hit however they were installed");
+        assert_eq!(same.mapping, first.mapping);
     }
 
     #[test]

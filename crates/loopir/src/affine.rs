@@ -132,6 +132,28 @@ impl AffineExpr {
         v
     }
 
+    /// The expression specialised to iteration vectors of `depth` entries
+    /// under `env`: its loop-index coefficients, at most `depth` of them,
+    /// and its constant with every parameter term folded in. The value at
+    /// `iv` is then `constant + Σ coeffs[s]·iv[s]`, which equals
+    /// [`AffineExpr::eval`].
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`AffineExpr::eval`]: on a nonzero coefficient at or
+    /// past `depth`, or an unbound parameter.
+    pub(crate) fn specialise(&self, depth: usize, env: &ParamEnv) -> (&[i64], i64) {
+        if let Some(s) = self.coeffs.iter().skip(depth).position(|&c| c != 0) {
+            panic!("coefficient on i{} but iteration vector has {depth} entries", s + depth);
+        }
+        let constant = self
+            .params
+            .iter()
+            .filter(|&&(_, c)| c != 0)
+            .fold(self.constant, |v, &(p, c)| v + c * env.value(p));
+        (&self.coeffs[..self.coeffs.len().min(depth)], constant)
+    }
+
     /// The coefficient on loop index `depth` (0 when omitted).
     pub fn coeff(&self, depth: usize) -> i64 {
         self.coeffs.get(depth).copied().unwrap_or(0)

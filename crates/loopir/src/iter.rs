@@ -21,12 +21,16 @@ pub struct IterationSpace {
 }
 
 impl IterationSpace {
-    /// Enumerates all iterations of `nest` under parameter bindings `env`.
+    /// Enumerates all iterations of `nest` under parameter bindings `env`,
+    /// into storage of exactly `iterations × depth` words: the space is
+    /// counted first ([`LoopNest::iteration_count`]), then filled.
     pub fn enumerate(nest: &LoopNest, env: &ParamEnv) -> Self {
         let depth = nest.depth();
-        let mut flat = Vec::new();
+        let count = nest.iteration_count(env) as usize;
+        let mut flat = Vec::with_capacity(count * depth);
         let mut iv = vec![0i64; depth];
         Self::rec(nest, env, 0, &mut iv, &mut flat);
+        debug_assert_eq!(flat.len(), count * depth, "the count walk and the fill disagree");
         IterationSpace { depth, flat }
     }
 
@@ -79,27 +83,14 @@ impl IterationSpace {
     ///
     /// Panics if `set_size` is zero.
     pub fn split(&self, set_size: usize) -> Vec<IterationSet> {
-        assert!(set_size > 0, "iteration set size must be positive");
-        let n = self.len();
-        let mut sets = Vec::with_capacity(n.div_ceil(set_size));
-        let mut start = 0;
-        let mut id = 0;
-        while start < n {
-            let end = (start + set_size).min(n);
-            sets.push(IterationSet { id, start, end });
-            id += 1;
-            start = end;
-        }
-        sets
+        IterationSet::tile(self.len(), set_size)
     }
 
     /// Splits using the paper's parameterization: set size = `fraction`
     /// of the total iteration count (default 0.25 % ⇒ `fraction = 0.0025`),
     /// with a minimum of one iteration per set.
     pub fn split_by_fraction(&self, fraction: f64) -> Vec<IterationSet> {
-        assert!(fraction > 0.0 && fraction <= 1.0, "fraction must be in (0, 1]");
-        let size = ((self.len() as f64 * fraction).round() as usize).max(1);
-        self.split(size)
+        IterationSet::split_count(self.len(), fraction)
     }
 }
 
@@ -225,6 +216,32 @@ pub struct IterationSet {
 }
 
 impl IterationSet {
+    /// The sets [`IterationSpace::split_by_fraction`] gives a space of
+    /// `count` iterations, from the count alone: a caller that needs only
+    /// the sets takes the count from [`LoopNest::iteration_count`] and
+    /// never enumerates.
+    pub fn split_count(count: usize, fraction: f64) -> Vec<IterationSet> {
+        assert!(fraction > 0.0 && fraction <= 1.0, "fraction must be in (0, 1]");
+        let size = ((count as f64 * fraction).round() as usize).max(1);
+        Self::tile(count, size)
+    }
+
+    /// Tiles iterations `0..count` with sets of `size` (the last may be
+    /// smaller).
+    fn tile(count: usize, size: usize) -> Vec<IterationSet> {
+        assert!(size > 0, "iteration set size must be positive");
+        let mut sets = Vec::with_capacity(count.div_ceil(size));
+        let mut start = 0;
+        let mut id = 0;
+        while start < count {
+            let end = (start + size).min(count);
+            sets.push(IterationSet { id, start, end });
+            id += 1;
+            start = end;
+        }
+        sets
+    }
+
     /// Number of iterations in the set.
     pub fn len(&self) -> usize {
         self.end - self.start
@@ -412,6 +429,28 @@ mod cursor_tests {
             let space = IterationSpace::enumerate(&nest, &env);
             let want: Vec<Vec<i64>> = space.iter().map(<[i64]>::to_vec).collect();
             prop_assert_eq!(stepped(&nest, &env), want, "nest {:?}", nest.bounds);
+        }
+
+        #[test]
+        fn enumeration_is_counted_then_filled_at_exact_size(case in arb_nest()) {
+            let (nest, env) = case;
+            let space = IterationSpace::enumerate(&nest, &env);
+            prop_assert_eq!(space.len() as u64, nest.iteration_count(&env));
+            prop_assert_eq!(space.flat.capacity(), space.flat.len(), "nest {:?}", nest.bounds);
+        }
+
+        #[test]
+        fn splitting_a_count_matches_splitting_the_space(
+            case in arb_nest(),
+            fraction in 0.01f64..=1.0,
+        ) {
+            let (nest, env) = case;
+            let space = IterationSpace::enumerate(&nest, &env);
+            let count = nest.iteration_count(&env) as usize;
+            prop_assert_eq!(
+                IterationSet::split_count(count, fraction),
+                space.split_by_fraction(fraction)
+            );
         }
 
         #[test]

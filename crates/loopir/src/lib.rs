@@ -34,6 +34,7 @@
 
 mod affine;
 mod deps;
+mod hash;
 mod iter;
 mod nest;
 mod program;
@@ -41,7 +42,8 @@ mod reuse;
 
 pub use affine::{AffineExpr, ParamEnv, ParamId};
 pub use deps::{DependenceKind, DependenceTest};
+pub use hash::{fx_digest, FxHasher};
 pub use iter::{IterCursor, IterationSet, IterationSpace, IterVec};
 pub use nest::{Access, ArrayRef, LoopBound, LoopNest, NestId, RefId, RefKind};
-pub use program::{Array, ArrayId, DataEnv, Program};
+pub use program::{Array, ArrayId, CompiledRef, DataEnv, Program};
 pub use reuse::{ReuseAnalysis, ReuseKind};

@@ -1,9 +1,12 @@
 //! Programs: arrays with a virtual address layout, plus loop nests.
 
 use crate::affine::{ParamEnv, ParamId};
+use crate::hash::fx_digest;
 use crate::nest::{ArrayRef, LoopNest, NestId, RefKind};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
+use std::sync::OnceLock;
 
 /// Identifier of an array within a [`Program`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -33,6 +36,7 @@ impl Array {
     ///
     /// Panics in debug builds if `index` is out of bounds — an out-of-range
     /// subscript is a workload construction bug.
+    #[inline]
     pub fn addr_of(&self, index: i64) -> u64 {
         debug_assert!(
             index >= 0 && (index as u64) < self.extent,
@@ -56,6 +60,10 @@ pub struct DataEnv {
     /// A program has a handful of index arrays, so an ordered map finds
     /// one in a few compares, with no hashing per indirect reference.
     index_arrays: BTreeMap<ArrayId, Vec<i64>>,
+    /// [`DataEnv::digest`], computed on first request and dropped by every
+    /// change to the arrays.
+    #[serde(skip)]
+    digest: OnceLock<[u64; 2]>,
 }
 
 impl DataEnv {
@@ -67,6 +75,18 @@ impl DataEnv {
     /// Installs the contents of index array `a`.
     pub fn set_index_array(&mut self, a: ArrayId, contents: Vec<i64>) {
         self.index_arrays.insert(a, contents);
+        self.digest = OnceLock::new();
+    }
+
+    /// The installed contents of index array `a`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the array contents were not installed.
+    fn index_array(&self, a: ArrayId) -> &[i64] {
+        self.index_arrays
+            .get(&a)
+            .unwrap_or_else(|| panic!("index array {a:?} not installed in DataEnv"))
     }
 
     /// Fetches `a[pos]`.
@@ -76,11 +96,7 @@ impl DataEnv {
     /// Panics if the array contents were not installed or `pos` is out of
     /// range.
     pub fn index_value(&self, a: ArrayId, pos: i64) -> i64 {
-        let v = self
-            .index_arrays
-            .get(&a)
-            .unwrap_or_else(|| panic!("index array {a:?} not installed in DataEnv"));
-        v[pos as usize]
+        self.index_array(a)[pos as usize]
     }
 
     /// Whether contents for `a` are installed.
@@ -88,10 +104,60 @@ impl DataEnv {
         self.index_arrays.contains_key(&a)
     }
 
-    /// All installed index arrays in ascending [`ArrayId`] order. The
-    /// deterministic ordering makes the environment content-hashable.
-    pub fn entries(&self) -> Vec<(ArrayId, &[i64])> {
-        self.index_arrays.iter().map(|(&a, c)| (a, c.as_slice())).collect()
+    /// A 128-bit content digest of the installed index arrays: their
+    /// count, then each array's id, length and elements in ascending
+    /// [`ArrayId`] order, through the two passes of [`fx_digest`]. Equal
+    /// contents give equal digests however they were installed. Computed
+    /// once, on the first call after the last change.
+    pub fn digest(&self) -> [u64; 2] {
+        *self.digest.get_or_init(|| {
+            fx_digest(|h| {
+                h.write_usize(self.index_arrays.len());
+                for (a, contents) in &self.index_arrays {
+                    a.hash(h);
+                    h.write_usize(contents.len());
+                    for &x in contents {
+                        h.write_i64(x);
+                    }
+                }
+            })
+        })
+    }
+}
+
+/// An [`ArrayRef`] specialised to one program, nest depth and data env:
+/// the address of an iteration is one dot product (plus one index-array
+/// load for an indirect reference), with no parameter or index-array
+/// lookup. Built by [`Program::compile`].
+#[derive(Debug, Clone, Copy)]
+pub struct CompiledRef<'a> {
+    /// The accessed array: base address and element size.
+    array: &'a Array,
+    /// Coefficient per loop index; omitted trailing ones are zero.
+    coeffs: &'a [i64],
+    /// The subscript's constant with every parameter term folded in.
+    constant: i64,
+    /// For an indirect reference, the index array's contents and the
+    /// offset added to the fetched index.
+    indirect: Option<(&'a [i64], i64)>,
+}
+
+impl CompiledRef<'_> {
+    /// Byte address of the reference at iteration vector `iv`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index-array position is out of range, or, in debug
+    /// builds, if the element is out of bounds.
+    #[inline]
+    pub fn addr(&self, iv: &[i64]) -> u64 {
+        debug_assert!(self.coeffs.len() <= iv.len(), "iteration vector shorter than the nest");
+        let subscript = self.coeffs.iter().zip(iv).fold(self.constant, |v, (&c, &i)| v + c * i);
+        let elem = match self.indirect {
+            None => subscript,
+            Some((index, offset)) => index[subscript as usize] + offset,
+        };
+        self.array.addr_of(elem)
     }
 }
 
@@ -211,22 +277,54 @@ impl Program {
         self.page_bytes
     }
 
-    /// Resolves reference `r` at iteration vector `iv` to a byte address.
+    /// Compiles reference `r` for iteration vectors of `depth` entries
+    /// with index arrays from `data`: see [`CompiledRef`].
     ///
     /// # Panics
     ///
-    /// Panics if the reference is indirect and `data` lacks the index
-    /// array, or if the resolved element is out of bounds (debug builds).
-    pub fn resolve(&self, r: &ArrayRef, iv: &[i64], data: &DataEnv) -> u64 {
-        let arr = self.array(r.array);
-        let elem = match &r.kind {
-            RefKind::Affine(e) => e.eval(iv, &self.params),
+    /// Panics if a subscript has a nonzero coefficient at or past `depth`
+    /// or an unbound parameter, or if the reference is indirect and `data`
+    /// lacks its index array.
+    pub fn compile<'a>(
+        &'a self,
+        r: &'a ArrayRef,
+        depth: usize,
+        data: &'a DataEnv,
+    ) -> CompiledRef<'a> {
+        let array = self.array(r.array);
+        let (expr, indirect) = match &r.kind {
+            RefKind::Affine(e) => (e, None),
             RefKind::Indirect { index_array, position, offset } => {
-                let pos = position.eval(iv, &self.params);
-                data.index_value(*index_array, pos) + offset
+                (position, Some((*index_array, *offset)))
             }
         };
-        arr.addr_of(elem)
+        let (coeffs, constant) = expr.specialise(depth, &self.params);
+        let indirect = indirect.map(|(a, offset)| (data.index_array(a), offset));
+        CompiledRef { array, coeffs, constant, indirect }
+    }
+
+    /// Compiles every reference of `nest`, in reference order.
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`Program::compile`].
+    pub fn compile_refs<'a>(
+        &'a self,
+        nest: &'a LoopNest,
+        data: &'a DataEnv,
+    ) -> Vec<CompiledRef<'a>> {
+        nest.refs.iter().map(|r| self.compile(r, nest.depth(), data)).collect()
+    }
+
+    /// Resolves reference `r` at iteration vector `iv` to a byte address:
+    /// [`Program::compile`] for `iv`'s length, then [`CompiledRef::addr`].
+    /// Loops over many iterations compile once instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`Program::compile`] and [`CompiledRef::addr`].
+    pub fn resolve(&self, r: &ArrayRef, iv: &[i64], data: &DataEnv) -> u64 {
+        self.compile(r, iv.len(), data).addr(iv)
     }
 }
 
@@ -295,7 +393,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "not installed in DataEnv")]
     fn missing_index_array_panics() {
         let mut p = Program::new("t");
         let a = p.add_array("A", 8, 10);
@@ -303,7 +401,121 @@ mod tests {
         let mut nest = LoopNest::rectangular("n", &[10]);
         nest.add_indirect_ref(a, idx, AffineExpr::var(0, 1), Access::Read);
         let id = p.add_nest(nest);
-        let r = &p.nest(id).refs[0];
-        p.resolve(r, &[0], &DataEnv::new());
+        p.compile_refs(p.nest(id), &DataEnv::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "unbound parameter ParamId(3)")]
+    fn unbound_parameter_panics() {
+        let mut p = Program::new("t");
+        let a = p.add_array("A", 8, 10);
+        let mut nest = LoopNest::rectangular("n", &[10]);
+        nest.add_ref(a, AffineExpr::var(0, 1) + &AffineExpr::param(ParamId(3), 2), Access::Read);
+        let id = p.add_nest(nest);
+        p.compile_refs(p.nest(id), &DataEnv::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "coefficient on i2 but iteration vector has 2 entries")]
+    fn coefficient_past_the_iteration_vector_panics() {
+        let mut p = Program::new("t");
+        let a = p.add_array("A", 8, 10);
+        let mut nest = LoopNest::rectangular("n", &[2, 5]);
+        nest.add_ref(a, AffineExpr::var(2, 1), Access::Read);
+        let id = p.add_nest(nest);
+        p.compile_refs(p.nest(id), &DataEnv::new());
+    }
+
+    #[test]
+    fn digest_follows_contents_not_installation_order() {
+        let mut ab = DataEnv::new();
+        ab.set_index_array(ArrayId(1), vec![3, 1, 2]);
+        ab.set_index_array(ArrayId(4), vec![7]);
+        let mut ba = DataEnv::new();
+        ba.set_index_array(ArrayId(4), vec![7]);
+        ba.set_index_array(ArrayId(1), vec![3, 1, 2]);
+        assert_eq!(ab.digest(), ba.digest());
+        assert_eq!(ab.clone().digest(), ab.digest());
+        assert_ne!(ab.digest(), DataEnv::new().digest());
+
+        // A digest taken before a change must not survive it.
+        ba.set_index_array(ArrayId(1), vec![3, 1, 0]);
+        assert_ne!(ab.digest(), ba.digest());
+        ba.set_index_array(ArrayId(1), vec![3, 1, 2]);
+        assert_eq!(ab.digest(), ba.digest());
+    }
+}
+
+#[cfg(test)]
+mod compiled_ref_tests {
+    use super::*;
+    use crate::affine::AffineExpr;
+    use crate::nest::Access;
+    use proptest::prelude::*;
+
+    /// The address formula `resolve` used before references were compiled:
+    /// evaluate the subscript with [`AffineExpr::eval`], then scale.
+    fn eval_formula(p: &Program, r: &ArrayRef, iv: &[i64], data: &DataEnv) -> u64 {
+        let params = p.params();
+        let elem = match &r.kind {
+            RefKind::Affine(e) => e.eval(iv, &params),
+            RefKind::Indirect { index_array, position, offset } => {
+                data.index_value(*index_array, position.eval(iv, &params)) + offset
+            }
+        };
+        assert!(elem >= 0, "the strategies keep subscripts in bounds");
+        let arr = p.array(r.array);
+        arr.base + elem as u64 * arr.element_bytes as u64
+    }
+
+    /// `Σ c·i + P0·d0 + P1·d1 + k` with up to three loop terms, so with
+    /// indices and parameters in 0..=5 it lies in 15..=185.
+    fn arb_expr() -> impl Strategy<Value = AffineExpr> {
+        (collection::vec(-3i64..=3, 0..=3), collection::vec(-3i64..=3, 2), 90i64..=110).prop_map(
+            |(coeffs, d, constant)| AffineExpr {
+                coeffs,
+                params: vec![(ParamId(0), d[0]), (ParamId(1), d[1])],
+                constant,
+            },
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn compiled_refs_address_like_the_eval_formula(
+            exprs in (arb_expr(), arb_expr(), 0i64..=10),
+            depth in 1usize..=3,
+            iv in collection::vec(0i64..=5, 3),
+            params in collection::vec(0i64..=5, 2),
+            index in collection::vec(0i64..200, 256),
+        ) {
+            let (affine, position, offset) = exprs;
+            // Coefficients past the nest's depth may be present, as zeros.
+            let within = |mut e: AffineExpr| {
+                e.coeffs.iter_mut().skip(depth).for_each(|c| *c = 0);
+                e
+            };
+            let mut p = Program::new("t");
+            p.add_param(params[0]);
+            p.add_param(params[1]);
+            let a = p.add_array("A", 8, 256);
+            let idx = p.add_array("idx", 4, 256);
+            let mut nest = LoopNest::rectangular("n", &vec![6; depth]);
+            nest.add_ref(a, within(affine), Access::Read);
+            nest.refs.push(ArrayRef {
+                array: a,
+                kind: RefKind::Indirect { index_array: idx, position: within(position), offset },
+                access: Access::Write,
+            });
+            let id = p.add_nest(nest);
+            let mut data = DataEnv::new();
+            data.set_index_array(idx, index);
+            let (nest, iv) = (p.nest(id), &iv[..depth]);
+            for (r, c) in nest.refs.iter().zip(p.compile_refs(nest, &data)) {
+                let want = eval_formula(&p, r, iv, &data);
+                prop_assert_eq!(c.addr(iv), want, "ref {:?} at {:?}", r, iv);
+                prop_assert_eq!(p.resolve(r, iv, &data), want);
+            }
+        }
     }
 }

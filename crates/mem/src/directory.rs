@@ -12,8 +12,8 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// FxHash's multiply step, the hasher `locmap_core`'s memo keys use:
-/// deterministic, and one multiply per line index.
+/// FxHash's multiply step, as in `locmap_loopir::FxHasher` (the hasher behind the
+/// mapping memo keys): deterministic, and one multiply per line index.
 #[derive(Debug, Clone, Copy, Default)]
 struct LineHasher(u64);
 

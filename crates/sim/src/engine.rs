@@ -6,7 +6,9 @@ use crate::multi::Slot;
 use crate::result::RunResult;
 use crate::timeline::{SimError, TransientFault};
 use locmap_core::{AffinityVec, LlcOrg, MeasuredRates, NestMapping, Platform};
-use locmap_loopir::{Access, DataEnv, IterCursor, IterationSet, LoopNest, ParamEnv, Program};
+use locmap_loopir::{
+    Access, CompiledRef, DataEnv, IterCursor, IterationSet, LoopNest, ParamEnv, Program,
+};
 use locmap_mem::{Access as MemAccess, Cache, Directory, Dram, PhysAddr};
 use locmap_noc::{
     route, FaultComponent, FaultPlan, FaultState, LocmapError, McId, MessageKind, Network, NodeId,
@@ -25,6 +27,14 @@ const SLOT_OFFSET: u64 = 1 << 30;
 fn round_robin(queues: &[Vec<usize>]) -> Vec<usize> {
     let rounds = queues.iter().map(Vec::len).max().unwrap_or(0);
     (0..rounds).flat_map(|j| queues.iter().filter_map(move |q| q.get(j).copied())).collect()
+}
+
+/// The memory-system access kind of a reference.
+fn mem_access(a: Access) -> MemAccess {
+    match a {
+        Access::Read => MemAccess::Read,
+        Access::Write => MemAccess::Write,
+    }
 }
 
 /// The simulated manycore: mutable machine state plus configuration.
@@ -412,6 +422,16 @@ impl Simulator {
         let tracking = timeline.is_some();
         let nests: Vec<&LoopNest> = slots.iter().map(|s| s.program.nest(s.mapping.nest)).collect();
         let params: Vec<ParamEnv> = slots.iter().map(|s| s.program.params()).collect();
+        // Each slot's references, compiled once, with their access kinds.
+        let refs: Vec<Vec<(CompiledRef<'_>, MemAccess)>> = slots
+            .iter()
+            .zip(&nests)
+            .map(|(s, nest)| {
+                let kinds = nest.refs.iter().map(|r| mem_access(r.access));
+                s.program.compile_refs(nest, s.data).into_iter().zip(kinds).collect()
+            })
+            .collect();
+        let bank_regions = self.platform.bank_regions();
 
         // Each core steps its own cursor per slot through its sets.
         let starts: Vec<SetStarts<'_>> = slots
@@ -537,7 +557,7 @@ impl Simulator {
             let (wi, off) = pos[c];
             let set_idx = work[c][wi];
             let (si, k) = owner[set_idx];
-            let Slot { program, mapping, data } = slots[si];
+            let mapping = slots[si].mapping;
             let nest = nests[si];
             let set = mapping.sets[k];
             let cursor = &mut cursors[c][si];
@@ -554,12 +574,8 @@ impl Simulator {
             let mut footprint = LastIter::default();
 
             let iv = cursor.iv();
-            for (ri, r) in nest.refs.iter().enumerate() {
-                let addr = program.resolve(r, iv, data) + offset;
-                let acc = match r.access {
-                    Access::Read => MemAccess::Read,
-                    Access::Write => MemAccess::Write,
-                };
+            for (ri, &(r, acc)) in refs[si].iter().enumerate() {
+                let addr = r.addr(iv) + offset;
                 let (done, level, mc, bank) = self.access(t0 as u64, c, addr, acc);
                 t = t.max(done as f64);
                 if tracking {
@@ -575,8 +591,7 @@ impl Simulator {
                     Level::Llc => {
                         ctr.llc_seen += 1;
                         ctr.llc_hits += 1;
-                        let region = self.platform.regions.region_of(self.platform.bank_node(bank));
-                        cai_tally[set_idx][region.index()] += 1;
+                        cai_tally[set_idx][bank_regions[bank as usize].index()] += 1;
                     }
                     Level::Mem => {
                         ctr.llc_seen += 1;

@@ -18,7 +18,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use locmap_core::{BalanceReport, Compiler, NestMapping, Platform};
+use locmap_core::{BalanceReport, NestMapping, Platform};
 use locmap_loopir::{DataEnv, IterationSpace, NestId, Program};
 use locmap_mem::PhysAddr;
 use locmap_noc::NodeId;
@@ -235,199 +235,5 @@ mod tests {
         }
         let (max, min) = (loads.iter().max().unwrap(), loads.iter().min().unwrap());
         assert!(max - min <= 1, "{loads:?}");
-    }
-}
-
-/// Result of one co-optimization round.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct CoOptRound {
-    /// Round number (1-based).
-    pub round: usize,
-    /// Per-array pads chosen this round.
-    pub pads: Vec<u64>,
-    /// Estimated mean access distance after this round (the objective the
-    /// layout step minimizes, re-evaluated under the current mapping).
-    pub mean_distance: f64,
-}
-
-/// Co-optimizes computation mapping and data layout — the paper's stated
-/// future work ("co-optimizing computation and data mapping together").
-///
-/// The two knobs are coupled: the best layout depends on where iterations
-/// run, and the best mapping depends on where pages land. This routine
-/// alternates them:
-///
-/// 1. map every nest with the location-aware compiler (given the current
-///    layout);
-/// 2. re-pad arrays so each array's pages move toward the MCs its
-///    *current* consumers sit near (a mapping-aware variant of
-///    [`optimize_layout`]);
-/// 3. repeat until the layout stops changing or `max_rounds` is hit.
-///
-/// Returns the final per-nest mappings plus a per-round log. The program
-/// is modified in place (its arrays are re-padded).
-pub fn co_optimize(
-    program: &mut Program,
-    platform: &Platform,
-    options: locmap_core::MappingOptions,
-    data: &DataEnv,
-    max_rounds: usize,
-    sample_stride: usize,
-) -> (Vec<NestMapping>, Vec<CoOptRound>) {
-    let compiler = Compiler::builder(platform.clone()).options(options).build().unwrap();
-    let mc_count = platform.mc_count() as u64;
-    let narrays = program.arrays().len();
-    let mut pads = vec![0u64; narrays];
-    let mut log = Vec::new();
-
-    for round in 1..=max_rounds.max(1) {
-        // Step 1: mapping under the current layout.
-        let mappings: Vec<NestMapping> = program
-            .nest_ids()
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|nid| compiler.map_nest(program, nid, data))
-            .collect();
-
-        // Step 2: mapping-aware layout — for each array pick the pad that
-        // minimizes mean distance from each access's *assigned* core to
-        // its page's MC.
-        let prev = pads.clone();
-        let mut final_cost = 0.0;
-        for target in 0..narrays {
-            let mut best = (f64::INFINITY, 0u64);
-            for pad in 0..mc_count {
-                pads[target] = pad;
-                program.relayout(&pads);
-                let cost = mapped_distance(program, platform, data, &mappings, sample_stride);
-                if cost < best.0 {
-                    best = (cost, pad);
-                }
-            }
-            pads[target] = best.1;
-            program.relayout(&pads);
-            final_cost = best.0;
-        }
-        log.push(CoOptRound { round, pads: pads.clone(), mean_distance: final_cost });
-        if pads == prev {
-            break; // converged
-        }
-    }
-    // One final mapping under the converged layout.
-    let mappings: Vec<NestMapping> = program
-        .nest_ids()
-        .collect::<Vec<_>>()
-        .into_iter()
-        .map(|nid| compiler.map_nest(program, nid, data))
-        .collect();
-    (mappings, log)
-}
-
-/// Mean Manhattan distance between each sampled access's assigned core and
-/// its page's memory controller, under explicit per-nest mappings.
-fn mapped_distance(
-    program: &Program,
-    platform: &Platform,
-    data: &DataEnv,
-    mappings: &[NestMapping],
-    sample_stride: usize,
-) -> f64 {
-    let mut cost = 0.0;
-    let mut n = 0u64;
-    for (nid, mapping) in program.nest_ids().zip(mappings) {
-        let nest = program.nest(nid);
-        if nest.refs.iter().any(|r| match &r.kind {
-            locmap_loopir::RefKind::Indirect { index_array, .. } => !data.has(*index_array),
-            _ => false,
-        }) {
-            continue;
-        }
-        let space = IterationSpace::enumerate(nest, &program.params());
-        let refs = program.compile_refs(nest, data);
-        for (si, set) in mapping.sets.iter().enumerate() {
-            let core_coord = platform.mesh.coord_of(mapping.assignment[si]);
-            for k in set.indices().step_by(sample_stride.max(1)) {
-                let iv = space.get(k);
-                for r in &refs {
-                    let addr = PhysAddr(r.addr(iv));
-                    let mc = platform.addr_map.mc_of(addr);
-                    cost += core_coord.manhattan(platform.mc_coords[mc.index()]) as f64;
-                    n += 1;
-                }
-            }
-        }
-    }
-    if n == 0 {
-        0.0
-    } else {
-        cost / n as f64
-    }
-}
-
-#[cfg(test)]
-mod coopt_tests {
-    use super::*;
-    use locmap_core::MappingOptions;
-    use locmap_loopir::{Access, AffineExpr, LoopNest};
-
-    fn program() -> Program {
-        let mut p = Program::new("co");
-        let a = p.add_array("A", 8, 8192);
-        let b = p.add_array("B", 8, 8192);
-        let mut nest = LoopNest::rectangular("n", &[8192]).work(16);
-        nest.add_ref(a, AffineExpr::var(0, 1), Access::Write);
-        nest.add_ref(b, AffineExpr::var(0, 1), Access::Read);
-        p.add_nest(nest);
-        p
-    }
-
-    #[test]
-    fn co_optimize_converges_and_logs() {
-        let platform = Platform::paper_default();
-        let mut p = program();
-        let (mappings, log) =
-            co_optimize(&mut p, &platform, MappingOptions::default(), &DataEnv::new(), 4, 8);
-        assert!(!mappings.is_empty());
-        assert!(!log.is_empty() && log.len() <= 4);
-        // The objective does not drift upward over the whole run (individual
-        // rounds may wiggle: the mapping step re-decides under CME noise).
-        let first = log.first().unwrap().mean_distance;
-        let last = log.last().unwrap().mean_distance;
-        assert!(last <= first + 0.3, "diverged: {first} -> {last}");
-    }
-
-    #[test]
-    fn co_optimize_beats_or_matches_layout_alone() {
-        let platform = Platform::paper_default();
-        let data = DataEnv::new();
-
-        let mut p1 = program();
-        optimize_layout(&mut p1, &platform, &data, 8);
-        let compiler = Compiler::builder(platform.clone()).build().unwrap();
-        let m1: Vec<NestMapping> = p1
-            .nest_ids()
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|nid| compiler.map_nest(&p1, nid, &data))
-            .collect();
-        let d1 = mapped_distance(&p1, &platform, &data, &m1, 8);
-
-        let mut p2 = program();
-        let (m2, _) = co_optimize(&mut p2, &platform, MappingOptions::default(), &data, 4, 8);
-        let d2 = mapped_distance(&p2, &platform, &data, &m2, 8);
-        assert!(d2 <= d1 + 0.25, "co-opt {d2} much worse than layout-then-map {d1}");
-    }
-
-    #[test]
-    fn co_optimize_is_deterministic() {
-        let platform = Platform::paper_default();
-        let mut p1 = program();
-        let mut p2 = program();
-        let (_, l1) = co_optimize(&mut p1, &platform, MappingOptions::default(), &DataEnv::new(), 3, 8);
-        let (_, l2) = co_optimize(&mut p2, &platform, MappingOptions::default(), &DataEnv::new(), 3, 8);
-        assert_eq!(l1.len(), l2.len());
-        for (a, b) in l1.iter().zip(&l2) {
-            assert_eq!(a.pads, b.pads);
-        }
     }
 }

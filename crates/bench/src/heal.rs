@@ -35,7 +35,7 @@ use locmap_core::{
 use locmap_loopir::{DataEnv, NestId, Program};
 use locmap_noc::{FaultPlan, FaultState, LocmapError};
 use locmap_sim::{RunResult, SimError, Simulator};
-use locmap_verify::{Code, Severity, VerifyConfig, VerifyMapping};
+use locmap_verify::{VerifyConfig, VerifyMapping};
 use locmap_workloads::Workload;
 use std::fmt;
 
@@ -140,12 +140,7 @@ pub struct HealOutcome {
 /// counters accumulate; rate-style observations (measured hit rates,
 /// observed MAI/CAI) are replaced, so the final complete segment wins.
 fn merge(total: &mut RunResult, seg: &RunResult) {
-    total.network.messages += seg.network.messages;
-    total.network.total_latency += seg.network.total_latency;
-    total.network.total_hops += seg.network.total_hops;
-    total.network.total_queue_cycles += seg.network.total_queue_cycles;
-    total.network.total_flits += seg.network.total_flits;
-    total.network.max_latency = total.network.max_latency.max(seg.network.max_latency);
+    total.network.merge(&seg.network);
     total.l1.hits += seg.l1.hits;
     total.l1.misses += seg.l1.misses;
     total.l1.writebacks += seg.l1.writebacks;
@@ -241,9 +236,7 @@ fn remap_ladder(
         }
     }
 
-    let relaxed = VerifyConfig::mapping_only()
-        .with_override(Code::ETA_NOT_MINIMAL, Severity::Warn)
-        .with_override(Code::LOAD_IMBALANCE, Severity::Warn);
+    let relaxed = VerifyConfig::fallback_mapping();
     let rungs = [
         (
             DegradationLevel::RegionFallback,

@@ -34,7 +34,7 @@ use locmap_core::{
 };
 use locmap_loopir::{Access, AffineExpr, DataEnv, LoopNest, NestId, Program};
 use locmap_noc::{Budget, CancelToken, LocmapError, RunControl};
-use locmap_verify::{Code, Severity, VerifyConfig, VerifyMapping};
+use locmap_verify::{VerifyConfig, VerifyMapping};
 use locmap_workloads::Workload;
 use std::collections::VecDeque;
 use std::fmt;
@@ -282,39 +282,27 @@ struct Pending<'s> {
     deadline: u64,
 }
 
-/// A bounded multi-class FIFO: one queue per [`Priority`], dequeued
-/// highest class first, FIFO within a class, with one shared capacity so
-/// a flood of low-priority work still backpressures instead of starving
-/// memory.
+/// A multi-class FIFO: one queue per [`Priority`], dequeued highest class
+/// first, FIFO within a class. It holds no bound of its own: every item
+/// carries an [`AdmitTicket`](locmap_core::AdmitTicket), so the
+/// session's admission gate already caps how many can wait.
 #[derive(Debug, Clone)]
 struct AdmissionQueue<T> {
     /// One FIFO per class, in [`Priority::ALL`] order.
     classes: [VecDeque<T>; 3],
-    capacity: usize,
 }
 
 impl<T> AdmissionQueue<T> {
-    /// An empty queue holding at most `capacity` items across all
-    /// classes (`capacity` 0 is clamped to 1 — a queue that can hold
-    /// nothing would shed everything).
-    fn bounded(capacity: usize) -> Self {
-        AdmissionQueue {
-            classes: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
-            capacity: capacity.max(1),
-        }
+    /// An empty queue.
+    fn new() -> Self {
+        AdmissionQueue { classes: [VecDeque::new(), VecDeque::new(), VecDeque::new()] }
     }
 
-    /// Enqueues `item`, or rejects it with [`TryMapError::QueueFull`]
-    /// when the shared bound is reached.
-    fn try_push(&mut self, priority: Priority, item: T) -> Result<(), TryMapError> {
-        let depth = self.len();
-        if depth >= self.capacity {
-            return Err(TryMapError::QueueFull { depth, capacity: self.capacity });
-        }
+    /// Enqueues `item` at the back of its class.
+    fn push(&mut self, priority: Priority, item: T) {
         let class =
             Priority::ALL.iter().position(|&p| p == priority).expect("ALL lists every class");
         self.classes[class].push_back(item);
-        Ok(())
     }
 
     /// Dequeues the oldest item of the highest non-empty class.
@@ -323,11 +311,6 @@ impl<T> AdmissionQueue<T> {
             .into_iter()
             .zip(&mut self.classes)
             .find_map(|(p, class)| class.pop_front().map(|item| (p, item)))
-    }
-
-    /// Items queued across all classes.
-    fn len(&self) -> usize {
-        self.classes.iter().map(VecDeque::len).sum()
     }
 
     /// True when nothing is queued.
@@ -375,9 +358,7 @@ fn run_arm(
     let relative_deadline = ((saturation as f64 * cfg.deadline_factor).round() as u64).max(1);
 
     let strict = VerifyConfig::mapping_only();
-    let relaxed = VerifyConfig::mapping_only()
-        .with_override(Code::ETA_NOT_MINIMAL, Severity::Warn)
-        .with_override(Code::LOAD_IMBALANCE, Severity::Warn);
+    let relaxed = VerifyConfig::fallback_mapping();
 
     let kernel_at = |i: usize| -> &Kernel {
         if i.is_multiple_of(3) && !hot.is_empty() {
@@ -387,7 +368,7 @@ fn run_arm(
         }
     };
 
-    let mut queue: AdmissionQueue<Pending<'_>> = AdmissionQueue::bounded(cfg.admission.capacity);
+    let mut queue: AdmissionQueue<Pending<'_>> = AdmissionQueue::new();
     let mut report = ArmReport {
         multiplier,
         offered: cfg.arrivals,
@@ -426,12 +407,8 @@ fn run_arm(
                 match session.try_admit(priority) {
                     Ok(ticket) => {
                         report.max_depth = report.max_depth.max(session.in_flight());
-                        queue
-                            .try_push(
-                                priority,
-                                Pending { ticket, kernel: i, arrival: t, deadline: t + relative_deadline },
-                            )
-                            .expect("an admission ticket guarantees a queue slot");
+                        let deadline = t + relative_deadline;
+                        queue.push(priority, Pending { ticket, kernel: i, arrival: t, deadline });
                     }
                     Err(TryMapError::QueueFull { .. }) => report.shed_queue_full += 1,
                     Err(e) => return Err(LocmapError::InvalidConfig(e.to_string())),
@@ -525,26 +502,13 @@ mod tests {
 
     #[test]
     fn queue_orders_by_class_then_fifo() {
-        let mut q = AdmissionQueue::bounded(8);
-        q.try_push(Priority::Low, "l1").unwrap();
-        q.try_push(Priority::Normal, "n1").unwrap();
-        q.try_push(Priority::High, "h1").unwrap();
-        q.try_push(Priority::Normal, "n2").unwrap();
+        let mut q = AdmissionQueue::new();
+        q.push(Priority::Low, "l1");
+        q.push(Priority::Normal, "n1");
+        q.push(Priority::High, "h1");
+        q.push(Priority::Normal, "n2");
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, x)| x)).collect();
         assert_eq!(order, ["h1", "n1", "n2", "l1"]);
-    }
-
-    #[test]
-    fn queue_backpressures_at_shared_capacity() {
-        let mut q = AdmissionQueue::bounded(2);
-        q.try_push(Priority::Low, 1).unwrap();
-        q.try_push(Priority::High, 2).unwrap();
-        let err = q.try_push(Priority::High, 3).unwrap_err();
-        assert_eq!(err, TryMapError::QueueFull { depth: 2, capacity: 2 });
-        // Draining frees the bound.
-        assert_eq!(q.pop(), Some((Priority::High, 2)));
-        q.try_push(Priority::Normal, 4).unwrap();
-        assert_eq!(q.len(), 2);
     }
 
     fn test_setup() -> (Experiment, Vec<Workload>, OverloadConfig) {

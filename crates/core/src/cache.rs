@@ -165,7 +165,7 @@ enum Slot<V> {
 /// counters, safe to query from many worker threads at once. A hit on a
 /// finished value takes only the shared lock.
 ///
-/// [`MemoCache::get_or_insert_with`] deduplicates computations in flight:
+/// [`MemoCache::get_or_try_insert_with`] deduplicates computations in flight:
 /// when several workers reach the same missing key, exactly one computes
 /// the value and the others block until it lands. Without this, a batch of
 /// repeated kernels degenerates under parallelism — every worker that
@@ -218,18 +218,9 @@ impl<V: Clone> MemoCache<V> {
     /// was already computing it and this call waited for that result.
     /// `compute` runs outside every cache lock, so unrelated keys proceed
     /// in parallel; it must not panic, or waiters on this key would block
-    /// forever. Computations that can abort (cancellation, budgets) go
-    /// through [`get_or_try_insert_with`](MemoCache::get_or_try_insert_with)
-    /// instead, which cleans the slot up on failure.
-    pub fn get_or_insert_with(&self, key: CacheKey, compute: impl FnOnce() -> V) -> (V, bool) {
-        match self.get_or_try_insert_with(key, || Ok::<V, std::convert::Infallible>(compute())) {
-            Ok(r) => r,
-            Err(e) => match e {},
-        }
-    }
-
-    /// Fallible [`get_or_insert_with`](MemoCache::get_or_insert_with): a
-    /// `compute` that returns `Err` (cancelled, over budget, failed) never
+    /// forever.
+    ///
+    /// A `compute` that returns `Err` (cancelled, over budget, failed) never
     /// poisons the table. The pending slot is removed, the error is
     /// propagated to the claiming caller, and any workers waiting on the
     /// key wake up and re-claim it — an aborted computation is never
@@ -347,6 +338,7 @@ impl<V: Clone> MemoCache<V> {
 mod tests {
     use super::*;
     use locmap_loopir::{Access, AffineExpr, LoopNest};
+    use std::convert::Infallible;
 
     fn sample_program() -> (Program, NestId) {
         let mut p = Program::new("s");
@@ -410,11 +402,13 @@ mod tests {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
                     s.spawn(|| {
-                        let (v, _) = cache.get_or_insert_with(k, || {
-                            computed.fetch_add(1, Ordering::Relaxed);
-                            std::thread::sleep(std::time::Duration::from_millis(30));
-                            77
-                        });
+                        let (v, _) = cache
+                            .get_or_try_insert_with(k, || {
+                                computed.fetch_add(1, Ordering::Relaxed);
+                                std::thread::sleep(std::time::Duration::from_millis(30));
+                                Ok::<_, Infallible>(77)
+                            })
+                            .unwrap();
                         v
                     })
                 })
@@ -435,7 +429,7 @@ mod tests {
         assert_eq!(r, Err("cancelled"));
         assert_eq!(cache.stats().entries, 0, "aborted compute must not leave a slot");
         // The key is immediately claimable again and serves the retry.
-        let (v, cached) = cache.get_or_insert_with(k, || 11);
+        let (v, cached) = cache.get_or_try_insert_with(k, || Ok::<_, Infallible>(11)).unwrap();
         assert_eq!((v, cached), (11, false));
         assert_eq!(cache.get(&k), Some(11));
     }
@@ -461,10 +455,12 @@ mod tests {
             let waiters: Vec<_> = (0..3)
                 .map(|_| {
                     s.spawn(|| {
-                        let (v, _) = cache.get_or_insert_with(k, || {
-                            recomputed.fetch_add(1, Ordering::Relaxed);
-                            33
-                        });
+                        let (v, _) = cache
+                            .get_or_try_insert_with(k, || {
+                                recomputed.fetch_add(1, Ordering::Relaxed);
+                                Ok::<_, Infallible>(33)
+                            })
+                            .unwrap();
                         v
                     })
                 })
@@ -488,12 +484,14 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         std::thread::scope(|s| {
             let reader = cache.map.read().unwrap();
-            s.spawn(|| tx.send(cache.get_or_insert_with(k, || 6)).unwrap());
+            s.spawn(|| {
+                tx.send(cache.get_or_try_insert_with(k, || Ok::<_, Infallible>(6))).unwrap()
+            });
             // A hit that needed the exclusive lock would block until the
             // guard drops; release it either way so the thread can finish.
             let served = rx.recv_timeout(Duration::from_secs(10));
             drop(reader);
-            assert_eq!(served, Ok((5, true)), "a hit must not wait for the exclusive lock");
+            assert_eq!(served, Ok(Ok((5, true))), "a hit must not wait for the exclusive lock");
         });
     }
 

@@ -358,11 +358,6 @@ impl ResilienceController {
         self.policy
     }
 
-    /// The migration-cost model in force.
-    pub fn migration_model(&self) -> MigrationModel {
-        self.migration
-    }
-
     /// The two directions of a channel are one wire: canonicalize links to
     /// the direction with the lower slot index so strike counting and
     /// quarantine agree with [`FaultPlan`]'s component identity.

@@ -469,18 +469,6 @@ impl MappingSession {
         Ok(ServedMapping { response: self.heuristic_one(r), quality: QualityLevel::Heuristic })
     }
 
-    /// Admission + serving in one call: the closed-loop convenience over
-    /// [`MappingSession::try_admit`] / [`MappingSession::serve`].
-    pub fn try_map_one(
-        &self,
-        r: &MapRequest<'_>,
-        priority: Priority,
-        ctl: &RunControl,
-    ) -> Result<ServedMapping, TryMapError> {
-        let ticket = self.try_admit(priority)?;
-        self.serve(&ticket, r, ctl)
-    }
-
     fn mapping_key(&self, r: &MapRequest<'_>) -> CacheKey {
         fingerprint(|h| {
             hash_platform(h, &self.platform);
@@ -729,6 +717,18 @@ mod tests {
         );
     }
 
+    /// Admits `r` at `priority` and serves it under `ctl`, releasing the
+    /// slot afterwards.
+    fn admit_and_serve(
+        session: &MappingSession,
+        r: &MapRequest<'_>,
+        priority: Priority,
+        ctl: &RunControl,
+    ) -> ServedMapping {
+        let ticket = session.try_admit(priority).unwrap();
+        session.serve(&ticket, r, ctl).unwrap()
+    }
+
     #[test]
     fn admission_queue_bounds_in_flight_requests() {
         let session = MappingSession::builder(Platform::paper_default())
@@ -763,29 +763,29 @@ mod tests {
         let r = MapRequest { program: &p, nest: id, data: &data };
 
         // Alone in the queue: full quality, same answer as map_one.
-        let served = session.try_map_one(&r, Priority::Normal, &RunControl::unlimited()).unwrap();
+        let served = admit_and_serve(&session, &r, Priority::Normal, &RunControl::unlimited());
         assert_eq!(served.quality, QualityLevel::Full);
         assert_eq!(served.response.mapping, session.map_one(&r).mapping);
 
         // Past degrade_depth: served from cache (it was just warmed).
         let _hold: Vec<_> = (0..2).map(|_| session.try_admit(Priority::Low).unwrap()).collect();
-        let served = session.try_map_one(&r, Priority::Normal, &RunControl::unlimited()).unwrap();
+        let served = admit_and_serve(&session, &r, Priority::Normal, &RunControl::unlimited());
         assert_eq!(served.quality, QualityLevel::Cached);
         assert!(served.response.cache_hit);
         // High priority tolerates the same depth at full quality.
-        let served = session.try_map_one(&r, Priority::High, &RunControl::unlimited()).unwrap();
+        let served = admit_and_serve(&session, &r, Priority::High, &RunControl::unlimited());
         assert_eq!(served.quality, QualityLevel::Full);
 
         // Past heuristic_depth: the locality heuristic answers.
         let _more: Vec<_> = (0..2).map(|_| session.try_admit(Priority::Low).unwrap()).collect();
-        let served = session.try_map_one(&r, Priority::Normal, &RunControl::unlimited()).unwrap();
+        let served = admit_and_serve(&session, &r, Priority::Normal, &RunControl::unlimited());
         assert_eq!(served.quality, QualityLevel::Heuristic);
         assert_eq!(served.response, session.heuristic_one(&r));
 
         // A cold cache at the Cached rung also falls to the heuristic.
         let cold = MappingSession::builder(Platform::paper_default()).admission(cfg).build().unwrap();
         let _hold: Vec<_> = (0..2).map(|_| cold.try_admit(Priority::Low).unwrap()).collect();
-        let served = cold.try_map_one(&r, Priority::Normal, &RunControl::unlimited()).unwrap();
+        let served = admit_and_serve(&cold, &r, Priority::Normal, &RunControl::unlimited());
         assert_eq!(served.quality, QualityLevel::Heuristic);
     }
 
@@ -812,24 +812,24 @@ mod tests {
         // Three budget blows in a row strike the breaker open; each falls
         // back down the ladder instead of failing the request.
         for _ in 0..3 {
-            let served = session.try_map_one(&r, Priority::Normal, &starved()).unwrap();
+            let served = admit_and_serve(&session, &r, Priority::Normal, &starved());
             assert_eq!(served.quality, QualityLevel::Heuristic);
         }
         assert_eq!(session.breaker_state(), BreakerState::Open);
 
         // While open, even unlimited requests bypass the expensive path.
         for _ in 0..7 {
-            let served = session.try_map_one(&r, Priority::Normal, &RunControl::unlimited()).unwrap();
+            let served = admit_and_serve(&session, &r, Priority::Normal, &RunControl::unlimited());
             assert_eq!(served.quality, QualityLevel::Heuristic);
         }
         assert_eq!(session.breaker_state(), BreakerState::Open);
 
         // The cool-down elapses (in observations): a probe runs the full
         // pipeline again, and enough successes close the breaker.
-        let served = session.try_map_one(&r, Priority::Normal, &RunControl::unlimited()).unwrap();
+        let served = admit_and_serve(&session, &r, Priority::Normal, &RunControl::unlimited());
         assert_eq!(served.quality, QualityLevel::Full);
         assert_eq!(session.breaker_state(), BreakerState::HalfOpen);
-        let served = session.try_map_one(&r, Priority::Normal, &RunControl::unlimited()).unwrap();
+        let served = admit_and_serve(&session, &r, Priority::Normal, &RunControl::unlimited());
         assert_eq!(served.quality, QualityLevel::Full);
         assert_eq!(session.breaker_state(), BreakerState::Closed);
     }

@@ -5,8 +5,9 @@
 //! implementation sees them — rectangular or triangular nests over arrays
 //! with affine subscripts (regular applications) or index-array subscripts
 //! (irregular applications) — and provides the analyses the mapping pass
-//! consumes: iteration enumeration and stepping, iteration-set formation,
-//! dependence testing (is the nest parallel?), and reuse classification.
+//! consumes: iteration enumeration and stepping, iteration-set formation
+//! and reference compilation. Whether a nest is legal to run in parallel
+//! is the verifier's question (`locmap_verify::nests::check_nest`).
 //!
 //! # Example
 //!
@@ -33,17 +34,13 @@
 #![warn(missing_debug_implementations)]
 
 mod affine;
-mod deps;
 mod hash;
 mod iter;
 mod nest;
 mod program;
-mod reuse;
 
 pub use affine::{AffineExpr, ParamEnv, ParamId};
-pub use deps::{DependenceKind, DependenceTest};
 pub use hash::{fx_digest, FxHasher};
 pub use iter::{IterCursor, IterationSet, IterationSpace, IterVec};
 pub use nest::{Access, ArrayRef, LoopBound, LoopNest, NestId, RefId, RefKind};
 pub use program::{Array, ArrayId, CompiledRef, DataEnv, Program};
-pub use reuse::{ReuseAnalysis, ReuseKind};

@@ -136,11 +136,6 @@ impl Budget {
         self.wall = Some(wall);
         self
     }
-
-    /// True when neither limit is configured.
-    pub fn is_unlimited(&self) -> bool {
-        self.work_units.is_none() && self.wall.is_none()
-    }
 }
 
 /// The per-run handle hot loops checkpoint against.

@@ -207,37 +207,26 @@ impl Network {
     ///
     /// Panics if an active fault state leaves `dst` unreachable from `src`
     /// — callers running under faults must pre-validate connectivity (see
-    /// [`FaultState::check_connected`]) or use [`Self::try_send`].
+    /// [`FaultState::check_connected`]).
     pub fn send(&mut self, now: u64, src: NodeId, dst: NodeId, kind: MessageKind) -> u64 {
-        self.try_send(now, src, dst, kind)
-            .unwrap_or_else(|e| panic!("unvalidated fault state: {e}"))
-    }
-
-    /// Fallible variant of [`Self::send`]: returns
-    /// [`RouteError::Unreachable`] instead of delivering to a wrong node
-    /// (or panicking) when the active fault state disconnects the pair.
-    pub fn try_send(
-        &mut self,
-        now: u64,
-        src: NodeId,
-        dst: NodeId,
-        kind: MessageKind,
-    ) -> Result<u64, RouteError> {
         debug_assert!(now >= self.floor, "message injected at {now}, before the floor {}", self.floor);
         if !self.faults.router_alive(src) || !self.faults.router_alive(dst) {
-            return Err(RouteError::Unreachable { from: src, to: dst });
+            unvalidated_fault_state(RouteError::Unreachable { from: src, to: dst });
         }
         if self.cfg.ideal || src == dst {
             // Local or ideal: deliver instantly, still count the message so
             // traffic volumes remain comparable across modes.
             self.stats.messages += 1;
             self.stats.total_flits += kind.flits() as u64;
-            return Ok(now);
+            return now;
         }
 
         let flits = kind.flits() as u64;
         let dur = flits * self.cfg.link_traversal;
-        let path = self.memoised_route(src, dst)?;
+        let path = match self.memoised_route(src, dst) {
+            Ok(path) => path,
+            Err(e) => unvalidated_fault_state(e),
+        };
         let hops = path.len() as u64;
 
         let mut head = now;
@@ -260,7 +249,7 @@ impl Network {
         self.stats.total_queue_cycles += queue_cycles;
         self.stats.total_flits += flits;
         self.stats.max_latency = self.stats.max_latency.max(latency);
-        Ok(arrival)
+        arrival
     }
 
     /// The arena range of the link indices on the route from `src` to
@@ -330,6 +319,13 @@ impl Network {
         };
         (max, mean)
     }
+}
+
+/// A send between nodes the active fault state disconnects: the caller
+/// skipped validating connectivity, so no delivery cycle is meaningful.
+#[cold]
+fn unvalidated_fault_state(e: RouteError) -> ! {
+    panic!("unvalidated fault state: {e}")
 }
 
 #[cfg(test)]
@@ -648,7 +644,7 @@ mod tests {
         net.reset_contention();
         let cut = Link { from: m.node_at(1, 0), dir: Direction::East };
         net.set_faults(&FaultPlan::new(m, 4).dead_link(cut).state_at(0));
-        let faulted = net.try_send(0, src, dst, MessageKind::LlcRequest).unwrap();
+        let faulted = net.send(0, src, dst, MessageKind::LlcRequest);
         assert!(faulted > clean, "detour must cost extra hops ({faulted} vs {clean})");
         net.set_faults(&FaultState::none(m, 4));
         net.reset_contention();
@@ -656,16 +652,16 @@ mod tests {
     }
 
     #[test]
-    fn try_send_reports_unreachable() {
+    #[should_panic(expected = "unvalidated fault state: no surviving route from n0 to n14")]
+    fn send_to_unreachable_node_panics() {
         use crate::faults::FaultPlan;
         let mut net = net6();
         let m = net.mesh();
         let dead = m.node_at(2, 2);
         net.set_faults(&FaultPlan::new(m, 4).dead_router(dead).state_at(0));
-        let err = net.try_send(0, m.node_at(0, 0), dead, MessageKind::LlcRequest).unwrap_err();
-        assert_eq!(err, crate::RouteError::Unreachable { from: m.node_at(0, 0), to: dead });
         // Messages between alive nodes still flow.
-        assert!(net.try_send(0, m.node_at(0, 0), m.node_at(5, 5), MessageKind::LlcRequest).is_ok());
+        assert!(net.send(0, m.node_at(0, 0), m.node_at(5, 5), MessageKind::LlcRequest) > 0);
+        net.send(0, m.node_at(0, 0), dead, MessageKind::LlcRequest);
     }
 
     #[test]

@@ -170,18 +170,6 @@ impl<'a> SetStarts<'a> {
     }
 }
 
-/// Stat totals at segment start, for delta collection.
-#[derive(Debug, Clone)]
-struct Baseline {
-    l1h0: u64,
-    l1m0: u64,
-    l2h0: u64,
-    l2m0: u64,
-    l2w0: u64,
-    dram0: locmap_mem::DramStats,
-    inval0: u64,
-}
-
 /// The outcome level of one memory access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Level {
@@ -468,16 +456,6 @@ impl Simulator {
         let mut cai_tally = vec![vec![0u64; nregions]; nsets];
         let mut access_tally = vec![0u64; nsets];
 
-        let base = Baseline {
-            l1h0: self.l1_totals().0,
-            l1m0: self.l1_totals().1,
-            l2h0: self.l2_totals().0,
-            l2m0: self.l2_totals().1,
-            l2w0: self.l2_totals().2,
-            dram0: *self.dram.stats(),
-            inval0: self.invalidations,
-        };
-
         // Advance the earliest core one iteration at a time.
         let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
         for (c, w) in work.iter().enumerate() {
@@ -529,7 +507,6 @@ impl Simulator {
                         .collect();
                     let cycles = clock.iter().cloned().fold(0.0, f64::max) as u64;
                     let partial = self.collect_result(
-                        &base,
                         cycles.min(b_local),
                         &counters,
                         &mai_tally,
@@ -610,7 +587,6 @@ impl Simulator {
                 if let Err(reason) = ctl.checkpoint(1, issued, total) {
                     let cycles = clock.iter().cloned().fold(0.0, f64::max) as u64;
                     let partial = self.collect_result(
-                        &base,
                         cycles,
                         &counters,
                         &mai_tally,
@@ -645,7 +621,7 @@ impl Simulator {
 
         let cycles = clock.iter().cloned().fold(0.0, f64::max) as u64;
         let result =
-            self.collect_result(&base, cycles, &counters, &mai_tally, &cai_tally, &access_tally);
+            self.collect_result(cycles, &counters, &mai_tally, &cai_tally, &access_tally);
         Ok((result, finish))
     }
 
@@ -772,24 +748,18 @@ impl Simulator {
         mcs.chain(banks).find(|&c| newly(c))
     }
 
-    /// Delta-collects a [`RunResult`] for the segment since `base`.
+    /// Collects a [`RunResult`] for the run since the last
+    /// [`restart_clock`](Self::restart_clock).
     fn collect_result(
         &self,
-        base: &Baseline,
         cycles: u64,
         counters: &[Vec<RefCounters>],
         mai_tally: &[Vec<u64>],
         cai_tally: &[Vec<u64>],
         access_tally: &[u64],
     ) -> RunResult {
-        let (l1h1, l1m1) = self.l1_totals();
-        let (l2h1, l2m1, l2w1) = self.l2_totals();
-        let mut dram = *self.dram.stats();
-        dram.requests -= base.dram0.requests;
-        dram.row_hits -= base.dram0.row_hits;
-        dram.row_empty -= base.dram0.row_empty;
-        dram.row_conflicts -= base.dram0.row_conflicts;
-        dram.total_latency -= base.dram0.total_latency;
+        let (l1_hits, l1_misses) = self.l1_totals();
+        let (l2_hits, l2_misses, l2_writebacks) = self.l2_totals();
 
         // Measured rates.
         let rates = |rate: fn(&RefCounters) -> f64| -> Vec<Vec<f64>> {
@@ -818,21 +788,17 @@ impl Simulator {
         RunResult {
             cycles,
             network: *self.net.stats(),
-            l1: locmap_mem::CacheStats {
-                hits: l1h1 - base.l1h0,
-                misses: l1m1 - base.l1m0,
-                writebacks: 0,
-            },
+            l1: locmap_mem::CacheStats { hits: l1_hits, misses: l1_misses, writebacks: 0 },
             l2: locmap_mem::CacheStats {
-                hits: l2h1 - base.l2h0,
-                misses: l2m1 - base.l2m0,
-                writebacks: l2w1 - base.l2w0,
+                hits: l2_hits,
+                misses: l2_misses,
+                writebacks: l2_writebacks,
             },
-            dram,
+            dram: *self.dram.stats(),
             measured,
             observed_mai: ratios(mai_tally),
             observed_cai: ratios(cai_tally),
-            invalidations: self.invalidations - base.inval0,
+            invalidations: self.invalidations,
             resilience: None,
         }
     }
@@ -876,14 +842,20 @@ impl Simulator {
     }
 
     /// Starts a run's clock at cycle 0: releases the link and bank
-    /// occupancy left over from earlier runs (cache contents stay warm)
-    /// and starts the network's statistics afresh, so every field of a
-    /// run's [`RunResult::network`], its maximum latency too, covers that
-    /// run alone.
+    /// occupancy left over from earlier runs (cache contents and open rows
+    /// stay warm) and starts every statistic afresh — network, L1, L2,
+    /// DRAM and invalidations — so every counter of a run's
+    /// [`RunResult`], the network's maximum latency too, covers that run
+    /// alone.
     fn restart_clock(&mut self) {
         self.net.reset_contention();
         self.net.clear_stats();
         self.dram.release_timing();
+        self.dram.clear_stats();
+        for cache in self.l1s.iter_mut().chain(&mut self.l2s) {
+            cache.clear_stats();
+        }
+        self.invalidations = 0;
     }
 
     /// Simulates one memory access by core `c` at cycle `t`.

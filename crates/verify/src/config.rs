@@ -48,6 +48,17 @@ impl VerifyConfig {
     pub fn mapping_only() -> Self {
         VerifyConfig { nests: false, vectors: false, routing: false, ..Self::default() }
     }
+
+    /// [`mapping_only`](Self::mapping_only) with η-minimality and load
+    /// balance demoted to warnings — the profile for fallback answers
+    /// (the locality heuristic, degraded-mode placements) that knowingly
+    /// give up both for latency or survival. Every other mapping code
+    /// keeps its severity.
+    pub fn fallback_mapping() -> Self {
+        Self::mapping_only()
+            .with_override(Code::ETA_NOT_MINIMAL, Severity::Warn)
+            .with_override(Code::LOAD_IMBALANCE, Severity::Warn)
+    }
 }
 
 #[cfg(test)]
@@ -66,6 +77,17 @@ mod tests {
         let c = VerifyConfig::mapping_only();
         assert!(c.mapping);
         assert!(!c.nests && !c.vectors && !c.routing);
+    }
+
+    #[test]
+    fn fallback_mapping_demotes_only_eta_and_balance() {
+        let c = VerifyConfig::fallback_mapping();
+        let passes = VerifyConfig { overrides: Vec::new(), ..c.clone() };
+        assert_eq!(passes, VerifyConfig::mapping_only());
+        assert_eq!(
+            c.overrides,
+            vec![(Code::ETA_NOT_MINIMAL, Severity::Warn), (Code::LOAD_IMBALANCE, Severity::Warn)]
+        );
     }
 
     #[test]

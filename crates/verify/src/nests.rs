@@ -21,10 +21,11 @@
 //!   pairs the filter cannot clear fall back to full enumeration: a
 //!   dependence is carried by the declared-parallel loop iff some array
 //!   element is written and touched from two different parallel-loop
-//!   indices ([`Code::CARRIED_DEPENDENCE`]). This is exact where the
-//!   classic ZIV/SIV/GCD battery (`locmap_loopir::DependenceTest`) must
-//!   answer "maybe", so provably-parallel shipped workloads verify
-//!   Deny-free.
+//!   indices ([`Code::CARRIED_DEPENDENCE`]). This is exact where a
+//!   classic ZIV/SIV/GCD battery must answer "maybe" (a strong-SIV test
+//!   calls `A[i] = A[i+50]` over `0..50` carried), so provably-parallel
+//!   shipped workloads verify Deny-free. It is the one parallel-legality
+//!   analysis in the workspace.
 //!
 //! Irregular references without installed index arrays are unknowable at
 //! compile time and produce warnings, mirroring the paper's fallback to
@@ -35,13 +36,6 @@ use locmap_loopir::{
     Access, AffineExpr, DataEnv, IterationSpace, LoopNest, NestId, ParamEnv, Program, RefKind,
 };
 use std::collections::HashMap;
-
-/// Lints every nest of `program`.
-pub fn check_program(program: &Program, data: &DataEnv, sink: &mut DiagnosticSink) {
-    for id in program.nest_ids() {
-        check_nest(program, id, data, sink);
-    }
-}
 
 /// Enumerates the iteration space at most once, and only when a check
 /// actually needs it (the rectangular fast paths never do).
@@ -496,26 +490,40 @@ mod tests {
     #[test]
     fn exactness_beats_conservative_static_test() {
         // A[i] = A[i+50] on i in 0..50: the write range [0,50) and read
-        // range [50,100) never overlap, so tiling is safe — but the strong
-        // SIV test reports distance 50 as Carried. The exact check stays
-        // quiet (here the no-conflict filter itself proves it: c=1,
-        // f₂−f₁ = 50, and |k| ≤ 49).
+        // range [50,100) never overlap, so tiling is safe — but a strong
+        // SIV test sees distance 50 and reports it carried. The exact
+        // check stays quiet (here the no-conflict filter itself proves
+        // it: c=1, f₂−f₁ = 50, and |k| ≤ 49).
         let mut p = Program::new("t");
         let a = p.add_array("A", 8, 100);
         let mut nest = LoopNest::rectangular("n", &[50]);
         nest.add_ref(a, AffineExpr::var(0, 1), Access::Write);
         nest.add_ref(a, AffineExpr::var(0, 1).plus(50), Access::Read);
         let id = p.add_nest(nest);
-        use locmap_loopir::{DependenceKind, DependenceTest};
-        let n = p.nest(id);
-        assert_eq!(
-            DependenceTest::new(&p, n).test_pair(0, 1, 0),
-            DependenceKind::Carried { depth: 0 },
-            "static test is conservative here"
-        );
         let mut s = sink();
         check_nest(&p, id, &DataEnv::new(), &mut s);
         assert!(!s.has(Code::CARRIED_DEPENDENCE), "{}", s.report());
+    }
+
+    #[test]
+    fn shipped_workloads_are_parallel_legal() {
+        // Every shipped workload models an already-parallel application,
+        // so each nest, with its index arrays installed, must tile its
+        // declared parallel loop without breaking a dependence.
+        let workloads = locmap_workloads::build_all(locmap_workloads::Scale::default());
+        assert_eq!(workloads.len(), locmap_workloads::names().len());
+        let mut nests = 0;
+        for w in &workloads {
+            for id in w.program.nest_ids() {
+                let mut s = sink();
+                check_nest(&w.program, id, &w.data, &mut s);
+                let name = &w.program.nest(id).name;
+                assert!(!s.has(Code::CARRIED_DEPENDENCE), "{}::{name}: {}", w.name, s.report());
+                assert!(s.is_clean(), "{}::{name}: {}", w.name, s.report());
+                nests += 1;
+            }
+        }
+        assert_eq!(nests, 29, "every nest of the 21 workloads is checked");
     }
 
     #[test]

@@ -86,7 +86,7 @@ pub fn build_all(scale: Scale) -> Vec<Workload> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use locmap_loopir::{DependenceTest, IterationSpace};
+    use locmap_loopir::IterationSpace;
 
     #[test]
     fn all_21_build() {
@@ -147,21 +147,6 @@ mod tests {
                 .sum();
             assert!(total > 20_000, "{} too small ({total} accesses)", w.name);
             assert!(total < 8_000_000, "{} too large ({total} accesses)", w.name);
-        }
-    }
-
-    #[test]
-    fn regular_parallel_nests_pass_dependence_test() {
-        for w in build_all(Scale::default()) {
-            if w.irregular {
-                continue;
-            }
-            for nest in w.program.nests() {
-                // Every declared-parallel regular nest must be provably
-                // safe — these model already-parallelized applications.
-                let t = DependenceTest::new(&w.program, nest);
-                assert!(t.parallel_loop_is_safe(), "{}::{} not parallel-safe", w.name, nest.name);
-            }
         }
     }
 

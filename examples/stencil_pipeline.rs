@@ -1,9 +1,9 @@
 //! A regular application end-to-end: 3-D heat diffusion.
 //!
 //! Shows the full compile-time pipeline of the paper's Figure 4 —
-//! dependence testing, reuse classification, CME hit estimation, the four
-//! affinity vectors, region assignment, balancing, placement — and then
-//! validates the schedule on the simulator.
+//! parallel legality (the verifier's nest pass), CME hit estimation, the
+//! four affinity vectors, region assignment, balancing, placement — and
+//! then validates the schedule on the simulator.
 //!
 //! ```sh
 //! cargo run --release -p locmap-bench --example stencil_pipeline
@@ -13,23 +13,27 @@ use locmap_cme::{CmeConfig, CmeEstimator};
 use locmap_core::{
     compute_cai, compute_mai, AffinityInputs, Cac, CacPolicy, CmeModel, Mac, MacPolicy,
 };
-use locmap_loopir::{DependenceTest, IterationSpace, ReuseAnalysis};
+use locmap_loopir::IterationSpace;
 use locmap_sim::prelude::*;
+use locmap_verify::{nests::check_nest, Code, DiagnosticSink};
 use locmap_workloads::{build, Scale};
 
 fn main() {
     let w = build("jacobi-3d", Scale::default());
     let program: &Program = &w.program;
-    let nest = &program.nests()[0];
+    let nest_id = program.nest_ids().next().expect("program has a nest");
+    let nest = program.nest(nest_id);
     let platform = Platform::paper_default();
 
-    // --- Front end: is the nest parallel, and how does it reuse data?
-    let deps = DependenceTest::new(program, nest);
-    println!("parallel-safe: {}", deps.parallel_loop_is_safe());
-    let reuse = ReuseAnalysis::analyze(program, nest, 64);
-    for (i, k) in reuse.kinds().iter().enumerate() {
-        println!("  ref {i}: {k:?}");
-    }
+    // --- Front end: may the declared parallel loop be split across cores?
+    let mut lints = DiagnosticSink::new();
+    check_nest(program, nest_id, &w.data, &mut lints);
+    println!(
+        "parallel-safe: {} ({} deny, {} warn)",
+        !lints.has(Code::CARRIED_DEPENDENCE),
+        lints.deny_count(),
+        lints.warn_count()
+    );
 
     // --- CME: which accesses stay on chip?
     let space = IterationSpace::enumerate(nest, &program.params());
@@ -61,7 +65,6 @@ fn main() {
 
     // --- Full pass + simulation.
     let compiler = Compiler::builder(platform.clone()).build().unwrap();
-    let nest_id = program.nest_ids().next().expect("program has a nest");
     let optimized = compiler.map_nest(program, nest_id, &w.data);
     let default = compiler.default_mapping(program, nest_id);
 

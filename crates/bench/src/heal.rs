@@ -141,17 +141,9 @@ pub struct HealOutcome {
 /// observed MAI/CAI) are replaced, so the final complete segment wins.
 fn merge(total: &mut RunResult, seg: &RunResult) {
     total.network.merge(&seg.network);
-    total.l1.hits += seg.l1.hits;
-    total.l1.misses += seg.l1.misses;
-    total.l1.writebacks += seg.l1.writebacks;
-    total.l2.hits += seg.l2.hits;
-    total.l2.misses += seg.l2.misses;
-    total.l2.writebacks += seg.l2.writebacks;
-    total.dram.requests += seg.dram.requests;
-    total.dram.row_hits += seg.dram.row_hits;
-    total.dram.row_empty += seg.dram.row_empty;
-    total.dram.row_conflicts += seg.dram.row_conflicts;
-    total.dram.total_latency += seg.dram.total_latency;
+    total.l1.merge(&seg.l1);
+    total.l2.merge(&seg.l2);
+    total.dram.merge(&seg.dram);
     total.invalidations += seg.invalidations;
     total.measured = seg.measured.clone();
     total.observed_mai = seg.observed_mai.clone();

@@ -2,12 +2,12 @@
 //! LLC-bank regions.
 //!
 //! For each iteration set, every (sampled) access is resolved to a physical
-//! address; the address determines the owning MC and, for shared LLCs, the
-//! home bank. The hit model splits the access's unit weight into
-//! L1-resident (invisible), LLC-hit (→ CAI) and LLC-miss (→ MAI) portions.
-//! Weights are normalized by the set's total access count, matching the
-//! paper's Table 1 worked example where 2 hits + 2 misses out of 4 accesses
-//! give MAI mass 0.5 and CAI mass 0.5.
+//! address once; the address determines the owning MC and, for shared LLCs,
+//! the home bank, so one scan builds both tables. The hit model splits the
+//! access's unit weight into L1-resident (invisible), LLC-hit (→ CAI) and
+//! LLC-miss (→ MAI) portions. Weights are normalized by the set's total
+//! access count, matching the paper's Table 1 worked example where 2 hits +
+//! 2 misses out of 4 accesses give MAI mass 0.5 and CAI mass 0.5.
 
 use crate::hits::HitModel;
 use crate::platform::Platform;
@@ -56,6 +56,103 @@ impl<'a> AffinityInputs<'a> {
     }
 }
 
+/// The CAI table a scan builds next to MAI on a shared LLC.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Cai {
+    /// LLC hits by home-bank region, as [`compute_cai`].
+    Hits,
+    /// Every LLC-reaching access by home-bank region, as
+    /// [`compute_cai_reaching`].
+    Reaching,
+}
+
+/// The one affinity scan: resolves each sampled address of every set once,
+/// adding its weight to MAI when `mai` is set and to the CAI that `cai`
+/// selects. A table not asked for comes back empty.
+///
+/// Each (set, reference) weight is read from `model` once per set. Every
+/// vector receives its additions in access order, so the tables are
+/// bit-identical to those of one scan per table. Checkpoints `ctl` after
+/// every set, charging one budget unit per sampled iteration for each table
+/// built, so a cancellation surfaces within one set's worth of work and an
+/// uncancelled run returns the tables of an unlimited one.
+pub(crate) fn scan(
+    inputs: &AffinityInputs<'_>,
+    platform: &Platform,
+    model: &dyn HitModel,
+    mai: bool,
+    cai: Option<Cai>,
+    ctl: &RunControl,
+) -> Result<(Vec<AffinityVec>, Vec<AffinityVec>), LocmapError> {
+    let addr_map = &platform.addr_map;
+    let bank_regions = platform.bank_regions();
+    let mcs = if mai { platform.mc_count() } else { 0 };
+    let regions = if cai.is_some() { platform.region_count() } else { 0 };
+    let tables = u64::from(mai) + u64::from(cai.is_some());
+    let refs = inputs.compile_refs();
+    let mut weights = Vec::with_capacity(refs.len());
+    let (mut mai_out, mut cai_out) = (Vec::new(), Vec::new());
+    for (si, set) in inputs.sets.iter().enumerate() {
+        // Per reference: what an access adds to its MC's MAI entry (an LLC
+        // miss) and to its home bank region's CAI entry.
+        weights.clear();
+        weights.extend((0..refs.len()).map(|ri| {
+            let reach_llc = 1.0 - model.l1_hit(set.id, ri);
+            let llc_hit = model.llc_hit(set.id, ri);
+            let to_mc = if mai { reach_llc * (1.0 - llc_hit) } else { 0.0 };
+            let to_bank = match cai {
+                Some(Cai::Hits) => reach_llc * llc_hit,
+                Some(Cai::Reaching) => reach_llc,
+                None => 0.0,
+            };
+            (to_mc, to_bank)
+        }));
+        let (mut mc_w, mut bank_w) = (vec![0.0f64; mcs], vec![0.0f64; regions]);
+        let mut scanned = 0u64;
+        for k in inputs.sampled_indices(set) {
+            scanned += 1;
+            let iv = inputs.space.get(k);
+            for (r, &(to_mc, to_bank)) in refs.iter().zip(&weights) {
+                let addr = PhysAddr(r.addr(iv));
+                if to_mc > 0.0 {
+                    mc_w[addr_map.mc_of(addr).index()] += to_mc;
+                }
+                if to_bank > 0.0 {
+                    bank_w[bank_regions[addr_map.llc_bank_of(addr) as usize].index()] += to_bank;
+                }
+            }
+        }
+        // Every access counts, wherever it is served.
+        let total = (scanned * refs.len() as u64) as f64;
+        let finish = |mut w: Vec<f64>| {
+            if total > 0.0 {
+                w.iter_mut().for_each(|x| *x /= total);
+            }
+            AffinityVec(w)
+        };
+        if mai {
+            mai_out.push(finish(mc_w));
+        }
+        if cai.is_some() {
+            cai_out.push(finish(bank_w));
+        }
+        ctl.checkpoint(tables * scanned, si + 1, inputs.sets.len())?;
+    }
+    Ok((mai_out, cai_out))
+}
+
+/// [`scan`] under a control that never aborts.
+fn scan_unlimited(
+    inputs: &AffinityInputs<'_>,
+    platform: &Platform,
+    model: &dyn HitModel,
+    mai: bool,
+    cai: Option<Cai>,
+) -> (Vec<AffinityVec>, Vec<AffinityVec>) {
+    scan(inputs, platform, model, mai, cai, &RunControl::unlimited())
+        .expect("an unlimited RunControl never aborts")
+}
+
 /// Computes MAI for every iteration set: entry `k` is the fraction of the
 /// set's accesses expected to be served by memory controller `k`.
 pub fn compute_mai(
@@ -63,47 +160,7 @@ pub fn compute_mai(
     platform: &Platform,
     model: &dyn HitModel,
 ) -> Vec<AffinityVec> {
-    compute_mai_ctl(inputs, platform, model, &RunControl::unlimited())
-        .expect("an unlimited RunControl never aborts")
-}
-
-/// [`compute_mai`] under cooperative control: checkpoints after every
-/// iteration set (one budget unit per sampled iteration scanned), so a
-/// cancellation surfaces within one set's worth of work. An uncancelled
-/// run returns the bit-identical table of [`compute_mai`].
-pub fn compute_mai_ctl(
-    inputs: &AffinityInputs<'_>,
-    platform: &Platform,
-    model: &dyn HitModel,
-    ctl: &RunControl,
-) -> Result<Vec<AffinityVec>, LocmapError> {
-    let m = platform.mc_count();
-    let refs = inputs.compile_refs();
-    let mut out = Vec::with_capacity(inputs.sets.len());
-    for (si, set) in inputs.sets.iter().enumerate() {
-        let mut w = vec![0.0f64; m];
-        let mut total = 0.0f64;
-        let mut scanned = 0u64;
-        for k in inputs.sampled_indices(set) {
-            scanned += 1;
-            let iv = inputs.space.get(k);
-            for (ri, r) in refs.iter().enumerate() {
-                let addr = PhysAddr(r.addr(iv));
-                total += 1.0;
-                let reach_llc = 1.0 - model.l1_hit(set.id, ri);
-                let p_miss = reach_llc * (1.0 - model.llc_hit(set.id, ri));
-                if p_miss > 0.0 {
-                    w[platform.addr_map.mc_of(addr).index()] += p_miss;
-                }
-            }
-        }
-        if total > 0.0 {
-            w.iter_mut().for_each(|x| *x /= total);
-        }
-        out.push(AffinityVec(w));
-        ctl.checkpoint(scanned, si + 1, inputs.sets.len())?;
-    }
-    Ok(out)
+    scan_unlimited(inputs, platform, model, true, None).0
 }
 
 /// Computes CAI for every iteration set: entry `j` is the fraction of the
@@ -116,47 +173,7 @@ pub fn compute_cai(
     platform: &Platform,
     model: &dyn HitModel,
 ) -> Vec<AffinityVec> {
-    compute_cai_ctl(inputs, platform, model, &RunControl::unlimited())
-        .expect("an unlimited RunControl never aborts")
-}
-
-/// [`compute_cai`] under cooperative control (see [`compute_mai_ctl`] for
-/// the checkpointing contract).
-pub fn compute_cai_ctl(
-    inputs: &AffinityInputs<'_>,
-    platform: &Platform,
-    model: &dyn HitModel,
-    ctl: &RunControl,
-) -> Result<Vec<AffinityVec>, LocmapError> {
-    let nregions = platform.region_count();
-    let bank_regions = platform.bank_regions();
-    let refs = inputs.compile_refs();
-    let mut out = Vec::with_capacity(inputs.sets.len());
-    for (si, set) in inputs.sets.iter().enumerate() {
-        let mut w = vec![0.0f64; nregions];
-        let mut total = 0.0f64;
-        let mut scanned = 0u64;
-        for k in inputs.sampled_indices(set) {
-            scanned += 1;
-            let iv = inputs.space.get(k);
-            for (ri, r) in refs.iter().enumerate() {
-                let addr = PhysAddr(r.addr(iv));
-                total += 1.0;
-                let reach_llc = 1.0 - model.l1_hit(set.id, ri);
-                let p_hit = reach_llc * model.llc_hit(set.id, ri);
-                if p_hit > 0.0 {
-                    let bank = platform.addr_map.llc_bank_of(addr);
-                    w[bank_regions[bank as usize].index()] += p_hit;
-                }
-            }
-        }
-        if total > 0.0 {
-            w.iter_mut().for_each(|x| *x /= total);
-        }
-        out.push(AffinityVec(w));
-        ctl.checkpoint(scanned, si + 1, inputs.sets.len())?;
-    }
-    Ok(out)
+    scan_unlimited(inputs, platform, model, false, Some(Cai::Hits)).1
 }
 
 /// Computes the *reaching* CAI for every iteration set: entry `j` is the
@@ -175,46 +192,7 @@ pub fn compute_cai_reaching(
     platform: &Platform,
     model: &dyn HitModel,
 ) -> Vec<AffinityVec> {
-    compute_cai_reaching_ctl(inputs, platform, model, &RunControl::unlimited())
-        .expect("an unlimited RunControl never aborts")
-}
-
-/// [`compute_cai_reaching`] under cooperative control (see
-/// [`compute_mai_ctl`] for the checkpointing contract).
-pub fn compute_cai_reaching_ctl(
-    inputs: &AffinityInputs<'_>,
-    platform: &Platform,
-    model: &dyn HitModel,
-    ctl: &RunControl,
-) -> Result<Vec<AffinityVec>, LocmapError> {
-    let nregions = platform.region_count();
-    let bank_regions = platform.bank_regions();
-    let refs = inputs.compile_refs();
-    let mut out = Vec::with_capacity(inputs.sets.len());
-    for (si, set) in inputs.sets.iter().enumerate() {
-        let mut w = vec![0.0f64; nregions];
-        let mut total = 0.0f64;
-        let mut scanned = 0u64;
-        for k in inputs.sampled_indices(set) {
-            scanned += 1;
-            let iv = inputs.space.get(k);
-            for (ri, r) in refs.iter().enumerate() {
-                let addr = PhysAddr(r.addr(iv));
-                total += 1.0;
-                let reach_llc = 1.0 - model.l1_hit(set.id, ri);
-                if reach_llc > 0.0 {
-                    let bank = platform.addr_map.llc_bank_of(addr);
-                    w[bank_regions[bank as usize].index()] += reach_llc;
-                }
-            }
-        }
-        if total > 0.0 {
-            w.iter_mut().for_each(|x| *x /= total);
-        }
-        out.push(AffinityVec(w));
-        ctl.checkpoint(scanned, si + 1, inputs.sets.len())?;
-    }
-    Ok(out)
+    scan_unlimited(inputs, platform, model, false, Some(Cai::Reaching)).1
 }
 
 /// Mean η between two per-set affinity vector tables — the paper's
@@ -236,7 +214,10 @@ pub fn mean_eta(a: &[AffinityVec], b: &[AffinityVec]) -> f64 {
 mod tests {
     use super::*;
     use crate::hits::{AllMissModel, MeasuredRates};
-    use locmap_loopir::{Access, AffineExpr, LoopNest, Program};
+    use crate::platform::LlcOrg;
+    use locmap_loopir::{Access, AffineExpr, ArrayRef, LoopNest, Program, RefKind};
+    use locmap_mem::{AddrMap, AddrMapConfig, ClusterMode, Interleave};
+    use proptest::prelude::*;
 
     /// Builds the Figure 5 / Table 1 example: one loop, four unit-stride
     /// arrays. With page-granularity MC interleaving, each array's pages
@@ -339,6 +320,183 @@ mod tests {
         let m_full = compute_mai(&full, &platform, &AllMissModel);
         let m_samp = compute_mai(&sampled, &platform, &AllMissModel);
         assert!(m_full[0].eta(&m_samp[0]) < 0.02);
+    }
+
+    /// The per-table loop the scan replaced: every access asks `entry` for
+    /// its (slot, weight), consulting the model afresh, and `total` counts
+    /// the accesses one by one.
+    fn reference(
+        inputs: &AffinityInputs<'_>,
+        width: usize,
+        entry: impl Fn(usize, usize, PhysAddr) -> Option<(usize, f64)>,
+    ) -> Vec<AffinityVec> {
+        let refs = inputs.compile_refs();
+        let table = inputs.sets.iter().map(|set| {
+            let mut w = vec![0.0f64; width];
+            let mut total = 0.0f64;
+            for k in inputs.sampled_indices(set) {
+                let iv = inputs.space.get(k);
+                for (ri, r) in refs.iter().enumerate() {
+                    let addr = PhysAddr(r.addr(iv));
+                    total += 1.0;
+                    if let Some((slot, x)) = entry(set.id, ri, addr) {
+                        w[slot] += x;
+                    }
+                }
+            }
+            if total > 0.0 {
+                w.iter_mut().for_each(|x| *x /= total);
+            }
+            AffinityVec(w)
+        });
+        table.collect()
+    }
+
+    fn reference_mai(
+        inputs: &AffinityInputs<'_>,
+        platform: &Platform,
+        model: &dyn HitModel,
+    ) -> Vec<AffinityVec> {
+        reference(inputs, platform.mc_count(), |s, ri, addr| {
+            let reach_llc = 1.0 - model.l1_hit(s, ri);
+            let p_miss = reach_llc * (1.0 - model.llc_hit(s, ri));
+            (p_miss > 0.0).then(|| (platform.addr_map.mc_of(addr).index(), p_miss))
+        })
+    }
+
+    fn reference_cai(
+        inputs: &AffinityInputs<'_>,
+        platform: &Platform,
+        model: &dyn HitModel,
+        kind: Cai,
+    ) -> Vec<AffinityVec> {
+        let bank_regions = platform.bank_regions();
+        reference(inputs, platform.region_count(), |s, ri, addr| {
+            let reach_llc = 1.0 - model.l1_hit(s, ri);
+            let p = match kind {
+                Cai::Hits => reach_llc * model.llc_hit(s, ri),
+                Cai::Reaching => reach_llc,
+            };
+            let bank = platform.addr_map.llc_bank_of(addr);
+            (p > 0.0).then(|| (bank_regions[bank as usize].index(), p))
+        })
+    }
+
+    fn bits(table: &[AffinityVec]) -> Vec<Vec<u64>> {
+        table.iter().map(|v| v.0.iter().map(|x| x.to_bits()).collect()).collect()
+    }
+
+    /// Rates for `sets` × `refs` from `seed`: exact 0s and 1s, which the
+    /// scans skip or keep whole, mixed with fractions.
+    fn rates(sets: usize, refs: usize, mut seed: u64) -> MeasuredRates {
+        let mut next = || {
+            seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let h = (seed ^ (seed >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            match h % 4 {
+                0 => 0.0,
+                1 => 1.0,
+                _ => (h >> 11) as f64 / (1u64 << 53) as f64,
+            }
+        };
+        let mut out = MeasuredRates::zeroed(sets, refs);
+        for s in 0..sets {
+            for r in 0..refs {
+                out.l1[s][r] = next();
+                out.llc[s][r] = next();
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #[test]
+        fn scan_is_bit_identical_to_one_loop_per_table(
+            shape in (collection::vec(1i64..=12, 1..=2), 1usize..=3, 0.05f64..=0.5),
+            refs in collection::vec((collection::vec(0i64..=300, 2), 0i64..=64, 0usize..4), 1..=4),
+            indirect in (0u8..=1, collection::vec(0i64..7000, 144), 0u64..u64::MAX),
+        ) {
+            let (bounds, stride, fraction) = shape;
+            let (with_indirect, index, seed) = indirect;
+            let mut p = Program::new("scan");
+            let arrays: Vec<_> =
+                (0..4).map(|a| p.add_array(format!("A{a}"), 8, 8192)).collect();
+            let idx = p.add_array("idx", 4, 144);
+            let mut nest = LoopNest::rectangular("n", &bounds);
+            for (coeffs, constant, a) in &refs {
+                let e = AffineExpr::linear(&coeffs[..bounds.len()], *constant);
+                nest.add_ref(arrays[*a], e, Access::Read);
+            }
+            if with_indirect == 1 {
+                let position = AffineExpr::linear(&[12, 1][..bounds.len()], 0);
+                nest.refs.push(ArrayRef {
+                    array: arrays[0],
+                    kind: RefKind::Indirect { index_array: idx, position, offset: 3 },
+                    access: Access::Write,
+                });
+            }
+            let id = p.add_nest(nest);
+            let mut data = DataEnv::new();
+            data.set_index_array(idx, index);
+            let nest = p.nest(id);
+            let space = IterationSpace::enumerate(nest, &p.params());
+            let sets = space.split_by_fraction(fraction);
+            let inputs = AffinityInputs { sample_stride: stride, ..AffinityInputs::full(&p, nest, &space, &sets, &data) };
+            let model = rates(sets.len(), nest.refs.len(), seed);
+            let sampled: u64 = sets.iter().map(|s| inputs.sampled_indices(s).count() as u64).sum();
+
+            let interleaves = [Interleave::Page, Interleave::Line];
+            let modes = [
+                None,
+                Some(ClusterMode::AllToAll),
+                Some(ClusterMode::Quadrant),
+                Some(ClusterMode::Snc4),
+            ];
+            let arms = [
+                (LlcOrg::Private, None),
+                (LlcOrg::SharedSNuca, Some(Cai::Hits)),
+                (LlcOrg::SharedSNuca, Some(Cai::Reaching)),
+            ];
+            for (mem_interleave, llc_interleave, cluster) in interleaves
+                .iter()
+                .flat_map(|&m| interleaves.iter().map(move |&l| (m, l)))
+                .flat_map(|(m, l)| modes.iter().map(move |&c| (m, l, c)))
+            {
+                for (llc, kind) in arms {
+                    let mut platform = Platform::paper_default_with(llc);
+                    platform.addr_map = AddrMap::new(AddrMapConfig {
+                        mem_interleave,
+                        llc_interleave,
+                        cluster,
+                        ..platform.addr_map.config()
+                    });
+                    let ctl = RunControl::unlimited();
+                    let (mai, cai) = scan(&inputs, &platform, &model, true, kind, &ctl).unwrap();
+                    let want_mai = reference_mai(&inputs, &platform, &model);
+                    let arm = format!("{:?} {kind:?} {:?}", platform.addr_map.config(), llc);
+                    prop_assert_eq!(bits(&mai), bits(&want_mai), "MAI, {}", arm);
+                    prop_assert_eq!(
+                        bits(&compute_mai(&inputs, &platform, &model)),
+                        bits(&want_mai),
+                        "{}",
+                        arm
+                    );
+                    match kind {
+                        None => prop_assert!(cai.is_empty(), "{}", arm),
+                        Some(kind) => {
+                            let want_cai = reference_cai(&inputs, &platform, &model, kind);
+                            prop_assert_eq!(bits(&cai), bits(&want_cai), "CAI, {}", arm);
+                            let plain = match kind {
+                                Cai::Hits => compute_cai(&inputs, &platform, &model),
+                                Cai::Reaching => compute_cai_reaching(&inputs, &platform, &model),
+                            };
+                            prop_assert_eq!(bits(&plain), bits(&want_cai), "{}", arm);
+                        }
+                    }
+                    let tables = 1 + u64::from(kind.is_some());
+                    prop_assert_eq!(ctl.spent_units(), tables * sampled, "{}", arm);
+                }
+            }
+        }
     }
 
     #[test]

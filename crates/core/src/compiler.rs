@@ -9,9 +9,7 @@
 //! `needs_inspector`, and the [`crate::Inspector`] recomputes the mapping at
 //! runtime from observed behavior.
 
-use crate::affinity::{
-    compute_cai_ctl, compute_cai_reaching_ctl, compute_mai_ctl, AffinityInputs,
-};
+use crate::affinity::{self, AffinityInputs, Cai};
 use crate::assign::{assign_private, assign_shared, AlphaPolicy};
 use crate::balance::{balance_regions_masked, BalanceReport};
 use crate::hits::{AllMissModel, CmeModel, HitModel};
@@ -491,7 +489,13 @@ impl Compiler {
         // vectors — only the *direction* matters, so compare normalized
         // copies; the hit/miss magnitude split is what α carries.
         let d = &self.degraded;
-        let mut mai = compute_mai_ctl(&inputs, &self.platform, model, ctl)?;
+        let cai_kind = match (self.platform.llc, self.options.shared_objective) {
+            (LlcOrg::Private, _) => None,
+            (LlcOrg::SharedSNuca, SharedObjective::BankDistance) => Some(Cai::Reaching),
+            (LlcOrg::SharedSNuca, SharedObjective::PaperAlphaBlend) => Some(Cai::Hits),
+        };
+        let (mut mai, mut cai) =
+            affinity::scan(&inputs, &self.platform, model, true, cai_kind, ctl)?;
         // Traffic aimed at a dead MC is served by its redirect target; give
         // the affinity weight to where the requests actually go.
         for v in &mut mai {
@@ -501,17 +505,9 @@ impl Compiler {
         let (cai, cai_n, alphas, mut regions) = match self.platform.llc {
             LlcOrg::Private => {
                 let regions = assign_private(&mai_n, &self.mac, self.options.eta);
-                (Vec::new(), Vec::new(), Vec::new(), regions)
+                (cai, Vec::new(), Vec::new(), regions)
             }
             LlcOrg::SharedSNuca => {
-                let mut cai = match self.options.shared_objective {
-                    SharedObjective::BankDistance => {
-                        compute_cai_reaching_ctl(&inputs, &self.platform, model, ctl)?
-                    }
-                    SharedObjective::PaperAlphaBlend => {
-                        compute_cai_ctl(&inputs, &self.platform, model, ctl)?
-                    }
-                };
                 for v in &mut cai {
                     DegradedInfo::fold(v, &d.bank_region_redirect);
                 }

@@ -67,10 +67,7 @@ pub use admission::{
     AdmissionConfig, BreakerConfig, BreakerState, CircuitBreaker, Priority, QualityLevel,
     TryMapError,
 };
-pub use affinity::{
-    compute_cai, compute_cai_ctl, compute_cai_reaching, compute_cai_reaching_ctl, compute_mai,
-    compute_mai_ctl, mean_eta, AffinityInputs,
-};
+pub use affinity::{compute_cai, compute_cai_reaching, compute_mai, mean_eta, AffinityInputs};
 pub use assign::{assign_private, assign_shared, AlphaPolicy};
 pub use balance::{balance_regions, balance_regions_masked, region_loads, BalanceReport};
 pub use cache::CacheStats;

@@ -698,6 +698,37 @@ mod tests {
     }
 
     #[test]
+    fn a_miss_charges_the_cme_and_each_affinity_table_per_sampled_iteration() {
+        use crate::platform::LlcOrg;
+        use locmap_cme::CmeEstimator;
+        use locmap_loopir::IterationSpace;
+        let (p, id) = stream("units", 4096);
+        let data = DataEnv::new();
+        let r = MapRequest { program: &p, nest: id, data: &data };
+        let options = MappingOptions { analysis_sample_stride: 3, ..MappingOptions::default() };
+        // A shared LLC builds MAI and CAI, a private one MAI alone.
+        for (llc, tables) in [(LlcOrg::SharedSNuca, 2), (LlcOrg::Private, 1)] {
+            let session = MappingSession::builder(Platform::paper_default_with(llc))
+                .options(options)
+                .build()
+                .unwrap();
+            let nest = p.nest(id);
+            let space = IterationSpace::enumerate(nest, &p.params());
+            let sets = space.split_by_fraction(options.iteration_set_fraction);
+            let est_ctl = RunControl::unlimited();
+            CmeEstimator::new(options.cme)
+                .estimate_ctl(&p, nest, &space, &sets, &data, &est_ctl)
+                .unwrap();
+            let sampled: u64 = sets.iter().map(|s| s.indices().step_by(3).count() as u64).sum();
+            assert!(sampled < space.len() as u64, "the stride samples");
+
+            let ctl = RunControl::unlimited();
+            assert!(!session.map_one_ctl(&r, &ctl).unwrap().cache_hit);
+            assert_eq!(ctl.spent_units(), est_ctl.spent_units() + tables * sampled, "{llc:?}");
+        }
+    }
+
+    #[test]
     fn cancellation_latency_is_bounded_by_one_checkpoint() {
         use locmap_noc::{Budget, CancelToken};
         let (p, id) = stream("latency", 4096);

@@ -109,6 +109,11 @@ impl AddrMapConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct AddrMap {
     cfg: AddrMapConfig,
+    /// `log2(cfg.page_bytes)`: the page index is the address shifted right
+    /// by it, which is the division without its cost.
+    page_shift: u32,
+    /// `log2(cfg.line_bytes)`.
+    line_shift: u32,
 }
 
 impl AddrMap {
@@ -127,7 +132,11 @@ impl AddrMap {
             assert!(cfg.mc_count.is_multiple_of(4), "cluster modes assume 4 quadrants of MCs");
             assert!(cfg.llc_banks.is_multiple_of(4), "cluster modes assume 4 quadrants of banks");
         }
-        AddrMap { cfg }
+        AddrMap {
+            cfg,
+            page_shift: cfg.page_bytes.trailing_zeros(),
+            line_shift: cfg.line_bytes.trailing_zeros(),
+        }
     }
 
     /// The configuration used by this map.
@@ -135,11 +144,16 @@ impl AddrMap {
         self.cfg
     }
 
+    /// The page index of `addr`: [`PhysAddr::page`] by shift.
+    fn page(&self, addr: PhysAddr) -> u64 {
+        addr.0 >> self.page_shift
+    }
+
     /// The unit index used for interleaving at granularity `g`.
     fn unit(&self, addr: PhysAddr, g: Interleave) -> u64 {
         match g {
-            Interleave::Page => addr.page(self.cfg.page_bytes),
-            Interleave::Line => addr.line(self.cfg.line_bytes),
+            Interleave::Page => self.page(addr),
+            Interleave::Line => addr.0 >> self.line_shift,
         }
     }
 
@@ -196,8 +210,8 @@ impl AddrMap {
     /// in for NUMA page placement.
     pub fn quadrant_of(&self, addr: PhysAddr) -> u64 {
         match self.cfg.cluster {
-            Some(ClusterMode::Snc4) => addr.page(self.cfg.page_bytes) % 4,
-            _ => Self::mix(addr.page(self.cfg.page_bytes)) % 4,
+            Some(ClusterMode::Snc4) => self.page(addr) % 4,
+            _ => Self::mix(self.page(addr)) % 4,
         }
     }
 
@@ -211,7 +225,7 @@ impl AddrMap {
 
     /// The DRAM row (page) index, for row-buffer hit detection.
     pub fn dram_row_of(&self, addr: PhysAddr) -> u64 {
-        addr.page(self.cfg.page_bytes)
+        self.page(addr)
     }
 }
 
@@ -386,5 +400,104 @@ mod more_tests {
         let a = PhysAddr(2048 + 65);
         assert_eq!(a.line(64), 33);
         assert_eq!(a.page(2048), 1);
+    }
+}
+
+#[cfg(test)]
+mod decode_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The division formulas that shift decoding must reproduce.
+    struct Divide(AddrMapConfig);
+
+    impl Divide {
+        fn unit(&self, a: PhysAddr, g: Interleave) -> u64 {
+            match g {
+                Interleave::Page => a.page(self.0.page_bytes),
+                Interleave::Line => a.line(self.0.line_bytes),
+            }
+        }
+
+        fn quadrant_of(&self, a: PhysAddr) -> u64 {
+            match self.0.cluster {
+                Some(ClusterMode::Snc4) => a.page(self.0.page_bytes) % 4,
+                _ => AddrMap::mix(a.page(self.0.page_bytes)) % 4,
+            }
+        }
+
+        fn mc_of(&self, a: PhysAddr) -> u16 {
+            let (m, unit) = (self.0.mc_count as u64, self.unit(a, self.0.mem_interleave));
+            match self.0.cluster {
+                None => (unit % m) as u16,
+                Some(ClusterMode::AllToAll) => (AddrMap::mix(unit) % m) as u16,
+                Some(_) => (self.quadrant_of(a) * (m / 4) + AddrMap::mix(unit >> 2) % (m / 4)) as u16,
+            }
+        }
+
+        fn llc_bank_of(&self, a: PhysAddr) -> u16 {
+            let (b, unit) = (self.0.llc_banks as u64, self.unit(a, self.0.llc_interleave));
+            match self.0.cluster {
+                None => (unit % b) as u16,
+                Some(ClusterMode::AllToAll) => (AddrMap::mix(unit) % b) as u16,
+                Some(_) => (self.quadrant_of(a) * (b / 4) + AddrMap::mix(unit) % (b / 4)) as u16,
+            }
+        }
+
+        fn dram_bank_of(&self, a: PhysAddr, banks_per_mc: u16) -> u16 {
+            let unit = self.unit(a, self.0.mem_interleave);
+            ((unit / self.0.mc_count as u64) % banks_per_mc as u64) as u16
+        }
+    }
+
+    fn interleave(bit: u8) -> Interleave {
+        if bit == 0 {
+            Interleave::Page
+        } else {
+            Interleave::Line
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn shift_decoding_matches_division(
+            sizes in (4u32..=7, 0u32..=7, 0u8..=3),
+            counts in (1u16..=16, 1u16..=64, 1u16..=16),
+            addrs in collection::vec(0u64..(1 << 48), 1..64),
+        ) {
+            let (line_shift, page_over_line, interleaves) = sizes;
+            let (mcs, banks, banks_per_mc) = counts;
+            let modes = [
+                None,
+                Some(ClusterMode::AllToAll),
+                Some(ClusterMode::Quadrant),
+                Some(ClusterMode::Snc4),
+            ];
+            for cluster in modes {
+                let quads = |n: u16| if cluster.is_some() { n.next_multiple_of(4) } else { n };
+                let cfg = AddrMapConfig {
+                    page_bytes: 1 << (line_shift + page_over_line),
+                    line_bytes: 1 << line_shift,
+                    mc_count: quads(mcs),
+                    llc_banks: quads(banks),
+                    mem_interleave: interleave(interleaves & 1),
+                    llc_interleave: interleave(interleaves >> 1),
+                    cluster,
+                };
+                let (map, want) = (AddrMap::new(cfg), Divide(cfg));
+                for &a in &addrs {
+                    let a = PhysAddr(a);
+                    prop_assert_eq!(map.mc_of(a).0, want.mc_of(a), "{cfg:?} {a}");
+                    prop_assert_eq!(map.llc_bank_of(a), want.llc_bank_of(a), "{cfg:?} {a}");
+                    prop_assert_eq!(map.dram_row_of(a), a.page(cfg.page_bytes), "{cfg:?} {a}");
+                    prop_assert_eq!(
+                        map.dram_bank_of(a, banks_per_mc),
+                        want.dram_bank_of(a, banks_per_mc),
+                        "{cfg:?} {a}"
+                    );
+                    prop_assert_eq!(map.quadrant_of(a), want.quadrant_of(a), "{cfg:?} {a}");
+                }
+            }
+        }
     }
 }

@@ -113,6 +113,13 @@ impl CacheStats {
             self.misses as f64 / total as f64
         }
     }
+
+    /// Folds another stats block into this one.
+    pub fn merge(&mut self, other: &CacheStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.writebacks += other.writebacks;
+    }
 }
 
 /// Every state, indexed by its declaration order (`state as u64`).
@@ -307,6 +314,13 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stats_merge_accumulates() {
+        let mut m = CacheStats { hits: 5, misses: 2, writebacks: 1 };
+        m.merge(&CacheStats { hits: 1, misses: 3, writebacks: 4 });
+        assert_eq!(m, CacheStats { hits: 6, misses: 5, writebacks: 5 });
+    }
     use proptest::prelude::*;
 
     /// The reference model: the cache as it was before the flat slot

@@ -120,6 +120,15 @@ impl DramStats {
         }
     }
 
+    /// Folds another stats block into this one.
+    pub fn merge(&mut self, other: &DramStats) {
+        self.requests += other.requests;
+        self.row_hits += other.row_hits;
+        self.row_empty += other.row_empty;
+        self.row_conflicts += other.row_conflicts;
+        self.total_latency += other.total_latency;
+    }
+
     /// Mean service latency per request.
     pub fn avg_latency(&self) -> f64 {
         if self.requests == 0 {
@@ -235,6 +244,17 @@ impl Dram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stats_merge_accumulates() {
+        let a = DramStats { requests: 4, row_hits: 2, row_empty: 1, row_conflicts: 1, total_latency: 90 };
+        let b = DramStats { requests: 3, row_hits: 0, row_empty: 2, row_conflicts: 1, total_latency: 60 };
+        let mut m = a;
+        m.merge(&b);
+        let want =
+            DramStats { requests: 7, row_hits: 2, row_empty: 3, row_conflicts: 2, total_latency: 150 };
+        assert_eq!(m, want);
+    }
     use crate::addr::AddrMapConfig;
 
     fn setup() -> (Dram, AddrMap) {

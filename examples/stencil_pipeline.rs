@@ -75,13 +75,15 @@ fn main() {
     sim.run_nest(program, &optimized, &w.data); // warm
     let opt = sim.run_nest(program, &optimized, &w.data);
 
+    // The signed change from a reduction; `0.0 -` keeps no change at +0.0.
+    let change = |reduction_pct: f64| 0.0 - reduction_pct;
     println!(
-        "steady state: network latency {:.1} -> {:.1} (-{:.1}%), cycles {} -> {} (-{:.1}%)",
+        "steady state: network latency {:.1} -> {:.1} ({:+.1}%), cycles {} -> {} ({:+.1}%)",
         base.network.avg_latency(),
         opt.network.avg_latency(),
-        RunResult::net_latency_reduction_pct(&base, &opt),
+        change(RunResult::net_latency_reduction_pct(&base, &opt)),
         base.cycles,
         opt.cycles,
-        RunResult::exec_improvement_pct(&base, &opt)
+        change(RunResult::exec_improvement_pct(&base, &opt))
     );
 }

@@ -1,11 +1,13 @@
 //! Golden figure outputs.
 //!
 //! Runs the `figures` binary and compares its stdout with the committed
-//! file, as CI does with the release build: `table4` in full, fft's
-//! `fig07` and `fig15`, and moldyn's `fig07`. moldyn is irregular, so its
-//! golden checks the inspector's hand-off from `evaluate`'s baseline arm
-//! to its scheme arm. `resilience` and `multiprog` take too long in a
-//! debug build and are checked in CI only.
+//! file: `table4` in full, fft's `fig07`, `fig15` and `fig16`, and
+//! moldyn's `fig07`. CI also diffs all but `fig16` on the release build.
+//! moldyn is irregular, so its golden checks the inspector's hand-off from
+//! `evaluate`'s baseline arm to its scheme arm. fft's `fig16` runs the KNL
+//! platform in all three cluster modes, so it pins the quadrant and SNC-4
+//! address decoding. `resilience` and `multiprog` take too long in a
+//! test build and are checked in CI only.
 
 use std::process::Command;
 
@@ -61,6 +63,11 @@ fn fft_fig07_matches_golden() {
 #[test]
 fn fft_fig15_matches_golden() {
     assert_golden("fig15", Some("fft"), include_str!("golden/fig15.fft.txt"));
+}
+
+#[test]
+fn fft_fig16_matches_golden() {
+    assert_golden("fig16", Some("fft"), include_str!("golden/fig16.fft.txt"));
 }
 
 #[test]

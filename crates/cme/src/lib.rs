@@ -9,6 +9,13 @@
 //! exactly what this crate implements: a seeded, sampled symbolic execution
 //! of the nest through a compiler-side cache model.
 //!
+//! The model is two true-LRU tag arrays, L1 and LLC, each set ordered
+//! most recently used first; they keep tags only, since the estimate
+//! reads nothing but whether an access hits. Each
+//! [`CHECKPOINT_INTERVAL`] of a set's iterations first draws its sampling
+//! decisions into a buffer of kept indices, without a branch per draw,
+//! then replays the kept iterations; tallies live in per-set counters.
+//!
 //! The estimate is deliberately imperfect (the paper measured 76–93 %
 //! accuracy): the compiler-side model is single-threaded and ignores
 //! coherence, bank partitioning and interleaving with other nests. An
@@ -40,8 +47,7 @@
 #![warn(missing_debug_implementations)]
 
 use locmap_loopir::{CompiledRef, DataEnv, IterationSet, IterationSpace, LoopNest, Program};
-use locmap_mem::{Access as MemAccess, Cache, CacheConfig};
-use locmap_loopir::Access;
+use locmap_mem::CacheConfig;
 use locmap_noc::{LocmapError, RunControl};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -154,11 +160,6 @@ impl CmeEstimate {
         }
     }
 
-    /// Number of iteration sets covered.
-    pub fn set_count(&self) -> usize {
-        self.hit.len()
-    }
-
     /// Mean LLC hit probability over all sets and references.
     pub fn mean_hit_probability(&self) -> f64 {
         let mut n = 0usize;
@@ -190,11 +191,6 @@ impl CmeEstimator {
         assert!(cfg.sample_rate > 0.0 && cfg.sample_rate <= 1.0, "sample_rate must be in (0,1]");
         assert!((0.0..=1.0).contains(&cfg.noise), "noise must be in [0,1]");
         CmeEstimator { cfg }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> CmeConfig {
-        self.cfg
     }
 
     /// Estimates hit probabilities for every `(set, ref)` of `nest`.
@@ -231,80 +227,182 @@ impl CmeEstimator {
         data: &DataEnv,
         ctl: &RunControl,
     ) -> Result<CmeEstimate, LocmapError> {
+        const CHUNK: usize = CHECKPOINT_INTERVAL as usize;
+        let rate = self.cfg.sample_rate;
         let mut rng = SmallRng::seed_from_u64(self.cfg.seed);
-        let mut l1 = Cache::new(self.cfg.l1);
-        let mut llc = Cache::new(self.cfg.llc);
+        let mut replay = Replay::new(&self.cfg, space, program.compile_refs(nest, data));
         let nrefs = nest.refs.len();
-        let refs: Vec<(CompiledRef<'_>, MemAccess)> = nest
-            .refs
-            .iter()
-            .zip(program.compile_refs(nest, data))
-            .map(|(r, c)| {
-                let acc = match r.access {
-                    Access::Read => MemAccess::Read,
-                    Access::Write => MemAccess::Write,
-                };
-                (c, acc)
-            })
-            .collect();
-
         let mut hit = vec![vec![0.0f64; nrefs]; sets.len()];
-        let mut l1hit = vec![vec![0.0f64; nrefs]; sets.len()];
-        let mut llc_seen = vec![vec![0u32; nrefs]; sets.len()];
-        let mut sampled = vec![vec![0u32; nrefs]; sets.len()];
+        let mut l1_hit = vec![vec![0.0f64; nrefs]; sets.len()];
+        let mut kept = [0usize; CHUNK];
 
         for (si, set) in sets.iter().enumerate() {
-            let mut pending = 0u64;
-            for k in set.indices() {
-                pending += 1;
-                if pending == CHECKPOINT_INTERVAL {
-                    ctl.checkpoint(pending, si, sets.len())?;
-                    pending = 0;
+            for start in set.indices().step_by(CHUNK) {
+                let end = set.end.min(start + CHUNK);
+                if end - start == CHUNK {
+                    ctl.checkpoint(CHECKPOINT_INTERVAL, si, sets.len())?;
                 }
-                if self.cfg.sample_rate < 1.0 && rng.gen::<f64>() >= self.cfg.sample_rate {
-                    continue;
-                }
-                let iv = space.get(k);
-                for (ri, &(r, acc)) in refs.iter().enumerate() {
-                    let addr = r.addr(iv);
-                    sampled[set.id][ri] += 1;
-                    let l1_line = l1.line_of(addr);
-                    if l1.access(l1_line, acc).is_hit() {
-                        l1hit[set.id][ri] += 1.0;
-                        continue;
+                if rate < 1.0 {
+                    // Every index is written; only a kept one advances
+                    // the cursor past it, so the draw is not a branch.
+                    let mut n = 0;
+                    for k in start..end {
+                        kept[n] = k;
+                        n += (rng.gen::<f64>() < rate) as usize;
                     }
-                    let llc_line = llc.line_of(addr);
-                    llc_seen[set.id][ri] += 1;
-                    if llc.access(llc_line, acc).is_hit() {
-                        hit[set.id][ri] += 1.0;
-                    }
+                    kept[..n].iter().for_each(|&k| replay.iteration(k));
+                } else {
+                    (start..end).for_each(|k| replay.iteration(k));
                 }
             }
-            ctl.checkpoint(pending, si + 1, sets.len())?;
+            ctl.checkpoint(set.len() as u64 % CHECKPOINT_INTERVAL, si + 1, sets.len())?;
+            replay.flush(&mut hit[set.id], &mut l1_hit[set.id]);
         }
 
-        // Normalize counts to probabilities and apply the noise knob.
-        for (si, set_hits) in hit.iter_mut().enumerate() {
-            for ri in 0..nrefs {
-                let n_llc = llc_seen[si][ri];
-                set_hits[ri] = if n_llc == 0 { 0.0 } else { set_hits[ri] / n_llc as f64 };
-                let n_all = sampled[si][ri];
-                l1hit[si][ri] = if n_all == 0 { 0.0 } else { l1hit[si][ri] / n_all as f64 };
-                if self.cfg.noise > 0.0 {
-                    let eps = rng.gen_range(-self.cfg.noise..=self.cfg.noise);
-                    set_hits[ri] = (set_hits[ri] + eps).clamp(0.0, 1.0);
-                }
+        // The noise knob draws after every sample, set by set.
+        if self.cfg.noise > 0.0 {
+            for h in hit.iter_mut().flatten() {
+                let eps = rng.gen_range(-self.cfg.noise..=self.cfg.noise);
+                *h = (*h + eps).clamp(0.0, 1.0);
             }
         }
 
-        Ok(CmeEstimate { hit, l1_hit: l1hit })
+        Ok(CmeEstimate { hit, l1_hit })
+    }
+}
+
+/// A true-LRU tag array: the compiler-side model of one cache level.
+///
+/// The estimate reads only whether an access hits, so the model keeps
+/// line tags and nothing else: no coherence state, statistics or
+/// eviction records, which the simulator's `locmap_mem::Cache` keeps.
+/// Set `s` is the `ways` keys from `s * ways`, most recently used first.
+/// A key is a line index plus one, so the zeroed array starts empty (a
+/// line index is below `u64::MAX` for lines of two bytes or more).
+#[derive(Debug)]
+struct LruTags {
+    ways: usize,
+    /// `sets - 1`: line `l` lives in set `l & set_mask`.
+    set_mask: u64,
+    /// `log2(line_bytes)`: byte address `a` lies in line `a >> line_shift`.
+    line_shift: u32,
+    keys: Vec<u64>,
+}
+
+impl LruTags {
+    /// An empty model of geometry `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the geometries `locmap_mem::Cache::new` rejects.
+    fn new(cfg: CacheConfig) -> Self {
+        assert!(cfg.ways > 0, "cache must have at least one way");
+        assert!(cfg.line_bytes.is_power_of_two(), "line size must be a power of two");
+        let sets = cfg.sets();
+        assert!(sets > 0, "cache smaller than one set");
+        assert!(sets.is_power_of_two(), "set count must be a power of two");
+        LruTags {
+            ways: cfg.ways as usize,
+            set_mask: sets - 1,
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            keys: vec![0; sets as usize * cfg.ways as usize],
+        }
+    }
+
+    /// Touches the line of byte address `addr`, filling it on a miss;
+    /// true if it was resident.
+    #[inline]
+    fn access(&mut self, addr: u64) -> bool {
+        let line = addr >> self.line_shift;
+        let key = line + 1;
+        let base = (line & self.set_mask) as usize * self.ways;
+        let set = &mut self.keys[base..base + self.ways];
+        if set[0] == key {
+            return true;
+        }
+        // Move each way one place back, the key to the front, until the
+        // line's own way is overwritten (a hit) or the LRU way falls off
+        // the end (a miss).
+        let mut moved = std::mem::replace(&mut set[0], key);
+        for way in &mut set[1..] {
+            let held = std::mem::replace(way, moved);
+            if held == key {
+                return true;
+            }
+            moved = held;
+        }
+        false
+    }
+}
+
+/// One reference's tallies within the current iteration set.
+#[derive(Debug, Clone, Copy, Default)]
+struct RefCounts {
+    l1_hits: u32,
+    llc_probes: u32,
+    llc_hits: u32,
+}
+
+/// The symbolic execution: replays iterations through the L1 and LLC
+/// models and tallies the current set's outcomes per reference.
+#[derive(Debug)]
+struct Replay<'a> {
+    space: &'a IterationSpace,
+    refs: Vec<CompiledRef<'a>>,
+    l1: LruTags,
+    llc: LruTags,
+    /// Iterations replayed in the current set; every reference of a
+    /// replayed iteration is counted, so one counter serves them all.
+    sampled: u32,
+    counts: Vec<RefCounts>,
+}
+
+impl<'a> Replay<'a> {
+    fn new(cfg: &CmeConfig, space: &'a IterationSpace, refs: Vec<CompiledRef<'a>>) -> Self {
+        let counts = vec![RefCounts::default(); refs.len()];
+        Replay {
+            space,
+            refs,
+            l1: LruTags::new(cfg.l1),
+            llc: LruTags::new(cfg.llc),
+            sampled: 0,
+            counts,
+        }
+    }
+
+    /// Replays iteration `k`: an access that misses L1 probes the LLC.
+    #[inline]
+    fn iteration(&mut self, k: usize) {
+        let iv = self.space.get(k);
+        self.sampled += 1;
+        for (r, c) in self.refs.iter().zip(&mut self.counts) {
+            let addr = r.addr(iv);
+            if self.l1.access(addr) {
+                c.l1_hits += 1;
+            } else {
+                c.llc_probes += 1;
+                c.llc_hits += u32::from(self.llc.access(addr));
+            }
+        }
+    }
+
+    /// Writes the current set's hit probabilities per reference (0 where
+    /// nothing was observed) and starts the next set.
+    fn flush(&mut self, hit: &mut [f64], l1_hit: &mut [f64]) {
+        let ratio = |n: u32, d: u32| if d == 0 { 0.0 } else { n as f64 / d as f64 };
+        for ((c, h), l1) in self.counts.iter_mut().zip(hit).zip(l1_hit) {
+            *h = ratio(c.llc_hits, c.llc_probes);
+            *l1 = ratio(c.l1_hits, self.sampled);
+            *c = RefCounts::default();
+        }
+        self.sampled = 0;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use locmap_loopir::AffineExpr;
+    use locmap_loopir::{Access, AffineExpr};
 
     fn streaming_program(elems: u64) -> (Program, IterationSpace, Vec<IterationSet>) {
         let mut p = Program::new("stream");
@@ -323,8 +421,8 @@ mod tests {
         let est = CmeEstimator::new(CmeConfig { noise: 0.0, ..CmeConfig::default() })
             .estimate(&p, &p.nests()[0], &space, &sets, &DataEnv::new());
         // 8-byte elements, 32-byte L1 lines: 3 of 4 accesses hit L1.
-        let mean_l1: f64 = (0..est.set_count()).map(|s| est.l1_hit_probability(s, 0)).sum::<f64>()
-            / est.set_count() as f64;
+        let mean_l1: f64 = (0..sets.len()).map(|s| est.l1_hit_probability(s, 0)).sum::<f64>()
+            / sets.len() as f64;
         assert!((mean_l1 - 0.75).abs() < 0.05, "mean L1 hit {mean_l1}");
     }
 
@@ -385,7 +483,7 @@ mod tests {
         let cfg = CmeConfig { noise: 0.1, sample_rate: 0.5, ..CmeConfig::default() };
         let e1 = CmeEstimator::new(cfg).estimate(&p, &p.nests()[0], &space, &sets, &DataEnv::new());
         let e2 = CmeEstimator::new(cfg).estimate(&p, &p.nests()[0], &space, &sets, &DataEnv::new());
-        for s in 0..e1.set_count() {
+        for s in 0..sets.len() {
             assert_eq!(e1.hit_probability(s, 0), e2.hit_probability(s, 0));
         }
     }
@@ -395,7 +493,7 @@ mod tests {
         let (p, space, sets) = streaming_program(4096);
         let noisy = CmeEstimator::new(CmeConfig { noise: 0.3, ..CmeConfig::default() })
             .estimate(&p, &p.nests()[0], &space, &sets, &DataEnv::new());
-        for s in 0..noisy.set_count() {
+        for s in 0..sets.len() {
             let h = noisy.hit_probability(s, 0);
             assert!((0.0..=1.0).contains(&h));
         }
@@ -413,7 +511,8 @@ mod tests {
         let (p, space, sets) = streaming_program(8192);
         let est = CmeEstimator::new(CmeConfig { sample_rate: 0.3, noise: 0.0, ..CmeConfig::default() })
             .estimate(&p, &p.nests()[0], &space, &sets, &DataEnv::new());
-        assert_eq!(est.set_count(), sets.len());
+        // Every set replays some of its ~80 iterations.
+        assert!((0..sets.len()).all(|s| est.l1_hit_probability(s, 0) > 0.0));
     }
 
     #[test]
@@ -432,7 +531,7 @@ mod tests {
         let ctl = CmeEstimator::new(cfg)
             .estimate_ctl(&p, &p.nests()[0], &space, &sets, &DataEnv::new(), &RunControl::unlimited())
             .unwrap();
-        for s in 0..plain.set_count() {
+        for s in 0..sets.len() {
             assert_eq!(plain.hit_probability(s, 0), ctl.hit_probability(s, 0));
             assert_eq!(plain.l1_hit_probability(s, 0), ctl.l1_hit_probability(s, 0));
         }
@@ -472,7 +571,7 @@ mod tests {
 #[cfg(test)]
 mod more_tests {
     use super::*;
-    use locmap_loopir::AffineExpr;
+    use locmap_loopir::{Access, AffineExpr};
 
     #[test]
     fn write_streams_behave_like_reads_for_hit_estimation() {
@@ -486,8 +585,8 @@ mod more_tests {
         let est = CmeEstimator::new(CmeConfig { noise: 0.0, ..CmeConfig::default() })
             .estimate(&p, p.nest(id), &space, &sets, &DataEnv::new());
         // Write-allocate: same spatial pattern as reads.
-        let l1: f64 = (0..est.set_count()).map(|s| est.l1_hit_probability(s, 0)).sum::<f64>()
-            / est.set_count() as f64;
+        let l1: f64 = (0..sets.len()).map(|s| est.l1_hit_probability(s, 0)).sum::<f64>()
+            / sets.len() as f64;
         assert!((l1 - 0.75).abs() < 0.1, "write L1 hit {l1}");
     }
 
@@ -528,8 +627,199 @@ mod more_tests {
         let sets = space.split_by_fraction(0.01);
         let est = CmeEstimator::new(CmeConfig { noise: 0.0, ..CmeConfig::default() })
             .estimate(&p, p.nest(id), &space, &sets, &data);
-        let mean_l1: f64 = (0..est.set_count()).map(|s| est.l1_hit_probability(s, 0)).sum::<f64>()
-            / est.set_count() as f64;
+        let mean_l1: f64 = (0..sets.len()).map(|s| est.l1_hit_probability(s, 0)).sum::<f64>()
+            / sets.len() as f64;
         assert!(mean_l1 > 0.99, "hot single element must live in L1 ({mean_l1})");
+    }
+}
+
+#[cfg(test)]
+mod kernel_tests {
+    use super::*;
+    use locmap_loopir::{Access, AffineExpr};
+    use locmap_mem::{Access as MemAccess, Cache};
+    use locmap_noc::{Budget, CancelToken};
+    use proptest::prelude::*;
+
+    /// The estimator as it was before the tag-only kernel: both levels on
+    /// the simulator's `Cache`, one sampling branch per iteration and a
+    /// `[set][ref]` table per count. The kernel must match it bit for bit.
+    fn reference_estimate_ctl(
+        cfg: &CmeConfig,
+        program: &Program,
+        nest: &LoopNest,
+        space: &IterationSpace,
+        sets: &[IterationSet],
+        data: &DataEnv,
+        ctl: &RunControl,
+    ) -> Result<CmeEstimate, LocmapError> {
+        let mut rng = SmallRng::seed_from_u64(cfg.seed);
+        let mut l1 = Cache::new(cfg.l1);
+        let mut llc = Cache::new(cfg.llc);
+        let nrefs = nest.refs.len();
+        let refs: Vec<(CompiledRef<'_>, MemAccess)> = nest
+            .refs
+            .iter()
+            .zip(program.compile_refs(nest, data))
+            .map(|(r, c)| {
+                let acc = match r.access {
+                    Access::Read => MemAccess::Read,
+                    Access::Write => MemAccess::Write,
+                };
+                (c, acc)
+            })
+            .collect();
+
+        let mut hit = vec![vec![0.0f64; nrefs]; sets.len()];
+        let mut l1hit = vec![vec![0.0f64; nrefs]; sets.len()];
+        let mut llc_seen = vec![vec![0u32; nrefs]; sets.len()];
+        let mut sampled = vec![vec![0u32; nrefs]; sets.len()];
+
+        for (si, set) in sets.iter().enumerate() {
+            let mut pending = 0u64;
+            for k in set.indices() {
+                pending += 1;
+                if pending == CHECKPOINT_INTERVAL {
+                    ctl.checkpoint(pending, si, sets.len())?;
+                    pending = 0;
+                }
+                if cfg.sample_rate < 1.0 && rng.gen::<f64>() >= cfg.sample_rate {
+                    continue;
+                }
+                let iv = space.get(k);
+                for (ri, &(r, acc)) in refs.iter().enumerate() {
+                    let addr = r.addr(iv);
+                    sampled[set.id][ri] += 1;
+                    let l1_line = l1.line_of(addr);
+                    if l1.access(l1_line, acc).is_hit() {
+                        l1hit[set.id][ri] += 1.0;
+                        continue;
+                    }
+                    let llc_line = llc.line_of(addr);
+                    llc_seen[set.id][ri] += 1;
+                    if llc.access(llc_line, acc).is_hit() {
+                        hit[set.id][ri] += 1.0;
+                    }
+                }
+            }
+            ctl.checkpoint(pending, si + 1, sets.len())?;
+        }
+
+        for (si, set_hits) in hit.iter_mut().enumerate() {
+            for ri in 0..nrefs {
+                let n_llc = llc_seen[si][ri];
+                set_hits[ri] = if n_llc == 0 { 0.0 } else { set_hits[ri] / n_llc as f64 };
+                let n_all = sampled[si][ri];
+                l1hit[si][ri] = if n_all == 0 { 0.0 } else { l1hit[si][ri] / n_all as f64 };
+                if cfg.noise > 0.0 {
+                    let eps = rng.gen_range(-cfg.noise..=cfg.noise);
+                    set_hits[ri] = (set_hits[ri] + eps).clamp(0.0, 1.0);
+                }
+            }
+        }
+
+        Ok(CmeEstimate { hit, l1_hit: l1hit })
+    }
+
+    /// A nest of `n` iterations that reads and writes two arrays, and
+    /// with `indirect` gathers a third through a seeded index array.
+    fn nest(n: u64, indirect: bool, seed: u64) -> (Program, DataEnv) {
+        let mut p = Program::new("kernel");
+        let a = p.add_array("A", 8, 2 * n);
+        let b = p.add_array("B", 4, n);
+        let mut nest = LoopNest::rectangular("n", &[2, n as i64]);
+        nest.add_ref(a, AffineExpr::var(1, 2), Access::Read);
+        nest.add_ref(b, AffineExpr::var(1, 1), Access::Write);
+        let mut data = DataEnv::new();
+        if indirect {
+            let x = p.add_array("X", 8, 4096);
+            let idx = p.add_array("idx", 8, n);
+            let mut rng = SmallRng::seed_from_u64(seed);
+            data.set_index_array(idx, (0..n).map(|_| rng.gen_range(0..4096i64)).collect());
+            nest.add_indirect_ref(x, idx, AffineExpr::var(1, 1), Access::Read);
+        }
+        p.add_nest(nest);
+        (p, data)
+    }
+
+    /// Bit patterns of every hit and L1-hit probability.
+    fn bits(est: &CmeEstimate) -> Vec<u64> {
+        est.hit.iter().chain(&est.l1_hit).flatten().map(|p| p.to_bits()).collect()
+    }
+
+    proptest! {
+        #[test]
+        fn kernel_matches_reference_bit_for_bit(
+            shape in (1u64..3_000, 0u8..2, 0usize..7),
+            knobs in (0usize..3, 0u8..2, 0u8..2),
+            seed in 0u64..1 << 32,
+        ) {
+            let ((n, indirect, set_size), (rate, noise, llc)) = (shape, knobs);
+            let (p, data) = nest(n, indirect == 1, seed);
+            let nest = &p.nests()[0];
+            let space = IterationSpace::enumerate(nest, &p.params());
+            // Sets below, at and above multiples of the checkpoint interval.
+            let set_size = [100, 1023, 1024, 1025, 2048, 2049, 6000][set_size];
+            let sets = space.split(set_size);
+            let base = CmeConfig {
+                sample_rate: [1.0, 0.5, 0.3][rate],
+                noise: if noise == 1 { 0.06 } else { 0.0 },
+                seed,
+                ..CmeConfig::default()
+            };
+            // A 16 KB LLC is crowded by the larger nests; 512 KB is not.
+            let cfg = if llc == 1 { base.with_llc_bytes(16 * 1024) } else { base };
+            let est = CmeEstimator::new(cfg);
+            let run = |ctl: &RunControl| est.estimate_ctl(&p, nest, &space, &sets, &data, ctl);
+            let reference =
+                |ctl: &RunControl| reference_estimate_ctl(&cfg, &p, nest, &space, &sets, &data, ctl);
+
+            let (ctl, ref_ctl) = (RunControl::unlimited(), RunControl::unlimited());
+            let (got, want) = (run(&ctl).unwrap(), reference(&ref_ctl).unwrap());
+            prop_assert_eq!(bits(&got), bits(&want));
+            prop_assert_eq!(ctl.spent_units(), ref_ctl.spent_units());
+
+            // Cancelled or out of budget at several points, or not at all:
+            // the same error, or the same estimate, after the same spend.
+            let cancel = |polls| RunControl::new(CancelToken::cancel_after_polls(polls), Budget::unlimited());
+            let budget = |units| RunControl::new(CancelToken::new(), Budget::unlimited().with_work_units(units));
+            let controls = [0, 1, 2, 3, 7]
+                .map(|polls| (cancel(polls), cancel(polls)))
+                .into_iter()
+                .chain([0, 1_000, 5_000].map(|units| (budget(units), budget(units))));
+            for (c, rc) in controls {
+                prop_assert_eq!(run(&c).map(|e| bits(&e)), reference(&rc).map(|e| bits(&e)));
+                prop_assert_eq!(c.spent_units(), rc.spent_units());
+            }
+        }
+
+        #[test]
+        fn lru_tags_match_the_simulator_cache(
+            geometry in 0u8..5,
+            ops in collection::vec((0u64..1 << 16, 0u64..3, 0u8..2), 1..3_000),
+        ) {
+            let cfg = match geometry {
+                0 => CacheConfig { size_bytes: 8 * 1024, ways: 8, line_bytes: 32 },
+                1 => CmeConfig::default().with_llc_bytes(2 << 20).llc,
+                2 => CacheConfig::paper_l1(),
+                3 => CacheConfig::paper_l2_bank(),
+                _ => CacheConfig { size_bytes: 512, ways: 2, line_bytes: 64 },
+            };
+            let (sets, ways) = (cfg.sets(), cfg.ways as u64);
+            let (mut tags, mut cache) = (LruTags::new(cfg), Cache::new(cfg));
+            for (x, hot, write) in ops {
+                // A third of the stream re-touches eight hot lines, a third
+                // crowds four sets with four times their ways, and a third
+                // spans twice the capacity.
+                let line = match hot {
+                    0 => x % 8,
+                    1 => (x / 4 % (4 * ways)) * sets + x % 4,
+                    _ => x % (2 * sets * ways),
+                };
+                let addr = line * cfg.line_bytes + x % cfg.line_bytes;
+                let acc = if write == 1 { MemAccess::Write } else { MemAccess::Read };
+                prop_assert_eq!(tags.access(addr), cache.access(cache.line_of(addr), acc).is_hit());
+            }
+        }
     }
 }

@@ -1,13 +1,15 @@
 //! Golden figure outputs.
 //!
 //! Runs the `figures` binary and compares its stdout with the committed
-//! file: `table4` in full, fft's `fig07`, `fig15` and `fig16`, and
-//! moldyn's `fig07`. CI also diffs all but `fig16` on the release build.
-//! moldyn is irregular, so its golden checks the inspector's hand-off from
-//! `evaluate`'s baseline arm to its scheme arm. fft's `fig16` runs the KNL
-//! platform in all three cluster modes, so it pins the quadrant and SNC-4
-//! address decoding. `resilience` and `multiprog` take too long in a
-//! test build and are checked in CI only.
+//! file: `table4` and `multiprog` in full, fft's `fig07`, `fig15`,
+//! `fig16` and `resilience`, and moldyn's `fig07`. CI also diffs each on
+//! the release build. moldyn is irregular, so its golden checks the
+//! inspector's hand-off from `evaluate`'s baseline arm to its scheme arm.
+//! fft's `fig16` runs the KNL platform in all three cluster modes, so it
+//! pins the quadrant and SNC-4 address decoding. fft's `resilience` runs
+//! static faults and fault timelines. `multiprog` co-runs several slots
+//! through the simulator's one event loop, and it maps with
+//! `CmeConfig::default()`, so it pins the CME's unsampled path.
 
 use std::process::Command;
 
@@ -68,6 +70,20 @@ fn fft_fig15_matches_golden() {
 #[test]
 fn fft_fig16_matches_golden() {
     assert_golden("fig16", Some("fft"), include_str!("golden/fig16.fft.txt"));
+}
+
+#[test]
+fn fft_resilience_matches_golden() {
+    assert_golden(
+        "resilience",
+        Some("fft"),
+        include_str!("golden/resilience.fft.txt"),
+    );
+}
+
+#[test]
+fn multiprog_matches_golden() {
+    assert_golden("multiprog", None, include_str!("../results/multiprog.txt"));
 }
 
 #[test]

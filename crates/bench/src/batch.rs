@@ -36,10 +36,6 @@ pub struct BatchConfig {
     /// How many times the whole kernel set is resubmitted (≥ 1); repeats
     /// after the first are answered by the memo cache.
     pub repeats: usize,
-    /// Run the static verifier ([`locmap_verify`]) over the parallel
-    /// responses and time it, so the report can state the verification
-    /// overhead relative to mapping throughput.
-    pub verify: bool,
 }
 
 impl Default for BatchConfig {
@@ -50,7 +46,6 @@ impl Default for BatchConfig {
             llc: LlcOrg::SharedSNuca,
             threads: 4,
             repeats: 4,
-            verify: true,
         }
     }
 }
@@ -83,11 +78,12 @@ pub struct BatchReport {
     /// equal. Bounded by the machine's core count, not the engine.
     pub scaling: f64,
     /// Wall-clock seconds spent verifying the parallel responses with
-    /// [`VerifyConfig::default`], when [`BatchConfig::verify`] is set.
-    pub verify_secs: Option<f64>,
+    /// [`VerifyConfig::default`] ([`locmap_verify`]), so the report can
+    /// state the verification overhead relative to mapping throughput.
+    pub verify_secs: f64,
     /// Deny-level diagnostics the verifier found (always 0 for a healthy
-    /// engine), when [`BatchConfig::verify`] is set.
-    pub verify_denies: Option<usize>,
+    /// engine).
+    pub verify_denies: usize,
 }
 
 impl BatchReport {
@@ -102,13 +98,12 @@ impl BatchReport {
         println!("  cache hit rate      {:>9.1} %", 100.0 * self.hit_rate);
         println!("  speedup vs serial   {:>10.2} x", self.speedup);
         println!("  thread scaling      {:>10.2} x", self.scaling);
-        if let (Some(vs), Some(denies)) = (self.verify_secs, self.verify_denies) {
-            println!(
-                "  verify pass         {:>10.3} s  ({:.1}% of mapping time, {denies} deny)",
-                vs,
-                100.0 * vs / self.parallel_secs.max(1e-9)
-            );
-        }
+        println!(
+            "  verify pass         {:>10.3} s  ({:.1}% of mapping time, {} deny)",
+            self.verify_secs,
+            100.0 * self.verify_secs / self.parallel_secs.max(1e-9),
+            self.verify_denies
+        );
     }
 }
 
@@ -179,24 +174,15 @@ pub fn run_throughput(cfg: &BatchConfig) -> Result<BatchReport, LocmapError> {
         );
     }
 
-    // Optional post-batch verification: the session's audit hook over the
-    // exact responses just produced, timed separately. Topology
-    // enumeration is platform-wide (not per-response) and has its own
-    // bench, so the per-batch figure runs the nest/vector/mapping passes.
-    let (verify_secs, verify_denies) = if cfg.verify {
-        let vcfg = VerifyConfig { routing: false, ..VerifyConfig::default() };
-        let t3 = Instant::now();
-        let sink = parallel_session.verify_batch(&requests, &parallel, &vcfg);
-        let secs = t3.elapsed().as_secs_f64();
-        assert!(
-            sink.is_clean(),
-            "verifier rejected batch responses:\n{}",
-            sink.report()
-        );
-        (Some(secs), Some(sink.deny_count()))
-    } else {
-        (None, None)
-    };
+    // Post-batch verification: the session's audit hook over the exact
+    // responses just produced, timed separately. Topology enumeration is
+    // platform-wide (not per-response) and has its own bench, so the
+    // per-batch figure runs the nest/vector/mapping passes.
+    let vcfg = VerifyConfig { routing: false, ..VerifyConfig::default() };
+    let t3 = Instant::now();
+    let sink = parallel_session.verify_batch(&requests, &parallel, &vcfg);
+    let verify_secs = t3.elapsed().as_secs_f64();
+    assert!(sink.is_clean(), "verifier rejected batch responses:\n{}", sink.report());
 
     let stats = parallel_session.cache_stats().mappings;
     Ok(BatchReport {
@@ -211,7 +197,7 @@ pub fn run_throughput(cfg: &BatchConfig) -> Result<BatchReport, LocmapError> {
         speedup: uncached_secs / parallel_secs.max(1e-9),
         scaling: serial_secs / parallel_secs.max(1e-9),
         verify_secs,
-        verify_denies,
+        verify_denies: sink.deny_count(),
     })
 }
 
@@ -248,13 +234,8 @@ mod tests {
             ..BatchConfig::default()
         };
         let r = run_throughput(&cfg).unwrap();
-        assert_eq!(r.verify_denies, Some(0));
-        assert!(r.verify_secs.is_some());
-
-        let off = BatchConfig { verify: false, ..cfg };
-        let r = run_throughput(&off).unwrap();
-        assert_eq!(r.verify_secs, None);
-        assert_eq!(r.verify_denies, None);
+        assert_eq!(r.verify_denies, 0);
+        assert!(r.verify_secs > 0.0);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use std::fmt::Display;
 use std::process::ExitCode;
 
-use locmap_bench::heal::{heal_run, HealConfig, HealError};
+use locmap_bench::heal::{heal_run, HealError};
 use locmap_bench::resilience::{evaluate_online, evaluate_resilience};
 use locmap_bench::{
     corun, evaluate, geomean, print_table, selected_apps, AppOutcome, Experiment, Scheme,
@@ -602,7 +602,7 @@ fn resilience() {
     let fault_free = FaultPlan::new(exp.platform.mesh, mcs);
     for (label, counts) in &scenarios[..3] {
         let rows = fault_rows::<HealError>(&apps, |w| {
-            let clean = heal_run(w, &exp, &fault_free, &HealConfig::default())?.result.cycles;
+            let clean = heal_run(w, &exp, &fault_free)?.result.cycles;
             let plan = FaultPlan::random_timed(seed, exp.platform.mesh, mcs, *counts, clean, false);
             let out = evaluate_online(w, &exp, &plan)?;
             let s = &out.resilience;

@@ -29,8 +29,8 @@ use locmap_core::resilience::{
     adopt_assignment, fallback_region_mapping, restrict_mapping, serial_region_mapping,
 };
 use locmap_core::{
-    DegradationLevel, FaultClass, MapRequest, MappingSession, MigrationModel, NestMapping,
-    QuarantineConfig, RecoveryEvent, ResilienceController, ResilienceSummary, RetryPolicy,
+    DegradationLevel, FaultClass, MapRequest, MappingSession, NestMapping, RecoveryEvent,
+    ResilienceController, ResilienceSummary,
 };
 use locmap_loopir::{DataEnv, NestId, Program};
 use locmap_noc::{FaultPlan, FaultState, LocmapError};
@@ -39,30 +39,9 @@ use locmap_verify::{VerifyConfig, VerifyMapping};
 use locmap_workloads::Workload;
 use std::fmt;
 
-/// Tunables of one healing run.
-#[derive(Debug, Clone, Copy)]
-pub struct HealConfig {
-    /// Backoff pacing for transient retries.
-    pub retry: RetryPolicy,
-    /// Strike counting and probation of the quarantine state machine.
-    pub quarantine: QuarantineConfig,
-    /// Cost model for moving set state during a remap.
-    pub migration: MigrationModel,
-    /// Hard cap on fault incidents before the run gives up with
-    /// [`HealError::IncidentCap`] — a runaway-timeline backstop.
-    pub max_incidents: u32,
-}
-
-impl Default for HealConfig {
-    fn default() -> Self {
-        HealConfig {
-            retry: RetryPolicy::default(),
-            quarantine: QuarantineConfig::default(),
-            migration: MigrationModel::default(),
-            max_incidents: 64,
-        }
-    }
-}
+/// Hard cap on fault incidents before a run gives up with
+/// [`HealError::IncidentCap`] — a runaway-timeline backstop.
+pub const MAX_INCIDENTS: u32 = 64;
 
 /// Why a healing run could not be driven to completion. Every variant is a
 /// typed, recoverable verdict — the driver never panics on a fault
@@ -77,7 +56,7 @@ pub enum HealError {
         /// The underlying validation error.
         source: LocmapError,
     },
-    /// More than `max_incidents` faults arrived; the timeline is treated
+    /// More than [`MAX_INCIDENTS`] faults arrived; the timeline is treated
     /// as hostile rather than flaky.
     IncidentCap {
         /// Incidents counted when the cap tripped.
@@ -148,6 +127,16 @@ fn merge(total: &mut RunResult, seg: &RunResult) {
     total.measured = seg.measured.clone();
     total.observed_mai = seg.observed_mai.clone();
     total.observed_cai = seg.observed_cai.clone();
+}
+
+/// Counts one more fault incident at `cycle`, failing with
+/// [`HealError::IncidentCap`] once the count passes [`MAX_INCIDENTS`].
+fn count_incident(incidents: &mut u32, cycle: u64) -> Result<(), HealError> {
+    *incidents += 1;
+    if *incidents > MAX_INCIDENTS {
+        return Err(HealError::IncidentCap { incidents: *incidents, cycle });
+    }
+    Ok(())
 }
 
 /// Points the session at the machine state the controller currently
@@ -274,12 +263,10 @@ pub fn heal_run(
     workload: &Workload,
     exp: &Experiment,
     plan: &FaultPlan,
-    cfg: &HealConfig,
 ) -> Result<HealOutcome, HealError> {
     let program = &workload.program;
     let data = &workload.data;
-    let mut ctrl =
-        ResilienceController::new(exp.platform.mesh, cfg.retry, cfg.quarantine, cfg.migration);
+    let mut ctrl = ResilienceController::new(exp.platform.mesh);
     let mut session = MappingSession::builder(exp.platform.clone())
         .options(exp.opts)
         .build()
@@ -312,10 +299,7 @@ pub fn heal_run(
                     break;
                 }
                 Err(SimError::Transient(t)) => {
-                    incidents += 1;
-                    if incidents > cfg.max_incidents {
-                        return Err(HealError::IncidentCap { incidents, cycle: t.cycle });
-                    }
+                    count_incident(&mut incidents, t.cycle)?;
                     merge(&mut total, &t.partial);
                     // Fold the segment's completion flags back into the
                     // full-partition mask (the segment may itself have been
@@ -384,10 +368,7 @@ pub fn heal_run(
                     // Unfinished work sits on a core that is dead at this
                     // epoch (typically after retrying a router death in
                     // place): the mapping itself must change.
-                    incidents += 1;
-                    if incidents > cfg.max_incidents {
-                        return Err(HealError::IncidentCap { incidents, cycle: now });
-                    }
+                    count_incident(&mut incidents, now)?;
                     let state = ctrl.overlay(plan).state_at(now);
                     let fresh = remap_ladder(
                         &mut session,
@@ -444,7 +425,7 @@ mod tests {
 
     fn clean_cycles(w: &Workload, exp: &Experiment) -> u64 {
         let empty = FaultPlan::new(exp.platform.mesh, exp.platform.mc_coords.len());
-        heal_run(w, exp, &empty, &HealConfig::default()).unwrap().result.cycles
+        heal_run(w, exp, &empty).unwrap().result.cycles
     }
 
     #[test]
@@ -452,7 +433,7 @@ mod tests {
         let w = streaming();
         let exp = Experiment::paper_default(LlcOrg::Private);
         let empty = FaultPlan::new(exp.platform.mesh, exp.platform.mc_coords.len());
-        let out = heal_run(&w, &exp, &empty, &HealConfig::default()).unwrap();
+        let out = heal_run(&w, &exp, &empty).unwrap();
         assert!(out.result.cycles > 0);
         assert_eq!(out.summary.faults_seen, 0);
         assert_eq!(out.summary.degradation, DegradationLevel::None);
@@ -472,7 +453,7 @@ mod tests {
             repair_at: None,
         })
         .unwrap();
-        let out = heal_run(&w, &exp, &plan, &HealConfig::default()).unwrap();
+        let out = heal_run(&w, &exp, &plan).unwrap();
         assert!(out.summary.faults_seen >= 1, "the death must interrupt work");
         assert_eq!(out.summary.remaps, 1, "a permanent fault ends in exactly one remap");
         assert!(out.summary.transient_retries >= 1, "retries precede the promotion");
@@ -496,7 +477,7 @@ mod tests {
             repair_at: Some(mid + 2_000),
         })
         .unwrap();
-        let out = heal_run(&w, &exp, &plan, &HealConfig::default()).unwrap();
+        let out = heal_run(&w, &exp, &plan).unwrap();
         assert_eq!(out.summary.faults_seen, 1);
         assert_eq!(out.summary.transient_retries, 1, "one backoff outlives the glitch");
         assert_eq!(out.summary.remaps, 0);
@@ -518,7 +499,7 @@ mod tests {
             repair_at: None,
         })
         .unwrap();
-        let out = heal_run(&w, &exp, &plan, &HealConfig::default()).unwrap();
+        let out = heal_run(&w, &exp, &plan).unwrap();
         assert!(out.summary.faults_seen >= 1);
         assert!(out.summary.remaps >= 1, "work must leave the dead core");
         assert!(out.summary.migration_cost_cycles > 0, "moved sets pay migration");
@@ -539,7 +520,7 @@ mod tests {
             horizon,
             true,
         );
-        let out = heal_run(&w, &exp, &plan, &HealConfig::default()).unwrap();
+        let out = heal_run(&w, &exp, &plan).unwrap();
         assert!(out.result.cycles > 0);
         // Whatever the timeline did, the tally must be internally
         // consistent: every incident traced, overhead covered by MTTR sum.
@@ -549,20 +530,13 @@ mod tests {
 
     #[test]
     fn incident_cap_is_a_typed_error() {
-        let w = streaming();
-        let exp = Experiment::paper_default(LlcOrg::Private);
-        let mid = clean_cycles(&w, &exp) / 4;
-        let mut plan = FaultPlan::new(exp.platform.mesh, exp.platform.mc_coords.len());
-        plan.push(FaultEvent {
-            component: FaultComponent::Mc(1),
-            inject_at: mid,
-            repair_at: None,
-        })
-        .unwrap();
-        let cfg = HealConfig { max_incidents: 0, ..HealConfig::default() };
-        match heal_run(&w, &exp, &plan, &cfg) {
-            Err(HealError::IncidentCap { incidents, .. }) => assert!(incidents > 0),
-            other => panic!("expected the incident cap, got {other:?}"),
+        let mut incidents = 0;
+        for i in 0..u64::from(MAX_INCIDENTS) {
+            assert!(count_incident(&mut incidents, i).is_ok(), "incident {} is in the cap", i + 1);
+        }
+        match count_incident(&mut incidents, 7) {
+            Err(HealError::IncidentCap { incidents: 65, cycle: 7 }) => {}
+            other => panic!("expected the incident cap on incident 65, got {other:?}"),
         }
     }
 }

@@ -29,9 +29,7 @@
 //! knowingly-sacrificed η-minimality and balance codes to warnings.
 
 use crate::Experiment;
-use locmap_core::{
-    AdmissionConfig, BreakerState, MapRequest, MappingSession, Priority, QualityLevel, TryMapError,
-};
+use locmap_core::{BreakerState, MapRequest, MappingSession, Priority, QualityLevel, TryMapError};
 use locmap_loopir::{Access, AffineExpr, DataEnv, LoopNest, NestId, Program};
 use locmap_noc::{Budget, CancelToken, LocmapError, RunControl};
 use locmap_verify::{VerifyConfig, VerifyMapping};
@@ -62,30 +60,22 @@ pub struct OverloadConfig {
     /// Arrival-rate multiples of the measured saturation rate, one arm
     /// each.
     pub multipliers: Vec<f64>,
-    /// Admission tuning of the serving session (queue capacity,
-    /// degradation thresholds, breaker).
-    pub admission: AdmissionConfig,
-    /// Per-request work budget for the full-quality rung, as a multiple
-    /// of the measured mean service cost. A kernel that blows it strikes
-    /// the circuit breaker and falls down the ladder.
-    pub budget_factor: f64,
-    /// Relative deadline of every request, as a multiple of the measured
-    /// mean service cost. Requests that cannot finish inside it are shed
-    /// at dequeue.
-    pub deadline_factor: f64,
 }
 
 impl Default for OverloadConfig {
     fn default() -> Self {
-        OverloadConfig {
-            arrivals: 120,
-            multipliers: vec![1.0, 3.0, 10.0],
-            admission: AdmissionConfig::default(),
-            budget_factor: 2.0,
-            deadline_factor: 4.0,
-        }
+        OverloadConfig { arrivals: 120, multipliers: vec![1.0, 3.0, 10.0] }
     }
 }
+
+/// Per-request work budget for the full-quality rung, as a multiple of the
+/// measured mean service cost. A kernel that blows it strikes the circuit
+/// breaker and falls down the ladder.
+const BUDGET_FACTOR: f64 = 2.0;
+
+/// Relative deadline of every request, as a multiple of the measured mean
+/// service cost. Requests that cannot finish inside it are shed at dequeue.
+const DEADLINE_FACTOR: f64 = 4.0;
 
 /// What happened at one arrival-rate multiplier.
 #[derive(Debug, Clone, PartialEq)]
@@ -349,13 +339,10 @@ fn run_arm(
     saturation: u64,
     multiplier: f64,
 ) -> Result<ArmReport, LocmapError> {
-    let session = MappingSession::builder(exp.platform.clone())
-        .options(exp.opts)
-        .admission(cfg.admission)
-        .build()?;
+    let session = MappingSession::builder(exp.platform.clone()).options(exp.opts).build()?;
     let inter_arrival = ((saturation as f64 / multiplier).round() as u64).max(1);
-    let full_budget = ((saturation as f64 * cfg.budget_factor).round() as u64).max(1);
-    let relative_deadline = ((saturation as f64 * cfg.deadline_factor).round() as u64).max(1);
+    let full_budget = ((saturation as f64 * BUDGET_FACTOR).round() as u64).max(1);
+    let relative_deadline = ((saturation as f64 * DEADLINE_FACTOR).round() as u64).max(1);
 
     let strict = VerifyConfig::mapping_only();
     let relaxed = VerifyConfig::fallback_mapping();
@@ -557,9 +544,9 @@ mod tests {
             "10x arm must degrade some requests to the heuristic\n{report}"
         );
 
-        // Queue depth stays bounded by the configured capacity.
+        // Queue depth stays bounded by the admission capacity.
         for arm in &report.arms {
-            assert!(arm.max_depth <= cfg.admission.capacity, "{report}");
+            assert!(arm.max_depth <= locmap_core::admission::QUEUE_CAPACITY, "{report}");
             assert!(arm.completed + arm.shed_queue_full + arm.shed_deadline == arm.offered);
             // Every admitted-and-served request finished inside its
             // deadline: overload is absorbed by shedding, not lateness.

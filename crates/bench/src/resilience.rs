@@ -20,11 +20,9 @@
 //! under the arm's default mapping, then one measurement pass under the
 //! arm's final mapping; reported cycles include inspector overhead.
 
-use crate::heal::{heal_run, HealConfig, HealError};
+use crate::heal::{heal_run, HealError};
 use crate::Experiment;
-use locmap_core::{
-    Compiler, Inspector, InspectorCostModel, NestMapping, ResilienceSummary, RetryPolicy,
-};
+use locmap_core::{Compiler, Inspector, InspectorCostModel, NestMapping, ResilienceSummary};
 use locmap_loopir::{DataEnv, NestId, Program};
 use locmap_noc::{FaultPlan, FaultState, LocmapError};
 use locmap_sim::{SimError, Simulator};
@@ -109,7 +107,6 @@ fn run_arm(
     compiler: &Compiler,
     faults: Option<&FaultState>,
     aware: bool,
-    retry: RetryPolicy,
 ) -> Result<ArmOutcome, LocmapError> {
     let program = &workload.program;
     let data = &workload.data;
@@ -157,7 +154,6 @@ fn run_arm(
                         probe.set_faults(f).expect("state validated by the outer sim");
                         probe.run_nest(program, candidate, data).measured
                     },
-                    retry,
                 ),
             };
             overhead += rep.overhead_cycles;
@@ -204,14 +200,12 @@ pub fn evaluate_resilience(
     exp: &Experiment,
     state: &FaultState,
 ) -> Result<ResilienceOutcome, LocmapError> {
-    let retry = RetryPolicy::default();
-
     let clean = Compiler::builder(exp.platform.clone()).options(exp.opts).build().unwrap();
-    let fault_free = run_arm(workload, exp, &clean, None, true, retry)?;
+    let fault_free = run_arm(workload, exp, &clean, None, true)?;
 
     let degraded = Compiler::builder(exp.platform.clone()).options(exp.opts).faults(state).build()?;
-    let aware = run_arm(workload, exp, &degraded, Some(state), true, retry)?;
-    let oblivious = run_arm(workload, exp, &degraded, Some(state), false, retry)?;
+    let aware = run_arm(workload, exp, &degraded, Some(state), true)?;
+    let oblivious = run_arm(workload, exp, &degraded, Some(state), false)?;
 
     Ok(ResilienceOutcome {
         name: workload.name.to_string(),
@@ -290,7 +284,7 @@ pub fn evaluate_online(
 ) -> Result<OnlineOutcome, HealError> {
     let final_state = plan.final_state();
     let oracle_cycles = oracle_arm(workload, exp, &final_state).map_err(HealError::Mapping)?;
-    let healed = heal_run(workload, exp, plan, &HealConfig::default())?;
+    let healed = heal_run(workload, exp, plan)?;
     Ok(OnlineOutcome {
         name: workload.name.to_string(),
         online_cycles: healed.result.cycles,
@@ -365,7 +359,7 @@ mod tests {
             .final_state();
         let out = evaluate_resilience(&w, &exp, &state).unwrap();
         assert!(out.aware.overhead_cycles > 0, "inspector must cost something");
-        assert!(out.aware.retries <= RetryPolicy::default().max_retries);
+        assert!(out.aware.retries <= locmap_core::resilience::MAX_RETRIES);
         assert_eq!(out.oblivious.retries, 0);
     }
 
@@ -379,7 +373,7 @@ mod tests {
         let w = build("mxm", Scale::new(0.3));
         let exp = Experiment::paper_default(LlcOrg::Private);
         let empty = FaultPlan::new(exp.platform.mesh, exp.platform.mc_coords.len());
-        let mid = crate::heal::heal_run(&w, &exp, &empty, &Default::default())
+        let mid = crate::heal::heal_run(&w, &exp, &empty)
             .unwrap()
             .result
             .cycles

@@ -2,7 +2,7 @@
 
 use crate::args::Args;
 use locmap_bench::batch::{run_throughput, BatchConfig, STENCIL_SUITE};
-use locmap_bench::heal::{heal_run, HealConfig};
+use locmap_bench::heal::heal_run;
 use locmap_bench::resilience::evaluate_resilience;
 use locmap_bench::{evaluate, Experiment};
 use locmap_core::{region_loads, Compiler, Mac, MacPolicy, Platform};
@@ -278,13 +278,12 @@ pub fn heal(args: &Args) -> Result<(), String> {
     }
     let seed = args.seed()?;
     let transient = args.timeline()?;
-    let cfg = HealConfig::default();
 
     // Without an explicit --horizon, size the timeline to the fault-free
     // run so injections land mid-execution instead of after the finish.
     let horizon = match args.count("horizon")? as u64 {
         0 => {
-            let clean = heal_run(&w, &exp, &FaultPlan::new(mesh, mc_count), &cfg)
+            let clean = heal_run(&w, &exp, &FaultPlan::new(mesh, mc_count))
                 .map_err(|e| e.to_string())?;
             clean.result.cycles
         }
@@ -306,7 +305,7 @@ pub fn heal(args: &Args) -> Result<(), String> {
         }
     }
 
-    let out = heal_run(&w, &exp, &plan, &cfg).map_err(|e| e.to_string())?;
+    let out = heal_run(&w, &exp, &plan).map_err(|e| e.to_string())?;
     println!("\nrecovery trace:");
     if out.trace.is_empty() {
         println!("  (no faults surfaced — run finished before any injection)");
@@ -449,7 +448,6 @@ pub fn overload(args: &Args) -> Result<(), String> {
     let cfg = OverloadConfig {
         arrivals: args.count_or("arrivals", 120)?,
         multipliers: args.floats_or("load", &[1.0, 3.0, 10.0])?,
-        ..OverloadConfig::default()
     };
     let report = run_overload(&exp, &apps, &cfg).map_err(String::from)?;
 
@@ -494,7 +492,6 @@ pub fn batch(args: &Args) -> Result<(), String> {
         llc: args.llc()?,
         threads: args.count_or("threads", 4)?,
         repeats: args.count_or("repeats", 4)?,
-        verify: true,
     };
     let report = run_throughput(&cfg).map_err(|e| e.to_string())?;
     report.print();

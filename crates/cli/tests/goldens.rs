@@ -1,0 +1,76 @@
+//! End-to-end goldens of the `locmap` binary: the four healing traces and
+//! the two overload reports, byte for byte. Each run is deterministic, so
+//! any change in the recovery policy, the admission ladder or the circuit
+//! breaker shows up as a diff here.
+
+use std::path::PathBuf;
+use std::process::Command;
+
+fn golden(name: &str) -> String {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let path: PathBuf = [root, "..", "..", "tests", "golden", name].iter().collect();
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()))
+}
+
+/// Runs `locmap args…` and checks it exits 0 with exactly the golden's text.
+fn assert_matches_golden(args: &[&str], name: &str) {
+    let out =
+        Command::new(env!("CARGO_BIN_EXE_locmap")).args(args).output().expect("locmap runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "locmap {args:?} failed:\n{stderr}");
+    let got = String::from_utf8(out.stdout).expect("stdout is UTF-8");
+    let want = golden(name);
+    if got != want {
+        let line = got.lines().zip(want.lines()).position(|(g, w)| g != w);
+        panic!(
+            "locmap {args:?} differs from tests/golden/{name} \
+             (first differing line: {line:?})\n--- got\n{got}--- want\n{want}"
+        );
+    }
+}
+
+fn heal(app: &str, timeline: &str, seed: &str) {
+    assert_matches_golden(
+        &["heal", "--app", app, "--scale", "0.3", "--timeline", timeline, "--seed", seed],
+        &format!("heal.{app}.{timeline}.txt"),
+    );
+}
+
+#[test]
+fn heal_mxm_transient_matches_golden() {
+    heal("mxm", "transient", "7");
+}
+
+#[test]
+fn heal_mxm_persistent_matches_golden() {
+    heal("mxm", "persistent", "7");
+}
+
+#[test]
+fn heal_fft_transient_matches_golden() {
+    heal("fft", "transient", "11");
+}
+
+#[test]
+fn heal_fft_persistent_matches_golden() {
+    heal("fft", "persistent", "11");
+}
+
+const OVERLOAD: [&str; 6] = ["--scale", "0.3", "--arrivals", "120", "--load", "1,3,10"];
+
+#[test]
+fn overload_shared_matches_golden() {
+    let args = [&["overload", "--apps", "mxm,swim"][..], &OVERLOAD].concat();
+    assert_matches_golden(&args, "overload.mxm-swim.shared.txt");
+}
+
+/// The private arm reaches queue depth 37 and trips the breaker once, so
+/// it depends on the queue capacity, both depth thresholds and the
+/// breaker's strike threshold, window and cool-down. (The half-open probe
+/// count is pinned by the admission and session unit tests.)
+#[test]
+fn overload_private_matches_golden() {
+    let private = ["overload", "--apps", "fft,jacobi-3d", "--llc", "private"];
+    let args = [&private[..], &OVERLOAD].concat();
+    assert_matches_golden(&args, "overload.fft-jacobi-3d.private.txt");
+}

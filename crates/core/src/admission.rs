@@ -87,7 +87,7 @@ pub enum TryMapError {
     QueueFull {
         /// Requests in flight when the rejection happened.
         depth: usize,
-        /// The configured bound.
+        /// The bound, [`QUEUE_CAPACITY`].
         capacity: usize,
     },
     /// The request's wall deadline had already expired at admission; no
@@ -127,90 +127,66 @@ impl From<LocmapError> for TryMapError {
     }
 }
 
-/// Tunables of the admission layer (see the module docs for the overall
-/// scheme).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdmissionConfig {
-    /// Hard bound on requests in flight; beyond it,
-    /// [`TryMapError::QueueFull`].
-    pub capacity: usize,
-    /// Depth up to which a [`Priority::Normal`] request is served
-    /// [`QualityLevel::Full`].
-    pub degrade_depth: usize,
-    /// Depth up to which a [`Priority::Normal`] request is served at
-    /// least [`QualityLevel::Cached`]; beyond it, straight to the
-    /// heuristic.
-    pub heuristic_depth: usize,
-    /// Circuit-breaker tuning for the expensive path.
-    pub breaker: BreakerConfig,
-}
+/// Hard bound on requests in flight; beyond it, [`TryMapError::QueueFull`].
+pub const QUEUE_CAPACITY: usize = 64;
 
-impl Default for AdmissionConfig {
-    fn default() -> Self {
-        AdmissionConfig {
-            capacity: 64,
-            degrade_depth: 8,
-            heuristic_depth: 24,
-            breaker: BreakerConfig::default(),
-        }
+/// Depth up to which a [`Priority::Normal`] request is served
+/// [`QualityLevel::Full`].
+pub const DEGRADE_DEPTH: usize = 8;
+
+/// Depth up to which a [`Priority::Normal`] request is served at least
+/// [`QualityLevel::Cached`]; beyond it, straight to the heuristic.
+pub const HEURISTIC_DEPTH: usize = 24;
+
+/// The [`QualityLevel`] for a request of `priority` admitted at queue depth
+/// `depth` (1 = the request is alone).
+///
+/// [`Priority::High`] tolerates twice [`DEGRADE_DEPTH`] and
+/// [`HEURISTIC_DEPTH`] before degrading; [`Priority::Low`] only half — so
+/// under one load, the classes shed quality in order.
+pub fn quality_for(depth: usize, priority: Priority) -> QualityLevel {
+    let (degrade, heuristic) = match priority {
+        Priority::High => (DEGRADE_DEPTH * 2, HEURISTIC_DEPTH * 2),
+        Priority::Normal => (DEGRADE_DEPTH, HEURISTIC_DEPTH),
+        Priority::Low => (DEGRADE_DEPTH / 2, HEURISTIC_DEPTH / 2),
+    };
+    if depth <= degrade.max(1) {
+        QualityLevel::Full
+    } else if depth <= heuristic.max(1) {
+        QualityLevel::Cached
+    } else {
+        QualityLevel::Heuristic
     }
 }
 
-impl AdmissionConfig {
-    /// The [`QualityLevel`] for a request of `priority` admitted at queue
-    /// depth `depth` (1 = the request is alone).
-    ///
-    /// [`Priority::High`] tolerates twice the configured depths before
-    /// degrading; [`Priority::Low`] only half — so under one load, the
-    /// classes shed quality in order.
-    pub fn quality_for(&self, depth: usize, priority: Priority) -> QualityLevel {
-        let (degrade, heuristic) = match priority {
-            Priority::High => (self.degrade_depth * 2, self.heuristic_depth * 2),
-            Priority::Normal => (self.degrade_depth, self.heuristic_depth),
-            Priority::Low => (self.degrade_depth / 2, self.heuristic_depth / 2),
-        };
-        if depth <= degrade.max(1) {
-            QualityLevel::Full
-        } else if depth <= heuristic.max(1) {
-            QualityLevel::Cached
-        } else {
-            QualityLevel::Heuristic
-        }
-    }
-}
+// Circuit-breaker tuning. All windows count *observations* (requests that
+// consulted the breaker), not wall time, so the state machine is
+// deterministic.
 
-/// Circuit-breaker tuning. All windows count *observations* (requests
-/// that consulted the breaker), not wall time, so the state machine is
-/// deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerConfig {
-    /// Budget blows within [`BreakerConfig::strike_window`] that trip the
-    /// breaker open.
-    pub strike_threshold: u32,
-    /// Sliding window (in observations) strikes are counted over.
-    pub strike_window: u64,
-    /// Observations the breaker stays open before probing
-    /// ([`BreakerState::HalfOpen`]).
-    pub cooldown: u64,
-    /// Consecutive half-open successes required to close again.
-    pub half_open_probes: u32,
-}
+/// Budget blows within [`BREAKER_STRIKE_WINDOW`] that trip the breaker
+/// open.
+pub const BREAKER_STRIKE_THRESHOLD: usize = 3;
 
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig { strike_threshold: 3, strike_window: 16, cooldown: 8, half_open_probes: 2 }
-    }
-}
+/// Sliding window (in observations) breaker strikes are counted over.
+pub const BREAKER_STRIKE_WINDOW: u64 = 16;
+
+/// Observations the breaker stays open before probing
+/// ([`BreakerState::HalfOpen`]).
+pub const BREAKER_COOLDOWN: u64 = 8;
+
+/// Consecutive half-open successes required to close the breaker again.
+pub const BREAKER_HALF_OPEN_PROBES: u32 = 2;
 
 /// The breaker's position (standard three-state circuit breaker).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BreakerState {
     /// Expensive path allowed; strikes are being counted.
+    #[default]
     Closed,
     /// Expensive path bypassed; cooling down.
     Open,
     /// Probing: expensive path allowed, watched closely — one failure
-    /// reopens, [`BreakerConfig::half_open_probes`] successes close.
+    /// reopens, [`BREAKER_HALF_OPEN_PROBES`] successes close.
     HalfOpen,
 }
 
@@ -226,13 +202,11 @@ impl fmt::Display for BreakerState {
 
 /// A deterministic circuit breaker around the expensive mapping path.
 ///
-/// The same strike-window idea as
-/// [`crate::resilience::RetryPolicy`]-driven fault quarantine: repeated
-/// recent failures mean the path is *currently* hopeless, so stop paying
-/// for it; periodically probe to notice recovery.
-#[derive(Debug, Clone)]
+/// The same strike-window idea as the resilience controller's fault
+/// quarantine: repeated recent failures mean the path is *currently*
+/// hopeless, so stop paying for it; periodically probe to notice recovery.
+#[derive(Debug, Clone, Default)]
 pub struct CircuitBreaker {
-    cfg: BreakerConfig,
     state: BreakerState,
     /// Observation counter: the breaker's deterministic clock.
     now: u64,
@@ -245,16 +219,9 @@ pub struct CircuitBreaker {
 }
 
 impl CircuitBreaker {
-    /// A closed breaker with tuning `cfg`.
-    pub fn new(cfg: BreakerConfig) -> Self {
-        CircuitBreaker {
-            cfg,
-            state: BreakerState::Closed,
-            now: 0,
-            strikes: VecDeque::new(),
-            opened_at: 0,
-            probe_successes: 0,
-        }
+    /// A closed breaker.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// The current state.
@@ -273,7 +240,7 @@ impl CircuitBreaker {
             BreakerState::Closed => true,
             BreakerState::HalfOpen => true,
             BreakerState::Open => {
-                if self.now.saturating_sub(self.opened_at) >= self.cfg.cooldown {
+                if self.now.saturating_sub(self.opened_at) >= BREAKER_COOLDOWN {
                     self.state = BreakerState::HalfOpen;
                     self.probe_successes = 0;
                     true
@@ -288,7 +255,7 @@ impl CircuitBreaker {
     pub fn record_success(&mut self) {
         if self.state == BreakerState::HalfOpen {
             self.probe_successes += 1;
-            if self.probe_successes >= self.cfg.half_open_probes {
+            if self.probe_successes >= BREAKER_HALF_OPEN_PROBES {
                 self.state = BreakerState::Closed;
                 self.strikes.clear();
             }
@@ -302,13 +269,13 @@ impl CircuitBreaker {
             BreakerState::Closed => {
                 self.strikes.push_back(self.now);
                 while let Some(&t) = self.strikes.front() {
-                    if self.now.saturating_sub(t) >= self.cfg.strike_window {
+                    if self.now.saturating_sub(t) >= BREAKER_STRIKE_WINDOW {
                         self.strikes.pop_front();
                     } else {
                         break;
                     }
                 }
-                if self.strikes.len() >= self.cfg.strike_threshold as usize {
+                if self.strikes.len() >= BREAKER_STRIKE_THRESHOLD {
                     self.trip();
                 }
             }
@@ -330,23 +297,19 @@ mod tests {
 
     #[test]
     fn quality_degrades_with_depth_and_priority() {
-        let cfg = AdmissionConfig::default();
-        assert_eq!(cfg.quality_for(1, Priority::Normal), QualityLevel::Full);
-        assert_eq!(cfg.quality_for(cfg.degrade_depth + 1, Priority::Normal), QualityLevel::Cached);
-        assert_eq!(
-            cfg.quality_for(cfg.heuristic_depth + 1, Priority::Normal),
-            QualityLevel::Heuristic
-        );
+        assert_eq!(quality_for(1, Priority::Normal), QualityLevel::Full);
+        assert_eq!(quality_for(DEGRADE_DEPTH + 1, Priority::Normal), QualityLevel::Cached);
+        assert_eq!(quality_for(HEURISTIC_DEPTH + 1, Priority::Normal), QualityLevel::Heuristic);
         // At the same depth, higher priority keeps higher quality.
-        let d = cfg.degrade_depth + 1;
-        assert_eq!(cfg.quality_for(d, Priority::High), QualityLevel::Full);
-        assert_eq!(cfg.quality_for(d, Priority::Low), QualityLevel::Cached);
-        assert!(cfg.quality_for(3 * cfg.heuristic_depth, Priority::High) == QualityLevel::Heuristic);
+        let d = DEGRADE_DEPTH + 1;
+        assert_eq!(quality_for(d, Priority::High), QualityLevel::Full);
+        assert_eq!(quality_for(d, Priority::Low), QualityLevel::Cached);
+        assert!(quality_for(3 * HEURISTIC_DEPTH, Priority::High) == QualityLevel::Heuristic);
     }
 
     #[test]
     fn breaker_trips_after_strikes_in_window() {
-        let mut b = CircuitBreaker::new(BreakerConfig::default());
+        let mut b = CircuitBreaker::new();
         for _ in 0..3 {
             assert!(b.admit_expensive());
             b.record_failure();
@@ -357,14 +320,13 @@ mod tests {
 
     #[test]
     fn old_strikes_age_out_of_the_window() {
-        let cfg = BreakerConfig { strike_threshold: 3, strike_window: 4, ..Default::default() };
-        let mut b = CircuitBreaker::new(cfg);
+        let mut b = CircuitBreaker::new();
         // Two strikes, then enough successes to age them past the window.
-        for _ in 0..2 {
+        for _ in 0..BREAKER_STRIKE_THRESHOLD - 1 {
             assert!(b.admit_expensive());
             b.record_failure();
         }
-        for _ in 0..6 {
+        for _ in 0..BREAKER_STRIKE_WINDOW {
             assert!(b.admit_expensive());
             b.record_success();
         }
@@ -375,15 +337,14 @@ mod tests {
 
     #[test]
     fn breaker_recovers_through_half_open_probes() {
-        let cfg = BreakerConfig::default();
-        let mut b = CircuitBreaker::new(cfg);
-        for _ in 0..cfg.strike_threshold {
+        let mut b = CircuitBreaker::new();
+        for _ in 0..BREAKER_STRIKE_THRESHOLD {
             b.admit_expensive();
             b.record_failure();
         }
         assert_eq!(b.state(), BreakerState::Open);
         // Cool down under traffic.
-        for _ in 0..cfg.cooldown - 1 {
+        for _ in 0..BREAKER_COOLDOWN - 1 {
             assert!(!b.admit_expensive());
         }
         assert!(b.admit_expensive(), "cooled-down breaker probes");
@@ -396,13 +357,12 @@ mod tests {
 
     #[test]
     fn half_open_failure_reopens() {
-        let cfg = BreakerConfig::default();
-        let mut b = CircuitBreaker::new(cfg);
-        for _ in 0..cfg.strike_threshold {
+        let mut b = CircuitBreaker::new();
+        for _ in 0..BREAKER_STRIKE_THRESHOLD {
             b.admit_expensive();
             b.record_failure();
         }
-        for _ in 0..cfg.cooldown {
+        for _ in 0..BREAKER_COOLDOWN {
             b.admit_expensive();
         }
         assert_eq!(b.state(), BreakerState::HalfOpen);

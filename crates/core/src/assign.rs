@@ -88,11 +88,11 @@ pub fn assign_shared(
 mod tests {
     use super::*;
     use crate::platform::Platform;
-    use crate::vectors::{CacPolicy, MacPolicy};
+    use crate::vectors::MacPolicy;
 
     fn mac_cac() -> (Mac, Cac) {
         let p = Platform::paper_default();
-        (Mac::compute(&p, MacPolicy::NearestSet), Cac::compute(&p, CacPolicy::default()))
+        (Mac::compute(&p, MacPolicy::NearestSet), Cac::compute(&p))
     }
 
     #[test]

@@ -59,7 +59,6 @@ pub fn hash_options<H: Hasher>(h: &mut H, o: &MappingOptions) {
     }
     o.eta.hash(h);
     o.mac_policy.hash(h);
-    hash_f64(h, o.cac_policy.self_weight);
     o.placement.hash(h);
     h.write_usize(o.analysis_sample_stride);
     h.write_u8(o.balance as u8);
@@ -280,8 +279,7 @@ impl<V: Clone> MemoCache<V> {
             match (compute.take().expect("claimed twice"))() {
                 Ok(value) => {
                     // Publish through the claimed cell (waiters hold their
-                    // own Arc to it, so they wake even if `clear` raced and
-                    // dropped the map slot).
+                    // own Arc to it).
                     Self::publish(&cell, Outcome::Done(value.clone()));
                     self.map
                         .write()
@@ -309,13 +307,6 @@ impl<V: Clone> MemoCache<V> {
         let (slot, ready) = &**cell;
         *slot.lock().expect("in-flight slot poisoned") = Some(outcome);
         ready.notify_all();
-    }
-
-    /// Drops every finished entry (counters are kept; they describe
-    /// lifetime work). Computations in flight are left to finish and
-    /// re-insert themselves.
-    pub fn clear(&self) {
-        self.map.write().expect("memo cache poisoned").retain(|_, s| matches!(s, Slot::Pending(_)));
     }
 
     /// Current counters and occupancy (finished entries only).

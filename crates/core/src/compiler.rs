@@ -15,7 +15,7 @@ use crate::balance::{balance_regions_masked, BalanceReport};
 use crate::hits::{AllMissModel, CmeModel, HitModel};
 use crate::placement::{place_in_regions_masked, PlacementPolicy};
 use crate::platform::{LlcOrg, Platform};
-use crate::vectors::{AffinityVec, Cac, CacPolicy, EtaMetric, Mac, MacPolicy};
+use crate::vectors::{AffinityVec, Cac, EtaMetric, Mac, MacPolicy};
 use locmap_cme::{CmeConfig, CmeEstimate, CmeEstimator};
 use locmap_loopir::{DataEnv, IterationSet, IterationSpace, NestId, Program};
 use locmap_noc::{FaultState, LocmapError, NodeId, RegionId, RunControl};
@@ -52,8 +52,6 @@ pub struct MappingOptions {
     pub eta: EtaMetric,
     /// MAC derivation policy.
     pub mac_policy: MacPolicy,
-    /// CAC derivation policy.
-    pub cac_policy: CacPolicy,
     /// Within-region core selection.
     pub placement: PlacementPolicy,
     /// Analyze every k-th iteration when building MAI/CAI (1 = all).
@@ -73,7 +71,6 @@ impl Default for MappingOptions {
             alpha: AlphaPolicy::FromHits,
             eta: EtaMetric::L1,
             mac_policy: MacPolicy::NearestSet,
-            cac_policy: CacPolicy::default(),
             placement: PlacementPolicy::default(),
             analysis_sample_stride: 1,
             balance: true,
@@ -265,8 +262,8 @@ impl Compiler {
         let mac = Mac::compute_degraded(&platform, options.mac_policy, &eff)?;
         let cac = match platform.llc {
             // Private LLCs never consult CAC; keep the fault-free one.
-            LlcOrg::Private => Cac::compute(&platform, options.cac_policy),
-            LlcOrg::SharedSNuca => Cac::compute_degraded(&platform, options.cac_policy, &eff)?,
+            LlcOrg::Private => Cac::compute(&platform),
+            LlcOrg::SharedSNuca => Cac::compute_degraded(&platform, &eff)?,
         };
 
         let mc_redirect = eff.mc_redirects(&platform.mc_coords)?;

@@ -14,7 +14,7 @@
 
 use crate::compiler::{Compiler, NestMapping};
 use crate::hits::MeasuredRates;
-use crate::resilience::RetryPolicy;
+use crate::resilience::{backoff_cycles, DIVERGENCE_THRESHOLD, MAX_RETRIES};
 use locmap_loopir::{DataEnv, NestId, Program};
 use locmap_noc::RunControl;
 use serde::{Deserialize, Serialize};
@@ -133,9 +133,9 @@ impl<'a> Inspector<'a> {
     /// Runs the inspector on `initial` rates, then asks `reprofile` for the
     /// rates actually observed while executing the produced mapping. If the
     /// observation drifts from the prediction by more than
-    /// `policy.divergence_threshold` (mean absolute hit-rate difference),
-    /// the inspector remaps from the observed rates and tries again — up to
-    /// `policy.max_retries` rounds, with an exponentially growing backoff
+    /// [`DIVERGENCE_THRESHOLD`] (mean absolute hit-rate difference), the
+    /// inspector remaps from the observed rates and tries again — up to
+    /// [`MAX_RETRIES`] rounds, with an exponentially growing backoff
     /// charged to the overhead so a degrading machine cannot trap the
     /// runtime in a remap storm.
     pub fn run_with_retry(
@@ -145,13 +145,12 @@ impl<'a> Inspector<'a> {
         data: &DataEnv,
         initial: &MeasuredRates,
         mut reprofile: impl FnMut(&NestMapping) -> MeasuredRates,
-        policy: RetryPolicy,
     ) -> InspectorReport {
         let mut report = self.run(program, nest_id, data, initial);
         let mut predicted = initial.clone();
-        for round in 0..policy.max_retries {
+        for round in 0..MAX_RETRIES {
             let observed = reprofile(&report.mapping);
-            if divergence(&predicted, &observed) <= policy.divergence_threshold {
+            if divergence(&predicted, &observed) <= DIVERGENCE_THRESHOLD {
                 break;
             }
             let redo = self.run(program, nest_id, data, &observed);
@@ -159,7 +158,7 @@ impl<'a> Inspector<'a> {
                 mapping: redo.mapping,
                 overhead_cycles: report.overhead_cycles
                     + redo.overhead_cycles
-                    + policy.backoff_cycles(round, u64::from(nest_id.0)),
+                    + backoff_cycles(round),
                 retries: report.retries + 1,
             };
             predicted = observed;
@@ -228,7 +227,6 @@ mod tests {
             &data,
             &measured,
             |_| MeasuredRates::zeroed(sets, 1),
-            RetryPolicy::default(),
         );
         assert_eq!(rep.retries, 0);
         assert_eq!(rep.overhead_cycles, base.overhead_cycles);
@@ -260,7 +258,6 @@ mod tests {
                 }
                 m
             },
-            RetryPolicy::default(),
         );
         assert_eq!(rep.retries, 1);
         assert_eq!(calls, 2, "one diverging observation, one confirming");
@@ -281,7 +278,6 @@ mod tests {
         let initial = MeasuredRates::zeroed(sets, 1);
         // Observations alternate between extremes: never converges.
         let mut flip = false;
-        let policy = RetryPolicy { max_retries: 2, ..RetryPolicy::default() };
         let rep = inspector.run_with_retry(
             &p,
             id,
@@ -297,9 +293,8 @@ mod tests {
                 }
                 m
             },
-            policy,
         );
-        assert_eq!(rep.retries, 2);
+        assert_eq!(rep.retries, MAX_RETRIES);
     }
 
     #[test]

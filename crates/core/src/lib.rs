@@ -63,10 +63,7 @@ pub mod resilience;
 mod session;
 mod vectors;
 
-pub use admission::{
-    AdmissionConfig, BreakerConfig, BreakerState, CircuitBreaker, Priority, QualityLevel,
-    TryMapError,
-};
+pub use admission::{BreakerState, CircuitBreaker, Priority, QualityLevel, TryMapError};
 pub use affinity::{compute_cai, compute_cai_reaching, compute_mai, mean_eta, AffinityInputs};
 pub use assign::{assign_private, assign_shared, AlphaPolicy};
 pub use balance::{balance_regions, balance_regions_masked, region_loads, BalanceReport};
@@ -76,8 +73,8 @@ pub use emit::{emit_openmp, emit_schedule_json};
 pub use hits::{AllMissModel, CmeModel, HitModel, MeasuredRates, OracleModel};
 pub use inspector::{Inspector, InspectorCostModel, InspectorReport};
 pub use resilience::{
-    DegradationLevel, FaultClass, MigrationModel, QuarantineConfig, RecoveryAction,
-    RecoveryEvent, ResilienceController, ResilienceSummary, RetryPolicy,
+    DegradationLevel, FaultClass, RecoveryAction, RecoveryEvent, ResilienceController,
+    ResilienceSummary,
 };
 pub use placement::{place_in_regions, place_in_regions_masked, PlacementPolicy};
 pub use platform::{LlcOrg, Platform};
@@ -85,7 +82,7 @@ pub use session::{
     AdmitTicket, MapRequest, MapResponse, MappingSession, MappingSessionBuilder, ServedMapping,
     SessionStats,
 };
-pub use vectors::{AffinityVec, EtaMetric, Mac, MacPolicy, Cac, CacPolicy};
+pub use vectors::{AffinityVec, EtaMetric, Mac, MacPolicy, Cac, CAC_SELF_WEIGHT};
 
 /// One-line import for the common mapping workflow.
 ///
@@ -97,7 +94,7 @@ pub use vectors::{AffinityVec, EtaMetric, Mac, MacPolicy, Cac, CacPolicy};
 /// (this crate cannot re-export them — the dependency points the other
 /// way).
 pub mod prelude {
-    pub use crate::admission::{AdmissionConfig, Priority, QualityLevel, TryMapError};
+    pub use crate::admission::{Priority, QualityLevel, TryMapError};
     pub use crate::compiler::{Compiler, CompilerBuilder, MappingOptions, NestMapping};
     pub use crate::platform::{LlcOrg, Platform};
     pub use crate::session::{

@@ -8,27 +8,28 @@
 //! `locmap_sim::Simulator::run` on a fault timeline) and decides, per incident:
 //!
 //! * **transient** — retry the same mapping after an exponential backoff
-//!   (with optional deterministic jitter), quarantining the flaky
-//!   component so traffic routes around it while it is on probation;
-//! * **persistent** — `strike_threshold` strikes inside `strike_window`
-//!   cycles promote the component to permanently dead: the caller bumps
-//!   its [`crate::MappingSession`] fault epoch and remaps the *remaining*
-//!   iteration sets (see [`restrict_mapping`] / [`adopt_assignment`]),
-//!   paying the Manhattan-hops × state-bytes migration cost of
-//!   [`MigrationModel`].
+//!   ([`backoff_cycles`]), quarantining the flaky component so traffic
+//!   routes around it while it is on probation;
+//! * **persistent** — `STRIKE_THRESHOLD` (3) strikes inside
+//!   `STRIKE_WINDOW_CYCLES` (200,000) promote the component to permanently
+//!   dead: the caller bumps its [`crate::MappingSession`] fault epoch and
+//!   remaps the *remaining* iteration sets (see [`restrict_mapping`] /
+//!   [`adopt_assignment`]), paying a Manhattan-hops × state-bytes
+//!   migration cost plus a fixed remap charge.
 //!
 //! Quarantined components heal: a probe ([`ResilienceController::probe_heal`])
 //! un-quarantines any non-persistent entry that stayed clean for
-//! `heal_interval` cycles.
+//! `HEAL_INTERVAL_CYCLES` (60,000).
 //!
 //! The degradation ladder ([`DegradationLevel`]) and the fallback
 //! placements ([`fallback_region_mapping`], [`serial_region_mapping`]) are
 //! the last resorts when a fresh location-aware remap is rejected by the
 //! verifier or impossible; every rung is recorded in the recovery trace.
 //!
-//! [`RetryPolicy`] lives here as the *shared* retry type: the inspector's
-//! re-inspection loop ([`crate::Inspector::run_with_retry`]) and the
-//! online controller drive the same policy.
+//! The retry constants ([`MAX_RETRIES`], [`DIVERGENCE_THRESHOLD`],
+//! [`backoff_cycles`]) live here because the inspector's re-inspection
+//! loop ([`crate::Inspector::run_with_retry`]) and the online controller
+//! share them.
 
 use crate::compiler::NestMapping;
 use crate::platform::Platform;
@@ -39,71 +40,32 @@ use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
-/// When to give up on a mapping and re-run the inspector, and how long to
-/// back off between recovery attempts.
-///
-/// Under faults (or phase changes) the hit rates observed while *executing*
-/// a mapping can drift from the rates the mapping was derived from; once
-/// the drift exceeds `divergence_threshold` the inspector re-profiles and
-/// remaps. The same policy paces the online resilience controller's
-/// transient-fault retries. Backoff grows geometrically
-/// (`backoff_base_cycles · backoff_factor^attempt`, capped at
-/// `max_backoff_cycles`) with an optional deterministic jitter so repeated
-/// retries of many components do not synchronize.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RetryPolicy {
-    /// Maximum retry/re-inspection rounds before accepting the outcome.
-    pub max_retries: u32,
-    /// Mean absolute hit-rate drift (over every set × reference entry)
-    /// that triggers an inspector remap.
-    pub divergence_threshold: f64,
-    /// Cycles charged for the first retry.
-    pub backoff_base_cycles: u64,
-    /// Geometric growth per round (the inspector's historical doubling).
-    pub backoff_factor: f64,
-    /// Upper bound on a single backoff, whatever the round.
-    pub max_backoff_cycles: u64,
-    /// Jitter fraction in `[0, 1)`: each backoff is scaled by a
-    /// deterministic factor in `[1, 1 + jitter)` derived from the salt, so
-    /// equal policies stay reproducible run to run.
-    pub jitter: f64,
-}
+/// Maximum retry/re-inspection rounds before accepting the outcome.
+pub const MAX_RETRIES: u32 = 3;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            divergence_threshold: 0.08,
-            backoff_base_cycles: 10_000,
-            backoff_factor: 2.0,
-            max_backoff_cycles: 1_000_000,
-            jitter: 0.0,
-        }
-    }
-}
+/// Mean absolute hit-rate drift (over every set × reference entry) that
+/// triggers an inspector remap: under faults (or phase changes) the hit
+/// rates observed while *executing* a mapping can drift from the rates
+/// the mapping was derived from.
+pub const DIVERGENCE_THRESHOLD: f64 = 0.08;
 
-/// SplitMix64: tiny deterministic hash for jitter (no RNG dependency).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
+/// Cycles charged for the first retry.
+const BACKOFF_BASE_CYCLES: u64 = 10_000;
 
-impl RetryPolicy {
-    /// The backoff charged for retry round `attempt` (0-based), salted by
-    /// `salt` (e.g. a component index) for jitter decorrelation. Fully
-    /// deterministic: equal inputs give equal backoffs.
-    pub fn backoff_cycles(&self, attempt: u32, salt: u64) -> u64 {
-        let base = self.backoff_base_cycles as f64 * self.backoff_factor.powi(attempt as i32);
-        let jit = if self.jitter > 0.0 {
-            let h = splitmix64(salt ^ u64::from(attempt).wrapping_mul(0x51_7c_c1_b7));
-            1.0 + self.jitter * (h >> 11) as f64 / (1u64 << 53) as f64
-        } else {
-            1.0
-        };
-        ((base * jit) as u64).min(self.max_backoff_cycles)
-    }
+/// Geometric backoff growth per round (the inspector's historical
+/// doubling).
+const BACKOFF_FACTOR: f64 = 2.0;
+
+/// Upper bound on a single backoff, whatever the round.
+const MAX_BACKOFF_CYCLES: u64 = 1_000_000;
+
+/// The backoff charged for retry round `attempt` (0-based):
+/// `BACKOFF_BASE_CYCLES · BACKOFF_FACTOR^attempt`, capped at
+/// `MAX_BACKOFF_CYCLES`. The inspector's re-inspection loop and the
+/// online controller's transient retries share it.
+pub fn backoff_cycles(attempt: u32) -> u64 {
+    let base = BACKOFF_BASE_CYCLES as f64 * BACKOFF_FACTOR.powi(attempt as i32);
+    (base as u64).min(MAX_BACKOFF_CYCLES)
 }
 
 /// The controller's verdict on one fault incident.
@@ -111,84 +73,55 @@ impl RetryPolicy {
 pub enum FaultClass {
     /// Retry the interrupted work after a backoff; component quarantined.
     Transient,
-    /// `strike_threshold` strikes inside `strike_window`: treat the
-    /// component as permanently dead and remap the remaining work.
+    /// `STRIKE_THRESHOLD` strikes inside `STRIKE_WINDOW_CYCLES`: treat
+    /// the component as permanently dead and remap the remaining work.
     Persistent,
 }
 
-/// Tunables of the quarantine/heal state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct QuarantineConfig {
-    /// Strikes within `strike_window` that promote transient → persistent.
-    pub strike_threshold: u32,
-    /// Sliding window (cycles) over which strikes are counted.
-    pub strike_window: u64,
-    /// Clean cycles after the last strike before a quarantined component
-    /// is un-quarantined by the healing probe.
-    pub heal_interval: u64,
-}
+/// Strikes within [`STRIKE_WINDOW_CYCLES`] that promote a component from
+/// transient to persistent.
+const STRIKE_THRESHOLD: usize = 3;
 
-impl Default for QuarantineConfig {
-    fn default() -> Self {
-        QuarantineConfig { strike_threshold: 3, strike_window: 200_000, heal_interval: 60_000 }
-    }
-}
+/// Sliding window (cycles) over which quarantine strikes are counted.
+const STRIKE_WINDOW_CYCLES: u64 = 200_000;
 
-/// Migration-cost model for moving a set's state to a new core:
-/// `Manhattan hops × state bytes / link bytes-per-cycle`, plus a fixed
-/// remap charge per incident.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MigrationModel {
-    /// Bytes of live state migrated per iteration of a moved set.
-    pub state_bytes_per_iter: u64,
-    /// Cap on the live state of one set: whatever its iteration count, a
-    /// set's migratable state cannot exceed its private-cache footprint
-    /// (clean lines re-fetch from the shared levels for free).
-    pub max_bytes_per_set: u64,
-    /// Link payload bandwidth used to convert bytes × hops into cycles.
-    pub link_bytes_per_cycle: u64,
-    /// Fixed cycles charged per remap incident (epoch bump + re-verify).
-    pub fixed_remap_cycles: u64,
-}
+/// Clean cycles after the last strike before a quarantined component is
+/// un-quarantined by the healing probe.
+const HEAL_INTERVAL_CYCLES: u64 = 60_000;
 
-impl Default for MigrationModel {
-    fn default() -> Self {
-        MigrationModel {
-            state_bytes_per_iter: 64,
-            max_bytes_per_set: 4096,
-            link_bytes_per_cycle: 16,
-            fixed_remap_cycles: 20_000,
+/// Bytes of live state migrated per iteration of a moved set.
+const STATE_BYTES_PER_ITER: u64 = 64;
+
+/// Cap on the live state of one set: whatever its iteration count, a
+/// set's migratable state cannot exceed its private-cache footprint
+/// (clean lines re-fetch from the shared levels for free).
+const MAX_BYTES_PER_SET: u64 = 4096;
+
+/// Link payload bandwidth used to convert bytes × hops into cycles.
+const LINK_BYTES_PER_CYCLE: u64 = 16;
+
+/// Fixed cycles charged per remap incident (epoch bump + re-verify).
+const FIXED_REMAP_CYCLES: u64 = 20_000;
+
+/// Cycles to migrate the not-yet-completed sets from `old` cores to `new`
+/// cores (`keep[i]` marks the sets still to run):
+/// `Manhattan hops × state bytes / link bytes-per-cycle` per moved set.
+/// Sets that stay put cost nothing.
+fn migration_cost_cycles(old: &NestMapping, new: &NestMapping, keep: &[bool], mesh: Mesh) -> u64 {
+    let mut cost = 0u64;
+    for (i, set) in old.sets.iter().enumerate() {
+        if !keep.get(i).copied().unwrap_or(true) {
+            continue;
         }
-    }
-}
-
-impl MigrationModel {
-    /// Cycles to migrate the not-yet-completed sets from `old` cores to
-    /// `new` cores (`keep[i]` marks the sets still to run). Sets that stay
-    /// put cost nothing.
-    pub fn migration_cost_cycles(
-        &self,
-        old: &NestMapping,
-        new: &NestMapping,
-        keep: &[bool],
-        mesh: Mesh,
-    ) -> u64 {
-        let mut cost = 0u64;
-        for (i, set) in old.sets.iter().enumerate() {
-            if !keep.get(i).copied().unwrap_or(true) {
-                continue;
-            }
-            let (from, to) = (old.assignment[i], new.assignment[i]);
-            if from == to {
-                continue;
-            }
-            let hops = mesh.coord_of(from).manhattan(mesh.coord_of(to)) as u64;
-            let bytes = ((set.end - set.start) as u64 * self.state_bytes_per_iter)
-                .min(self.max_bytes_per_set);
-            cost += hops * bytes / self.link_bytes_per_cycle.max(1);
+        let (from, to) = (old.assignment[i], new.assignment[i]);
+        if from == to {
+            continue;
         }
-        cost
+        let hops = mesh.coord_of(from).manhattan(mesh.coord_of(to)) as u64;
+        let bytes = ((set.end - set.start) as u64 * STATE_BYTES_PER_ITER).min(MAX_BYTES_PER_SET);
+        cost += hops * bytes / LINK_BYTES_PER_CYCLE;
     }
+    cost
 }
 
 /// The rung of the degradation ladder a run ended on (worst adopted).
@@ -306,9 +239,6 @@ struct QuarantineEntry {
 #[derive(Debug, Clone)]
 pub struct ResilienceController {
     mesh: Mesh,
-    policy: RetryPolicy,
-    quarantine: QuarantineConfig,
-    migration: MigrationModel,
     strikes: Vec<(FaultComponent, VecDeque<u64>)>,
     quarantined: Vec<QuarantineEntry>,
     trace: Vec<RecoveryEvent>,
@@ -325,18 +255,10 @@ pub struct ResilienceController {
 }
 
 impl ResilienceController {
-    /// A controller for a machine on `mesh` with the given policies.
-    pub fn new(
-        mesh: Mesh,
-        policy: RetryPolicy,
-        quarantine: QuarantineConfig,
-        migration: MigrationModel,
-    ) -> Self {
+    /// A controller for a machine on `mesh`.
+    pub fn new(mesh: Mesh) -> Self {
         ResilienceController {
             mesh,
-            policy,
-            quarantine,
-            migration,
             strikes: Vec::new(),
             quarantined: Vec::new(),
             trace: Vec::new(),
@@ -351,11 +273,6 @@ impl ResilienceController {
             mttr_incidents: 0,
             degradation: DegradationLevel::None,
         }
-    }
-
-    /// The retry policy in force.
-    pub fn policy(&self) -> RetryPolicy {
-        self.policy
     }
 
     /// The two directions of a channel are one wire: canonicalize links to
@@ -373,8 +290,8 @@ impl ResilienceController {
 
     /// Records a fault on `component` at `cycle` and classifies it.
     ///
-    /// Strikes older than `strike_window` fall out of the count; reaching
-    /// `strike_threshold` strikes inside the window returns
+    /// Strikes older than `STRIKE_WINDOW_CYCLES` fall out of the count;
+    /// reaching `STRIKE_THRESHOLD` strikes inside the window returns
     /// [`FaultClass::Persistent`] (and pins the quarantine entry so the
     /// healing probe never releases it). Either way the component enters
     /// quarantine and the incident is traced.
@@ -395,11 +312,11 @@ impl ResilienceController {
             }
         };
         strikes.push_back(cycle);
-        let cutoff = cycle.saturating_sub(self.quarantine.strike_window);
+        let cutoff = cycle.saturating_sub(STRIKE_WINDOW_CYCLES);
         while strikes.front().is_some_and(|&s| s < cutoff) {
             strikes.pop_front();
         }
-        let persistent = strikes.len() as u32 >= self.quarantine.strike_threshold;
+        let persistent = strikes.len() >= STRIKE_THRESHOLD;
 
         match self.quarantined.iter_mut().find(|e| e.component == component) {
             Some(entry) => {
@@ -446,10 +363,10 @@ impl ResilienceController {
     }
 
     /// Healing probe: un-quarantines every non-persistent component whose
-    /// last strike is at least `heal_interval` cycles in the past, and
+    /// last strike is at least `HEAL_INTERVAL_CYCLES` in the past, and
     /// returns them. Persistent entries never heal.
     pub fn probe_heal(&mut self, now: u64) -> Vec<FaultComponent> {
-        let interval = self.quarantine.heal_interval;
+        let interval = HEAL_INTERVAL_CYCLES;
         let mut healed = Vec::new();
         self.quarantined.retain(|e| {
             let heal = !e.persistent && now >= e.last_strike.saturating_add(interval);
@@ -487,7 +404,7 @@ impl ResilienceController {
     }
 
     /// The plan the machine actually follows: `plan` plus one window per
-    /// quarantined component (`[since, last_strike + heal_interval)`, or
+    /// quarantined component (`[since, last_strike + HEAL_INTERVAL_CYCLES)`, or
     /// permanent for persistent entries). Windows may overlap events the
     /// plan already schedules for the same component; `state_at` unions
     /// activity, so the overlay needs no validation.
@@ -495,15 +412,15 @@ impl ResilienceController {
         let mut out = plan.clone();
         for e in &self.quarantined {
             let repair_at =
-                if e.persistent { None } else { Some(e.last_strike.saturating_add(self.quarantine.heal_interval)) };
+                if e.persistent { None } else { Some(e.last_strike.saturating_add(HEAL_INTERVAL_CYCLES)) };
             out.push(FaultEvent { component: e.component, inject_at: e.since, repair_at })
                 .expect("quarantined components came from the live machine");
         }
         out
     }
 
-    /// Charges a transient retry: backoff for `attempt` (salted by the
-    /// component), trace + counters, and the MTTR incident
+    /// Charges a transient retry: backoff for `attempt`, trace + counters,
+    /// and the MTTR incident
     /// `fault_cycle → fault_cycle + backoff`. Returns the resume cycle.
     pub fn charge_retry(
         &mut self,
@@ -512,8 +429,7 @@ impl ResilienceController {
         attempt: u32,
     ) -> u64 {
         let component = self.canonical(component);
-        let salt = splitmix64(component_salt(component));
-        let backoff = self.policy.backoff_cycles(attempt, salt);
+        let backoff = backoff_cycles(attempt);
         self.transient_retries += 1;
         self.recovery_overhead += backoff;
         let resume = fault_cycle.saturating_add(backoff);
@@ -536,8 +452,8 @@ impl ResilienceController {
         keep: &[bool],
         fault_cycle: u64,
     ) -> u64 {
-        let cost = self.migration.migration_cost_cycles(old, new, keep, self.mesh);
-        let charge = cost + self.migration.fixed_remap_cycles;
+        let cost = migration_cost_cycles(old, new, keep, self.mesh);
+        let charge = cost + FIXED_REMAP_CYCLES;
         self.remaps += 1;
         self.migration_cost += cost;
         self.recovery_overhead += charge;
@@ -546,8 +462,7 @@ impl ResilienceController {
             cycle: fault_cycle,
             action: RecoveryAction::Remapped,
             detail: format!(
-                "remaining sets remapped; migration {cost} + fixed {} cycles",
-                self.migration.fixed_remap_cycles
+                "remaining sets remapped; migration {cost} + fixed {FIXED_REMAP_CYCLES} cycles"
             ),
         });
         self.close_incident(fault_cycle, resume);
@@ -602,16 +517,6 @@ impl ResilienceController {
             recovery_overhead_cycles: self.recovery_overhead,
             degradation: self.degradation,
         }
-    }
-}
-
-/// A stable per-component salt for jitter decorrelation.
-fn component_salt(c: FaultComponent) -> u64 {
-    match c {
-        FaultComponent::Link(l) => 0x1000_0000 | l.index() as u64,
-        FaultComponent::Router(n) => 0x2000_0000 | n.index() as u64,
-        FaultComponent::Mc(k) => 0x3000_0000 | k as u64,
-        FaultComponent::Bank(n) => 0x4000_0000 | n.index() as u64,
     }
 }
 
@@ -748,35 +653,20 @@ mod tests {
     }
 
     fn controller() -> ResilienceController {
-        ResilienceController::new(
-            mesh(),
-            RetryPolicy::default(),
-            QuarantineConfig::default(),
-            MigrationModel::default(),
-        )
+        ResilienceController::new(mesh())
     }
 
     #[test]
     fn default_policy_matches_historical_inspector_policy() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.max_retries, 3);
-        assert!((p.divergence_threshold - 0.08).abs() < 1e-12);
-        assert_eq!(p.backoff_base_cycles, 10_000);
-        // Jitter off by default ⇒ the historical doubling, bit for bit.
-        assert_eq!(p.backoff_cycles(0, 7), 10_000);
-        assert_eq!(p.backoff_cycles(1, 7), 20_000);
-        assert_eq!(p.backoff_cycles(2, 7), 40_000);
-    }
-
-    #[test]
-    fn jittered_backoff_is_deterministic_and_bounded() {
-        let p = RetryPolicy { jitter: 0.5, ..RetryPolicy::default() };
-        let a = p.backoff_cycles(1, 42);
-        assert_eq!(a, p.backoff_cycles(1, 42), "same inputs, same backoff");
-        assert!((20_000..30_000).contains(&a), "jitter scales into [1, 1.5): {a}");
-        assert_ne!(p.backoff_cycles(1, 42), p.backoff_cycles(1, 43), "salt decorrelates");
-        let capped = RetryPolicy { max_backoff_cycles: 15_000, ..p };
-        assert_eq!(capped.backoff_cycles(5, 1), 15_000);
+        assert_eq!(MAX_RETRIES, 3);
+        assert!((DIVERGENCE_THRESHOLD - 0.08).abs() < 1e-12);
+        // The historical doubling, bit for bit, up to the cap.
+        assert_eq!(backoff_cycles(0), 10_000);
+        assert_eq!(backoff_cycles(1), 20_000);
+        assert_eq!(backoff_cycles(2), 40_000);
+        assert_eq!(backoff_cycles(6), 640_000);
+        assert_eq!(backoff_cycles(7), MAX_BACKOFF_CYCLES);
+        assert_eq!(backoff_cycles(40), MAX_BACKOFF_CYCLES);
     }
 
     #[test]
@@ -795,7 +685,7 @@ mod tests {
     #[test]
     fn window_expiry_forgets_old_strikes() {
         let mut c = controller();
-        let window = QuarantineConfig::default().strike_window;
+        let window = STRIKE_WINDOW_CYCLES;
         let link = FaultComponent::Link(Link { from: NodeId(0), dir: Direction::East });
         assert_eq!(c.record_fault(link, 0), FaultClass::Transient);
         assert_eq!(c.record_fault(link, 10), FaultClass::Transient);
@@ -819,7 +709,7 @@ mod tests {
     #[test]
     fn heal_probe_unquarantines_after_clean_interval() {
         let mut c = controller();
-        let heal = QuarantineConfig::default().heal_interval;
+        let heal = HEAL_INTERVAL_CYCLES;
         let bank = FaultComponent::Bank(NodeId(9));
         c.record_fault(bank, 5_000);
         assert_eq!(c.quarantined(), vec![bank]);
@@ -837,7 +727,7 @@ mod tests {
         let plan = FaultPlan::new(m, 4).dead_mc(3);
         c.record_fault(FaultComponent::Bank(NodeId(7)), 1_000);
         let aug = c.overlay(&plan);
-        let heal = QuarantineConfig::default().heal_interval;
+        let heal = HEAL_INTERVAL_CYCLES;
         assert!(!aug.state_at(1_000).bank_alive(NodeId(7)), "quarantined while on probation");
         assert!(!aug.state_at(1_000).mc_alive(3), "plan events survive the overlay");
         assert!(aug.state_at(1_000 + heal).bank_alive(NodeId(7)), "probation window closes");
@@ -909,22 +799,21 @@ mod tests {
     #[test]
     fn migration_cost_charges_hops_times_bytes() {
         let (_, _, m, platform) = demo_mapping();
-        let model = MigrationModel::default();
-        let zero = model.migration_cost_cycles(&m, &m, &vec![true; m.sets.len()], platform.mesh);
+        let zero = migration_cost_cycles(&m, &m, &vec![true; m.sets.len()], platform.mesh);
         assert_eq!(zero, 0, "staying put is free");
         let mut moved = m.clone();
         // Move set 0 one hop east.
         let from = platform.mesh.coord_of(m.assignment[0]);
         let to = platform.mesh.node_at(if from.x + 1 < 6 { from.x + 1 } else { from.x - 1 }, from.y);
         moved.assignment[0] = to;
-        let cost = model.migration_cost_cycles(&m, &moved, &vec![true; m.sets.len()], platform.mesh);
+        let cost = migration_cost_cycles(&m, &moved, &vec![true; m.sets.len()], platform.mesh);
         let iters = (m.sets[0].end - m.sets[0].start) as u64;
-        let bytes = (iters * model.state_bytes_per_iter).min(model.max_bytes_per_set);
-        assert_eq!(cost, bytes / model.link_bytes_per_cycle);
+        let bytes = (iters * STATE_BYTES_PER_ITER).min(MAX_BYTES_PER_SET);
+        assert_eq!(cost, bytes / LINK_BYTES_PER_CYCLE);
         // Completed sets do not migrate.
         let mut keep = vec![true; m.sets.len()];
         keep[0] = false;
-        assert_eq!(model.migration_cost_cycles(&m, &moved, &keep, platform.mesh), 0);
+        assert_eq!(migration_cost_cycles(&m, &moved, &keep, platform.mesh), 0);
     }
 
     #[test]
@@ -959,19 +848,14 @@ mod tests {
     #[test]
     fn summary_reports_mttr_and_overheads() {
         let (_, _, m, platform) = demo_mapping();
-        let mut c = ResilienceController::new(
-            platform.mesh,
-            RetryPolicy::default(),
-            QuarantineConfig::default(),
-            MigrationModel::default(),
-        );
+        let mut c = ResilienceController::new(platform.mesh);
         let mc = FaultComponent::Mc(0);
         c.record_fault(mc, 1_000);
         let resume = c.charge_retry(mc, 1_000, 0);
-        assert_eq!(resume, 11_000, "base backoff, jitter off");
+        assert_eq!(resume, 11_000, "base backoff");
         c.record_fault(mc, 50_000);
         let resume2 = c.charge_remap(&m, &m, &vec![true; m.sets.len()], 50_000);
-        assert_eq!(resume2, 50_000 + MigrationModel::default().fixed_remap_cycles);
+        assert_eq!(resume2, 50_000 + FIXED_REMAP_CYCLES);
         let s = c.summary();
         assert_eq!(s.faults_seen, 2);
         assert_eq!(s.transient_retries, 1);

@@ -15,7 +15,7 @@
 //! a property the workspace proptests enforce.
 
 use crate::admission::{
-    AdmissionConfig, BreakerState, CircuitBreaker, Priority, QualityLevel, TryMapError,
+    quality_for, BreakerState, CircuitBreaker, Priority, QualityLevel, TryMapError, QUEUE_CAPACITY,
 };
 use crate::cache::{
     fingerprint, hash_cme_options, hash_options, hash_platform, hash_request, CacheKey, CacheStats,
@@ -89,7 +89,6 @@ pub struct MappingSessionBuilder {
     options: MappingOptions,
     threads: usize,
     faults: Option<FaultState>,
-    admission: AdmissionConfig,
 }
 
 impl MappingSessionBuilder {
@@ -113,13 +112,6 @@ impl MappingSessionBuilder {
         self
     }
 
-    /// Replaces the admission-control tuning (default:
-    /// [`AdmissionConfig::default`]).
-    pub fn admission(mut self, admission: AdmissionConfig) -> Self {
-        self.admission = admission;
-        self
-    }
-
     /// Builds the session; fails like [`crate::CompilerBuilder::build`]
     /// when the fault state leaves nothing to map onto.
     pub fn build(self) -> Result<MappingSession, LocmapError> {
@@ -135,11 +127,7 @@ impl MappingSessionBuilder {
             epoch: 0,
             mappings: MemoCache::new(),
             cme: MemoCache::new(),
-            admission: self.admission,
-            gate: Mutex::new(Gate {
-                depth: 0,
-                breaker: CircuitBreaker::new(self.admission.breaker),
-            }),
+            gate: Mutex::new(Gate { depth: 0, breaker: CircuitBreaker::new() }),
         })
     }
 }
@@ -191,7 +179,6 @@ pub struct MappingSession {
     epoch: u64,
     mappings: MemoCache<NestMapping>,
     cme: MemoCache<Option<CmeEstimate>>,
-    admission: AdmissionConfig,
     gate: Mutex<Gate>,
 }
 
@@ -203,7 +190,6 @@ impl MappingSession {
             options: MappingOptions::default(),
             threads: 1,
             faults: None,
-            admission: AdmissionConfig::default(),
         }
     }
 
@@ -225,12 +211,6 @@ impl MappingSession {
     /// Lifetime cache counters.
     pub fn cache_stats(&self) -> SessionStats {
         SessionStats { mappings: self.mappings.stats(), cme: self.cme.stats() }
-    }
-
-    /// Drops all cached entries (counters keep counting lifetime work).
-    pub fn clear_caches(&self) {
-        self.mappings.clear();
-        self.cme.clear();
     }
 
     /// Switches the session to map around the faults in `state`;
@@ -374,11 +354,6 @@ impl MappingSession {
         MapResponse { mapping: self.compiler.heuristic_mapping(r.program, r.nest), cache_hit: false }
     }
 
-    /// The session's admission-control tuning.
-    pub fn admission(&self) -> &AdmissionConfig {
-        &self.admission
-    }
-
     /// Requests currently holding an admission slot.
     pub fn in_flight(&self) -> usize {
         self.gate.lock().expect("admission gate poisoned").depth
@@ -398,16 +373,13 @@ impl MappingSession {
     /// serve later, so backpressure reflects true queue occupancy.
     pub fn try_admit(&self, priority: Priority) -> Result<AdmitTicket<'_>, TryMapError> {
         let mut gate = self.gate.lock().expect("admission gate poisoned");
-        if gate.depth >= self.admission.capacity {
-            return Err(TryMapError::QueueFull {
-                depth: gate.depth,
-                capacity: self.admission.capacity,
-            });
+        if gate.depth >= QUEUE_CAPACITY {
+            return Err(TryMapError::QueueFull { depth: gate.depth, capacity: QUEUE_CAPACITY });
         }
         gate.depth += 1;
         let depth = gate.depth;
         drop(gate);
-        let quality = self.admission.quality_for(depth, priority);
+        let quality = quality_for(depth, priority);
         Ok(AdmitTicket { session: self, priority, quality, depth })
     }
 
@@ -762,35 +734,26 @@ mod tests {
 
     #[test]
     fn admission_queue_bounds_in_flight_requests() {
-        let session = MappingSession::builder(Platform::paper_default())
-            .admission(AdmissionConfig { capacity: 2, ..AdmissionConfig::default() })
-            .build()
-            .unwrap();
-        let a = session.try_admit(Priority::Normal).unwrap();
-        let b = session.try_admit(Priority::High).unwrap();
-        assert_eq!(session.in_flight(), 2);
+        let session = MappingSession::builder(Platform::paper_default()).build().unwrap();
+        let mut held: Vec<_> =
+            (0..QUEUE_CAPACITY).map(|_| session.try_admit(Priority::Normal).unwrap()).collect();
+        assert_eq!(session.in_flight(), QUEUE_CAPACITY);
         let err = session.try_admit(Priority::High).unwrap_err();
-        assert_eq!(err, TryMapError::QueueFull { depth: 2, capacity: 2 });
-        drop(b);
-        assert_eq!(session.in_flight(), 1);
+        assert_eq!(err, TryMapError::QueueFull { depth: QUEUE_CAPACITY, capacity: QUEUE_CAPACITY });
+        drop(held.pop());
+        assert_eq!(session.in_flight(), QUEUE_CAPACITY - 1);
         let c = session.try_admit(Priority::Low).unwrap();
-        assert_eq!(c.depth(), 2);
-        drop((a, c));
+        assert_eq!(c.depth(), QUEUE_CAPACITY);
+        drop((held, c));
         assert_eq!(session.in_flight(), 0);
     }
 
     #[test]
     fn quality_ladder_degrades_with_depth_and_priority() {
+        use crate::admission::{DEGRADE_DEPTH, HEURISTIC_DEPTH};
         let (p, id) = stream("ladder", 4096);
         let data = DataEnv::new();
-        let cfg = AdmissionConfig {
-            capacity: 8,
-            degrade_depth: 2,
-            heuristic_depth: 4,
-            ..AdmissionConfig::default()
-        };
-        let session =
-            MappingSession::builder(Platform::paper_default()).admission(cfg).build().unwrap();
+        let session = MappingSession::builder(Platform::paper_default()).build().unwrap();
         let r = MapRequest { program: &p, nest: id, data: &data };
 
         // Alone in the queue: full quality, same answer as map_one.
@@ -798,8 +761,11 @@ mod tests {
         assert_eq!(served.quality, QualityLevel::Full);
         assert_eq!(served.response.mapping, session.map_one(&r).mapping);
 
-        // Past degrade_depth: served from cache (it was just warmed).
-        let _hold: Vec<_> = (0..2).map(|_| session.try_admit(Priority::Low).unwrap()).collect();
+        // Past DEGRADE_DEPTH: served from cache (it was just warmed).
+        fn hold(s: &MappingSession, n: usize) -> Vec<AdmitTicket<'_>> {
+            (0..n).map(|_| s.try_admit(Priority::Low).unwrap()).collect()
+        }
+        let _hold = hold(&session, DEGRADE_DEPTH);
         let served = admit_and_serve(&session, &r, Priority::Normal, &RunControl::unlimited());
         assert_eq!(served.quality, QualityLevel::Cached);
         assert!(served.response.cache_hit);
@@ -807,36 +773,25 @@ mod tests {
         let served = admit_and_serve(&session, &r, Priority::High, &RunControl::unlimited());
         assert_eq!(served.quality, QualityLevel::Full);
 
-        // Past heuristic_depth: the locality heuristic answers.
-        let _more: Vec<_> = (0..2).map(|_| session.try_admit(Priority::Low).unwrap()).collect();
+        // Past HEURISTIC_DEPTH: the locality heuristic answers.
+        let _more = hold(&session, HEURISTIC_DEPTH - DEGRADE_DEPTH);
         let served = admit_and_serve(&session, &r, Priority::Normal, &RunControl::unlimited());
         assert_eq!(served.quality, QualityLevel::Heuristic);
         assert_eq!(served.response, session.heuristic_one(&r));
 
         // A cold cache at the Cached rung also falls to the heuristic.
-        let cold = MappingSession::builder(Platform::paper_default()).admission(cfg).build().unwrap();
-        let _hold: Vec<_> = (0..2).map(|_| cold.try_admit(Priority::Low).unwrap()).collect();
+        let cold = MappingSession::builder(Platform::paper_default()).build().unwrap();
+        let _hold = hold(&cold, DEGRADE_DEPTH);
         let served = admit_and_serve(&cold, &r, Priority::Normal, &RunControl::unlimited());
         assert_eq!(served.quality, QualityLevel::Heuristic);
     }
 
     #[test]
     fn breaker_trips_to_heuristic_and_recovers_via_probes() {
-        use crate::admission::BreakerConfig;
         use locmap_noc::{Budget, CancelToken};
         let (p, id) = stream("breaker", 4096);
         let data = DataEnv::new();
-        let cfg = AdmissionConfig {
-            breaker: BreakerConfig {
-                strike_threshold: 3,
-                strike_window: 16,
-                cooldown: 8,
-                half_open_probes: 2,
-            },
-            ..AdmissionConfig::default()
-        };
-        let session =
-            MappingSession::builder(Platform::paper_default()).admission(cfg).build().unwrap();
+        let session = MappingSession::builder(Platform::paper_default()).build().unwrap();
         let r = MapRequest { program: &p, nest: id, data: &data };
         let starved = || RunControl::new(CancelToken::new(), Budget::unlimited().with_work_units(1));
 

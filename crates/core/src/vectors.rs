@@ -228,19 +228,10 @@ impl Mac {
     }
 }
 
-/// How CAC weights are derived.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CacPolicy {
-    /// Weight a region's cores give their own region's banks (paper: 0.5);
-    /// the remainder is split evenly across immediate neighbor regions.
-    pub self_weight: f64,
-}
-
-impl Default for CacPolicy {
-    fn default() -> Self {
-        CacPolicy { self_weight: 0.5 }
-    }
-}
+/// Weight a region's cores give their own region's banks in CAC (the
+/// paper's 0.5, Figure 6c); the remainder is split evenly across immediate
+/// neighbor regions.
+pub const CAC_SELF_WEIGHT: f64 = 0.5;
 
 /// The per-region cache-affinity-of-cores vectors (Figure 6c).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -249,13 +240,8 @@ pub struct Cac {
 }
 
 impl Cac {
-    /// Computes CAC for every region of `platform` under `policy`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `policy.self_weight` is outside `[0, 1]`.
-    pub fn compute(platform: &Platform, policy: CacPolicy) -> Self {
-        assert!((0.0..=1.0).contains(&policy.self_weight), "self_weight must be in [0,1]");
+    /// Computes CAC for every region of `platform`.
+    pub fn compute(platform: &Platform) -> Self {
         let n = platform.region_count();
         let vectors = platform
             .regions
@@ -266,8 +252,8 @@ impl Cac {
                 if neighbors.is_empty() {
                     w[r.index()] = 1.0;
                 } else {
-                    w[r.index()] = policy.self_weight;
-                    let share = (1.0 - policy.self_weight) / neighbors.len() as f64;
+                    w[r.index()] = CAC_SELF_WEIGHT;
+                    let share = (1.0 - CAC_SELF_WEIGHT) / neighbors.len() as f64;
                     for nb in neighbors {
                         w[nb.index()] = share;
                     }
@@ -296,12 +282,8 @@ impl Cac {
     /// moves to the nearest region (by centroid) that still has banks.
     /// Pass the *effective* fault state so banks on dead routers count as
     /// dead.
-    pub fn compute_degraded(
-        platform: &Platform,
-        policy: CacPolicy,
-        state: &FaultState,
-    ) -> Result<Self, LocmapError> {
-        let base = Self::compute(platform, policy);
+    pub fn compute_degraded(platform: &Platform, state: &FaultState) -> Result<Self, LocmapError> {
+        let base = Self::compute(platform);
         let regions = &platform.regions;
         let n = platform.region_count();
         let alive_frac: Vec<f64> = regions
@@ -438,7 +420,7 @@ mod tests {
 
     #[test]
     fn cac_vectors_match_figure_6c() {
-        let cac = Cac::compute(&Platform::paper_default(), CacPolicy::default());
+        let cac = Cac::compute(&Platform::paper_default());
         // R1: self 0.5, neighbors R2 and R4 get 0.25 each.
         assert!(vec_close(
             cac.of(RegionId(0)),
@@ -461,7 +443,7 @@ mod tests {
 
     #[test]
     fn cac_mass_is_one() {
-        let cac = Cac::compute(&Platform::paper_default(), CacPolicy::default());
+        let cac = Cac::compute(&Platform::paper_default());
         for v in cac.vectors() {
             assert!(close(v.mass(), 1.0));
         }
@@ -542,7 +524,7 @@ mod tests {
         for (x, y) in [(0, 0), (1, 0), (0, 1), (1, 1)] {
             plan = plan.dead_bank(p.mesh.node_at(x, y));
         }
-        let cac = Cac::compute_degraded(&p, CacPolicy::default(), &plan.state_at(0)).unwrap();
+        let cac = Cac::compute_degraded(&p, &plan.state_at(0)).unwrap();
         for r in 0..9 {
             let v = cac.of(RegionId(r));
             assert!(close(v.0[0], 0.0), "R{} still caches into dead R1: {v}", r + 1);
@@ -560,7 +542,7 @@ mod tests {
         let mut p = Platform::paper_default();
         p.mesh = mesh;
         p.regions = RegionGrid::try_new(mesh, 1, 1).unwrap();
-        let cac = Cac::compute(&p, CacPolicy::default());
+        let cac = Cac::compute(&p);
         assert!(vec_close(cac.of(RegionId(0)), &[1.0]));
     }
 }

@@ -158,17 +158,6 @@ impl AffineExpr {
     pub fn coeff(&self, depth: usize) -> i64 {
         self.coeffs.get(depth).copied().unwrap_or(0)
     }
-
-    /// True when the expression contains no loop-index terms (it may still
-    /// reference parameters).
-    pub fn is_loop_invariant(&self) -> bool {
-        self.coeffs.iter().all(|&c| c == 0)
-    }
-
-    /// The deepest loop index with a nonzero coefficient, if any.
-    pub fn deepest_var(&self) -> Option<usize> {
-        self.coeffs.iter().rposition(|&c| c != 0)
-    }
 }
 
 impl std::ops::Add<&AffineExpr> for AffineExpr {
@@ -274,15 +263,6 @@ mod tests {
         let e = AffineExpr::linear(&[1, 2], 3).scale(-2);
         assert_eq!(e.coeffs, vec![-2, -4]);
         assert_eq!(e.constant, -6);
-    }
-
-    #[test]
-    fn invariant_and_deepest() {
-        assert!(AffineExpr::constant(9).is_loop_invariant());
-        assert!(AffineExpr::param(ParamId(0), 1).is_loop_invariant());
-        assert!(!AffineExpr::var(2, 1).is_loop_invariant());
-        assert_eq!(AffineExpr::linear(&[1, 0, 4], 0).deepest_var(), Some(2));
-        assert_eq!(AffineExpr::constant(1).deepest_var(), None);
     }
 
     #[test]

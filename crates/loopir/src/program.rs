@@ -1,6 +1,6 @@
 //! Programs: arrays with a virtual address layout, plus loop nests.
 
-use crate::affine::{ParamEnv, ParamId};
+use crate::affine::ParamEnv;
 use crate::hash::fx_digest;
 use crate::nest::{ArrayRef, LoopNest, NestId, RefKind};
 use serde::{Deserialize, Serialize};
@@ -169,7 +169,6 @@ pub struct Program {
     arrays: Vec<Array>,
     nests: Vec<LoopNest>,
     params: ParamEnv,
-    next_param: u32,
     /// Next free virtual address for array allocation.
     cursor: u64,
     /// Page size used for array alignment.
@@ -184,7 +183,6 @@ impl Program {
             arrays: Vec::new(),
             nests: Vec::new(),
             params: ParamEnv::new(),
-            next_param: 0,
             // Leave page 0 unused so address 0 is never a valid element.
             cursor: 2048,
             page_bytes: 2048,
@@ -199,14 +197,6 @@ impl Program {
         self.cursor = (base + bytes).next_multiple_of(self.page_bytes);
         self.arrays.push(Array { name: name.into(), element_bytes, extent, base });
         ArrayId(self.arrays.len() as u32 - 1)
-    }
-
-    /// Declares a fresh symbolic parameter bound to `value`.
-    pub fn add_param(&mut self, value: i64) -> ParamId {
-        let p = ParamId(self.next_param);
-        self.next_param += 1;
-        self.params.set(p, value);
-        p
     }
 
     /// Adds a loop nest, returning its id.
@@ -331,7 +321,7 @@ impl Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::affine::AffineExpr;
+    use crate::affine::{AffineExpr, ParamId};
     use crate::nest::Access;
 
     #[test]
@@ -383,13 +373,6 @@ mod tests {
         p.add_array("A", 8, 100);
         p.add_array("B", 2, 50);
         assert_eq!(p.footprint(), 900);
-    }
-
-    #[test]
-    fn params_bind_through_program() {
-        let mut p = Program::new("t");
-        let n = p.add_param(64);
-        assert_eq!(p.params().value(n), 64);
     }
 
     #[test]
@@ -449,7 +432,7 @@ mod tests {
 #[cfg(test)]
 mod compiled_ref_tests {
     use super::*;
-    use crate::affine::AffineExpr;
+    use crate::affine::{AffineExpr, ParamId};
     use crate::nest::Access;
     use proptest::prelude::*;
 
@@ -496,8 +479,7 @@ mod compiled_ref_tests {
                 e
             };
             let mut p = Program::new("t");
-            p.add_param(params[0]);
-            p.add_param(params[1]);
+            p.params = ParamEnv::new().bind(ParamId(0), params[0]).bind(ParamId(1), params[1]);
             let a = p.add_array("A", 8, 256);
             let idx = p.add_array("idx", 4, 256);
             let mut nest = LoopNest::rectangular("n", &vec![6; depth]);

@@ -110,14 +110,6 @@ impl Directory {
         self.masks_excluding(line, writer).any(|(_, mask)| mask != 0)
     }
 
-    /// Drops all sharers of `line` (after a write, the writer re-adds
-    /// itself).
-    pub fn clear_line(&mut self, line: u64) {
-        for map in &mut self.masks {
-            map.remove(&line);
-        }
-    }
-
     /// Forgets every line `core` holds — the bookkeeping for a core whose
     /// router died: its L1 contents are gone with it, and no invalidation
     /// can (or need) ever be delivered to it again.
@@ -153,7 +145,7 @@ mod tests {
         #[test]
         fn directory_matches_set_model(
             wide in 0u8..2,
-            ops in collection::vec((0u8..7, 0u64..24, 0usize..72), 1..400),
+            ops in collection::vec((0u8..6, 0u64..24, 0usize..72), 1..400),
         ) {
             // The reference model: line → the set of cores holding it.
             let cores = if wide == 1 { 72 } else { 36 };
@@ -177,10 +169,6 @@ mod tests {
                         model.values_mut().for_each(|set| {
                             set.remove(&core);
                         });
-                    }
-                    4 => {
-                        d.clear_line(line);
-                        model.remove(&line);
                     }
                     _ => {}
                 }
@@ -223,15 +211,6 @@ mod tests {
         d.add_sharer(9, 2);
         assert!(!d.is_shared_beyond(9, 2));
         assert!(d.is_shared_beyond(9, 0));
-    }
-
-    #[test]
-    fn clear_line() {
-        let mut d = Directory::new(8);
-        d.add_sharer(1, 0);
-        d.add_sharer(1, 1);
-        d.clear_line(1);
-        assert!(d.sharers_excluding(1, 5).is_empty());
     }
 
     #[test]

@@ -83,11 +83,6 @@ impl CancelToken {
         self.inner.cancelled.store(true, Ordering::SeqCst);
     }
 
-    /// Non-mutating read of the flag (does not advance the trip counter).
-    pub fn is_cancelled(&self) -> bool {
-        self.inner.cancelled.load(Ordering::SeqCst)
-    }
-
     /// One cooperative observation: returns `true` if the token is (or
     /// just became, via the trip counter) cancelled.
     pub fn poll(&self) -> bool {
@@ -128,12 +123,6 @@ impl Budget {
     /// Caps deterministic work units (loop iterations / sets scanned).
     pub fn with_work_units(mut self, units: u64) -> Self {
         self.work_units = Some(units);
-        self
-    }
-
-    /// Caps wall-clock time from [`RunControl::new`] onward.
-    pub fn with_wall(mut self, wall: Duration) -> Self {
-        self.wall = Some(wall);
         self
     }
 }
@@ -263,8 +252,8 @@ mod tests {
         assert!(!token.poll());
         assert!(!token.poll());
         assert!(token.poll());
-        assert!(token.is_cancelled());
-        assert!(CancelToken::cancel_after_polls(0).is_cancelled());
+        assert!(token.poll(), "a tripped token stays cancelled");
+        assert!(CancelToken::cancel_after_polls(0).poll());
     }
 
     #[test]
@@ -291,8 +280,10 @@ mod tests {
 
     #[test]
     fn wall_deadline_trips_after_elapsing() {
-        let ctl =
-            RunControl::new(CancelToken::new(), Budget::unlimited().with_wall(Duration::ZERO));
+        let ctl = RunControl::new(
+            CancelToken::new(),
+            Budget { wall: Some(Duration::ZERO), ..Budget::unlimited() },
+        );
         assert!(ctl.wall_expired());
         // The amortized check fires within one wall-check period.
         let mut tripped = false;
@@ -310,6 +301,6 @@ mod tests {
         let a = CancelToken::new();
         let b = a.clone();
         b.cancel();
-        assert!(a.is_cancelled());
+        assert!(a.poll());
     }
 }

@@ -611,11 +611,6 @@ impl FaultState {
         (links, routers, mcs, banks)
     }
 
-    /// The indices of alive memory controllers.
-    pub fn alive_mcs(&self) -> Vec<usize> {
-        (0..self.dead_mc.len()).filter(|&k| !self.dead_mc[k]).collect()
-    }
-
     /// Folds in the faults a dead router *implies*: the LLC bank at that
     /// node is unreachable forever, and any MC attached there (per
     /// `mc_coords`) cannot serve requests. Every consumer — router,
@@ -998,7 +993,7 @@ mod tests {
     fn random_clamps_to_leave_survivors() {
         let plan = FaultPlan::random(1, mesh(), 4, FaultCounts { mcs: 99, ..Default::default() });
         assert!(plan.validate().is_ok());
-        assert_eq!(plan.final_state().alive_mcs().len(), 1);
+        assert_eq!(plan.final_state().dead_counts().2, 3, "one of four MCs survives");
     }
 
     #[test]

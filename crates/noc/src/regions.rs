@@ -125,16 +125,6 @@ impl RegionGrid {
         (ax - bx).abs() + (ay - by).abs()
     }
 
-    /// Whether regions `a` and `b` are immediate (4-connected) neighbors on
-    /// the region grid.
-    pub fn are_neighbors(&self, a: RegionId, b: RegionId) -> bool {
-        let (ax, ay) = self.grid_pos(a);
-        let (bx, by) = self.grid_pos(b);
-        let dx = (ax as i32 - bx as i32).abs();
-        let dy = (ay as i32 - by as i32).abs();
-        dx + dy == 1
-    }
-
     /// The immediate (4-connected) neighbor regions of `r`.
     pub fn neighbors(&self, r: RegionId) -> Vec<RegionId> {
         let (x, y) = self.grid_pos(r);
@@ -221,9 +211,8 @@ mod tests {
         // R5 (center) touches R2, R4, R6, R8.
         let n = g.neighbors(RegionId(4));
         assert_eq!(n, vec![RegionId(1), RegionId(3), RegionId(5), RegionId(7)]);
-        assert!(g.are_neighbors(RegionId(4), RegionId(1)));
-        assert!(!g.are_neighbors(RegionId(0), RegionId(4))); // diagonal
-        assert!(!g.are_neighbors(RegionId(0), RegionId(0)));
+        assert!(!g.neighbors(RegionId(0)).contains(&RegionId(4))); // diagonal
+        assert!(!g.neighbors(RegionId(0)).contains(&RegionId(0)));
         // Corner region has exactly two neighbors.
         assert_eq!(g.neighbors(RegionId(0)).len(), 2);
     }

@@ -42,15 +42,6 @@ impl NetworkStats {
         }
     }
 
-    /// Mean queuing (contention) cycles per message.
-    pub fn avg_queue_cycles(&self) -> f64 {
-        if self.messages == 0 {
-            0.0
-        } else {
-            self.total_queue_cycles as f64 / self.messages as f64
-        }
-    }
-
     /// Folds another stats block into this one.
     pub fn merge(&mut self, other: &NetworkStats) {
         self.messages += other.messages;
@@ -71,7 +62,6 @@ mod tests {
         let s = NetworkStats::default();
         assert_eq!(s.avg_latency(), 0.0);
         assert_eq!(s.avg_hops(), 0.0);
-        assert_eq!(s.avg_queue_cycles(), 0.0);
     }
 
     #[test]

@@ -125,12 +125,6 @@ impl Mesh {
         (0..self.node_count() as u16).map(NodeId)
     }
 
-    /// The maximum possible Manhattan distance on this mesh
-    /// (corner to opposite corner).
-    pub fn diameter(self) -> u32 {
-        (self.width as u32 - 1) + (self.height as u32 - 1)
-    }
-
     /// Distance in hops when the mesh's rows and columns wrap around
     /// (torus links): each dimension takes the shorter way round.
     pub fn torus_distance(self, a: NodeId, b: NodeId) -> u32 {
@@ -176,13 +170,6 @@ mod tests {
         assert_eq!(m.distance(m.node_at(0, 0), m.node_at(5, 5)), 10);
         assert_eq!(m.distance(m.node_at(2, 3), m.node_at(2, 3)), 0);
         assert_eq!(m.distance(m.node_at(1, 1), m.node_at(4, 1)), 3);
-    }
-
-    #[test]
-    fn diameter_matches_corners() {
-        let m = Mesh::try_new(8, 8).unwrap();
-        assert_eq!(m.diameter(), 14);
-        assert_eq!(m.distance(m.node_at(0, 0), m.node_at(7, 7)), 14);
     }
 
     #[test]

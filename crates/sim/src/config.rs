@@ -58,12 +58,6 @@ impl SimConfig {
         }
     }
 
-    /// Table 4 defaults with an ideal (zero-latency) network — the
-    /// Figure 2 potential study.
-    pub fn ideal_network() -> Self {
-        SimConfig { noc: NocConfig::ideal(), ..SimConfig::default() }
-    }
-
     /// Table 4 defaults with DDR4-2400 (Figure 12).
     pub fn ddr4() -> Self {
         SimConfig { dram: DramConfig::ddr4_2400(), ..SimConfig::default() }
@@ -153,12 +147,6 @@ mod tests {
     }
 
     #[test]
-    fn ideal_network_flag() {
-        assert!(SimConfig::ideal_network().noc.ideal);
-        assert!(!SimConfig::default().noc.ideal);
-    }
-
-    #[test]
     fn llc_scaling() {
         let c = SimConfig::default().with_l2_bank_bytes(1024 * 1024);
         assert_eq!(c.l2_bank.size_bytes, 1024 * 1024);
@@ -175,7 +163,7 @@ mod tests {
 
     #[test]
     fn validate_accepts_all_presets() {
-        for cfg in [SimConfig::default(), SimConfig::table4(), SimConfig::ideal_network(), SimConfig::ddr4()] {
+        for cfg in [SimConfig::default(), SimConfig::table4(), SimConfig::ddr4()] {
             assert!(cfg.validate().is_ok(), "{cfg}");
         }
     }

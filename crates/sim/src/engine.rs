@@ -1081,7 +1081,8 @@ mod tests {
     #[test]
     fn ideal_network_is_faster() {
         let real = run(Platform::paper_default(), SimConfig::default(), false);
-        let ideal = run(Platform::paper_default(), SimConfig::ideal_network(), false);
+        let ideal_cfg = SimConfig { noc: locmap_noc::NocConfig::ideal(), ..SimConfig::default() };
+        let ideal = run(Platform::paper_default(), ideal_cfg, false);
         assert!(ideal.cycles < real.cycles, "ideal {} !< real {}", ideal.cycles, real.cycles);
         assert_eq!(ideal.network.avg_latency(), 0.0);
     }
@@ -1635,7 +1636,8 @@ mod topology_tests {
         let platform = Platform::paper_default();
         let compiler = Compiler::builder(platform.clone()).build().unwrap();
         let mapping = compiler.default_mapping(&p, id);
-        let mut sim = Simulator::builder(platform).config(SimConfig::ideal_network()).build().unwrap();
+        let ideal = SimConfig { noc: locmap_noc::NocConfig::ideal(), ..SimConfig::default() };
+        let mut sim = Simulator::builder(platform).config(ideal).build().unwrap();
         let r = sim.run_nest(&p, &mapping, &DataEnv::new());
         assert_eq!(r.network.avg_latency(), 0.0);
         assert!(r.network.messages > 0);

@@ -49,7 +49,7 @@ pub use knl::{knl_platform, KnlMode};
 pub use multi::{run_multiprogram, MultiprogramResult, Slot};
 pub use result::RunResult;
 pub use timeline::{SimError, TransientFault};
-pub use viz::{ascii_heatmap, core_load_map, router_pressure};
+pub use viz::{ascii_heatmap, router_pressure};
 
 /// One-line import for mapping *and* simulating.
 ///

@@ -1,9 +1,8 @@
-//! ASCII visualization of chip-level state: router pressure heatmaps and
-//! per-core load maps — the quickest way to *see* what a mapping did to
-//! the traffic (the paper's Figure 1 intuition, in a terminal).
+//! ASCII visualization of chip-level state: router pressure heatmaps —
+//! the quickest way to *see* what a mapping did to the traffic (the
+//! paper's Figure 1 intuition, in a terminal).
 
 use crate::engine::Simulator;
-use locmap_core::NestMapping;
 use locmap_noc::{Direction, Link, Mesh};
 use std::fmt::Write as _;
 
@@ -52,15 +51,6 @@ pub fn router_pressure(sim: &Simulator) -> Vec<f64> {
         .collect()
 }
 
-/// Per-core iteration-set load implied by `mapping` (one value per node).
-pub fn core_load_map(mesh: Mesh, mapping: &NestMapping) -> Vec<f64> {
-    let mut loads = vec![0.0; mesh.node_count()];
-    for core in &mapping.assignment {
-        loads[core.index()] += 1.0;
-    }
-    loads
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,7 +86,7 @@ mod tests {
     }
 
     #[test]
-    fn pressure_and_load_maps_from_a_run() {
+    fn pressure_map_from_a_run() {
         let mut p = Program::new("t");
         let a = p.add_array("A", 8, 1 << 15);
         let mut nest = LoopNest::rectangular("n", &[(1 << 12) as i64]).work(8);
@@ -105,18 +95,11 @@ mod tests {
         let platform = Platform::paper_default();
         let compiler = Compiler::builder(platform.clone()).build().unwrap();
         let mapping = compiler.default_mapping(&p, id);
-        let mut sim = Simulator::builder(platform.clone()).build().unwrap();
+        let mut sim = Simulator::builder(platform).build().unwrap();
         sim.run_nest(&p, &mapping, &DataEnv::new());
 
         let pressure = router_pressure(&sim);
         assert_eq!(pressure.len(), 36);
         assert!(pressure.iter().sum::<f64>() > 0.0);
-
-        let loads = core_load_map(platform.mesh, &mapping);
-        assert_eq!(loads.iter().sum::<f64>() as usize, mapping.sets.len());
-        // Round-robin default: loads within 1 of each other.
-        let max = loads.iter().cloned().fold(0.0f64, f64::max);
-        let min = loads.iter().cloned().fold(f64::INFINITY, f64::min);
-        assert!(max - min <= 1.0);
     }
 }

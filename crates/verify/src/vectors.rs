@@ -15,7 +15,7 @@
 
 use crate::config::VerifyConfig;
 use crate::diag::{Code, Diagnostic, DiagnosticSink, Entity};
-use locmap_core::{Compiler, LlcOrg, MacPolicy, NestMapping};
+use locmap_core::{Compiler, LlcOrg, MacPolicy, NestMapping, CAC_SELF_WEIGHT};
 use locmap_noc::RegionId;
 
 /// Audits the MAI/CAI vectors (and α values) stored in `mapping`.
@@ -155,7 +155,6 @@ fn check_cac(compiler: &Compiler, cfg: &VerifyConfig, sink: &mut DiagnosticSink)
     }
     let n = p.region_count();
     let eps = cfg.epsilon;
-    let self_weight = compiler.options().cac_policy.self_weight;
 
     // Fraction of each region's banks still alive (1.0 everywhere on a
     // clean machine).
@@ -191,8 +190,8 @@ fn check_cac(compiler: &Compiler, cfg: &VerifyConfig, sink: &mut DiagnosticSink)
         if neighbors.is_empty() {
             want[r.index()] = 1.0;
         } else {
-            want[r.index()] = self_weight;
-            let share = (1.0 - self_weight) / neighbors.len() as f64;
+            want[r.index()] = CAC_SELF_WEIGHT;
+            let share = (1.0 - CAC_SELF_WEIGHT) / neighbors.len() as f64;
             for nb in neighbors {
                 want[nb.index()] = share;
             }

@@ -11,7 +11,7 @@
 
 use locmap_cme::{CmeConfig, CmeEstimator};
 use locmap_core::{
-    compute_cai, compute_mai, AffinityInputs, Cac, CacPolicy, CmeModel, Mac, MacPolicy,
+    compute_cai, compute_mai, AffinityInputs, Cac, CmeModel, Mac, MacPolicy,
 };
 use locmap_loopir::IterationSpace;
 use locmap_sim::prelude::*;
@@ -57,7 +57,7 @@ fn main() {
     let mai = compute_mai(&inputs, &platform, &model);
     let cai = compute_cai(&inputs, &platform, &model);
     let mac = Mac::compute(&platform, MacPolicy::NearestSet);
-    let cac = Cac::compute(&platform, CacPolicy::default());
+    let cac = Cac::compute(&platform);
     println!("MAI(set 0) = {}", mai[0]);
     println!("CAI(set 0) = {}", cai[0]);
     println!("MAC(R1)    = {}", mac.of(locmap_noc::RegionId(0)));

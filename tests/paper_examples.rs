@@ -4,7 +4,7 @@
 
 use locmap_core::prelude::*;
 use locmap_core::{
-    compute_cai, compute_mai, AffinityInputs, AffinityVec, Cac, CacPolicy, HitModel, Mac,
+    compute_cai, compute_mai, AffinityInputs, AffinityVec, Cac, HitModel, Mac,
     MacPolicy, MeasuredRates,
 };
 use locmap_loopir::IterationSpace;
@@ -88,7 +88,7 @@ fn table2_error_values_recomputed() {
 fn figure6_mac_and_cac_vectors() {
     let platform = Platform::paper_default();
     let mac = Mac::compute(&platform, MacPolicy::NearestSet);
-    let cac = Cac::compute(&platform, CacPolicy::default());
+    let cac = Cac::compute(&platform);
 
     // Figure 6a spot checks (MC order: TL, TR, BR, BL).
     assert_eq!(mac.of(RegionId(0)).0, vec![1.0, 0.0, 0.0, 0.0]);

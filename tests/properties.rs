@@ -2,7 +2,7 @@
 
 use locmap_core::prelude::*;
 use locmap_core::{
-    assign_private, balance_regions, place_in_regions, AffinityVec, Cac, CacPolicy, EtaMetric,
+    assign_private, balance_regions, place_in_regions, AffinityVec, Cac, EtaMetric,
     Mac, MacPolicy, PlacementPolicy,
 };
 use locmap_noc::{
@@ -123,7 +123,7 @@ proptest! {
         let mut platform = Platform::paper_default();
         platform.regions = RegionGrid::try_new(mesh, cols, rows).unwrap();
         let mac = Mac::compute(&platform, MacPolicy::NearestSet);
-        let cac = Cac::compute(&platform, CacPolicy::default());
+        let cac = Cac::compute(&platform);
         for v in mac.vectors() {
             prop_assert!((v.mass() - 1.0).abs() < 1e-9);
         }
@@ -330,7 +330,7 @@ proptest! {
         transient in 0u8..2,
         horizon_pct in 10u64..=150,
     ) {
-        use locmap_bench::heal::{heal_run, HealConfig};
+        use locmap_bench::heal::heal_run;
         use locmap_bench::Experiment;
         use locmap_core::{DegradationLevel, RecoveryAction};
         use locmap_loopir::{Access, AffineExpr, DataEnv, LoopNest, Program};
@@ -359,7 +359,7 @@ proptest! {
         static CLEAN: OnceLock<u64> = OnceLock::new();
         let clean = *CLEAN.get_or_init(|| {
             let empty = FaultPlan::new(exp.platform.mesh, exp.platform.mc_coords.len());
-            heal_run(&stream(), &exp, &empty, &HealConfig::default()).unwrap().result.cycles
+            heal_run(&stream(), &exp, &empty).unwrap().result.cycles
         });
 
         let counts = FaultCounts { links, routers, mcs, ..FaultCounts::default() };
@@ -373,7 +373,7 @@ proptest! {
         );
         prop_assert!(plan.validate().is_ok(), "random_timed must self-validate");
 
-        match heal_run(&w, &exp, &plan, &HealConfig::default()) {
+        match heal_run(&w, &exp, &plan) {
             Ok(out) => {
                 let s = &out.summary;
                 prop_assert!(out.result.cycles > 0);

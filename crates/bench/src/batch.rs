@@ -12,7 +12,6 @@
 use locmap_core::{Compiler, LlcOrg, MapRequest, MappingSession, Platform};
 use locmap_loopir::NestId;
 use locmap_noc::LocmapError;
-use locmap_sim::SimConfig;
 use locmap_verify::{VerifyConfig, VerifySession};
 use locmap_workloads::{Scale, Workload};
 use std::time::Instant;
@@ -129,8 +128,9 @@ pub fn run_throughput(cfg: &BatchConfig) -> Result<BatchReport, LocmapError> {
         }
     }
 
+    // Every builder maps with its default options: the paper's, for the
+    // simulator's default machine.
     let platform = Platform::paper_default_with(cfg.llc);
-    let options = crate::Experiment::opts_for_platform(SimConfig::default(), &platform);
     let workloads: Vec<Workload> =
         cfg.apps.iter().map(|n| locmap_workloads::build(n, cfg.scale)).collect();
 
@@ -148,20 +148,18 @@ pub fn run_throughput(cfg: &BatchConfig) -> Result<BatchReport, LocmapError> {
 
     // Reference: the pre-session serial path, one full map_nest per
     // request with nothing memoized between them.
-    let compiler = Compiler::builder(platform.clone()).options(options).build()?;
+    let compiler = Compiler::builder(platform.clone()).build()?;
     let t0 = Instant::now();
     let uncached: Vec<_> =
         requests.iter().map(|r| compiler.map_nest(r.program, r.nest, r.data)).collect();
     let uncached_secs = t0.elapsed().as_secs_f64();
 
-    let serial_session =
-        MappingSession::builder(platform.clone()).options(options).threads(1).build()?;
+    let serial_session = MappingSession::builder(platform.clone()).threads(1).build()?;
     let t1 = Instant::now();
     let serial = serial_session.map_batch(&requests);
     let serial_secs = t1.elapsed().as_secs_f64();
 
-    let parallel_session =
-        MappingSession::builder(platform).options(options).threads(cfg.threads).build()?;
+    let parallel_session = MappingSession::builder(platform).threads(cfg.threads).build()?;
     let t2 = Instant::now();
     let parallel = parallel_session.map_batch(&requests);
     let parallel_secs = t2.elapsed().as_secs_f64();

@@ -165,11 +165,11 @@ const KNL_ARMS: [(&str, KnlMode, Scheme); 5] = [
     ("opt-snc4", KnlMode::Snc4, Scheme::LocationAware),
 ];
 
-/// A KNL experiment. Its mapping options model the 6×6 shared-LLC
-/// platform (`opts_for`), as these figures always have.
+/// A KNL experiment: the default simulator, and options that map for it
+/// on the 6×6 shared-LLC KNL platform.
 fn knl_experiment(mode: KnlMode) -> Experiment {
-    let sim = SimConfig::default();
-    Experiment { platform: knl_platform(mode), sim, opts: Experiment::opts_for(sim) }
+    let (platform, sim) = (knl_platform(mode), SimConfig::default());
+    Experiment { opts: MappingOptions::for_machine(&platform, sim.l1, sim.l2_bank), platform, sim }
 }
 
 /// Each KNL arm's exec-time improvement (%) over original all-to-all, as
@@ -529,7 +529,7 @@ fn multiprog() {
     for llc in LLCS {
         for mix in &mixes {
             let apps: Vec<_> = mix.iter().map(|n| build(n, Scale::new(0.5))).collect();
-            let (base, opt) = corun(&apps, &Platform::paper_default_with(llc))
+            let (base, opt) = corun(&apps, &Experiment::paper_default(llc))
                 .expect("the paper's default platform builds");
             println!(
                 "{llc:?} {mix:?}: makespan {} -> {} ({:+.1}%), avg net latency {:.1} -> {:.1}",

@@ -56,8 +56,9 @@ pub enum HealError {
         /// The underlying validation error.
         source: LocmapError,
     },
-    /// More than [`MAX_INCIDENTS`] faults arrived; the timeline is treated
-    /// as hostile rather than flaky.
+    /// More than [`MAX_INCIDENTS`] faults arrived, each failed probe of a
+    /// still-dead component counting as one; the timeline is treated as
+    /// hostile rather than flaky.
     IncidentCap {
         /// Incidents counted when the cap tripped.
         incidents: u32,
@@ -318,13 +319,15 @@ pub fn heal_run(
                         // observably still dead at the resume cycle, each
                         // failed probe is another strike — a fault that
                         // outlives the whole backoff schedule is promoted
-                        // to persistent.
+                        // to persistent — and another incident, so the
+                        // incident cap bounds the loop.
                         loop {
                             let attempt = ctrl.strike_count(t.component).saturating_sub(1);
                             now = ctrl.charge_retry(t.component, now, attempt);
                             if plan.state_at(now).alive(t.component) {
                                 break;
                             }
+                            count_incident(&mut incidents, now)?;
                             class = ctrl.record_fault(t.component, now);
                             if class == FaultClass::Persistent {
                                 break;

@@ -126,45 +126,19 @@ pub struct Experiment {
 
 impl Experiment {
     /// The paper's default platform/simulator/options with the given LLC
-    /// organization. The compiler's CME cache model is kept consistent
-    /// with the simulator's (scaled) hierarchy.
+    /// organization: the compiler and session builders' defaults, which
+    /// map for the simulator's default (scaled) hierarchy.
     pub fn paper_default(llc: locmap_core::LlcOrg) -> Self {
         let sim = SimConfig::default();
         let platform = Platform::paper_default_with(llc);
-        let opts = Self::opts_for_platform(sim, &platform);
+        let opts = MappingOptions::for_machine(&platform, sim.l1, sim.l2_bank);
         Experiment { platform, sim, opts }
-    }
-
-    /// Mapping options whose CME cache model matches `sim`'s hierarchy on
-    /// `platform`: for private LLCs a thread's misses are filtered by one
-    /// local bank; for shared S-NUCA the whole distributed LLC caches its
-    /// data, so the CME models the aggregate capacity. Affinity analysis
-    /// samples every 2nd iteration and CME symbolically executes half of
-    /// them — the statistical mode of the paper's CME variant.
-    pub fn opts_for_platform(sim: SimConfig, platform: &Platform) -> MappingOptions {
-        let mut opts = MappingOptions::default();
-        opts.cme.l1 = sim.l1;
-        let llc_bytes = match platform.llc {
-            locmap_core::LlcOrg::Private => sim.l2_bank.size_bytes,
-            locmap_core::LlcOrg::SharedSNuca => {
-                sim.l2_bank.size_bytes * platform.mesh.node_count() as u64
-            }
-        };
-        opts.cme = opts.cme.with_llc_bytes(llc_bytes.next_power_of_two());
-        opts.cme.sample_rate = 0.5;
-        opts.analysis_sample_stride = 2;
-        opts
-    }
-
-    /// Mapping options for `sim` on the default 6×6 shared-LLC platform.
-    pub fn opts_for(sim: SimConfig) -> MappingOptions {
-        Self::opts_for_platform(sim, &Platform::paper_default())
     }
 
     /// Replaces the simulator config, keeping CME consistent.
     pub fn with_sim(mut self, sim: SimConfig) -> Self {
         self.sim = sim;
-        self.opts = Self::opts_for_platform(sim, &self.platform);
+        self.opts = MappingOptions::for_machine(&self.platform, sim.l1, sim.l2_bank);
         self
     }
 }
@@ -488,18 +462,19 @@ pub fn evaluate(workload: &Workload, exp: &Experiment, scheme: Scheme) -> AppOut
     }
 }
 
-/// Co-runs nest 0 of every app in `apps` together on one `platform`
-/// machine, once under the default mapping and once under the
-/// location-aware one, and returns `(baseline, optimized)`. The optimized
+/// Co-runs nest 0 of every app in `apps` together on one machine, once
+/// under the default mapping and once under the location-aware one, and
+/// returns `(baseline, optimized)`. Like [`evaluate`], it maps with
+/// `exp.opts` and simulates `exp.sim` on `exp.platform`. The optimized
 /// arm maps irregular apps with their own index data: the knowledge the
 /// inspector would have gathered. The two arms share nothing, so the
 /// baseline runs on a scoped thread while the caller's runs the optimized
 /// arm.
 pub fn corun(
     apps: &[Workload],
-    platform: &Platform,
+    exp: &Experiment,
 ) -> Result<(MultiprogramResult, MultiprogramResult), LocmapError> {
-    let compiler = Compiler::builder(platform.clone()).build()?;
+    let compiler = Compiler::builder(exp.platform.clone()).options(exp.opts).build()?;
     let run = |optimized: bool| -> Result<MultiprogramResult, LocmapError> {
         let mappings: Vec<NestMapping> = apps
             .iter()
@@ -511,7 +486,7 @@ pub fn corun(
                 }
             })
             .collect();
-        let mut sim = Simulator::builder(platform.clone()).build()?;
+        let mut sim = Simulator::builder(exp.platform.clone()).config(exp.sim).build()?;
         let slots: Vec<Slot<'_>> = apps
             .iter()
             .zip(&mappings)
@@ -564,7 +539,30 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
 mod tests {
     use super::*;
     use locmap_core::LlcOrg;
+    use locmap_sim::{knl_platform, KnlMode};
     use locmap_workloads::{build, Scale};
+
+    /// Every path that maps for the default machine gets one set of
+    /// options: the builders' defaults, `paper_default`'s, and the KNL
+    /// platform's, all sized for the caches `SimConfig::default` simulates.
+    #[test]
+    fn the_default_machine_has_one_set_of_mapping_options() {
+        let sim = SimConfig::default();
+        assert_eq!(sim.l1, locmap_mem::CacheConfig::scaled_l1());
+        assert_eq!(sim.l2_bank, locmap_mem::CacheConfig::scaled_l2_bank());
+        for llc in [LlcOrg::SharedSNuca, LlcOrg::Private] {
+            let exp = Experiment::paper_default(llc);
+            let compiler = Compiler::builder(exp.platform.clone()).build().unwrap();
+            assert_eq!(compiler.options(), exp.opts, "{llc:?} compiler");
+            let session = locmap_core::MappingSession::builder(exp.platform).build().unwrap();
+            assert_eq!(session.compiler().options(), exp.opts, "{llc:?} session");
+        }
+        let shared = Experiment::paper_default(LlcOrg::SharedSNuca).opts;
+        for mode in [KnlMode::AllToAll, KnlMode::Quadrant, KnlMode::Snc4] {
+            let knl = MappingOptions::for_machine(&knl_platform(mode), sim.l1, sim.l2_bank);
+            assert_eq!(knl, shared, "{mode:?}");
+        }
+    }
 
     #[test]
     fn geomean_basics() {

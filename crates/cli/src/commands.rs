@@ -339,9 +339,9 @@ pub fn corun(args: &Args) -> Result<(), String> {
         }
     }
     let scale = args.scale()?;
-    let platform = Platform::paper_default_with(args.llc()?);
+    let exp = Experiment::paper_default(args.llc()?);
     let apps: Vec<_> = app_names.iter().map(|n| build(n, scale)).collect();
-    let (base, opt) = locmap_bench::corun(&apps, &platform).map_err(String::from)?;
+    let (base, opt) = locmap_bench::corun(&apps, &exp).map_err(String::from)?;
 
     println!("apps        : {app_names:?}");
     println!("makespan    : {} -> {} cycles", base.total_cycles, opt.total_cycles);

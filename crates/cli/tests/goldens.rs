@@ -1,7 +1,8 @@
-//! End-to-end goldens of the `locmap` binary: the four healing traces and
-//! the two overload reports, byte for byte. Each run is deterministic, so
-//! any change in the recovery policy, the admission ladder or the circuit
-//! breaker shows up as a diff here.
+//! End-to-end goldens of the `locmap` binary: the four healing traces, the
+//! two overload reports, and the mappings and heatmaps `map` and `heat`
+//! print, byte for byte. Each run is deterministic, so any change in the
+//! recovery policy, the admission ladder, the circuit breaker or the
+//! options the mapper runs with shows up as a diff here.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -73,4 +74,25 @@ fn overload_private_matches_golden() {
     let private = ["overload", "--apps", "fft,jacobi-3d", "--llc", "private"];
     let args = [&private[..], &OVERLOAD].concat();
     assert_matches_golden(&args, "overload.fft-jacobi-3d.private.txt");
+}
+
+/// `map` prints what `run` executes: the mapping of the builders' default
+/// options, which are `run`'s. mxm is regular on the shared LLC (MAI, CAI
+/// and α per set); moldyn is irregular, mapped on the private LLC from its
+/// own index arrays.
+#[test]
+fn map_mxm_shared_matches_golden() {
+    assert_matches_golden(&["map", "--app", "mxm", "--scale", "0.3"], "map.mxm.shared.txt");
+}
+
+#[test]
+fn map_moldyn_private_matches_golden() {
+    let args = ["map", "--app", "moldyn", "--llc", "private", "--scale", "0.3"];
+    assert_matches_golden(&args, "map.moldyn.private.txt");
+}
+
+#[test]
+fn heat_mxm_private_matches_golden() {
+    let args = ["heat", "--app", "mxm", "--llc", "private", "--scale", "0.3"];
+    assert_matches_golden(&args, "heat.mxm.private.txt");
 }

@@ -90,9 +90,6 @@ pub enum TryMapError {
         /// The bound, [`QUEUE_CAPACITY`].
         capacity: usize,
     },
-    /// The request's wall deadline had already expired at admission; no
-    /// mapping work was spent on a result nobody can use.
-    DeadlineExpired,
     /// Mapping itself failed with a typed error (cancellation, invalid
     /// configuration, ...).
     Mapping(LocmapError),
@@ -103,9 +100,6 @@ impl fmt::Display for TryMapError {
         match self {
             TryMapError::QueueFull { depth, capacity } => {
                 write!(f, "admission queue full ({depth}/{capacity} in flight)")
-            }
-            TryMapError::DeadlineExpired => {
-                write!(f, "request deadline expired before admission")
             }
             TryMapError::Mapping(e) => write!(f, "mapping failed: {e}"),
         }
@@ -375,7 +369,6 @@ mod tests {
     fn errors_format_usefully() {
         let e = TryMapError::QueueFull { depth: 64, capacity: 64 };
         assert!(e.to_string().contains("64/64"));
-        assert!(TryMapError::DeadlineExpired.to_string().contains("deadline"));
         let e = TryMapError::from(LocmapError::Cancelled { completed: 1, total: 2 });
         assert!(e.to_string().contains("cancelled"));
     }

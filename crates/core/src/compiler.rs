@@ -18,6 +18,7 @@ use crate::platform::{LlcOrg, Platform};
 use crate::vectors::{AffinityVec, Cac, EtaMetric, Mac, MacPolicy};
 use locmap_cme::{CmeConfig, CmeEstimate, CmeEstimator};
 use locmap_loopir::{DataEnv, IterationSet, IterationSpace, NestId, Program};
+use locmap_mem::CacheConfig;
 use locmap_noc::{FaultState, LocmapError, NodeId, RegionId, RunControl};
 use serde::{Deserialize, Serialize};
 
@@ -62,20 +63,42 @@ pub struct MappingOptions {
     pub shared_objective: SharedObjective,
 }
 
-impl Default for MappingOptions {
-    fn default() -> Self {
+impl MappingOptions {
+    /// The paper's mapping options for `platform` with an `l1` per core
+    /// and an `l2_bank` per node, the one place the CME's cache model is
+    /// sized from a machine.
+    ///
+    /// For private LLCs a thread's misses are filtered by one local bank;
+    /// for shared S-NUCA the whole distributed LLC caches its data, so the
+    /// CME models the aggregate capacity, rounded up to a power of two for
+    /// the model's set count. Affinity analysis samples every 2nd
+    /// iteration and CME symbolically executes half of them — the
+    /// statistical mode of the paper's CME variant.
+    pub fn for_machine(platform: &Platform, l1: CacheConfig, l2_bank: CacheConfig) -> Self {
+        let llc_bytes = match platform.llc {
+            LlcOrg::Private => l2_bank.size_bytes,
+            LlcOrg::SharedSNuca => l2_bank.size_bytes * platform.mesh.node_count() as u64,
+        };
         MappingOptions {
             iteration_set_fraction: 0.0025,
             use_cme: true,
-            cme: CmeConfig::default(),
+            cme: CmeConfig { l1, sample_rate: 0.5, ..CmeConfig::default() }
+                .with_llc_bytes(llc_bytes.next_power_of_two()),
             alpha: AlphaPolicy::FromHits,
             eta: EtaMetric::L1,
             mac_policy: MacPolicy::NearestSet,
             placement: PlacementPolicy::default(),
-            analysis_sample_stride: 1,
+            analysis_sample_stride: 2,
             balance: true,
             shared_objective: SharedObjective::default(),
         }
+    }
+
+    /// The builders' default: [`MappingOptions::for_machine`] with the
+    /// simulator's scaled caches, so a compiler or session built without
+    /// explicit options maps for the machine `SimConfig::default` runs.
+    pub(crate) fn scaled(platform: &Platform) -> Self {
+        Self::for_machine(platform, CacheConfig::scaled_l1(), CacheConfig::scaled_l2_bank())
     }
 }
 
@@ -175,9 +198,13 @@ pub struct Compiler {
 ///
 /// ```
 /// use locmap_core::prelude::*;
+/// use locmap_mem::CacheConfig;
 ///
-/// let compiler = Compiler::builder(Platform::paper_default())
-///     .options(MappingOptions::default())
+/// // Map for Table 4's full-size caches rather than the scaled default.
+/// let platform = Platform::paper_default();
+/// let (l1, l2_bank) = (CacheConfig::paper_l1(), CacheConfig::paper_l2_bank());
+/// let compiler = Compiler::builder(platform.clone())
+///     .options(MappingOptions::for_machine(&platform, l1, l2_bank))
 ///     .build()
 ///     .unwrap();
 /// assert!(!compiler.is_degraded());
@@ -187,11 +214,12 @@ pub struct CompilerBuilder {
     platform: Platform,
     options: MappingOptions,
     faults: Option<FaultState>,
-    alpha_override: Option<f64>,
 }
 
 impl CompilerBuilder {
-    /// Replaces the mapping options (default: [`MappingOptions::default`]).
+    /// Replaces the mapping options (default: [`MappingOptions::for_machine`]
+    /// of the platform with [`CacheConfig::scaled_l1`] and
+    /// [`CacheConfig::scaled_l2_bank`], the simulator's default caches).
     pub fn options(mut self, options: MappingOptions) -> Self {
         self.options = options;
         self
@@ -204,32 +232,15 @@ impl CompilerBuilder {
         self
     }
 
-    /// Forces a fixed α for shared-LLC assignment, overriding whatever
-    /// [`AlphaPolicy`] the options carry.
-    pub fn alpha_override(mut self, alpha: f64) -> Self {
-        self.alpha_override = Some(alpha);
-        self
-    }
-
     /// Builds the compiler.
     ///
-    /// Returns [`LocmapError::InvalidConfig`] for out-of-range overrides and
-    /// [`LocmapError::FaultConflict`] when a fault state leaves nothing to
-    /// map onto.
+    /// Returns [`LocmapError::FaultConflict`] when a fault state leaves
+    /// nothing to map onto.
     pub fn build(self) -> Result<Compiler, LocmapError> {
-        let mut options = self.options;
-        if let Some(a) = self.alpha_override {
-            if !(0.0..=1.0).contains(&a) {
-                return Err(LocmapError::InvalidConfig(format!(
-                    "alpha override {a} outside [0, 1]"
-                )));
-            }
-            options.alpha = AlphaPolicy::Fixed(a);
-        }
         let state = self
             .faults
             .unwrap_or_else(|| FaultState::none(self.platform.mesh, self.platform.mc_coords.len()));
-        Compiler::construct(self.platform, options, &state)
+        Compiler::construct(self.platform, self.options, &state)
     }
 }
 
@@ -244,12 +255,7 @@ impl Compiler {
     /// [`FaultState::effective`] first, so dead routers imply their bank/MC
     /// deaths exactly as the simulator sees them.
     pub fn builder(platform: Platform) -> CompilerBuilder {
-        CompilerBuilder {
-            platform,
-            options: MappingOptions::default(),
-            faults: None,
-            alpha_override: None,
-        }
+        CompilerBuilder { options: MappingOptions::scaled(&platform), platform, faults: None }
     }
 
     fn construct(
@@ -662,6 +668,11 @@ mod tests {
     use super::*;
     use locmap_loopir::{Access, AffineExpr, LoopNest};
 
+    /// The builders' default options on the paper's shared-LLC platform.
+    pub(super) fn shared_options() -> MappingOptions {
+        MappingOptions::scaled(&Platform::paper_default())
+    }
+
     fn streaming_program() -> (Program, NestId) {
         let mut p = Program::new("stream");
         let n = 8192u64;
@@ -790,7 +801,7 @@ mod tests {
             nest.add_indirect_ref(a, idx, AffineExpr::var(1, 1), Access::Read);
             p.add_nest(nest);
         }
-        let opts = MappingOptions { iteration_set_fraction: 0.05, ..MappingOptions::default() };
+        let opts = MappingOptions { iteration_set_fraction: 0.05, ..shared_options() };
         let c = Compiler::builder(Platform::paper_default()).options(opts).build().unwrap();
         for id in p.nest_ids() {
             let want = IterationSpace::enumerate(p.nest(id), &p.params()).split_by_fraction(0.05);
@@ -806,7 +817,7 @@ mod tests {
     #[test]
     fn no_balance_option_respected() {
         let (p, id) = streaming_program();
-        let opts = MappingOptions { balance: false, ..MappingOptions::default() };
+        let opts = MappingOptions { balance: false, ..shared_options() };
         let c = Compiler::builder(Platform::paper_default()).options(opts).build().unwrap();
         let m = c.map_nest(&p, id, &DataEnv::new());
         assert_eq!(m.balance.moved, 0);
@@ -944,6 +955,7 @@ mod degraded_tests {
 
 #[cfg(test)]
 mod objective_tests {
+    use super::tests::shared_options;
     use super::*;
     use locmap_loopir::{Access, AffineExpr, LoopNest};
 
@@ -961,7 +973,7 @@ mod objective_tests {
         let (p, id) = stream(1 << 16);
         let opts = MappingOptions {
             shared_objective: SharedObjective::BankDistance,
-            ..MappingOptions::default()
+            ..shared_options()
         };
         let c = Compiler::builder(Platform::paper_default()).options(opts).build().unwrap();
         let m = c.map_nest(&p, id, &DataEnv::new());
@@ -973,7 +985,7 @@ mod objective_tests {
         let (p, id) = stream(1 << 16);
         let opts = MappingOptions {
             shared_objective: SharedObjective::PaperAlphaBlend,
-            ..MappingOptions::default()
+            ..shared_options()
         };
         let c = Compiler::builder(Platform::paper_default()).options(opts).build().unwrap();
         let m = c.map_nest(&p, id, &DataEnv::new());
@@ -987,7 +999,7 @@ mod objective_tests {
         let opts = MappingOptions {
             shared_objective: SharedObjective::PaperAlphaBlend,
             alpha: AlphaPolicy::Fixed(0.7),
-            ..MappingOptions::default()
+            ..shared_options()
         };
         let c = Compiler::builder(Platform::paper_default()).options(opts).build().unwrap();
         let m = c.map_nest(&p, id, &DataEnv::new());
@@ -997,10 +1009,10 @@ mod objective_tests {
     #[test]
     fn inverse_distance_mac_changes_assignment_granularity() {
         let (p, id) = stream(1 << 16);
-        let o1 = MappingOptions { mac_policy: MacPolicy::NearestSet, ..Default::default() };
-        let o2 =
-            MappingOptions { mac_policy: MacPolicy::InverseDistance, ..Default::default() };
         let platform = Platform::paper_default_with(LlcOrg::Private);
+        let base = MappingOptions::scaled(&platform);
+        let o1 = MappingOptions { mac_policy: MacPolicy::NearestSet, ..base };
+        let o2 = MappingOptions { mac_policy: MacPolicy::InverseDistance, ..base };
         let m1 = Compiler::builder(platform.clone()).options(o1).build().unwrap().map_nest(&p, id, &DataEnv::new());
         let m2 = Compiler::builder(platform).options(o2).build().unwrap().map_nest(&p, id, &DataEnv::new());
         // Both are valid (same shape); policies may or may not coincide.
@@ -1011,7 +1023,7 @@ mod objective_tests {
     fn eta_metric_variants_produce_valid_mappings() {
         let (p, id) = stream(1 << 15);
         for eta in [EtaMetric::L1, EtaMetric::L2, EtaMetric::Cosine] {
-            let opts = MappingOptions { eta, ..MappingOptions::default() };
+            let opts = MappingOptions { eta, ..shared_options() };
             let c = Compiler::builder(Platform::paper_default()).options(opts).build().unwrap();
             let m = c.map_nest(&p, id, &DataEnv::new());
             for (s, &core) in m.assignment.iter().enumerate() {
@@ -1024,7 +1036,7 @@ mod objective_tests {
     fn iteration_set_fraction_controls_set_count() {
         let (p, id) = stream(1 << 16);
         for (frac, expect) in [(0.01, 100), (0.0025, 410)] {
-            let opts = MappingOptions { iteration_set_fraction: frac, ..MappingOptions::default() };
+            let opts = MappingOptions { iteration_set_fraction: frac, ..shared_options() };
             let c = Compiler::builder(Platform::paper_default()).options(opts).build().unwrap();
             let m = c.map_nest(&p, id, &DataEnv::new());
             assert_eq!(m.sets.len(), expect);

@@ -682,6 +682,27 @@ mod tests {
         assert_eq!(c.quarantined(), vec![mc]);
     }
 
+    /// The backoff-and-probe loop of a healing run: a component that stays
+    /// dead is struck once per failed probe, and the backoff schedule must
+    /// fit `STRIKE_THRESHOLD` strikes inside the strike window, or the
+    /// component is never promoted and the loop never ends.
+    #[test]
+    fn a_component_that_stays_dead_is_promoted_within_the_threshold() {
+        let mut c = controller();
+        let mc = FaultComponent::Mc(2);
+        let mut now = 5_000;
+        let mut class = c.record_fault(mc, now);
+        for _ in 0..STRIKE_THRESHOLD {
+            if class == FaultClass::Persistent {
+                break;
+            }
+            let attempt = c.strike_count(mc).saturating_sub(1);
+            now = c.charge_retry(mc, now, attempt);
+            class = c.record_fault(mc, now);
+        }
+        assert_eq!(class, FaultClass::Persistent, "still transient at cycle {now}");
+    }
+
     #[test]
     fn window_expiry_forgets_old_strikes() {
         let mut c = controller();

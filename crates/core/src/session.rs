@@ -92,7 +92,8 @@ pub struct MappingSessionBuilder {
 }
 
 impl MappingSessionBuilder {
-    /// Replaces the mapping options (default: [`MappingOptions::default`]).
+    /// Replaces the mapping options (default: the same as
+    /// [`crate::CompilerBuilder::options`]).
     pub fn options(mut self, options: MappingOptions) -> Self {
         self.options = options;
         self
@@ -186,8 +187,8 @@ impl MappingSession {
     /// Starts building a session for `platform`.
     pub fn builder(platform: Platform) -> MappingSessionBuilder {
         MappingSessionBuilder {
+            options: MappingOptions::scaled(&platform),
             platform,
-            options: MappingOptions::default(),
             threads: 1,
             faults: None,
         }
@@ -392,18 +393,12 @@ impl MappingSession {
     /// 2. At [`QualityLevel::Cached`], a memo-table lookup.
     /// 3. At [`QualityLevel::Heuristic`] (or on a cache miss), the
     ///    locality heuristic, which always succeeds.
-    ///
-    /// Requests whose wall deadline already expired are dropped with
-    /// [`TryMapError::DeadlineExpired`] before any work is spent.
     pub fn serve(
         &self,
         ticket: &AdmitTicket<'_>,
         r: &MapRequest<'_>,
         ctl: &RunControl,
     ) -> Result<ServedMapping, TryMapError> {
-        if ctl.wall_expired() {
-            return Err(TryMapError::DeadlineExpired);
-        }
         let mut level = ticket.quality();
         if level == QualityLevel::Full {
             let admitted =
@@ -677,7 +672,10 @@ mod tests {
         let (p, id) = stream("units", 4096);
         let data = DataEnv::new();
         let r = MapRequest { program: &p, nest: id, data: &data };
-        let options = MappingOptions { analysis_sample_stride: 3, ..MappingOptions::default() };
+        let options = MappingOptions {
+            analysis_sample_stride: 3,
+            ..MappingOptions::scaled(&Platform::paper_default())
+        };
         // A shared LLC builds MAI and CAI, a private one MAI alone.
         for (llc, tables) in [(LlcOrg::SharedSNuca, 2), (LlcOrg::Private, 1)] {
             let session = MappingSession::builder(Platform::paper_default_with(llc))

@@ -1,4 +1,4 @@
-//! Set-associative cache with LRU replacement and MOESI-lite line states.
+//! Set-associative cache with LRU replacement and clean/dirty line states.
 //!
 //! One `Cache` instance models either a private L1 (16 KB, 8-way, 32 B
 //! lines in Table 4) or one L2/LLC bank (512 KB, 16-way, 64 B lines).
@@ -7,23 +7,21 @@
 
 use serde::{Deserialize, Serialize};
 
-/// MOESI coherence state of a cached line.
+/// Coherence state of a cached line: the two states the caches produce.
+/// Sharing is tracked by the [`Directory`](crate::Directory), which
+/// invalidates the other copies on a write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum LineState {
     /// Modified: exclusive and dirty.
     Modified,
-    /// Owned: shared and dirty (this cache is responsible for writeback).
-    Owned,
-    /// Exclusive: sole clean copy.
+    /// Exclusive: clean.
     Exclusive,
-    /// Shared: one of several clean copies.
-    Shared,
 }
 
 impl LineState {
     /// Whether this state requires a writeback on eviction.
     pub fn is_dirty(self) -> bool {
-        matches!(self, LineState::Modified | LineState::Owned)
+        self == LineState::Modified
     }
 }
 
@@ -56,6 +54,18 @@ impl CacheConfig {
     /// Table 4 L2 bank: 512 KB per core, 16-way, 64 B lines.
     pub fn paper_l2_bank() -> Self {
         CacheConfig { size_bytes: 512 * 1024, ways: 16, line_bytes: 64 }
+    }
+
+    /// The simulated L1: Table 4's associativity and line size at 8 KB,
+    /// scaled down with the workloads' footprints.
+    pub fn scaled_l1() -> Self {
+        CacheConfig { size_bytes: 8 * 1024, ..Self::paper_l1() }
+    }
+
+    /// The simulated L2 bank: Table 4's associativity and line size at
+    /// 32 KB per core, scaled down with the workloads' footprints.
+    pub fn scaled_l2_bank() -> Self {
+        CacheConfig { size_bytes: 32 * 1024, ..Self::paper_l2_bank() }
     }
 
     /// Number of sets implied by the geometry.
@@ -123,17 +133,16 @@ impl CacheStats {
 }
 
 /// Every state, indexed by its declaration order (`state as u64`).
-const STATES: [LineState; 4] =
-    [LineState::Modified, LineState::Owned, LineState::Exclusive, LineState::Shared];
+const STATES: [LineState; 2] = [LineState::Modified, LineState::Exclusive];
 
 /// A slot's stamp: the tick of its last use, with the line's state in the
-/// two low bits. Ticks are unique, so stamps order slots as ticks do.
+/// low bit. Ticks are unique, so stamps order slots as ticks do.
 fn stamp(tick: u64, state: LineState) -> u64 {
-    tick << 2 | state as u64
+    tick << 1 | state as u64
 }
 
 fn state_of_stamp(stamp: u64) -> LineState {
-    STATES[(stamp & 3) as usize]
+    STATES[(stamp & 1) as usize]
 }
 
 /// A set-associative, write-back, write-allocate cache model.
@@ -430,6 +439,8 @@ mod tests {
     fn geometry() {
         assert_eq!(CacheConfig::paper_l1().sets(), 64);
         assert_eq!(CacheConfig::paper_l2_bank().sets(), 512);
+        assert_eq!(CacheConfig::scaled_l1().sets(), 32);
+        assert_eq!(CacheConfig::scaled_l2_bank().sets(), 32);
         assert_eq!(tiny().config().sets(), 4);
     }
 

@@ -1,4 +1,4 @@
-//! Sharer directory for MOESI-lite coherence.
+//! Sharer directory for write-invalidate coherence.
 //!
 //! Tracks, per cache line, which cores' L1s hold a copy. The simulator
 //! consults it to generate invalidation traffic when a core writes a line

@@ -4,8 +4,9 @@
 //! the network: physical-address interleaving across memory controllers and
 //! LLC banks (page- or cache-line-granularity round robin, plus KNL-style
 //! cluster modes), set-associative caches with LRU replacement and
-//! MOESI-lite coherence states, a sharer directory, and a DDR3/DDR4 DRAM
-//! timing model with per-bank row buffers.
+//! Modified/Exclusive line states, a sharer directory that invalidates
+//! other copies on a write, and a DDR3/DDR4 DRAM timing model with per-bank
+//! row buffers.
 //!
 //! # Example
 //!

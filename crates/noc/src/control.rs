@@ -11,22 +11,14 @@
 //!   units observes a cancellation within `k` units of the token being
 //!   set — pinned by tests in the consuming crates.
 //! - **Determinism.** Work-unit budgets and poll-trip tokens are counted
-//!   on deterministic atomic counters; the wall clock is only consulted
-//!   when a wall deadline was explicitly configured, so budget-free and
-//!   wall-free runs behave identically across machines.
+//!   on deterministic atomic counters and the wall clock is never read,
+//!   so a run aborts at the same point on every machine.
 //! - **No poisoning.** Checkpoints return `Err` instead of panicking, so
 //!   callers unwind cleanly through caches and queues.
 
 use crate::error::LocmapError;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// How often (in checkpoint calls) the wall clock is consulted when a
-/// wall deadline is configured. Work-unit budgets are checked on every
-/// call; `Instant::now` is ~20ns, so amortizing it keeps checkpoints
-/// cheap inside per-iteration loops.
-const WALL_CHECK_PERIOD: u64 = 64;
 
 /// A cloneable, thread-safe cancellation flag.
 ///
@@ -110,8 +102,6 @@ impl CancelToken {
 pub struct Budget {
     /// Maximum deterministic work units before the run is aborted.
     pub work_units: Option<u64>,
-    /// Maximum wall-clock time before the run is aborted.
-    pub wall: Option<Duration>,
 }
 
 impl Budget {
@@ -138,9 +128,7 @@ impl Budget {
 pub struct RunControl {
     token: CancelToken,
     budget: Budget,
-    started: Instant,
     spent: AtomicU64,
-    calls: AtomicU64,
 }
 
 impl Default for RunControl {
@@ -152,13 +140,7 @@ impl Default for RunControl {
 impl RunControl {
     /// A control that can only be cancelled through `token`.
     pub fn new(token: CancelToken, budget: Budget) -> Self {
-        RunControl {
-            token,
-            budget,
-            started: Instant::now(),
-            spent: AtomicU64::new(0),
-            calls: AtomicU64::new(0),
-        }
+        RunControl { token, budget, spent: AtomicU64::new(0) }
     }
 
     /// A control that never aborts — the identity element used by the
@@ -204,21 +186,7 @@ impl RunControl {
                 return Err(LocmapError::DeadlineExceeded { completed, total, spent_units: spent });
             }
         }
-        if let Some(wall) = self.budget.wall {
-            let calls = self.calls.fetch_add(1, Ordering::Relaxed) + 1;
-            if calls.is_multiple_of(WALL_CHECK_PERIOD) && self.started.elapsed() > wall {
-                return Err(LocmapError::DeadlineExceeded { completed, total, spent_units: spent });
-            }
-        }
         Ok(())
-    }
-
-    /// True when the wall deadline (if any) has already elapsed. Unlike
-    /// [`checkpoint`](RunControl::checkpoint) this reads the clock
-    /// unconditionally; admission queues use it to drop stale requests
-    /// before spending any work on them.
-    pub fn wall_expired(&self) -> bool {
-        self.budget.wall.is_some_and(|w| self.started.elapsed() > w)
     }
 }
 
@@ -276,24 +244,6 @@ mod tests {
             Budget::unlimited().with_work_units(0),
         );
         assert_eq!(ctl.checkpoint(5, 0, 1), Err(LocmapError::Cancelled { completed: 0, total: 1 }));
-    }
-
-    #[test]
-    fn wall_deadline_trips_after_elapsing() {
-        let ctl = RunControl::new(
-            CancelToken::new(),
-            Budget { wall: Some(Duration::ZERO), ..Budget::unlimited() },
-        );
-        assert!(ctl.wall_expired());
-        // The amortized check fires within one wall-check period.
-        let mut tripped = false;
-        for i in 0..(2 * WALL_CHECK_PERIOD as usize) {
-            if ctl.checkpoint(1, i, 128).is_err() {
-                tripped = true;
-                break;
-            }
-        }
-        assert!(tripped, "wall deadline never observed");
     }
 
     #[test]

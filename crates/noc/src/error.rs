@@ -64,8 +64,7 @@ pub enum LocmapError {
         /// Total progress units the run would have performed.
         total: usize,
     },
-    /// A [`Budget`](crate::Budget) limit (work units or wall clock) was
-    /// exhausted mid-run.
+    /// A [`Budget`](crate::Budget)'s work units were exhausted mid-run.
     DeadlineExceeded {
         /// Progress units finished before the abort.
         completed: usize,

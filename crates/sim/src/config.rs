@@ -38,8 +38,8 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             noc: NocConfig::default(),
-            l1: CacheConfig { size_bytes: 8 * 1024, ways: 8, line_bytes: 32 },
-            l2_bank: CacheConfig { size_bytes: 32 * 1024, ways: 16, line_bytes: 64 },
+            l1: CacheConfig::scaled_l1(),
+            l2_bank: CacheConfig::scaled_l2_bank(),
             dram: DramConfig::ddr3_1333(),
             cpi_base: 0.5,
             l1_hit_cycles: 1,

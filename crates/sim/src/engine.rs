@@ -880,7 +880,7 @@ impl Simulator {
                 self.dir.remove_sharer(l1_line, s);
                 // Invalidation message travels home-bank → sharer (shared
                 // LLC) or writer → sharer (private); fire-and-forget, it
-                // occupies links but does not stall the writer (MOESI-lite).
+                // occupies links but does not stall the writer.
                 let from = match self.platform.llc {
                     LlcOrg::SharedSNuca => self.platform.bank_node(self.home_bank_for(pa)),
                     LlcOrg::Private => core_node,

@@ -2,9 +2,10 @@
 //!
 //! This crate is the reproduction's stand-in for the paper's gem5
 //! full-system platform: in-order 2-issue cores on a 2D-mesh NoC with
-//! private L1s, private or S-NUCA shared L2 banks, MOESI-lite coherence
-//! with a sharer directory, and a DDR3/DDR4 DRAM model — all driven by the
-//! memory accesses of mapped loop nests.
+//! private L1s, private or S-NUCA shared L2 banks, write-invalidate
+//! coherence with a sharer directory (lines are Modified or Exclusive),
+//! and a DDR3/DDR4 DRAM model — all driven by the memory accesses of
+//! mapped loop nests.
 //!
 //! The engine interleaves cores by always advancing the core with the
 //! smallest local clock, so cross-core contention on links, banks and DRAM

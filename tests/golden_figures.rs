@@ -8,8 +8,8 @@
 //! fft's `fig16` runs the KNL platform in all three cluster modes, so it
 //! pins the quadrant and SNC-4 address decoding. fft's `resilience` runs
 //! static faults and fault timelines. `multiprog` co-runs several slots
-//! through the simulator's one event loop, and it maps with
-//! `CmeConfig::default()`, so it pins the CME's unsampled path.
+//! through the simulator's one event loop, mapped with `paper_default`'s
+//! options like every other figure.
 
 use std::process::Command;
 

@@ -261,7 +261,7 @@ fn table4() {
     let p = Platform::paper_default();
     println!("Manycore size / frequency : 36 cores (6x6), 1 GHz, 2-issue");
     println!("# of regions, region size : {} ({}x{} cores each)", p.region_count(), 2, 2);
-    println!("Coherence protocol        : MOESI-lite (directory invalidations)");
+    println!("Coherence protocol        : Modified/Exclusive lines, directory invalidation");
     println!("Page size                 : {} B", p.addr_map.config().page_bytes);
     println!("Routing policy            : X-Y routing, wormhole");
     println!("MCs                       : {} (chip corners)", p.mc_count());

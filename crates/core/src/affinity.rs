@@ -92,6 +92,7 @@ pub(crate) fn scan(
     let refs = inputs.compile_refs();
     let mut weights = Vec::with_capacity(refs.len());
     let (mut mai_out, mut cai_out) = (Vec::new(), Vec::new());
+    let (mut mc_w, mut bank_w) = (vec![0.0f64; mcs], vec![0.0f64; regions]);
     for (si, set) in inputs.sets.iter().enumerate() {
         // Per reference: what an access adds to its MC's MAI entry (an LLC
         // miss) and to its home bank region's CAI entry.
@@ -107,7 +108,8 @@ pub(crate) fn scan(
             };
             (to_mc, to_bank)
         }));
-        let (mut mc_w, mut bank_w) = (vec![0.0f64; mcs], vec![0.0f64; regions]);
+        mc_w.fill(0.0);
+        bank_w.fill(0.0);
         let mut scanned = 0u64;
         for k in inputs.sampled_indices(set) {
             scanned += 1;
@@ -122,19 +124,15 @@ pub(crate) fn scan(
                 }
             }
         }
-        // Every access counts, wherever it is served.
-        let total = (scanned * refs.len() as u64) as f64;
-        let finish = |mut w: Vec<f64>| {
-            if total > 0.0 {
-                w.iter_mut().for_each(|x| *x /= total);
-            }
-            AffinityVec(w)
-        };
+        // Every access counts, wherever it is served; a set with no
+        // access keeps its zeros.
+        let total = (scanned * refs.len() as u64).max(1) as f64;
+        let finish = |w: &[f64]| AffinityVec(w.iter().map(|x| x / total).collect());
         if mai {
-            mai_out.push(finish(mc_w));
+            mai_out.push(finish(&mc_w));
         }
         if cai.is_some() {
-            cai_out.push(finish(bank_w));
+            cai_out.push(finish(&bank_w));
         }
         ctl.checkpoint(tables * scanned, si + 1, inputs.sets.len())?;
     }
@@ -253,7 +251,7 @@ mod tests {
         // k%4). Each contributes 0.25 of the mass.
         let v = &mai[0].0;
         assert_eq!(v.len(), 4);
-        for &x in v {
+        for &x in v.iter() {
             assert!((x - 0.25).abs() < 1e-9, "{v:?}");
         }
         assert!((mai[0].mass() - 1.0).abs() < 1e-9);
@@ -347,7 +345,7 @@ mod tests {
             if total > 0.0 {
                 w.iter_mut().for_each(|x| *x /= total);
             }
-            AffinityVec(w)
+            AffinityVec::from(w)
         });
         table.collect()
     }
@@ -501,14 +499,14 @@ mod tests {
 
     #[test]
     fn mean_eta_of_identical_tables_is_zero() {
-        let t = vec![AffinityVec(vec![0.5, 0.5]), AffinityVec(vec![1.0, 0.0])];
+        let t = vec![AffinityVec::from(vec![0.5, 0.5]), AffinityVec::from(vec![1.0, 0.0])];
         assert_eq!(mean_eta(&t, &t), 0.0);
     }
 
     #[test]
     fn mean_eta_symmetric() {
-        let a = vec![AffinityVec(vec![1.0, 0.0])];
-        let b = vec![AffinityVec(vec![0.0, 1.0])];
+        let a = vec![AffinityVec::from(vec![1.0, 0.0])];
+        let b = vec![AffinityVec::from(vec![0.0, 1.0])];
         assert_eq!(mean_eta(&a, &b), mean_eta(&b, &a));
         assert!((mean_eta(&a, &b) - 1.0).abs() < 1e-12);
     }

@@ -102,9 +102,9 @@ mod tests {
             // Table 2 col 1: exact recomputation ties R2 and R5 at 0.125
             // (the paper's printed table has typos; see vectors.rs tests).
             // Deterministic tie-break picks the lower id, R2.
-            AffinityVec(vec![0.5, 0.25, 0.25, 0.0]),
+            AffinityVec::from(vec![0.5, 0.25, 0.25, 0.0]),
             // Table 2 col 2 → R8 uniquely (error 0), as the paper states.
-            AffinityVec(vec![0.0, 0.0, 0.5, 0.5]),
+            AffinityVec::from(vec![0.0, 0.0, 0.5, 0.5]),
         ];
         let a = assign_private(&mai, &mac, EtaMetric::L1);
         assert_eq!(a[1], RegionId(7));
@@ -118,10 +118,10 @@ mod tests {
     fn pure_single_mc_affinity_picks_corner_region() {
         let (mac, _) = mac_cac();
         // All traffic to MC1 (top-left): R1 is the perfect region.
-        let mai = vec![AffinityVec(vec![1.0, 0.0, 0.0, 0.0])];
+        let mai = vec![AffinityVec::from(vec![1.0, 0.0, 0.0, 0.0])];
         assert_eq!(assign_private(&mai, &mac, EtaMetric::L1), vec![RegionId(0)]);
         // MC3 (bottom-right) → R9.
-        let mai = vec![AffinityVec(vec![0.0, 0.0, 1.0, 0.0])];
+        let mai = vec![AffinityVec::from(vec![0.0, 0.0, 1.0, 0.0])];
         assert_eq!(assign_private(&mai, &mac, EtaMetric::L1), vec![RegionId(8)]);
     }
 
@@ -130,10 +130,10 @@ mod tests {
         let (mac, cac) = mac_cac();
         // All hits home in region R3's banks; memory affinity points the
         // other way (MC4, bottom-left). With α = 1 cache wins.
-        let mai = vec![AffinityVec(vec![0.0, 0.0, 0.0, 1.0])];
+        let mai = vec![AffinityVec::from(vec![0.0, 0.0, 0.0, 1.0])];
         let mut cai_w = vec![0.0; 9];
         cai_w[2] = 1.0;
-        let cai = vec![AffinityVec(cai_w)];
+        let cai = vec![AffinityVec::from(cai_w)];
         let a = assign_shared(&mai, &cai, &mac, &cac, &[1.0], EtaMetric::L1);
         assert_eq!(a, vec![RegionId(2)]);
     }
@@ -141,10 +141,10 @@ mod tests {
     #[test]
     fn shared_alpha_zero_follows_memory_affinity() {
         let (mac, cac) = mac_cac();
-        let mai = vec![AffinityVec(vec![0.0, 0.0, 0.0, 1.0])]; // MC4 → R7
+        let mai = vec![AffinityVec::from(vec![0.0, 0.0, 0.0, 1.0])]; // MC4 → R7
         let mut cai_w = vec![0.0; 9];
         cai_w[2] = 1.0;
-        let cai = vec![AffinityVec(cai_w)];
+        let cai = vec![AffinityVec::from(cai_w)];
         let a = assign_shared(&mai, &cai, &mac, &cac, &[0.0], EtaMetric::L1);
         assert_eq!(a, vec![RegionId(6)]);
     }
@@ -154,7 +154,7 @@ mod tests {
         let (mac, _) = mac_cac();
         // Uniform MAI is closest to R5 but several regions may tie under
         // some metrics; the function must be deterministic across calls.
-        let mai = vec![AffinityVec(vec![0.25, 0.25, 0.25, 0.25]); 3];
+        let mai = vec![AffinityVec::from(vec![0.25, 0.25, 0.25, 0.25]); 3];
         let a1 = assign_private(&mai, &mac, EtaMetric::L1);
         let a2 = assign_private(&mai, &mac, EtaMetric::L1);
         assert_eq!(a1, a2);
@@ -164,7 +164,7 @@ mod tests {
     #[test]
     fn alternative_metrics_still_pick_perfect_match() {
         let (mac, _) = mac_cac();
-        let mai = vec![AffinityVec(vec![1.0, 0.0, 0.0, 0.0])];
+        let mai = vec![AffinityVec::from(vec![1.0, 0.0, 0.0, 0.0])];
         for m in [EtaMetric::L1, EtaMetric::L2, EtaMetric::Cosine] {
             assert_eq!(assign_private(&mai, &mac, m), vec![RegionId(0)], "{m:?}");
         }

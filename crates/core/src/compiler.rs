@@ -165,14 +165,20 @@ struct DegradedInfo {
 
 impl DegradedInfo {
     /// Moves each dead component's affinity weight onto the component that
-    /// absorbs its traffic.
+    /// absorbs its traffic. An identity redirect (a healthy machine) keeps
+    /// `v`'s shared weights; any other builds a new vector.
     fn fold(v: &mut AffinityVec, redirect: &[usize]) {
+        if redirect.iter().enumerate().all(|(k, &to)| to == k) {
+            return;
+        }
+        let mut w = v.0.to_vec();
         for (k, &to) in redirect.iter().enumerate() {
             if to != k {
-                let w = std::mem::replace(&mut v.0[k], 0.0);
-                v.0[to] += w;
+                let moved = std::mem::replace(&mut w[k], 0.0);
+                w[to] += moved;
             }
         }
+        *v = w.into();
     }
 }
 

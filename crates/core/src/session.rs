@@ -543,6 +543,42 @@ mod tests {
     }
 
     #[test]
+    fn hits_share_the_cached_affinity_vectors() {
+        let (p, id) = stream("share", 4096);
+        let data = DataEnv::new();
+        let platform = Platform::paper_default_with(crate::LlcOrg::SharedSNuca);
+        let session = MappingSession::builder(platform).build().unwrap();
+        let r = MapRequest { program: &p, nest: id, data: &data };
+        let miss = session.map_one(&r);
+        let hit = session.map_one(&r);
+        assert!(!miss.cache_hit && hit.cache_hit);
+
+        // The hit is the miss's answer, field for field.
+        let NestMapping {
+            nest, sets, regions, assignment, balance, needs_inspector, mai, cai, alphas,
+        } = &hit.mapping;
+        let m = &miss.mapping;
+        assert_eq!(*nest, m.nest);
+        assert_eq!(*sets, m.sets);
+        assert_eq!(*regions, m.regions);
+        assert_eq!(*assignment, m.assignment);
+        assert_eq!(*balance, m.balance);
+        assert_eq!(*needs_inspector, m.needs_inspector);
+        assert_eq!(*mai, m.mai);
+        assert_eq!(*cai, m.cai);
+        assert_eq!(*alphas, m.alphas);
+
+        // Both answers are clones of the cached entry, and their affinity
+        // vectors share its weights rather than copying them.
+        assert!(!mai.is_empty() && !cai.is_empty());
+        let shared = |a: &[crate::AffinityVec], b: &[crate::AffinityVec]| {
+            a.iter().zip(b).all(|(x, y)| std::sync::Arc::ptr_eq(&x.0, &y.0))
+        };
+        assert!(shared(mai, &m.mai), "a hit copied the cached MAI");
+        assert!(shared(cai, &m.cai), "a hit copied the cached CAI");
+    }
+
+    #[test]
     fn fault_epoch_invalidates_mappings_but_not_cme() {
         let (p, id) = stream("epoch", 4096);
         let data = DataEnv::new();

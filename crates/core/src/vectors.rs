@@ -5,19 +5,24 @@ use crate::platform::Platform;
 use locmap_noc::{FaultState, LocmapError, RegionId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// A non-negative affinity (weight) vector, e.g. over MCs or regions.
 ///
 /// The paper's vectors sum to at most 1 (CME-refined MAI/CAI leave out the
 /// weight of accesses that never reach the relevant level), so no
 /// normalization invariant is enforced beyond non-negativity.
+///
+/// The weights are immutable and shared: a clone (a memo hit's copy of a
+/// cached [`crate::NestMapping`]) bumps a reference count, and every change
+/// of weights builds a new vector.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct AffinityVec(pub Vec<f64>);
+pub struct AffinityVec(pub Arc<[f64]>);
 
 impl AffinityVec {
     /// The zero vector of length `m`.
     pub fn zeros(m: usize) -> Self {
-        AffinityVec(vec![0.0; m])
+        AffinityVec::from(vec![0.0; m])
     }
 
     /// Length of the vector.
@@ -36,12 +41,13 @@ impl AffinityVec {
     }
 
     /// Scales so weights sum to 1 (no-op on the zero vector).
-    pub fn normalized(mut self) -> Self {
+    pub fn normalized(self) -> Self {
         let m = self.mass();
         if m > 0.0 {
-            self.0.iter_mut().for_each(|w| *w /= m);
+            AffinityVec(self.0.iter().map(|w| w / m).collect())
+        } else {
+            self
         }
-        self
     }
 
     /// The paper's difference (error) between two affinity vectors:
@@ -64,14 +70,14 @@ impl AffinityVec {
         let m = self.len() as f64;
         match metric {
             EtaMetric::L1 => {
-                self.0.iter().zip(&other.0).map(|(a, b)| (a - b).abs()).sum::<f64>() / m
+                self.0.iter().zip(other.0.iter()).map(|(a, b)| (a - b).abs()).sum::<f64>() / m
             }
             EtaMetric::L2 => {
-                (self.0.iter().zip(&other.0).map(|(a, b)| (a - b) * (a - b)).sum::<f64>() / m)
+                (self.0.iter().zip(other.0.iter()).map(|(a, b)| (a - b) * (a - b)).sum::<f64>() / m)
                     .sqrt()
             }
             EtaMetric::Cosine => {
-                let dot: f64 = self.0.iter().zip(&other.0).map(|(a, b)| a * b).sum();
+                let dot: f64 = self.0.iter().zip(other.0.iter()).map(|(a, b)| a * b).sum();
                 let na: f64 = self.0.iter().map(|a| a * a).sum::<f64>().sqrt();
                 let nb: f64 = other.0.iter().map(|b| b * b).sum::<f64>().sqrt();
                 if na == 0.0 || nb == 0.0 {
@@ -99,7 +105,7 @@ impl fmt::Display for AffinityVec {
 
 impl From<Vec<f64>> for AffinityVec {
     fn from(v: Vec<f64>) -> Self {
-        AffinityVec(v)
+        AffinityVec(v.into())
     }
 }
 
@@ -211,7 +217,7 @@ impl Mac {
                         }
                     }
                 }
-                AffinityVec(w)
+                AffinityVec::from(w)
             })
             .collect();
         Ok(Mac { vectors })
@@ -258,7 +264,7 @@ impl Cac {
                         w[nb.index()] = share;
                     }
                 }
-                AffinityVec(w)
+                AffinityVec::from(w)
             })
             .collect();
         Cac { vectors }
@@ -331,7 +337,7 @@ impl Cac {
                     w = vec![0.0; n];
                     w[best] = 1.0;
                 }
-                AffinityVec(w)
+                AffinityVec::from(w)
             })
             .collect();
         Ok(Cac { vectors })
@@ -360,7 +366,7 @@ mod tests {
         // The values below are recomputed exactly from the Figure 6a
         // vectors: R2 and R5 tie at the minimum 0.125, and the paper's
         // chosen winner R5 attains the paper's printed minimum value.
-        let mai = AffinityVec(vec![0.5, 0.25, 0.25, 0.0]);
+        let mai = AffinityVec::from(vec![0.5, 0.25, 0.25, 0.0]);
         let mac = Mac::compute(&Platform::paper_default(), MacPolicy::NearestSet);
         let expected = [0.25, 0.125, 0.375, 0.25, 0.125, 0.25, 0.5, 0.375, 0.375];
         let etas: Vec<f64> = (0..9).map(|r| mai.eta(mac.of(RegionId(r)))).collect();
@@ -375,7 +381,7 @@ mod tests {
         // Refined MAI = (0, 0.25, 0.25, 0) (§4): the paper concludes "R5
         // and R6 are the most suitable regions", which exact recomputation
         // confirms (both at 0.125).
-        let mai = AffinityVec(vec![0.0, 0.25, 0.25, 0.0]);
+        let mai = AffinityVec::from(vec![0.0, 0.25, 0.25, 0.0]);
         let mac = Mac::compute(&Platform::paper_default(), MacPolicy::NearestSet);
         let etas: Vec<f64> = (0..9).map(|r| mai.eta(mac.of(RegionId(r)))).collect();
         assert!(close(etas[4], 0.125), "R5 eta {}", etas[4]);
@@ -392,7 +398,7 @@ mod tests {
     #[test]
     fn eta_matches_paper_table2_column2() {
         // MAI = (0, 0, 0.5, 0.5): paper says R8 wins with error 0.
-        let mai = AffinityVec(vec![0.0, 0.0, 0.5, 0.5]);
+        let mai = AffinityVec::from(vec![0.0, 0.0, 0.5, 0.5]);
         let mac = Mac::compute(&Platform::paper_default(), MacPolicy::NearestSet);
         let eta8 = mai.eta(mac.of(RegionId(7)));
         assert!(close(eta8, 0.0), "R8 eta = {eta8}");
@@ -462,7 +468,7 @@ mod tests {
 
     #[test]
     fn eta_metrics_agree_on_identity() {
-        let v = AffinityVec(vec![0.2, 0.3, 0.5]);
+        let v = AffinityVec::from(vec![0.2, 0.3, 0.5]);
         for m in [EtaMetric::L1, EtaMetric::L2, EtaMetric::Cosine] {
             assert!(close(v.eta_with(&v, m), 0.0), "{m:?}");
         }
@@ -470,7 +476,7 @@ mod tests {
 
     #[test]
     fn normalized_sums_to_one() {
-        let v = AffinityVec(vec![1.0, 3.0]).normalized();
+        let v = AffinityVec::from(vec![1.0, 3.0]).normalized();
         assert!(vec_close(&v, &[0.25, 0.75]));
         // Zero vector stays zero.
         assert!(vec_close(&AffinityVec::zeros(3).normalized(), &[0.0, 0.0, 0.0]));
@@ -479,7 +485,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn eta_length_mismatch_panics() {
-        AffinityVec(vec![1.0]).eta(&AffinityVec(vec![1.0, 0.0]));
+        AffinityVec::from(vec![1.0]).eta(&AffinityVec::from(vec![1.0, 0.0]));
     }
 
     #[test]

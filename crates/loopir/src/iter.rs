@@ -23,28 +23,33 @@ pub struct IterationSpace {
 impl IterationSpace {
     /// Enumerates all iterations of `nest` under parameter bindings `env`,
     /// into storage of exactly `iterations × depth` words: the space is
-    /// counted first ([`LoopNest::iteration_count`]), then filled.
+    /// counted first ([`LoopNest::iteration_count`]), then filled one
+    /// innermost run at a time: an [`IterCursor`] evaluates the bounds
+    /// only between runs, and a run of a 1–3-deep nest is stored in
+    /// straight-line code.
     pub fn enumerate(nest: &LoopNest, env: &ParamEnv) -> Self {
         let depth = nest.depth();
         let count = nest.iteration_count(env) as usize;
         let mut flat = Vec::with_capacity(count * depth);
-        let mut iv = vec![0i64; depth];
-        Self::rec(nest, env, 0, &mut iv, &mut flat);
+        if let Some(last) = depth.checked_sub(1) {
+            let mut c = IterCursor::new(nest, env);
+            let mut more = c.seek(&[]);
+            while more {
+                let (lo, hi) = (c.iv[last], c.hi);
+                match c.iv[..last] {
+                    [] => flat.extend(lo..hi),
+                    [a] => (lo..hi).for_each(|i| flat.extend_from_slice(&[a, i])),
+                    [a, b] => (lo..hi).for_each(|i| flat.extend_from_slice(&[a, b, i])),
+                    _ => (lo..hi).for_each(|i| {
+                        c.iv[last] = i;
+                        flat.extend_from_slice(&c.iv);
+                    }),
+                }
+                more = c.settle(last, hi);
+            }
+        }
         debug_assert_eq!(flat.len(), count * depth, "the count walk and the fill disagree");
         IterationSpace { depth, flat }
-    }
-
-    fn rec(nest: &LoopNest, env: &ParamEnv, level: usize, iv: &mut Vec<i64>, flat: &mut Vec<i64>) {
-        if level == nest.depth() {
-            flat.extend_from_slice(iv);
-            return;
-        }
-        let lo = nest.bounds[level].lower.eval(&iv[..level], env);
-        let hi = nest.bounds[level].upper.eval(&iv[..level], env);
-        for i in lo..hi {
-            iv[level] = i;
-            Self::rec(nest, env, level + 1, iv, flat);
-        }
     }
 
     /// Number of iterations.
@@ -387,12 +392,13 @@ mod cursor_tests {
     use crate::nest::LoopBound;
     use proptest::prelude::*;
 
-    /// A 1–3-deep nest whose level-`l` bounds are `const + Σ c·i` over the
-    /// outer indices, with coefficients in -1..=1: rectangular, triangular,
-    /// zero-trip and empty-inner-range loops all occur. The outermost
-    /// upper bound is the parameter `N`, bound in the returned environment.
+    /// A 1–4-deep nest whose level-`l` bounds are `const + Σ c·i` over (at
+    /// most two of) the outer indices, with coefficients in -1..=1:
+    /// rectangular, triangular, zero-trip and empty-inner-range loops all
+    /// occur. The outermost upper bound is the parameter `N`, bound in the
+    /// returned environment.
     fn arb_nest() -> impl Strategy<Value = (LoopNest, ParamEnv)> {
-        let levels = collection::vec((-2i64..=3, 0i64..=6, collection::vec(-1i64..=1, 4)), 1..=3);
+        let levels = collection::vec((-2i64..=3, 0i64..=6, collection::vec(-1i64..=1, 4)), 1..=4);
         (levels, 0i64..=5).prop_map(|(levels, n)| {
             let bounds = levels
                 .iter()
@@ -408,6 +414,29 @@ mod cursor_tests {
                 .collect();
             (LoopNest::with_bounds("arb", bounds), ParamEnv::new().bind(ParamId(0), n))
         })
+    }
+
+    /// The space as `enumerate` filled it before it filled runs: one
+    /// recursive call per loop level and iteration, storing each complete
+    /// iteration vector.
+    fn recursive_fill(nest: &LoopNest, env: &ParamEnv) -> Vec<Vec<i64>> {
+        fn rec(nest: &LoopNest, env: &ParamEnv, iv: &mut Vec<i64>, out: &mut Vec<Vec<i64>>) {
+            let level = iv.len();
+            if level == nest.depth() {
+                out.push(iv.clone());
+                return;
+            }
+            let lo = nest.bounds[level].lower.eval(iv, env);
+            let hi = nest.bounds[level].upper.eval(iv, env);
+            for i in lo..hi {
+                iv.push(i);
+                rec(nest, env, iv, out);
+                iv.pop();
+            }
+        }
+        let mut out = Vec::new();
+        rec(nest, env, &mut Vec::new(), &mut out);
+        out
     }
 
     /// Every iteration from the first, by stepping.
@@ -426,9 +455,16 @@ mod cursor_tests {
         #[test]
         fn stepping_visits_the_enumerated_sequence(case in arb_nest()) {
             let (nest, env) = case;
-            let space = IterationSpace::enumerate(&nest, &env);
-            let want: Vec<Vec<i64>> = space.iter().map(<[i64]>::to_vec).collect();
+            let want = recursive_fill(&nest, &env);
             prop_assert_eq!(stepped(&nest, &env), want, "nest {:?}", nest.bounds);
+        }
+
+        #[test]
+        fn run_fill_matches_the_recursive_fill(case in arb_nest()) {
+            let (nest, env) = case;
+            let space = IterationSpace::enumerate(&nest, &env);
+            let got: Vec<Vec<i64>> = space.iter().map(<[i64]>::to_vec).collect();
+            prop_assert_eq!(got, recursive_fill(&nest, &env), "nest {:?}", nest.bounds);
         }
 
         #[test]

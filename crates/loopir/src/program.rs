@@ -128,18 +128,28 @@ impl DataEnv {
 /// An [`ArrayRef`] specialised to one program, nest depth and data env:
 /// the address of an iteration is one dot product (plus one index-array
 /// load for an indirect reference), with no parameter or index-array
-/// lookup. Built by [`Program::compile`].
+/// lookup. The array's base and element size are held by value, and the
+/// dot product is straight-line code for nests of depth 1–3. Built by
+/// [`Program::compile`].
 #[derive(Debug, Clone, Copy)]
 pub struct CompiledRef<'a> {
-    /// The accessed array: base address and element size.
-    array: &'a Array,
-    /// Coefficient per loop index; omitted trailing ones are zero.
+    /// The accessed array's base address.
+    base: u64,
+    /// The accessed array's element size in bytes.
+    element_bytes: u64,
+    /// The coefficients of the first three loop indices, zero past the
+    /// subscript's last.
+    head: [i64; 3],
+    /// Coefficient per loop index; omitted trailing ones are zero. Read
+    /// only for nests deeper than `head`.
     coeffs: &'a [i64],
     /// The subscript's constant with every parameter term folded in.
     constant: i64,
     /// For an indirect reference, the index array's contents and the
     /// offset added to the fetched index.
     indirect: Option<(&'a [i64], i64)>,
+    /// The accessed array, for the debug-build bounds check.
+    array: &'a Array,
 }
 
 impl CompiledRef<'_> {
@@ -152,12 +162,20 @@ impl CompiledRef<'_> {
     #[inline]
     pub fn addr(&self, iv: &[i64]) -> u64 {
         debug_assert!(self.coeffs.len() <= iv.len(), "iteration vector shorter than the nest");
-        let subscript = self.coeffs.iter().zip(iv).fold(self.constant, |v, (&c, &i)| v + c * i);
+        let [c0, c1, c2] = self.head;
+        let subscript = match *iv {
+            [i] => self.constant + c0 * i,
+            [i, j] => self.constant + c0 * i + c1 * j,
+            [i, j, k] => self.constant + c0 * i + c1 * j + c2 * k,
+            _ => self.coeffs.iter().zip(iv).fold(self.constant, |v, (&c, &i)| v + c * i),
+        };
         let elem = match self.indirect {
             None => subscript,
             Some((index, offset)) => index[subscript as usize] + offset,
         };
-        self.array.addr_of(elem)
+        // `addr_of` checks `elem` against the extent first.
+        debug_assert_eq!(self.array.addr_of(elem), self.base + elem as u64 * self.element_bytes);
+        self.base + elem as u64 * self.element_bytes
     }
 }
 
@@ -289,8 +307,20 @@ impl Program {
             }
         };
         let (coeffs, constant) = expr.specialise(depth, &self.params);
+        let mut head = [0; 3];
+        for (h, &c) in head.iter_mut().zip(coeffs) {
+            *h = c;
+        }
         let indirect = indirect.map(|(a, offset)| (data.index_array(a), offset));
-        CompiledRef { array, coeffs, constant, indirect }
+        CompiledRef {
+            base: array.base,
+            element_bytes: u64::from(array.element_bytes),
+            head,
+            coeffs,
+            constant,
+            indirect,
+            array,
+        }
     }
 
     /// Compiles every reference of `nest`, in reference order.
@@ -451,10 +481,10 @@ mod compiled_ref_tests {
         arr.base + elem as u64 * arr.element_bytes as u64
     }
 
-    /// `Σ c·i + P0·d0 + P1·d1 + k` with up to three loop terms, so with
-    /// indices and parameters in 0..=5 it lies in 15..=185.
+    /// `Σ c·i + P0·d0 + P1·d1 + k` with up to five loop terms, so with
+    /// indices and parameters in 0..=5 it lies in 5..=235.
     fn arb_expr() -> impl Strategy<Value = AffineExpr> {
-        (collection::vec(-3i64..=3, 0..=3), collection::vec(-3i64..=3, 2), 90i64..=110).prop_map(
+        (collection::vec(-3i64..=3, 0..=5), collection::vec(-3i64..=3, 2), 110i64..=130).prop_map(
             |(coeffs, d, constant)| AffineExpr {
                 coeffs,
                 params: vec![(ParamId(0), d[0]), (ParamId(1), d[1])],
@@ -467,8 +497,10 @@ mod compiled_ref_tests {
         #[test]
         fn compiled_refs_address_like_the_eval_formula(
             exprs in (arb_expr(), arb_expr(), 0i64..=10),
-            depth in 1usize..=3,
-            iv in collection::vec(0i64..=5, 3),
+            // 1–3 take the straight-line arms of `CompiledRef::addr`; 0, 4
+            // and 5 its fallback.
+            depth in 0usize..=5,
+            iv in collection::vec(0i64..=5, 5),
             params in collection::vec(0i64..=5, 2),
             index in collection::vec(0i64..200, 256),
         ) {
@@ -482,7 +514,8 @@ mod compiled_ref_tests {
             p.params = ParamEnv::new().bind(ParamId(0), params[0]).bind(ParamId(1), params[1]);
             let a = p.add_array("A", 8, 256);
             let idx = p.add_array("idx", 4, 256);
-            let mut nest = LoopNest::rectangular("n", &vec![6; depth]);
+            // A nest has at least one loop; depth 0 compiles for no index.
+            let mut nest = LoopNest::rectangular("n", &vec![6; depth.max(1)]);
             nest.add_ref(a, within(affine), Access::Read);
             nest.refs.push(ArrayRef {
                 array: a,
@@ -493,7 +526,8 @@ mod compiled_ref_tests {
             let mut data = DataEnv::new();
             data.set_index_array(idx, index);
             let (nest, iv) = (p.nest(id), &iv[..depth]);
-            for (r, c) in nest.refs.iter().zip(p.compile_refs(nest, &data)) {
+            for r in &nest.refs {
+                let c = p.compile(r, depth, &data);
                 let want = eval_formula(&p, r, iv, &data);
                 prop_assert_eq!(c.addr(iv), want, "ref {:?} at {:?}", r, iv);
                 prop_assert_eq!(p.resolve(r, iv, &data), want);

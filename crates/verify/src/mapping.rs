@@ -16,7 +16,7 @@ use locmap_core::{
     assign_private, assign_shared, balance_regions_masked, place_in_regions_masked, region_loads,
     AffinityVec, Compiler, LlcOrg, NestMapping,
 };
-use locmap_loopir::{DataEnv, IterationSpace, NestId, Program};
+use locmap_loopir::{DataEnv, IterationSet, NestId, Program};
 use locmap_noc::RegionId;
 
 /// Verifies `mapping` against the nest it claims to schedule and the
@@ -51,7 +51,7 @@ pub fn check_mapping(
 
     // (b) The sets must partition the iteration space: dense ids,
     // contiguous [start, end) runs, covering [0, len) exactly once.
-    let space = IterationSpace::enumerate(program.nest(nest_id), &program.params());
+    let count = program.nest(nest_id).iteration_count(&program.params()) as usize;
     let mut prev_end = 0usize;
     let mut partition_ok = true;
     for (i, s) in mapping.sets.iter().enumerate() {
@@ -103,13 +103,13 @@ pub fn check_mapping(
         }
         prev_end = prev_end.max(s.end);
     }
-    match prev_end.cmp(&space.len()) {
+    match prev_end.cmp(&count) {
         std::cmp::Ordering::Less => {
             sink.emit(Diagnostic::new(
                 Code::COVERAGE_GAP,
                 format!(
-                    "iterations [{prev_end}, {}) at the tail of the space are assigned to no set",
-                    space.len()
+                    "iterations [{prev_end}, {count}) at the tail of the space are assigned to no \
+                     set"
                 ),
             ));
             partition_ok = false;
@@ -117,7 +117,7 @@ pub fn check_mapping(
         std::cmp::Ordering::Greater => {
             sink.emit(Diagnostic::new(
                 Code::SHAPE_MISMATCH,
-                format!("sets cover {prev_end} iterations but the space has {}", space.len()),
+                format!("sets cover {prev_end} iterations but the space has {count}"),
             ));
             partition_ok = false;
         }
@@ -127,7 +127,9 @@ pub fn check_mapping(
     // (c) The tiling must be the one this compiler's options produce —
     // a structurally fine partition with the wrong grain means the
     // mapping was computed under different options (stale memo entry).
-    if partition_ok && mapping.sets != space.split_by_fraction(options.iteration_set_fraction) {
+    if partition_ok
+        && mapping.sets != IterationSet::split_count(count, options.iteration_set_fraction)
+    {
         sink.emit(
             Diagnostic::new(
                 Code::STALE_MAPPING,

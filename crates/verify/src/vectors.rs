@@ -363,17 +363,21 @@ mod tests {
         check_mapping_vectors(&c, &mapping, &cfg, &mut sink);
         assert!(sink.diagnostics().is_empty(), "{}", sink.report());
 
-        mapping.mai[0].0[0] = -0.25;
+        let mut w = mapping.mai[0].0.to_vec();
+        w[0] = -0.25;
+        mapping.mai[0] = w.clone().into();
         let mut sink = DiagnosticSink::new();
         check_mapping_vectors(&c, &mapping, &cfg, &mut sink);
         assert!(sink.has(Code::NEGATIVE_WEIGHT));
 
-        mapping.mai[0].0[0] = 5.0;
+        w[0] = 5.0;
+        mapping.mai[0] = w.clone().into();
         let mut sink = DiagnosticSink::new();
         check_mapping_vectors(&c, &mapping, &cfg, &mut sink);
         assert!(sink.has(Code::EXCESS_MASS));
 
-        mapping.mai[0].0.pop();
+        w.pop();
+        mapping.mai[0] = w.into();
         let mut sink = DiagnosticSink::new();
         check_mapping_vectors(&c, &mapping, &cfg, &mut sink);
         assert!(sink.has(Code::VECTOR_SHAPE));

@@ -60,12 +60,12 @@ fn table2_error_values_recomputed() {
     let mac = Mac::compute(&platform, MacPolicy::NearestSet);
 
     // Column 2: MAI (0,0,0.5,0.5) → R8 with error exactly 0.
-    let mai = AffinityVec(vec![0.0, 0.0, 0.5, 0.5]);
+    let mai = AffinityVec::from(vec![0.0, 0.0, 0.5, 0.5]);
     assert!(mai.eta(mac.of(RegionId(7))).abs() < 1e-12);
 
     // Column 1: MAI (0.5,0.25,0.25,0): the minimum error is 0.125 (the
     // paper's printed value for its winner R5).
-    let mai = AffinityVec(vec![0.5, 0.25, 0.25, 0.0]);
+    let mai = AffinityVec::from(vec![0.5, 0.25, 0.25, 0.0]);
     let min = (0..9)
         .map(|r| mai.eta(mac.of(RegionId(r))))
         .fold(f64::INFINITY, f64::min);
@@ -73,7 +73,7 @@ fn table2_error_values_recomputed() {
 
     // Column 3 (CME-refined, normalized direction): R5 and R6 tie as the
     // paper concludes.
-    let mai = AffinityVec(vec![0.0, 0.25, 0.25, 0.0]);
+    let mai = AffinityVec::from(vec![0.0, 0.25, 0.25, 0.0]);
     let e5 = mai.eta(mac.of(RegionId(4)));
     let e6 = mai.eta(mac.of(RegionId(5)));
     assert!((e5 - e6).abs() < 1e-12);
@@ -91,9 +91,9 @@ fn figure6_mac_and_cac_vectors() {
     let cac = Cac::compute(&platform);
 
     // Figure 6a spot checks (MC order: TL, TR, BR, BL).
-    assert_eq!(mac.of(RegionId(0)).0, vec![1.0, 0.0, 0.0, 0.0]);
-    assert_eq!(mac.of(RegionId(4)).0, vec![0.25, 0.25, 0.25, 0.25]);
-    assert_eq!(mac.of(RegionId(7)).0, vec![0.0, 0.0, 0.5, 0.5]);
+    assert_eq!(*mac.of(RegionId(0)).0, [1.0, 0.0, 0.0, 0.0]);
+    assert_eq!(*mac.of(RegionId(4)).0, [0.25, 0.25, 0.25, 0.25]);
+    assert_eq!(*mac.of(RegionId(7)).0, [0.0, 0.0, 0.5, 0.5]);
 
     // Figure 6c spot checks.
     let r1 = &cac.of(RegionId(0)).0;

@@ -16,7 +16,7 @@ fn arb_mesh() -> impl Strategy<Value = Mesh> {
 }
 
 fn arb_affinity(m: usize) -> impl Strategy<Value = AffinityVec> {
-    proptest::collection::vec(0.0f64..1.0, m).prop_map(|v| AffinityVec(v).normalized())
+    proptest::collection::vec(0.0f64..1.0, m).prop_map(|v| AffinityVec::from(v).normalized())
 }
 
 proptest! {

@@ -173,12 +173,9 @@ pub fn run_throughput(cfg: &BatchConfig) -> Result<BatchReport, LocmapError> {
     }
 
     // Post-batch verification: the session's audit hook over the exact
-    // responses just produced, timed separately. Topology enumeration is
-    // platform-wide (not per-response) and has its own bench, so the
-    // per-batch figure runs the nest/vector/mapping passes.
-    let vcfg = VerifyConfig { routing: false, ..VerifyConfig::default() };
+    // responses just produced, timed separately.
     let t3 = Instant::now();
-    let sink = parallel_session.verify_batch(&requests, &parallel, &vcfg);
+    let sink = parallel_session.verify_batch(&requests, &parallel, &VerifyConfig::default());
     let verify_secs = t3.elapsed().as_secs_f64();
     assert!(sink.is_clean(), "verifier rejected batch responses:\n{}", sink.report());
 

@@ -357,7 +357,8 @@ pub fn corun(args: &Args) -> Result<(), String> {
 /// when fault flags are given, a seed-deterministic fault plan's arms).
 /// Exits nonzero on any Deny-level diagnostic.
 pub fn verify(args: &Args) -> Result<(), String> {
-    use locmap_verify::{mapping, nests, routing, vectors, DiagnosticSink, VerifyConfig};
+    use locmap_core::MapRequest;
+    use locmap_verify::{check_platform, check_request, DiagnosticSink, VerifyConfig};
 
     let app_names = args.apps_or(names())?;
     for n in &app_names {
@@ -374,39 +375,38 @@ pub fn verify(args: &Args) -> Result<(), String> {
         banks: args.count("dead-banks")?,
     };
     let faulty = counts.links + counts.routers + counts.mcs + counts.banks > 0;
-
-    let cfg = VerifyConfig::default();
-    let mut sink = DiagnosticSink::with_overrides(&cfg.overrides);
-
-    // Platform-wide passes run once: X-Y deadlock-freedom, and — under a
-    // fault plan — reachability across every arm of the plan.
-    routing::check_topology(&platform, &mut sink);
-    let state = if faulty {
+    let plan = if faulty {
         let seed = args.seed()?;
         let plan = FaultPlan::random(seed, platform.mesh, platform.mc_coords.len(), counts);
         println!("fault plan : seed {seed}; {}", plan.summary());
-        routing::check_fault_plan(&platform, &plan, &mut sink);
-        plan.final_state()
+        Some(plan)
     } else {
-        FaultState::none(platform.mesh, platform.mc_coords.len())
+        None
     };
-    let compiler =
-        Compiler::builder(platform.clone()).faults(&state).build().map_err(String::from)?;
-    vectors::check_platform_vectors(&compiler, &cfg, &mut sink);
+    let state = match &plan {
+        Some(plan) => plan.final_state(),
+        None => FaultState::none(platform.mesh, platform.mc_coords.len()),
+    };
+    let compiler = Compiler::builder(platform).faults(&state).build().map_err(String::from)?;
+
+    let cfg = VerifyConfig::default();
+    let mut sink = DiagnosticSink::with_overrides(&cfg.overrides);
+    // The platform half runs once: the MAC/CAC tables, X-Y deadlock-freedom
+    // and, under a fault plan, reachability across every arm of the plan.
+    check_platform(&compiler, plan.as_ref(), &cfg, &mut sink);
 
     let mut nests_checked = 0usize;
     for name in &app_names {
         let w = build(name, scale);
-        for nid in w.program.nest_ids().collect::<Vec<_>>() {
+        for nest in w.program.nest_ids() {
             let before = sink.diagnostics().len();
-            nests::check_nest(&w.program, nid, &w.data, &mut sink);
-            let m = compiler.map_nest(&w.program, nid, &w.data);
-            vectors::check_mapping_vectors(&compiler, &m, &cfg, &mut sink);
-            mapping::check_mapping(&compiler, &w.program, nid, &w.data, &m, &cfg, &mut sink);
+            let m = compiler.map_nest(&w.program, nest, &w.data);
+            let request = MapRequest { program: &w.program, nest, data: &w.data };
+            check_request(&compiler, &request, &m, &cfg, &mut sink);
             nests_checked += 1;
             let found = sink.diagnostics().len() - before;
             if found > 0 {
-                println!("{name} nest {}: {found} finding(s)", nid.0);
+                println!("{name} nest {}: {found} finding(s)", nest.0);
             }
         }
     }

@@ -1,8 +1,9 @@
 //! End-to-end goldens of the `locmap` binary: the four healing traces, the
-//! two overload reports, and the mappings and heatmaps `map` and `heat`
-//! print, byte for byte. Each run is deterministic, so any change in the
-//! recovery policy, the admission ladder, the circuit breaker or the
-//! options the mapper runs with shows up as a diff here.
+//! two overload reports, the four static-verification arms, and the
+//! mappings and heatmaps `map` and `heat` print, byte for byte. Each run is
+//! deterministic, so any change in the recovery policy, the admission
+//! ladder, the circuit breaker, the verifier's findings or the options the
+//! mapper runs with shows up as a diff here.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -57,7 +58,9 @@ fn heal_fft_persistent_matches_golden() {
     heal("fft", "persistent", "11");
 }
 
-const OVERLOAD: [&str; 6] = ["--scale", "0.3", "--arrivals", "120", "--load", "1,3,10"];
+/// `--require-shed 1` fails the run unless some arm above 1x sheds.
+const OVERLOAD: [&str; 8] =
+    ["--scale", "0.3", "--arrivals", "120", "--load", "1,3,10", "--require-shed", "1"];
 
 #[test]
 fn overload_shared_matches_golden() {
@@ -95,4 +98,32 @@ fn map_moldyn_private_matches_golden() {
 fn heat_mxm_private_matches_golden() {
     let args = ["heat", "--app", "mxm", "--llc", "private", "--scale", "0.3"];
     assert_matches_golden(&args, "heat.mxm.private.txt");
+}
+
+/// `verify` exits nonzero on any Deny-level finding; each golden pins the
+/// fault plan an arm draws and the findings over all 29 nests.
+fn verify(args: &[&str], name: &str) {
+    let args = [&["verify", "--scale", "0.3"][..], args].concat();
+    assert_matches_golden(&args, &format!("verify.{name}.txt"));
+}
+
+#[test]
+fn verify_shared_matches_golden() {
+    verify(&[], "shared");
+}
+
+#[test]
+fn verify_dead_mc_matches_golden() {
+    verify(&["--dead-mcs", "1", "--seed", "7"], "shared.dead-mc");
+}
+
+#[test]
+fn verify_private_dead_routers_and_links_matches_golden() {
+    let args = ["--llc", "private", "--dead-routers", "2", "--dead-links", "3", "--seed", "11"];
+    verify(&args, "private.dead-routers-links");
+}
+
+#[test]
+fn verify_dead_banks_and_mc_matches_golden() {
+    verify(&["--dead-banks", "2", "--dead-mcs", "1", "--seed", "13"], "shared.dead-banks-mc");
 }

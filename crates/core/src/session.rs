@@ -342,7 +342,7 @@ impl MappingSession {
     /// Answers a request from the memo cache alone (the
     /// [`QualityLevel::Cached`] rung): no estimation, no mapping — `None`
     /// on a miss.
-    pub fn cached_one(&self, r: &MapRequest<'_>) -> Option<MapResponse> {
+    fn cached_one(&self, r: &MapRequest<'_>) -> Option<MapResponse> {
         self.mappings
             .get(&self.mapping_key(r))
             .map(|mapping| MapResponse { mapping, cache_hit: true })
@@ -351,7 +351,7 @@ impl MappingSession {
     /// Answers a request with the round-robin-with-locality heuristic
     /// (the [`QualityLevel::Heuristic`] rung): O(sets), no CME, no
     /// affinity analysis, never blocks and never fails.
-    pub fn heuristic_one(&self, r: &MapRequest<'_>) -> MapResponse {
+    fn heuristic_one(&self, r: &MapRequest<'_>) -> MapResponse {
         MapResponse { mapping: self.compiler.heuristic_mapping(r.program, r.nest), cache_hit: false }
     }
 

@@ -40,8 +40,8 @@ fn mem_access(a: Access) -> MemAccess {
 /// The simulated manycore: mutable machine state plus configuration.
 ///
 /// A `Simulator` keeps cache/DRAM/network state across `run_nest` calls so
-/// multi-nest programs see warm caches; use [`Simulator::reset`] between
-/// independent experiments.
+/// multi-nest programs see warm caches; build a new simulator for an
+/// independent experiment.
 #[derive(Debug)]
 pub struct Simulator {
     platform: Platform,
@@ -293,19 +293,6 @@ impl Simulator {
         self.cfg
     }
 
-    /// Flushes all caches, releases all links and banks, clears statistics.
-    pub fn reset(&mut self) {
-        let nodes = self.platform.mesh.node_count();
-        self.net = Network::new(self.cfg.noc, self.platform.mesh);
-        self.l1s = (0..nodes).map(|_| Cache::new(self.cfg.l1)).collect();
-        self.l2s = (0..nodes).map(|_| Cache::new(self.cfg.l2_bank)).collect();
-        self.dram = Dram::new(self.cfg.dram, self.platform.mc_count());
-        self.dir = Directory::new(nodes);
-        self.invalidations = 0;
-        // The fault state survives a reset: the new network inherits it.
-        self.net.set_faults(&self.faults.state);
-    }
-
     /// Executes one mapped nest to completion and returns its metrics.
     ///
     /// Panics if the mapping places work on a core whose router is dead
@@ -344,8 +331,8 @@ impl Simulator {
     /// surfaces as [`SimError::Aborted`] carrying the metrics accumulated
     /// so far. With an unlimited control the result is bit-identical to
     /// [`Simulator::run_nest`]. The machine state (caches, network) is
-    /// left as of the abort point — call [`Simulator::reset`] before
-    /// reusing the simulator for an unrelated experiment.
+    /// left as of the abort point — build a new simulator for an
+    /// unrelated experiment.
     pub fn run(
         &mut self,
         program: &Program,
@@ -1134,21 +1121,6 @@ mod tests {
         let b = run(Platform::paper_default(), SimConfig::default(), true);
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.network, b.network);
-    }
-
-    #[test]
-    fn reset_restores_cold_state() {
-        let (p, id) = demo_program(10_000, 2);
-        let platform = Platform::paper_default();
-        let compiler = Compiler::builder(platform.clone()).build().unwrap();
-        let mapping = compiler.default_mapping(&p, id);
-        let mut sim = Simulator::builder(platform).build().unwrap();
-        let cold = sim.run_nest(&p, &mapping, &DataEnv::new());
-        let warm = sim.run_nest(&p, &mapping, &DataEnv::new());
-        sim.reset();
-        let cold2 = sim.run_nest(&p, &mapping, &DataEnv::new());
-        assert!(warm.cycles < cold.cycles, "warm rerun should be faster");
-        assert_eq!(cold.cycles, cold2.cycles, "reset must restore cold behavior");
     }
 
     #[test]

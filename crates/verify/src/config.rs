@@ -3,37 +3,20 @@
 use crate::diag::{Code, Severity};
 use serde::{Deserialize, Serialize};
 
+/// Tolerance for floating-point comparisons (vector masses, η values).
+pub(crate) const EPSILON: f64 = 1e-9;
+
 /// Which passes run and how strictly findings are treated.
 ///
-/// The default runs all four passes with every code at its documented
+/// The default runs every pass with every code at its documented
 /// severity — the configuration CI gates on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct VerifyConfig {
-    /// Tolerance for floating-point comparisons (vector masses, η values).
-    pub epsilon: f64,
-    /// Run the loop-nest lint pass (bounds, degeneracy, dependence).
-    pub nests: bool,
-    /// Run the affinity-vector invariant pass (MAI/CAI/MAC/CAC).
-    pub vectors: bool,
-    /// Run the mapping-verification pass (coverage, balance, η argmin).
-    pub mapping: bool,
-    /// Run the routing/topology pass (X-Y deadlock-freedom, reachability).
-    pub routing: bool,
+    /// Run only the mapping-verification pass: no nest lints, no
+    /// affinity-vector invariants, no topology.
+    pub mapping_only: bool,
     /// Per-code severity overrides, applied at emission (last wins).
     pub overrides: Vec<(Code, Severity)>,
-}
-
-impl Default for VerifyConfig {
-    fn default() -> Self {
-        VerifyConfig {
-            epsilon: 1e-9,
-            nests: true,
-            vectors: true,
-            mapping: true,
-            routing: true,
-            overrides: Vec::new(),
-        }
-    }
 }
 
 impl VerifyConfig {
@@ -46,7 +29,7 @@ impl VerifyConfig {
     /// A configuration running only the mapping-verification pass — the
     /// cheap post-batch audit for hot paths.
     pub fn mapping_only() -> Self {
-        VerifyConfig { nests: false, vectors: false, routing: false, ..Self::default() }
+        VerifyConfig { mapping_only: true, overrides: Vec::new() }
     }
 
     /// [`mapping_only`](Self::mapping_only) with η-minimality and load
@@ -68,15 +51,15 @@ mod tests {
     #[test]
     fn default_runs_everything() {
         let c = VerifyConfig::default();
-        assert!(c.nests && c.vectors && c.mapping && c.routing);
+        assert!(!c.mapping_only);
         assert!(c.overrides.is_empty());
     }
 
     #[test]
     fn mapping_only_disables_other_passes() {
         let c = VerifyConfig::mapping_only();
-        assert!(c.mapping);
-        assert!(!c.nests && !c.vectors && !c.routing);
+        assert!(c.mapping_only);
+        assert!(c.overrides.is_empty());
     }
 
     #[test]

@@ -57,7 +57,7 @@ impl Code {
     /// pattern (and parallel legality) is unknowable at compile time.
     pub const UNRESOLVED_INDIRECT: Code = Code(3);
     /// Tiling the declared-parallel loop into iteration sets splits a
-    /// dependence carried by that loop (proven by exact enumeration).
+    /// dependence carried by that loop (proven by an exact walk of the space).
     pub const CARRIED_DEPENDENCE: Code = Code(4);
     /// A dependence could not be analyzed (irregular nest) — the static
     /// mapping is only safe if the runtime inspector re-checks it.

@@ -1,16 +1,51 @@
-//! Extension traits hanging the verifier off the compiler types.
-//!
-//! `use locmap_verify::VerifyMapping;` gives [`Compiler`] a
-//! `verify_mapping` method, and `use locmap_verify::VerifySession;` gives
-//! [`MappingSession`] a `verify_batch` post-batch hook — the verifier
+//! The verifier's pass sequence, in two halves, and the extension traits
+//! that hang it off [`Compiler`] and [`MappingSession`]. The verifier
 //! stays an optional layer, so `locmap-core` never depends on it.
 
 use crate::config::VerifyConfig;
 use crate::diag::{Code, Diagnostic, DiagnosticSink};
 use crate::{mapping, nests, routing, vectors};
+use locmap_core::cache::{fingerprint, hash_request};
 use locmap_core::{Compiler, MapRequest, MapResponse, MappingSession, NestMapping};
 use locmap_loopir::{DataEnv, NestId, Program};
-use std::collections::HashMap;
+use locmap_noc::FaultPlan;
+use std::collections::btree_map::{BTreeMap, Entry};
+
+/// The platform half of the pass sequence: the compiler's MAC/CAC tables
+/// and the topology's X-Y routes, then — given a fault plan — every arm
+/// of the plan. Nothing runs under [`VerifyConfig::mapping_only`].
+pub fn check_platform(
+    compiler: &Compiler,
+    plan: Option<&FaultPlan>,
+    cfg: &VerifyConfig,
+    sink: &mut DiagnosticSink,
+) {
+    if cfg.mapping_only {
+        return;
+    }
+    vectors::check_platform_vectors(compiler, sink);
+    routing::check_topology(compiler.platform(), sink);
+    if let Some(plan) = plan {
+        routing::check_fault_plan(compiler.platform(), plan, sink);
+    }
+}
+
+/// The request half of the pass sequence: the nest lints and the
+/// mapping's affinity vectors (both skipped under
+/// [`VerifyConfig::mapping_only`]), then the mapping itself.
+pub fn check_request(
+    compiler: &Compiler,
+    request: &MapRequest<'_>,
+    mapping: &NestMapping,
+    cfg: &VerifyConfig,
+    sink: &mut DiagnosticSink,
+) {
+    if !cfg.mapping_only {
+        nests::check_nest(request.program, request.nest, request.data, sink);
+        vectors::check_mapping_vectors(compiler, mapping, sink);
+    }
+    mapping::check_mapping(compiler, request.program, request.nest, mapping, sink);
+}
 
 /// Post-mapping verification on a [`Compiler`].
 pub trait VerifyMapping {
@@ -36,19 +71,8 @@ impl VerifyMapping for Compiler {
         cfg: &VerifyConfig,
     ) -> DiagnosticSink {
         let mut sink = DiagnosticSink::with_overrides(&cfg.overrides);
-        if cfg.nests {
-            nests::check_nest(program, nest, data, &mut sink);
-        }
-        if cfg.vectors {
-            vectors::check_platform_vectors(self, cfg, &mut sink);
-            vectors::check_mapping_vectors(self, mapping, cfg, &mut sink);
-        }
-        if cfg.mapping {
-            mapping::check_mapping(self, program, nest, data, mapping, cfg, &mut sink);
-        }
-        if cfg.routing {
-            routing::check_topology(self.platform(), &mut sink);
-        }
+        check_platform(self, None, cfg, &mut sink);
+        check_request(self, &MapRequest { program, nest, data }, mapping, cfg, &mut sink);
         sink
     }
 }
@@ -58,12 +82,14 @@ pub trait VerifySession {
     /// Verifies the responses of one `map_batch` call against the requests
     /// that produced them.
     ///
-    /// Duplicate requests (the memo cache's bread and butter) are grouped:
-    /// one representative per group is fully verified and the rest are
-    /// checked for bit-identity with it — a divergent duplicate is exactly
-    /// what a stale memo entry looks like, and is reported as
-    /// [`Code::STALE_MAPPING`] without re-running the expensive passes.
-    /// Platform-level checks (MAC/CAC tables, topology) run once per call.
+    /// Duplicate requests (the memo cache's bread and butter) are grouped
+    /// by the content hash the memo keys on, so equal kernels at different
+    /// addresses fall in one group: one representative per group is fully
+    /// verified and the rest are checked for bit-identity with it — a
+    /// divergent duplicate is exactly what a stale memo entry looks like,
+    /// and is reported as [`Code::STALE_MAPPING`] without re-running the
+    /// expensive passes. Platform-level checks (MAC/CAC tables, topology)
+    /// run once per call.
     fn verify_batch(
         &self,
         requests: &[MapRequest<'_>],
@@ -88,43 +114,17 @@ impl VerifySession for MappingSession {
             return sink;
         }
         let compiler = self.compiler();
-        if cfg.vectors {
-            vectors::check_platform_vectors(compiler, cfg, &mut sink);
-        }
-        if cfg.routing {
-            routing::check_topology(compiler.platform(), &mut sink);
-        }
-        // Group identical requests by the identity of their borrowed
-        // inputs; the first index of each group is the representative.
-        let mut groups: HashMap<(usize, u32, usize), usize> = HashMap::new();
+        check_platform(compiler, None, cfg, &mut sink);
+        // The first index of each group is its representative.
+        let mut groups = BTreeMap::new();
         for (i, (req, resp)) in requests.iter().zip(responses).enumerate() {
-            let key = (
-                req.program as *const Program as usize,
-                req.nest.0,
-                req.data as *const DataEnv as usize,
-            );
-            match groups.entry(key) {
-                std::collections::hash_map::Entry::Vacant(e) => {
+            let key = fingerprint(|h| hash_request(h, req.program, req.nest, req.data));
+            match groups.entry((key.lo, key.hi)) {
+                Entry::Vacant(e) => {
                     e.insert(i);
-                    if cfg.nests {
-                        nests::check_nest(req.program, req.nest, req.data, &mut sink);
-                    }
-                    if cfg.vectors {
-                        vectors::check_mapping_vectors(compiler, &resp.mapping, cfg, &mut sink);
-                    }
-                    if cfg.mapping {
-                        mapping::check_mapping(
-                            compiler,
-                            req.program,
-                            req.nest,
-                            req.data,
-                            &resp.mapping,
-                            cfg,
-                            &mut sink,
-                        );
-                    }
+                    check_request(compiler, req, &resp.mapping, cfg, &mut sink);
                 }
-                std::collections::hash_map::Entry::Occupied(e) => {
+                Entry::Occupied(e) => {
                     let rep = *e.get();
                     if responses[rep].mapping != resp.mapping {
                         sink.emit(

@@ -9,7 +9,8 @@
 //! [`Diagnostic`] with a stable `LM####` [`Code`]:
 //!
 //! 1. **Loop-nest lints** ([`nests`]) — out-of-bounds accesses proven by
-//!    enumeration against declared array extents, empty nests, and loop
+//!    interval arithmetic or a walk of the space against declared array
+//!    extents, empty nests, and loop
 //!    parallelization that splits a carried dependence.
 //! 2. **Affinity-vector invariants** ([`vectors`]) — MAI/CAI
 //!    non-negativity and mass bounds, and MAC/CAC tables compared against
@@ -44,8 +45,10 @@
 //! assert!(sink.is_clean(), "{}", sink.report());
 //! ```
 //!
-//! The `locmap verify` CLI subcommand wraps the same passes over the
-//! shipped workload suite and exits nonzero on any Deny-level finding.
+//! The passes run in one sequence, in two halves: [`check_platform`] once
+//! per call, then [`check_request`] once per nest. `verify_mapping`,
+//! `verify_batch` and the `locmap verify` CLI subcommand (over the shipped
+//! workload suite, exiting nonzero on any Deny-level finding) all call it.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -60,4 +63,4 @@ pub mod vectors;
 
 pub use config::VerifyConfig;
 pub use diag::{Code, Diagnostic, DiagnosticSink, Entity, Severity};
-pub use ext::{VerifyMapping, VerifySession};
+pub use ext::{check_platform, check_request, VerifyMapping, VerifySession};

@@ -10,13 +10,13 @@
 //! actually holds. A memoized mapping served across a fault-epoch bump,
 //! or a hand-edited schedule, diverges and is reported as stale.
 
-use crate::config::VerifyConfig;
+use crate::config::EPSILON;
 use crate::diag::{Code, Diagnostic, DiagnosticSink, Entity};
 use locmap_core::{
     assign_private, assign_shared, balance_regions_masked, place_in_regions_masked, region_loads,
     AffinityVec, Compiler, LlcOrg, NestMapping,
 };
-use locmap_loopir::{DataEnv, IterationSet, NestId, Program};
+use locmap_loopir::{IterationSet, NestId, Program};
 use locmap_noc::RegionId;
 
 /// Verifies `mapping` against the nest it claims to schedule and the
@@ -25,15 +25,12 @@ pub fn check_mapping(
     compiler: &Compiler,
     program: &Program,
     nest_id: NestId,
-    _data: &DataEnv,
     mapping: &NestMapping,
-    cfg: &VerifyConfig,
     sink: &mut DiagnosticSink,
 ) {
     let p = compiler.platform();
     let options = compiler.options();
     let nsets = mapping.sets.len();
-    let eps = cfg.epsilon;
 
     // (a) Shape: the three per-set tables must agree in length; nothing
     // downstream is meaningful otherwise.
@@ -306,7 +303,7 @@ pub fn check_mapping(
     for (s, &r) in pre.iter().enumerate() {
         let c = cost(s, r);
         for q in p.regions.regions() {
-            if cost(s, q) < c - eps {
+            if cost(s, q) < c - EPSILON {
                 sink.emit(
                     Diagnostic::new(
                         Code::ETA_NOT_MINIMAL,
@@ -364,7 +361,9 @@ pub fn check_mapping(
         // reconstruction's choice — those are genuine η regressions, not
         // balancer tie-reshuffles.
         for (s, &rec_region) in rec.iter().enumerate().take(nsets) {
-            if rec_region != mapping.regions[s] && cost(s, mapping.regions[s]) > cost(s, rec_region) + eps {
+            if rec_region != mapping.regions[s]
+                && cost(s, mapping.regions[s]) > cost(s, rec_region) + EPSILON
+            {
                 sink.emit(
                     Diagnostic::new(
                         Code::ETA_NOT_MINIMAL,
@@ -412,7 +411,7 @@ fn liveness(compiler: &Compiler) -> (Vec<bool>, Vec<bool>) {
 mod tests {
     use super::*;
     use locmap_core::Platform;
-    use locmap_loopir::{Access, AffineExpr, LoopNest};
+    use locmap_loopir::{Access, AffineExpr, DataEnv, LoopNest};
     use locmap_noc::FaultPlan;
 
     fn workload() -> (Program, NestId) {
@@ -429,7 +428,7 @@ mod tests {
 
     fn verify(c: &Compiler, p: &Program, id: NestId, m: &NestMapping) -> DiagnosticSink {
         let mut sink = DiagnosticSink::new();
-        check_mapping(c, p, id, &DataEnv::new(), m, &VerifyConfig::default(), &mut sink);
+        check_mapping(c, p, id, m, &mut sink);
         sink
     }
 

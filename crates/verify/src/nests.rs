@@ -1,13 +1,13 @@
 //! Pass 1: loop-nest lints.
 //!
 //! The pass is *exact* — it answers precisely, never "maybe" — but it does
-//! not pay for enumeration unless it must:
+//! not walk the iteration space unless it must:
 //!
 //! * **Rectangular fast path.** When every loop bound is independent of
 //!   the enclosing indices (the common case: stencils, dense linear
 //!   algebra), per-level ranges are constants and every affine subscript's
 //!   min/max follows from interval arithmetic in `O(depth)` — no
-//!   iteration-space enumeration at all. Out-of-bounds subscripts are
+//!   walk of the iteration space at all. Out-of-bounds subscripts are
 //!   reported as [`Code::OOB_ACCESS`] (release builds skip the
 //!   `debug_assert` in `Array::addr_of`, so this lint is the only
 //!   out-of-bounds net for shipped binaries).
@@ -18,14 +18,16 @@
 //!   `f₂ − f₁`. When no such `k` exists for any write pair the nest is
 //!   provably safe and the pass finishes without touching the space.
 //! * **Exact fallback.** Triangular bounds, indirect subscripts, and
-//!   pairs the filter cannot clear fall back to full enumeration: a
+//!   pairs the filter cannot clear fall back to a walk of the whole space
+//!   with an [`IterCursor`], which holds one iteration vector at a time: a
 //!   dependence is carried by the declared-parallel loop iff some array
 //!   element is written and touched from two different parallel-loop
-//!   indices ([`Code::CARRIED_DEPENDENCE`]). This is exact where a
-//!   classic ZIV/SIV/GCD battery must answer "maybe" (a strong-SIV test
-//!   calls `A[i] = A[i+50]` over `0..50` carried), so provably-parallel
-//!   shipped workloads verify Deny-free. It is the one parallel-legality
-//!   analysis in the workspace.
+//!   indices ([`Code::CARRIED_DEPENDENCE`]). The findings come out in
+//!   array order, each naming its array's lowest conflicting element.
+//!   This is exact where a classic ZIV/SIV/GCD battery must answer
+//!   "maybe" (a strong-SIV test calls `A[i] = A[i+50]` over `0..50`
+//!   carried), so provably-parallel shipped workloads verify Deny-free.
+//!   It is the one parallel-legality analysis in the workspace.
 //!
 //! Irregular references without installed index arrays are unknowable at
 //! compile time and produce warnings, mirroring the paper's fallback to
@@ -33,29 +35,34 @@
 
 use crate::diag::{Code, Diagnostic, DiagnosticSink, Entity};
 use locmap_loopir::{
-    Access, AffineExpr, DataEnv, IterationSpace, LoopNest, NestId, ParamEnv, Program, RefKind,
+    Access, AffineExpr, ArrayId, DataEnv, IterCursor, LoopNest, NestId, ParamEnv, Program, RefKind,
 };
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
-/// Enumerates the iteration space at most once, and only when a check
-/// actually needs it (the rectangular fast paths never do).
-struct LazySpace<'a> {
-    nest: &'a LoopNest,
-    env: &'a ParamEnv,
-    space: Option<IterationSpace>,
-}
-
-impl LazySpace<'_> {
-    fn get(&mut self) -> &IterationSpace {
-        if self.space.is_none() {
-            self.space = Some(IterationSpace::enumerate(self.nest, self.env));
-        }
-        self.space.as_ref().unwrap()
+/// Calls `f` on every iteration vector of `nest` in execution order,
+/// holding one vector at a time.
+fn walk(nest: &LoopNest, env: &ParamEnv, mut f: impl FnMut(&[i64])) {
+    let mut cursor = IterCursor::new(nest, env);
+    let mut more = cursor.seek(&[]);
+    while more {
+        f(cursor.iv());
+        more = cursor.step();
     }
 }
 
+/// The least and greatest value of `f` over the iterations of `nest`.
+fn walk_range(nest: &LoopNest, env: &ParamEnv, f: impl Fn(&[i64]) -> i64) -> (i64, i64) {
+    let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+    walk(nest, env, |iv| {
+        let v = f(iv);
+        lo = lo.min(v);
+        hi = hi.max(v);
+    });
+    (lo, hi)
+}
+
 /// Per-level inclusive index ranges `[lo, hi]`, or `None` when some bound
-/// depends on an enclosing loop index (triangular nests enumerate instead).
+/// depends on an enclosing loop index (triangular nests are walked instead).
 /// Symbolic parameters are fine — they are constants under `env`.
 fn rect_ranges(nest: &LoopNest, env: &ParamEnv) -> Option<Vec<(i64, i64)>> {
     let rectangular = nest.bounds.iter().all(|b| {
@@ -101,11 +108,10 @@ pub fn check_nest(program: &Program, nest_id: NestId, data: &DataEnv, sink: &mut
     let nest = program.nest(nest_id);
     let env = program.params();
     let rect = rect_ranges(nest, &env);
-    let mut lazy = LazySpace { nest, env: &env, space: None };
 
     let empty = match &rect {
         Some(ranges) => ranges.iter().any(|&(lo, hi)| hi < lo),
-        None => lazy.get().is_empty(),
+        None => !IterCursor::new(nest, &env).seek(&[]),
     };
     if empty {
         sink.emit(
@@ -128,7 +134,7 @@ pub fn check_nest(program: &Program, nest_id: NestId, data: &DataEnv, sink: &mut
             RefKind::Affine(e) => {
                 let (lo, hi) = match &rect {
                     Some(ranges) => affine_range(e, ranges, &env, None),
-                    None => minmax(lazy.get().iter().map(|iv| e.eval(iv, &env))),
+                    None => walk_range(nest, &env, |iv| e.eval(iv, &env)),
                 };
                 if lo < 0 || hi as u64 >= arr.extent {
                     any_oob = true;
@@ -149,7 +155,7 @@ pub fn check_nest(program: &Program, nest_id: NestId, data: &DataEnv, sink: &mut
                 let idx_arr = program.array(*index_array);
                 let (plo, phi) = match &rect {
                     Some(ranges) => affine_range(position, ranges, &env, None),
-                    None => minmax(lazy.get().iter().map(|iv| position.eval(iv, &env))),
+                    None => walk_range(nest, &env, |iv| position.eval(iv, &env)),
                 };
                 if plo < 0 || phi as u64 >= idx_arr.extent {
                     any_oob = true;
@@ -166,12 +172,12 @@ pub fn check_nest(program: &Program, nest_id: NestId, data: &DataEnv, sink: &mut
                     );
                 } else if data.has(*index_array) {
                     // The fetched values are data, not affine: resolving
-                    // them is inherently an enumeration of the positions
-                    // actually touched (an interval over [plo, phi] could
-                    // flag index-array slots the nest never reads).
-                    let (lo, hi) = minmax(lazy.get().iter().map(|iv| {
+                    // them is inherently a walk of the positions actually
+                    // touched (an interval over [plo, phi] could flag
+                    // index-array slots the nest never reads).
+                    let (lo, hi) = walk_range(nest, &env, |iv| {
                         data.index_value(*index_array, position.eval(iv, &env)) + offset
-                    }));
+                    });
                     if lo < 0 || hi as u64 >= arr.extent {
                         any_oob = true;
                         sink.emit(
@@ -238,7 +244,7 @@ pub fn check_nest(program: &Program, nest_id: NestId, data: &DataEnv, sink: &mut
             return;
         }
     }
-    check_parallel_legality(program, nest_id, data, lazy.get(), sink);
+    check_parallel_legality(program, nest_id, data, sink);
 }
 
 /// Which array ids are written by the nest (arrays never written cannot
@@ -255,7 +261,7 @@ fn written_arrays(nest: &LoopNest) -> Vec<bool> {
 }
 
 /// Sound no-conflict proof for rectangular nests: `true` means tiling the
-/// parallel loop provably breaks no dependence, so enumeration can be
+/// parallel loop provably breaks no dependence, so the walk can be
 /// skipped entirely. `false` means "could not prove it", not "conflict".
 ///
 /// Each affine subscript on a written array decomposes as
@@ -288,7 +294,7 @@ fn proves_no_conflict(nest: &LoopNest, ranges: &[(i64, i64)], env: &ParamEnv) ->
                 let (flo, fhi) = affine_range(e, ranges, env, Some(par));
                 terms.push((r.array.0, r.access == Access::Write, c, flo, fhi));
             }
-            // Resolved index-array values are data; only enumeration is
+            // Resolved index-array values are data; only the walk is
             // exact there.
             RefKind::Indirect { .. } => return false,
         }
@@ -355,14 +361,14 @@ fn mul_range(c: i64, lo: i64, hi: i64) -> (i64, i64) {
     if c >= 0 { (c * lo, c * hi) } else { (c * hi, c * lo) }
 }
 
-/// Exact carried-dependence check by enumeration: an element-level
+/// Exact carried-dependence check by a walk of the space: an element-level
 /// conflict exists iff some element is written and accessed from two
-/// distinct values of the parallel-loop index.
+/// distinct values of the parallel-loop index. Findings come out in array
+/// order, each naming its array's lowest conflicting element.
 fn check_parallel_legality(
     program: &Program,
     nest_id: NestId,
     data: &DataEnv,
-    space: &IterationSpace,
     sink: &mut DiagnosticSink,
 ) {
     let nest = program.nest(nest_id);
@@ -372,7 +378,7 @@ fn check_parallel_legality(
 
     // (array, element) -> (min/max parallel index seen, written?).
     let mut touched: HashMap<(u32, i64), (i64, i64, bool)> = HashMap::new();
-    for iv in space.iter() {
+    walk(nest, &env, |iv| {
         let p = iv[par];
         for r in &nest.refs {
             if !written[r.array.0 as usize] {
@@ -394,17 +400,19 @@ fn check_parallel_legality(
                 })
                 .or_insert((p, p, is_write));
         }
-    }
+    });
 
-    let mut conflicts: HashMap<u32, (usize, i64)> = HashMap::new();
+    // array -> (conflicting elements, the lowest of them).
+    let mut conflicts: BTreeMap<u32, (usize, i64)> = BTreeMap::new();
     for (&(arr, elem), &(lo, hi, w)) in &touched {
         if w && lo < hi {
             let e = conflicts.entry(arr).or_insert((0, elem));
             e.0 += 1;
+            e.1 = e.1.min(elem);
         }
     }
     for (arr, (count, example)) in conflicts {
-        let name = &program.array(locmap_loopir::ArrayId(arr)).name;
+        let name = &program.array(ArrayId(arr)).name;
         sink.emit(
             Diagnostic::new(
                 Code::CARRIED_DEPENDENCE,
@@ -418,10 +426,6 @@ fn check_parallel_legality(
             .suggest("the declared parallel_depth is not safe to tile; fix the nest or the depth"),
         );
     }
-}
-
-fn minmax(it: impl Iterator<Item = i64>) -> (i64, i64) {
-    it.fold((i64::MAX, i64::MIN), |(lo, hi), v| (lo.min(v), hi.max(v)))
 }
 
 #[cfg(test)]
@@ -570,7 +574,7 @@ mod tests {
     #[test]
     fn triangular_nest_enumerates_and_stays_exact() {
         // i0 in 0..10, i1 in 0..i0+1: not rectangular, so both the OOB
-        // check and the dependence check take the enumeration path.
+        // check and the dependence check walk the space.
         // A[i1] is written from many i0 values — a carried dependence.
         let mut p = Program::new("t");
         let a = p.add_array("A", 8, 10);
@@ -588,6 +592,33 @@ mod tests {
         check_nest(&p, id, &DataEnv::new(), &mut s);
         assert!(!s.has(Code::OOB_ACCESS), "i1 < i0+1 <= 10 stays in bounds: {}", s.report());
         assert!(s.has(Code::CARRIED_DEPENDENCE), "{}", s.report());
+    }
+
+    #[test]
+    fn carried_dependences_report_in_array_order_from_the_lowest_element() {
+        // B (array 0) and A (array 1) both carry conflicts, A's reference
+        // first in the nest. A[i + j] conflicts on elements 1..=17 (each
+        // reached from two or more i); B[2j + 3] is written from every i,
+        // so elements 3, 5, …, 21 conflict. The findings follow array ids,
+        // not reference order, and each names its lowest element.
+        let mut p = Program::new("t");
+        let b = p.add_array("B", 8, 32);
+        let a = p.add_array("A", 8, 32);
+        let mut nest = LoopNest::rectangular("two", &[10, 10]);
+        nest.add_ref(a, AffineExpr::linear(&[1, 1], 0), Access::Write);
+        nest.add_ref(b, AffineExpr::linear(&[0, 2], 3), Access::Write);
+        let id = p.add_nest(nest);
+        let mut s = sink();
+        check_nest(&p, id, &DataEnv::new(), &mut s);
+        let found: Vec<&str> = s
+            .diagnostics()
+            .iter()
+            .filter(|d| d.code == Code::CARRIED_DEPENDENCE)
+            .map(|d| d.message.as_str())
+            .collect();
+        assert_eq!(found.len(), 2, "{}", s.report());
+        assert!(found[0].contains("on B: 10 element(s) (e.g. B[3])"), "{}", found[0]);
+        assert!(found[1].contains("on A: 17 element(s) (e.g. A[1])"), "{}", found[1]);
     }
 
     #[test]

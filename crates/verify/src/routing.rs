@@ -114,7 +114,7 @@ pub fn check_fault_plan(platform: &Platform, plan: &FaultPlan, sink: &mut Diagno
 
 /// Checks one fault state: every live core must reach a live MC and a
 /// live bank over the surviving subgraph.
-pub fn check_fault_arm(
+fn check_fault_arm(
     platform: &Platform,
     state: &FaultState,
     cycle: u64,

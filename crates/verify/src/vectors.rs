@@ -13,7 +13,7 @@
 //! exactly as the degraded builders document, so a stale or mismasked
 //! table is caught no matter which path produced it.
 
-use crate::config::VerifyConfig;
+use crate::config::EPSILON;
 use crate::diag::{Code, Diagnostic, DiagnosticSink, Entity};
 use locmap_core::{Compiler, LlcOrg, MacPolicy, NestMapping, CAC_SELF_WEIGHT};
 use locmap_noc::RegionId;
@@ -22,12 +22,10 @@ use locmap_noc::RegionId;
 pub fn check_mapping_vectors(
     compiler: &Compiler,
     mapping: &NestMapping,
-    cfg: &VerifyConfig,
     sink: &mut DiagnosticSink,
 ) {
     let mc_count = compiler.platform().mc_count();
     let nregions = compiler.platform().region_count();
-    let eps = cfg.epsilon;
 
     for (name, vectors, dim) in
         [("MAI", &mapping.mai, mc_count), ("CAI", &mapping.cai, nregions)]
@@ -43,7 +41,7 @@ pub fn check_mapping_vectors(
                 );
                 continue;
             }
-            if let Some(w) = v.0.iter().find(|&&w| w < -eps) {
+            if let Some(w) = v.0.iter().find(|&&w| w < -EPSILON) {
                 sink.emit(
                     Diagnostic::new(
                         Code::NEGATIVE_WEIGHT,
@@ -52,7 +50,7 @@ pub fn check_mapping_vectors(
                     .entity(Entity::Set(s)),
                 );
             }
-            if v.mass() > 1.0 + eps {
+            if v.mass() > 1.0 + EPSILON {
                 sink.emit(
                     Diagnostic::new(
                         Code::EXCESS_MASS,
@@ -69,7 +67,7 @@ pub fn check_mapping_vectors(
     }
 
     for (s, &a) in mapping.alphas.iter().enumerate() {
-        if !(-eps..=1.0 + eps).contains(&a) {
+        if !(-EPSILON..=1.0 + EPSILON).contains(&a) {
             sink.emit(
                 Diagnostic::new(
                     Code::NEGATIVE_WEIGHT,
@@ -83,15 +81,14 @@ pub fn check_mapping_vectors(
 
 /// Audits the compiler's MAC and CAC tables against an independent
 /// recomputation from the platform geometry (and fault state, if any).
-pub fn check_platform_vectors(compiler: &Compiler, cfg: &VerifyConfig, sink: &mut DiagnosticSink) {
-    check_mac(compiler, cfg, sink);
-    check_cac(compiler, cfg, sink);
+pub fn check_platform_vectors(compiler: &Compiler, sink: &mut DiagnosticSink) {
+    check_mac(compiler, sink);
+    check_cac(compiler, sink);
 }
 
-fn check_mac(compiler: &Compiler, cfg: &VerifyConfig, sink: &mut DiagnosticSink) {
+fn check_mac(compiler: &Compiler, sink: &mut DiagnosticSink) {
     let p = compiler.platform();
     let m = p.mc_count();
-    let eps = cfg.epsilon;
     let state = compiler.fault_state();
     let alive: Vec<bool> = (0..m).map(|k| state.mc_alive(k)).collect();
 
@@ -142,11 +139,11 @@ fn check_mac(compiler: &Compiler, cfg: &VerifyConfig, sink: &mut DiagnosticSink)
             }
         }
 
-        emit_vector_checks("MAC", r, &got.0, &want, &alive, eps, Code::MAC_MISMATCH, sink);
+        emit_vector_checks("MAC", r, &got.0, &want, &alive, Code::MAC_MISMATCH, sink);
     }
 }
 
-fn check_cac(compiler: &Compiler, cfg: &VerifyConfig, sink: &mut DiagnosticSink) {
+fn check_cac(compiler: &Compiler, sink: &mut DiagnosticSink) {
     let p = compiler.platform();
     // Private LLCs never consult CAC; the compiler deliberately keeps the
     // fault-free table even when degraded. Nothing to audit.
@@ -154,7 +151,6 @@ fn check_cac(compiler: &Compiler, cfg: &VerifyConfig, sink: &mut DiagnosticSink)
         return;
     }
     let n = p.region_count();
-    let eps = cfg.epsilon;
 
     // Fraction of each region's banks still alive (1.0 everywhere on a
     // clean machine).
@@ -226,33 +222,31 @@ fn check_cac(compiler: &Compiler, cfg: &VerifyConfig, sink: &mut DiagnosticSink)
             }
         }
 
-        emit_vector_checks("CAC", r, &got.0, &want, &region_alive, eps, Code::CAC_MISMATCH, sink);
+        emit_vector_checks("CAC", r, &got.0, &want, &region_alive, Code::CAC_MISMATCH, sink);
     }
 }
 
 /// Shared tail for a recomputed platform vector: non-negativity, unit
 /// mass, zero weight on dead components, and elementwise agreement with
 /// the independent recomputation.
-#[allow(clippy::too_many_arguments)]
 fn emit_vector_checks(
     name: &str,
     r: RegionId,
     got: &[f64],
     want: &[f64],
     alive: &[bool],
-    eps: f64,
     mismatch: Code,
     sink: &mut DiagnosticSink,
 ) {
     let rn = region_name(r);
-    if let Some(w) = got.iter().find(|&&w| w < -eps) {
+    if let Some(w) = got.iter().find(|&&w| w < -EPSILON) {
         sink.emit(
             Diagnostic::new(Code::NEGATIVE_WEIGHT, format!("{name} of {rn} has weight {w} < 0"))
                 .entity(Entity::Region(r)),
         );
     }
     let mass: f64 = got.iter().sum();
-    if (mass - 1.0).abs() > eps {
+    if (mass - 1.0).abs() > EPSILON {
         sink.emit(
             Diagnostic::new(
                 Code::EXCESS_MASS,
@@ -262,7 +256,7 @@ fn emit_vector_checks(
         );
     }
     for (k, (&g, &a)) in got.iter().zip(alive).enumerate() {
-        if !a && g.abs() > eps {
+        if !a && g.abs() > EPSILON {
             sink.emit(
                 Diagnostic::new(
                     Code::DEAD_WEIGHT,
@@ -273,7 +267,7 @@ fn emit_vector_checks(
             );
         }
     }
-    if let Some(k) = (0..got.len()).find(|&k| (got[k] - want[k]).abs() > eps) {
+    if let Some(k) = (0..got.len()).find(|&k| (got[k] - want[k]).abs() > EPSILON) {
         sink.emit(
             Diagnostic::new(
                 mismatch,
@@ -303,7 +297,7 @@ mod tests {
         for llc in [LlcOrg::Private, LlcOrg::SharedSNuca] {
             let c = Compiler::builder(Platform::paper_default_with(llc)).build().unwrap();
             let mut sink = DiagnosticSink::new();
-            check_platform_vectors(&c, &VerifyConfig::default(), &mut sink);
+            check_platform_vectors(&c, &mut sink);
             assert!(sink.diagnostics().is_empty(), "{llc:?}: {}", sink.report());
         }
     }
@@ -318,7 +312,7 @@ mod tests {
             .dead_bank(p.mesh.node_at(4, 4));
         let c = Compiler::builder(p).faults(&plan.final_state()).build().unwrap();
         let mut sink = DiagnosticSink::new();
-        check_platform_vectors(&c, &VerifyConfig::default(), &mut sink);
+        check_platform_vectors(&c, &mut sink);
         assert!(sink.diagnostics().is_empty(), "{}", sink.report());
     }
 
@@ -343,7 +337,7 @@ mod tests {
         let c = Compiler::builder(p).faults(&plan.final_state()).build().unwrap();
         // Sanity: the degraded compiler itself is clean.
         let mut sink = DiagnosticSink::new();
-        check_platform_vectors(&c, &VerifyConfig::default(), &mut sink);
+        check_platform_vectors(&c, &mut sink);
         assert!(sink.diagnostics().is_empty(), "{}", sink.report());
     }
 
@@ -357,29 +351,28 @@ mod tests {
         let id = prog.add_nest(nest);
         let c = Compiler::builder(Platform::paper_default()).build().unwrap();
         let mut mapping = c.map_nest(&prog, id, &DataEnv::new());
-        let cfg = VerifyConfig::default();
 
         let mut sink = DiagnosticSink::new();
-        check_mapping_vectors(&c, &mapping, &cfg, &mut sink);
+        check_mapping_vectors(&c, &mapping, &mut sink);
         assert!(sink.diagnostics().is_empty(), "{}", sink.report());
 
         let mut w = mapping.mai[0].0.to_vec();
         w[0] = -0.25;
         mapping.mai[0] = w.clone().into();
         let mut sink = DiagnosticSink::new();
-        check_mapping_vectors(&c, &mapping, &cfg, &mut sink);
+        check_mapping_vectors(&c, &mapping, &mut sink);
         assert!(sink.has(Code::NEGATIVE_WEIGHT));
 
         w[0] = 5.0;
         mapping.mai[0] = w.clone().into();
         let mut sink = DiagnosticSink::new();
-        check_mapping_vectors(&c, &mapping, &cfg, &mut sink);
+        check_mapping_vectors(&c, &mapping, &mut sink);
         assert!(sink.has(Code::EXCESS_MASS));
 
         w.pop();
         mapping.mai[0] = w.into();
         let mut sink = DiagnosticSink::new();
-        check_mapping_vectors(&c, &mapping, &cfg, &mut sink);
+        check_mapping_vectors(&c, &mapping, &mut sink);
         assert!(sink.has(Code::VECTOR_SHAPE));
     }
 }

@@ -56,9 +56,12 @@ fn main() {
         opt.network.avg_latency(),
         opt.network.avg_hops()
     );
+    // The signed change from a reduction; `0.0 -` keeps no change at +0.0.
+    let change = |reduction_pct: f64| 0.0 - reduction_pct;
     println!(
-        "=> network latency -{:.1}%, execution time -{:.1}%",
-        RunResult::net_latency_reduction_pct(&base, &opt),
-        RunResult::exec_improvement_pct(&base, &opt)
+        "=> network latency {:+.1}%, execution time {:+.1}%",
+        change(RunResult::net_latency_reduction_pct(&base, &opt)),
+        change(RunResult::exec_improvement_pct(&base, &opt))
     );
+    assert!(opt.cycles < base.cycles, "the location-aware schedule should run in fewer cycles");
 }

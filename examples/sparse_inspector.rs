@@ -52,11 +52,12 @@ fn main() {
     ref_sim.run_nest(&w.program, &default, &w.data);
     let base = ref_sim.run_nest(&w.program, &default, &w.data);
 
+    // Signed changes: negative means less; `0.0 -` keeps no change at +0.0.
     println!(
-        "steady state: network latency {:.1} -> {:.1} (-{:.1}%), cycles {} -> {}",
+        "steady state: network latency {:.1} -> {:.1} ({:+.1}%), cycles {} -> {}",
         base.network.avg_latency(),
         executor.network.avg_latency(),
-        RunResult::net_latency_reduction_pct(&base, &executor),
+        0.0 - RunResult::net_latency_reduction_pct(&base, &executor),
         base.cycles,
         executor.cycles
     );
@@ -68,6 +69,7 @@ fn main() {
         t,
         base_total,
         opt_total,
-        100.0 * (base_total as f64 - opt_total as f64) / base_total as f64
+        100.0 * (opt_total as f64 - base_total as f64) / base_total as f64
     );
+    assert!(opt_total < base_total, "the inspector's mapping should repay its overhead");
 }

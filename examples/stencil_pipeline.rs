@@ -86,4 +86,5 @@ fn main() {
         opt.cycles,
         change(RunResult::exec_improvement_pct(&base, &opt))
     );
+    assert!(opt.cycles < base.cycles, "the location-aware schedule should run in fewer cycles");
 }

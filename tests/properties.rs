@@ -524,10 +524,7 @@ proptest! {
             builder.build().unwrap()
         };
         let mapping = compiler.map_nest(&p, id, &data);
-        // Topology is fault-independent; skip its O(n^2) enumeration here
-        // (it has its own tests) and run the nest/vector/mapping passes.
-        let cfg = VerifyConfig { routing: false, ..VerifyConfig::default() };
-        let sink = compiler.verify_mapping(&p, id, &data, &mapping, &cfg);
+        let sink = compiler.verify_mapping(&p, id, &data, &mapping, &VerifyConfig::default());
         prop_assert!(sink.diagnostics().is_empty(), "verifier rejected a compiler mapping:\n{}", sink.report());
     }
 
@@ -551,7 +548,7 @@ proptest! {
         let compiler = Compiler::builder(platform).build().unwrap();
         let mut mapping = compiler.map_nest(&p, id, &data);
         let k = pick % mapping.sets.len();
-        let cfg = VerifyConfig { routing: false, ..VerifyConfig::default() };
+        let cfg = VerifyConfig::default();
 
         match kind {
             0 => {

@@ -735,7 +735,7 @@ mod kernel_tests {
             let x = p.add_array("X", 8, 4096);
             let idx = p.add_array("idx", 8, n);
             let mut rng = SmallRng::seed_from_u64(seed);
-            data.set_index_array(idx, (0..n).map(|_| rng.gen_range(0..4096i64)).collect());
+            data.set_index_array(idx, (0..n).map(|_| rng.gen_range(0..4096i32)).collect());
             nest.add_indirect_ref(x, idx, AffineExpr::var(1, 1), Access::Read);
         }
         p.add_nest(nest);

@@ -411,7 +411,7 @@ mod tests {
         fn scan_is_bit_identical_to_one_loop_per_table(
             shape in (collection::vec(1i64..=12, 1..=2), 1usize..=3, 0.05f64..=0.5),
             refs in collection::vec((collection::vec(0i64..=300, 2), 0i64..=64, 0usize..4), 1..=4),
-            indirect in (0u8..=1, collection::vec(0i64..7000, 144), 0u64..u64::MAX),
+            indirect in (0u8..=1, collection::vec(0i32..7000, 144), 0u64..u64::MAX),
         ) {
             let (bounds, stride, fraction) = shape;
             let (with_indirect, index, seed) = indirect;

@@ -183,7 +183,7 @@ mod tests {
         let id = p.add_nest(nest);
         let mut data = DataEnv::new();
         // Reversal permutation: iteration i touches A[n-1-i].
-        data.set_index_array(idx, (0..n as i64).rev().collect());
+        data.set_index_array(idx, (0..n as i32).rev().collect());
         (p, id, data)
     }
 

@@ -871,10 +871,10 @@ mod tests {
         nest.add_indirect_ref(a, idx, AffineExpr::var(0, 1), Access::Read);
         nest.add_indirect_ref(a, rev, AffineExpr::var(0, 1), Access::Write);
         let id = p.add_nest(nest);
-        let scatter: Vec<i64> = (0..n).map(|i| (i * 7 + 3) % n).collect();
+        let scatter: Vec<i32> = (0..n).map(|i| ((i * 7 + 3) % n) as i32).collect();
         let mut data = DataEnv::new();
         data.set_index_array(idx, scatter.clone());
-        data.set_index_array(rev, (0..n).rev().collect());
+        data.set_index_array(rev, (0..n as i32).rev().collect());
 
         let platform = Platform::paper_default();
         let session = MappingSession::builder(platform.clone()).build().unwrap();
@@ -886,7 +886,7 @@ mod tests {
         // one element, must miss and map its own contents.
         let mut changed = data.clone();
         let mut one_off = scatter.clone();
-        one_off[5] = (one_off[5] + n / 2) % n;
+        one_off[5] = (one_off[5] + n as i32 / 2) % n as i32;
         changed.set_index_array(idx, one_off);
         let diff = session.map_one(&req(&changed));
         assert!(!diff.cache_hit, "a changed index-array element must miss");
@@ -895,7 +895,7 @@ mod tests {
 
         // Equal contents installed in the other order hit.
         let mut reordered = DataEnv::new();
-        reordered.set_index_array(rev, (0..n).rev().collect());
+        reordered.set_index_array(rev, (0..n as i32).rev().collect());
         reordered.set_index_array(idx, scatter);
         let same = session.map_one(&req(&reordered));
         assert!(same.cache_hit, "equal index arrays must hit however they were installed");

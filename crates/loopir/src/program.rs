@@ -59,7 +59,9 @@ impl Array {
 pub struct DataEnv {
     /// A program has a handful of index arrays, so an ordered map finds
     /// one in a few compares, with no hashing per indirect reference.
-    index_arrays: BTreeMap<ArrayId, Vec<i64>>,
+    /// Every element is an element position, so 32 bits hold it at half
+    /// the memory of `i64`.
+    index_arrays: BTreeMap<ArrayId, Vec<i32>>,
     /// [`DataEnv::digest`], computed on first request and dropped by every
     /// change to the arrays.
     #[serde(skip)]
@@ -72,8 +74,9 @@ impl DataEnv {
         DataEnv::default()
     }
 
-    /// Installs the contents of index array `a`.
-    pub fn set_index_array(&mut self, a: ArrayId, contents: Vec<i64>) {
+    /// Installs the contents of index array `a`: one `i32` element
+    /// position per entry, widened to `i64` wherever it is read.
+    pub fn set_index_array(&mut self, a: ArrayId, contents: Vec<i32>) {
         self.index_arrays.insert(a, contents);
         self.digest = OnceLock::new();
     }
@@ -83,7 +86,7 @@ impl DataEnv {
     /// # Panics
     ///
     /// Panics if the array contents were not installed.
-    fn index_array(&self, a: ArrayId) -> &[i64] {
+    fn index_array(&self, a: ArrayId) -> &[i32] {
         self.index_arrays
             .get(&a)
             .unwrap_or_else(|| panic!("index array {a:?} not installed in DataEnv"))
@@ -96,7 +99,7 @@ impl DataEnv {
     /// Panics if the array contents were not installed or `pos` is out of
     /// range.
     pub fn index_value(&self, a: ArrayId, pos: i64) -> i64 {
-        self.index_array(a)[pos as usize]
+        i64::from(self.index_array(a)[pos as usize])
     }
 
     /// Whether contents for `a` are installed.
@@ -106,7 +109,9 @@ impl DataEnv {
 
     /// A 128-bit content digest of the installed index arrays: their
     /// count, then each array's id, length and elements in ascending
-    /// [`ArrayId`] order, through the two passes of [`fx_digest`]. Equal
+    /// [`ArrayId`] order, through the two passes of [`fx_digest`]. Each
+    /// element is hashed widened to `i64`, so the digest does not depend
+    /// on the width the elements are stored in. Equal
     /// contents give equal digests however they were installed. Computed
     /// once, on the first call after the last change.
     pub fn digest(&self) -> [u64; 2] {
@@ -117,7 +122,7 @@ impl DataEnv {
                     a.hash(h);
                     h.write_usize(contents.len());
                     for &x in contents {
-                        h.write_i64(x);
+                        h.write_i64(i64::from(x));
                     }
                 }
             })
@@ -147,7 +152,7 @@ pub struct CompiledRef<'a> {
     constant: i64,
     /// For an indirect reference, the index array's contents and the
     /// offset added to the fetched index.
-    indirect: Option<(&'a [i64], i64)>,
+    indirect: Option<(&'a [i32], i64)>,
     /// The accessed array, for the debug-build bounds check.
     array: &'a Array,
 }
@@ -171,7 +176,7 @@ impl CompiledRef<'_> {
         };
         let elem = match self.indirect {
             None => subscript,
-            Some((index, offset)) => index[subscript as usize] + offset,
+            Some((index, offset)) => i64::from(index[subscript as usize]) + offset,
         };
         // `addr_of` checks `elem` against the extent first.
         debug_assert_eq!(self.array.addr_of(elem), self.base + elem as u64 * self.element_bytes);
@@ -502,7 +507,7 @@ mod compiled_ref_tests {
             depth in 0usize..=5,
             iv in collection::vec(0i64..=5, 5),
             params in collection::vec(0i64..=5, 2),
-            index in collection::vec(0i64..200, 256),
+            index in collection::vec(0i32..200, 256),
         ) {
             let (affine, position, offset) = exprs;
             // Coefficients past the nest's depth may be present, as zeros.

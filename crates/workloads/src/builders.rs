@@ -52,25 +52,46 @@ pub fn stencil3d(
     program.add_nest(nest);
 }
 
+/// Asserts that every index below `universe` fits the `i32` elements of
+/// an index array, so that none is truncated.
+///
+/// # Panics
+///
+/// Panics if `universe` exceeds `i32::MAX`.
+pub(crate) fn assert_index_universe(universe: u64) {
+    assert!(
+        universe <= i32::MAX as u64,
+        "universe {universe} exceeds the i32 index range"
+    );
+}
+
 /// Generates a *clustered* index stream: `count` indices into
 /// `0..universe`, where runs of `cluster_len` indices walk sequentially
 /// within a random window before jumping. `cluster_len` is the locality
 /// knob — long clusters give index-array codes the spatial structure that
 /// real neighbor lists / trees / grids exhibit.
-pub fn clustered_indices(count: u64, universe: u64, cluster_len: u32, seed: u64) -> Vec<i64> {
+///
+/// # Panics
+///
+/// Panics if `universe` is zero or exceeds `i32::MAX`.
+pub fn clustered_indices(count: u64, universe: u64, cluster_len: u32, seed: u64) -> Vec<i32> {
     assert!(universe > 0, "empty universe");
+    assert_index_universe(universe);
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut out = Vec::with_capacity(count as usize);
-    let mut remaining = 0u32;
-    let mut cursor = 0u64;
-    for _ in 0..count {
-        if remaining == 0 {
-            cursor = rng.gen_range(0..universe);
-            remaining = cluster_len.max(1);
+    let count = count as usize;
+    let cluster = cluster_len.max(1) as usize;
+    let mut out = Vec::with_capacity(count);
+    while out.len() < count {
+        let mut start = rng.gen_range(0..universe);
+        let mut left = cluster.min(count - out.len());
+        // A cluster wraps to 0 at the universe's end, so it is one range,
+        // or two; one longer than the universe wraps again.
+        while left > 0 {
+            let end = universe.min(start + left as u64);
+            out.extend(start as i32..end as i32);
+            left -= (end - start) as usize;
+            start = 0;
         }
-        out.push(cursor as i64);
-        cursor = (cursor + 1) % universe;
-        remaining -= 1;
     }
     out
 }
@@ -78,8 +99,13 @@ pub fn clustered_indices(count: u64, universe: u64, cluster_len: u32, seed: u64)
 /// Generates a blocked permutation of `0..n`: blocks of `block` elements
 /// are kept contiguous but the block order is shuffled. Models reordered
 /// but locally-dense data (e.g. radix buckets, mesh partitions).
-pub fn blocked_permutation(n: u64, block: u64, seed: u64) -> Vec<i64> {
+///
+/// # Panics
+///
+/// Panics if `block` is zero or `n` exceeds `i32::MAX`.
+pub fn blocked_permutation(n: u64, block: u64, seed: u64) -> Vec<i32> {
     assert!(block > 0, "zero block");
+    assert_index_universe(n);
     let mut rng = SmallRng::seed_from_u64(seed);
     let nblocks = n.div_ceil(block);
     let mut order: Vec<u64> = (0..nblocks).collect();
@@ -91,11 +117,8 @@ pub fn blocked_permutation(n: u64, block: u64, seed: u64) -> Vec<i64> {
     let mut out = Vec::with_capacity(n as usize);
     for b in order {
         let start = b * block;
-        for k in start..(start + block).min(n) {
-            out.push(k as i64);
-        }
+        out.extend(start as i32..n.min(start + block) as i32);
     }
-    out.truncate(n as usize);
     out
 }
 
@@ -120,6 +143,102 @@ pub fn streaming(
 mod tests {
     use super::*;
     use locmap_loopir::{DataEnv, IterationSpace};
+    use proptest::prelude::*;
+
+    /// `clustered_indices` as it was written element by element: the
+    /// reference the bulk version must reproduce.
+    fn clustered_indices_per_element(
+        count: u64,
+        universe: u64,
+        cluster_len: u32,
+        seed: u64,
+    ) -> Vec<i64> {
+        assert!(universe > 0, "empty universe");
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut out = Vec::with_capacity(count as usize);
+        let mut remaining = 0u32;
+        let mut cursor = 0u64;
+        for _ in 0..count {
+            if remaining == 0 {
+                cursor = rng.gen_range(0..universe);
+                remaining = cluster_len.max(1);
+            }
+            out.push(cursor as i64);
+            cursor = (cursor + 1) % universe;
+            remaining -= 1;
+        }
+        out
+    }
+
+    /// `blocked_permutation` as it was written element by element.
+    fn blocked_permutation_per_element(n: u64, block: u64, seed: u64) -> Vec<i64> {
+        assert!(block > 0, "zero block");
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let nblocks = n.div_ceil(block);
+        let mut order: Vec<u64> = (0..nblocks).collect();
+        for i in (1..order.len()).rev() {
+            let j = rng.gen_range(0..=i);
+            order.swap(i, j);
+        }
+        let mut out = Vec::with_capacity(n as usize);
+        for b in order {
+            let start = b * block;
+            for k in start..(start + block).min(n) {
+                out.push(k as i64);
+            }
+        }
+        out.truncate(n as usize);
+        out
+    }
+
+    fn widened(v: Vec<i32>) -> Vec<i64> {
+        v.into_iter().map(i64::from).collect()
+    }
+
+    proptest! {
+        #[test]
+        fn bulk_generators_match_the_per_element_ones(
+            // Universes this small make clusters wrap past the end, and
+            // clusters up to 40 long wrap more than once.
+            shape in (0u64..=200, 1u64..=20, 0u32..=40),
+            block in 1u64..=40,
+            seed in 0u64..u64::MAX,
+        ) {
+            let (count, universe, cluster_len) = shape;
+            prop_assert_eq!(
+                widened(clustered_indices(count, universe, cluster_len, seed)),
+                clustered_indices_per_element(count, universe, cluster_len, seed)
+            );
+            prop_assert_eq!(
+                widened(blocked_permutation(count, block, seed)),
+                blocked_permutation_per_element(count, block, seed)
+            );
+        }
+    }
+
+    #[test]
+    fn bulk_generators_match_at_the_edges() {
+        for (count, universe, cluster_len) in
+            [(0, 1, 0), (0, 7, 4), (9, 1, 0), (9, 3, 0), (17, 4, 9)]
+        {
+            assert_eq!(
+                widened(clustered_indices(count, universe, cluster_len, 5)),
+                clustered_indices_per_element(count, universe, cluster_len, 5)
+            );
+        }
+        for (n, block) in [(0, 1), (1, 1), (5, 8), (64, 64), (65, 64)] {
+            assert_eq!(
+                widened(blocked_permutation(n, block, 5)),
+                blocked_permutation_per_element(n, block, 5)
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "universe 1099511627776 exceeds the i32 index range")]
+    fn universe_past_i32_panics_before_allocating() {
+        clustered_indices(0, 1 << 40, 4, 1);
+    }
 
     #[test]
     fn stencil2d_stays_in_bounds() {
@@ -177,7 +296,7 @@ mod tests {
         let perm = blocked_permutation(1000, 64, 7);
         let mut sorted = perm.clone();
         sorted.sort_unstable();
-        assert_eq!(sorted, (0..1000).collect::<Vec<i64>>());
+        assert_eq!(sorted, (0..1000).collect::<Vec<i32>>());
         // Blocks stay contiguous.
         let contiguous = perm.windows(2).filter(|w| w[1] == w[0] + 1).count();
         assert!(contiguous > 900);

@@ -7,7 +7,7 @@
 //! random; sparse matrices are banded. The cluster length is the locality
 //! knob that determines how much structure MAI/CAI can recover.
 
-use crate::builders::{blocked_permutation, clustered_indices, streaming};
+use crate::builders::{blocked_permutation, assert_index_universe, clustered_indices, streaming};
 use crate::spec::{Scale, Table3Info, Workload};
 use locmap_loopir::{Access, AffineExpr, DataEnv, LoopNest, Program};
 
@@ -254,6 +254,10 @@ pub fn equake(scale: Scale) -> Workload {
 
 /// Shared shape for the two sparse solvers: `y[r] = Σ_k val[r,k] *
 /// x[col[r,k]]` with banded column indices around the diagonal.
+///
+/// # Panics
+///
+/// Panics if `rows` exceeds `i32::MAX`.
 fn sparse_matvec(
     name: &'static str,
     rows: u64,
@@ -262,6 +266,7 @@ fn sparse_matvec(
     table3: Table3Info,
     timing_iters: u32,
 ) -> Workload {
+    assert_index_universe(rows);
     let mut p = Program::new(name);
     let val = p.add_array("val", 8, rows * nnz_per_row);
     let x = p.add_array("x", 8, rows);
@@ -296,7 +301,7 @@ fn sparse_matvec(
                 (r + (k - (nnz_per_row as i64 / 2)) * (band / nnz_per_row as i64))
                     .clamp(0, rows as i64 - 1)
             };
-            cols.push(c);
+            cols.push(c as i32);
         }
     }
     let mut data = DataEnv::new();

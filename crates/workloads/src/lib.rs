@@ -178,6 +178,36 @@ mod tests {
     }
 
     #[test]
+    fn index_array_digests_are_pinned() {
+        // `DataEnv::digest` of every irregular benchmark at the two scales
+        // of `map-service`'s pool. The digest keys the session's memo
+        // caches and orders `verify_batch`'s groups, so a generator that
+        // moves one element, or a digest that hashes elements at another
+        // width, fails here.
+        #[rustfmt::skip]
+        let pinned: [(&str, [u64; 2], [u64; 2]); 11] = [
+            ("barnes", [0x8502259701a7f729, 0x221a7a47b51b70ab], [0xe97c2617eb92eb80, 0x48e62632a637cc93]),
+            ("fmm", [0x8b47e5141b7f0713, 0x2a6905f30b0f3bef], [0xebc6d31dc0a0b565, 0x8bde13534bd0a88b]),
+            ("radiosity", [0xf9819b7b0c83a91e, 0xa9202d27dbde9715], [0x4bb833cac5012caf, 0xd232af27828b5055]),
+            ("raytrace", [0xa3b1e6064c86cad4, 0xe5c25feadc46641d], [0x214f107256e9bc32, 0xd7251e627a18c11e]),
+            ("volrend", [0x076e1bbb1e27333c, 0x0740a9329c090ec9], [0x7ba45ab30b8c9181, 0xc23fdeb41ce1ecaf]),
+            ("radix", [0x8a8a2c6dbb8e7e0e, 0x89542f48b6a18586], [0x8958664c01eb852d, 0xef40cc56d97a5ce1]),
+            ("art", [0x12abb8d31761d0e0, 0xd1327e135c55588b], [0xe3c064f5d443f452, 0x59891a5facf1df2d]),
+            ("nbf", [0x110f6a37660441c0, 0x0534c190158063b7], [0x497391e349ad70b2, 0x2db0a51c49ebfa0c]),
+            ("hpccg", [0xf0932cca58a9993b, 0x662e64124466786e], [0x1e7c437af04eeb82, 0x378e6a873089d428]),
+            ("equake", [0x73510dabe9fcdd7a, 0x576e01fd04242e6f], [0xbc621f87c5ce1f5b, 0x31efb0bf3f994e01]),
+            ("moldyn", [0xa25dbdd285b5bf0e, 0xdaaf4ceb648f326a], [0x7a551f385c801a0a, 0x2ba9ce0c8f52257f]),
+        ];
+        for (name, default, half) in pinned {
+            let digest = |scale| build(name, scale).data.digest();
+            assert_eq!(digest(Scale::default()), default, "{name} at scale 1");
+            assert_eq!(digest(Scale::new(0.5)), half, "{name} at scale 0.5");
+        }
+        let irregular = names().iter().filter(|n| build(n, Scale::new(0.1)).irregular);
+        assert_eq!(irregular.count(), pinned.len(), "every irregular benchmark is pinned");
+    }
+
+    #[test]
     fn table3_metadata_present() {
         for w in build_all(Scale::default()) {
             if w.name == "lu" || w.name == "radix" {

@@ -2,9 +2,13 @@
 //!
 //! Runs the `figures` binary and compares its stdout with the committed
 //! file: `table4` and `multiprog` in full, fft's `fig07`, `fig15`,
-//! `fig16` and `resilience`, and moldyn's `fig07`. CI also diffs each on
-//! the release build. moldyn is irregular, so its golden checks the
-//! inspector's hand-off from `evaluate`'s baseline arm to its scheme arm.
+//! `fig16` and `resilience`, and the `fig07` of moldyn, radix and hpccg.
+//! CI also diffs each on the release build. The last three are irregular,
+//! so their goldens check the inspector's hand-off from `evaluate`'s
+//! baseline arm to its scheme arm. They pin the three index-array
+//! generators: moldyn's clustered indices, radix's blocked permutation
+//! (whose scatter writes drive directory invalidations) and hpccg's
+//! banded sparse-matrix columns.
 //! fft's `fig16` runs the KNL platform in all three cluster modes, so it
 //! pins the quadrant and SNC-4 address decoding. fft's `resilience` runs
 //! static faults and fault timelines. `multiprog` co-runs several slots
@@ -92,5 +96,23 @@ fn moldyn_fig07_matches_golden() {
         "fig07",
         Some("moldyn"),
         include_str!("golden/fig07.moldyn.txt"),
+    );
+}
+
+#[test]
+fn radix_fig07_matches_golden() {
+    assert_golden(
+        "fig07",
+        Some("radix"),
+        include_str!("golden/fig07.radix.txt"),
+    );
+}
+
+#[test]
+fn hpccg_fig07_matches_golden() {
+    assert_golden(
+        "fig07",
+        Some("hpccg"),
+        include_str!("golden/fig07.hpccg.txt"),
     );
 }

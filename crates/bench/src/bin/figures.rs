@@ -8,9 +8,9 @@
 //! each printed by one helper: per-app exec-time columns (`exec_columns`),
 //! an LLC × variant geomean sweep (`llc_sweep`), the KNL cluster-mode
 //! comparison (`knl_rows`) and the headline table (`headline`).
-//! `LOCMAP_APPS=a,b` limits the harnesses that run every benchmark to the
-//! named ones; `LOCMAP_FIG17_FULL` adds fig17's ~4× inputs, and
-//! `LOCMAP_FAULT_SEED` reseeds resilience (default 7).
+//! `LOCMAP_APPS=a,b` limits the harnesses that run every benchmark
+//! (table3 included) to the named ones; `LOCMAP_FIG17_FULL` adds fig17's
+//! ~4× inputs, and `LOCMAP_FAULT_SEED` reseeds resilience (default 7).
 
 use std::fmt::Display;
 use std::process::ExitCode;
@@ -18,7 +18,7 @@ use std::process::ExitCode;
 use locmap_bench::heal::{heal_run, HealError};
 use locmap_bench::resilience::{evaluate_online, evaluate_resilience};
 use locmap_bench::{
-    corun, evaluate, geomean, print_table, selected_apps, AppOutcome, Experiment, Scheme,
+    corun, evaluate, geomean_pct, print_table, selected_apps, AppOutcome, Experiment, Scheme,
 };
 use locmap_core::{
     AlphaPolicy, Compiler, EtaMetric, LlcOrg, MappingOptions, PlacementPolicy, Platform,
@@ -26,7 +26,7 @@ use locmap_core::{
 use locmap_mem::{AddrMap, AddrMapConfig, Interleave};
 use locmap_noc::{FaultCounts, FaultPlan, LocmapError, McPlacement, Mesh, RegionGrid};
 use locmap_sim::{knl_platform, KnlMode, MultiprogramResult, SimConfig};
-use locmap_workloads::{build, build_all, Scale, Workload};
+use locmap_workloads::{build, Scale, Workload};
 
 /// Harness name → the function that prints it.
 const FIGURES: &[(&str, fn())] = &[
@@ -78,17 +78,22 @@ fn figure(name: &str) -> Result<fn(), String> {
     }
 }
 
-fn mean(values: &[f64]) -> f64 {
-    values.iter().sum::<f64>() / values.len() as f64
+/// A column's aggregate over the apps: the label of the summary row that
+/// prints it, the function, and the decimals the column prints.
+type Agg = (&'static str, fn(&[f64]) -> f64, usize);
+
+/// Percentage reductions, aggregated by [`geomean_pct`].
+const GEOMEAN: Agg = ("GEOMEAN", geomean_pct, 1);
+
+/// Values aggregated by their arithmetic mean, printed to `digits`.
+fn mean(digits: usize) -> Agg {
+    ("MEAN", |v| v.iter().sum::<f64>() / v.len() as f64, digits)
 }
 
-/// An aggregate for the final row of a per-app table, and the decimals
-/// a column prints.
-type Agg = (fn(&[f64]) -> f64, usize);
-
 /// One row per app, labelled `{prefix}{name}`, of `values(app)` printed to
-/// each column's decimals, then a `{prefix}GEOMEAN` row of each column's
-/// aggregate.
+/// each column's decimals, then one summary row per aggregate label, in
+/// the order the columns first use them: row `{prefix}{label}` prints the
+/// aggregate of each column with that label, and `-` in the others.
 fn app_rows(
     prefix: &str,
     apps: impl IntoIterator<Item = Workload>,
@@ -99,21 +104,29 @@ fn app_rows(
     let mut series = vec![Vec::new(); columns.len()];
     for w in apps {
         let mut row = vec![format!("{prefix}{}", w.name)];
-        for ((v, (_, digits)), s) in values(&w).into_iter().zip(columns).zip(&mut series) {
+        for ((v, (_, _, digits)), s) in values(&w).into_iter().zip(columns).zip(&mut series) {
             s.push(v);
             row.push(format!("{v:.digits$}"));
         }
         rows.push(row);
     }
-    let total =
-        columns.iter().zip(&series).map(|((agg, digits), s)| format!("{:.digits$}", agg(s)));
-    rows.push(std::iter::once(format!("{prefix}GEOMEAN")).chain(total).collect());
+    let mut labels: Vec<&str> = Vec::new();
+    for &(label, ..) in columns {
+        if !labels.contains(&label) {
+            labels.push(label);
+        }
+    }
+    for label in labels {
+        let cells = columns.iter().zip(&series).map(|(&(l, agg, digits), s)| {
+            if l == label {
+                format!("{:.digits$}", agg(s))
+            } else {
+                "-".to_string()
+            }
+        });
+        rows.push(std::iter::once(format!("{prefix}{label}")).chain(cells).collect());
+    }
     rows
-}
-
-/// `n` columns aggregated by geomean, printed to one decimal.
-fn geomeans(n: usize) -> Vec<Agg> {
-    vec![(geomean, 1); n]
 }
 
 /// `first` followed by `rest`.
@@ -124,7 +137,7 @@ fn header<'a>(first: &'a str, rest: impl IntoIterator<Item = &'a str>) -> Vec<&'
 /// Per-app execution-time improvement (%) of each `(header, experiment,
 /// scheme)` column over the selected benchmarks, plus a GEOMEAN row.
 fn exec_columns(title: &str, columns: &[(&str, Experiment, Scheme)], note: &str) {
-    let rows = app_rows("", selected_apps(Scale::default()), &geomeans(columns.len()), |w| {
+    let rows = app_rows("", selected_apps(Scale::default()), &vec![GEOMEAN; columns.len()], |w| {
         columns.iter().map(|(_, exp, s)| evaluate(w, exp, *s).exec_improvement_pct()).collect()
     });
     print_table(title, &header("benchmark", columns.iter().map(|c| c.0)), &rows);
@@ -146,7 +159,7 @@ fn llc_sweep<V: IntoIterator<Item = (String, Experiment)>>(
             let outs: Vec<_> =
                 apps.iter().map(|w| evaluate(w, &exp, Scheme::LocationAware)).collect();
             let gm = |metric: fn(&AppOutcome) -> f64| {
-                format!("{:.1}", geomean(&outs.iter().map(metric).collect::<Vec<_>>()))
+                format!("{:.1}", geomean_pct(&outs.iter().map(metric).collect::<Vec<_>>()))
             };
             let net = gm(AppOutcome::net_reduction_pct);
             rows.push(vec![format!("{llc:?}"), label, net, gm(AppOutcome::exec_improvement_pct)]);
@@ -175,7 +188,7 @@ fn knl_experiment(mode: KnlMode) -> Experiment {
 /// Each KNL arm's exec-time improvement (%) over original all-to-all, as
 /// [`app_rows`] labelled with `prefix`.
 fn knl_rows(prefix: &str, apps: impl IntoIterator<Item = Workload>) -> Vec<Vec<String>> {
-    app_rows(prefix, apps, &geomeans(KNL_ARMS.len()), |w| {
+    app_rows(prefix, apps, &[GEOMEAN; KNL_ARMS.len()], |w| {
         let reference = evaluate(w, &knl_experiment(KnlMode::AllToAll), Scheme::Default);
         let ref_cycles = reference.base_cycles as f64;
         let arm = |&(_, mode, scheme): &(&str, KnlMode, Scheme)| {
@@ -193,11 +206,11 @@ fn knl_rows(prefix: &str, apps: impl IntoIterator<Item = Workload>) -> Vec<Vec<S
 fn headline(llc: LlcOrg, title: &str, note: &str) {
     type Column = (&'static str, fn(&AppOutcome) -> f64, Agg);
     let all: [Column; 5] = [
-        ("mai-err", |o| o.mai_error, (mean, 3)),
-        ("cai-err", |o| o.cai_error, (mean, 3)),
-        ("net-red%", AppOutcome::net_reduction_pct, (geomean, 1)),
-        ("exec-red%", AppOutcome::exec_improvement_pct, (geomean, 1)),
-        ("overhead%", AppOutcome::overhead_pct, (mean, 1)),
+        ("mai-err", |o| o.mai_error, mean(3)),
+        ("cai-err", |o| o.cai_error, mean(3)),
+        ("net-red%", AppOutcome::net_reduction_pct, GEOMEAN),
+        ("exec-red%", AppOutcome::exec_improvement_pct, GEOMEAN),
+        ("overhead%", AppOutcome::overhead_pct, mean(1)),
     ];
     let shared = llc == LlcOrg::SharedSNuca;
     let columns: Vec<Column> = all.into_iter().filter(|c| shared || c.0 != "cai-err").collect();
@@ -221,7 +234,7 @@ fn table3() {
         .build()
         .expect("the paper's default platform builds");
     let mut rows = Vec::new();
-    for w in &build_all(Scale::default()) {
+    for w in &selected_apps(Scale::default()) {
         let out = evaluate(w, &exp, Scheme::LocationAware);
         let modeled_sets: usize =
             w.program.nest_ids().map(|n| compiler.default_mapping(&w.program, n).sets.len()).sum();

@@ -516,14 +516,17 @@ pub fn selected_apps(scale: locmap_workloads::Scale) -> Vec<Workload> {
     }
 }
 
-/// Geometric mean of positive values (the paper's aggregate). Non-positive
-/// entries are clamped to 0.1 so a single outlier cannot zero the mean.
-pub fn geomean(values: &[f64]) -> f64 {
+/// The aggregate of percentage reductions `p = 100·(1 − opt/base)`: the
+/// reduction that the geometric mean of the `opt/base` ratios gives,
+/// `100·(1 − geomean(1 − p/100))`. A loss (`p < 0`) is a ratio above 1,
+/// so it counts as a loss, whatever its size. Every value must be below
+/// 100 (a ratio above 0); the empty slice gives 0.
+pub fn geomean_pct(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
-    let s: f64 = values.iter().map(|&v| v.max(0.1).ln()).sum();
-    (s / values.len() as f64).exp()
+    let s: f64 = values.iter().map(|&p| (1.0 - p / 100.0).ln()).sum();
+    100.0 * (1.0 - (s / values.len() as f64).exp())
 }
 
 /// Formats a header + row table to stdout (shared by the harness bins).
@@ -566,9 +569,16 @@ mod tests {
 
     #[test]
     fn geomean_basics() {
-        assert!((geomean(&[4.0, 4.0]) - 4.0).abs() < 1e-9);
-        assert!((geomean(&[1.0, 100.0]) - 10.0).abs() < 1e-9);
-        assert_eq!(geomean(&[]), 0.0);
+        let close = |got: f64, want: f64| assert!((got - want).abs() < 1e-9, "{got} != {want}");
+        close(geomean_pct(&[4.0, 4.0]), 4.0);
+        // Ratios 0.5 and 0.98: geomean 0.7, a 30% reduction.
+        close(geomean_pct(&[50.0, 2.0]), 30.0);
+        // A loss stays a loss, and a gain below 0.1 stays that small.
+        close(geomean_pct(&[-8.7]), -8.7);
+        close(geomean_pct(&[0.05]), 0.05);
+        // Halving one app's time and doubling another's cancel out.
+        close(geomean_pct(&[50.0, -100.0]), 0.0);
+        assert_eq!(geomean_pct(&[]), 0.0);
     }
 
     /// A workload hand-built so that location-awareness must pay off even

@@ -9,15 +9,14 @@ use crate::affine::ParamEnv;
 use crate::nest::LoopNest;
 use serde::{Deserialize, Serialize};
 
-/// An iteration vector: the values of all loop indices, outermost first.
-pub type IterVec = Vec<i64>;
-
 /// The enumerated iteration space of a nest, in lexicographic (execution)
-/// order. Stored flat for cache-friendly random access.
+/// order. Stored flat for cache-friendly random access, one `i32` word per
+/// loop index: loop indices are small, and half the width of `i64` halves
+/// the largest block a mapper miss allocates.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct IterationSpace {
     depth: usize,
-    flat: Vec<i64>,
+    flat: Vec<i32>,
 }
 
 impl IterationSpace {
@@ -27,28 +26,41 @@ impl IterationSpace {
     /// innermost run at a time: an [`IterCursor`] evaluates the bounds
     /// only between runs, and a run of a 1–3-deep nest is stored in
     /// straight-line code.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the nest and before allocating the space, if a loop
+    /// index takes a value outside `i32`.
     pub fn enumerate(nest: &LoopNest, env: &ParamEnv) -> Self {
         let depth = nest.depth();
-        let count = nest.iteration_count(env) as usize;
-        let mut flat = Vec::with_capacity(count * depth);
+        let (count, (min, max)) = nest.count_and_span(env);
+        let fits = |v: i64| i32::try_from(v).is_ok();
+        assert!(
+            count == 0 || fits(min) && fits(max),
+            "nest {:?}: loop indices span {min}..={max}, outside the i32 range an \
+             iteration space stores",
+            nest.name
+        );
+        let mut flat = Vec::with_capacity(count as usize * depth);
         if let Some(last) = depth.checked_sub(1) {
             let mut c = IterCursor::new(nest, env);
             let mut more = c.seek(&[]);
+            // Every index fits `i32` (checked above), so `as` only narrows.
             while more {
-                let (lo, hi) = (c.iv[last], c.hi);
+                let run = (c.iv[last]..c.hi).map(|i| i as i32);
                 match c.iv[..last] {
-                    [] => flat.extend(lo..hi),
-                    [a] => (lo..hi).for_each(|i| flat.extend_from_slice(&[a, i])),
-                    [a, b] => (lo..hi).for_each(|i| flat.extend_from_slice(&[a, b, i])),
-                    _ => (lo..hi).for_each(|i| {
-                        c.iv[last] = i;
-                        flat.extend_from_slice(&c.iv);
+                    [] => flat.extend(run),
+                    [a] => run.for_each(|i| flat.extend_from_slice(&[a as i32, i])),
+                    [a, b] => run.for_each(|i| flat.extend_from_slice(&[a as i32, b as i32, i])),
+                    _ => run.for_each(|i| {
+                        flat.extend(c.iv[..last].iter().map(|&x| x as i32));
+                        flat.push(i);
                     }),
                 }
-                more = c.settle(last, hi);
+                more = c.settle(last, c.hi);
             }
         }
-        debug_assert_eq!(flat.len(), count * depth, "the count walk and the fill disagree");
+        debug_assert_eq!(flat.len(), count as usize * depth, "the count walk and the fill disagree");
         IterationSpace { depth, flat }
     }
 
@@ -72,13 +84,8 @@ impl IterationSpace {
     /// # Panics
     ///
     /// Panics if `k >= len()`.
-    pub fn get(&self, k: usize) -> &[i64] {
+    pub fn get(&self, k: usize) -> &[i32] {
         &self.flat[k * self.depth..(k + 1) * self.depth]
-    }
-
-    /// Iterator over iteration vectors in execution order.
-    pub fn iter(&self) -> impl Iterator<Item = &[i64]> {
-        self.flat.chunks_exact(self.depth)
     }
 
     /// Splits the space into [`IterationSet`]s of `set_size` consecutive
@@ -110,7 +117,7 @@ impl IterationSpace {
 pub struct IterCursor<'a> {
     nest: &'a LoopNest,
     env: &'a ParamEnv,
-    iv: IterVec,
+    iv: Vec<i64>,
     /// Exclusive upper bound of the innermost loop under the current
     /// prefix, so a step inside the innermost range evaluates no bound.
     hi: i64,
@@ -264,6 +271,14 @@ impl IterationSet {
 }
 
 #[cfg(test)]
+impl IterationSpace {
+    /// Every row, widened to `i64`, in execution order.
+    fn widened(&self) -> Vec<Vec<i64>> {
+        (0..self.len()).map(|k| self.get(k).iter().map(|&x| i64::from(x)).collect()).collect()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::affine::AffineExpr;
@@ -274,9 +289,8 @@ mod tests {
         let nest = LoopNest::rectangular("r", &[2, 3]);
         let s = IterationSpace::enumerate(&nest, &ParamEnv::new());
         assert_eq!(s.len(), 6);
-        let all: Vec<Vec<i64>> = s.iter().map(|v| v.to_vec()).collect();
         assert_eq!(
-            all,
+            s.widened(),
             vec![vec![0, 0], vec![0, 1], vec![0, 2], vec![1, 0], vec![1, 1], vec![1, 2]]
         );
     }
@@ -289,9 +303,8 @@ mod tests {
         ];
         let nest = LoopNest::with_bounds("tri", bounds);
         let s = IterationSpace::enumerate(&nest, &ParamEnv::new());
-        let all: Vec<Vec<i64>> = s.iter().map(|v| v.to_vec()).collect();
         assert_eq!(
-            all,
+            s.widened(),
             vec![vec![0, 0], vec![0, 1], vec![0, 2], vec![1, 1], vec![1, 2], vec![2, 2]]
         );
     }
@@ -328,12 +341,43 @@ mod tests {
     }
 
     #[test]
-    fn get_matches_iter() {
+    fn get_returns_the_kth_row() {
         let nest = LoopNest::rectangular("r", &[4, 4]);
         let s = IterationSpace::enumerate(&nest, &ParamEnv::new());
-        for (k, iv) in s.iter().enumerate() {
-            assert_eq!(s.get(k), iv);
+        for k in 0..s.len() {
+            assert_eq!(s.get(k), [k as i32 / 4, k as i32 % 4]);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "nest \"huge\": loop indices span 0..=8589934591")]
+    fn an_index_past_i32_panics_before_the_space_is_allocated() {
+        // 2^33 iterations: filling them would take 32 GiB, so only a check
+        // made before the allocation panics here.
+        let nest = LoopNest::rectangular("huge", &[1 << 33]);
+        IterationSpace::enumerate(&nest, &ParamEnv::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "nest \"far\": loop indices span -2147483649..=-2147483645")]
+    fn a_negative_index_past_i32_panics() {
+        let start = i64::from(i32::MIN) - 1;
+        let bounds = vec![LoopBound {
+            lower: AffineExpr::constant(start),
+            upper: AffineExpr::constant(start + 5),
+        }];
+        IterationSpace::enumerate(&LoopNest::with_bounds("far", bounds), &ParamEnv::new());
+    }
+
+    #[test]
+    fn indices_at_the_ends_of_i32_are_stored() {
+        let (min, max) = (i64::from(i32::MIN), i64::from(i32::MAX));
+        let bounds = vec![
+            LoopBound { lower: AffineExpr::constant(min), upper: AffineExpr::constant(min + 2) },
+            LoopBound { lower: AffineExpr::constant(max - 1), upper: AffineExpr::constant(max + 1) },
+        ];
+        let s = IterationSpace::enumerate(&LoopNest::with_bounds("ends", bounds), &ParamEnv::new());
+        assert_eq!(s.widened(), vec![[min, max - 1], [min, max], [min + 1, max - 1], [min + 1, max]]);
     }
 
     #[test]
@@ -463,8 +507,14 @@ mod cursor_tests {
         fn run_fill_matches_the_recursive_fill(case in arb_nest()) {
             let (nest, env) = case;
             let space = IterationSpace::enumerate(&nest, &env);
-            let got: Vec<Vec<i64>> = space.iter().map(<[i64]>::to_vec).collect();
-            prop_assert_eq!(got, recursive_fill(&nest, &env), "nest {:?}", nest.bounds);
+            prop_assert_eq!(space.widened(), recursive_fill(&nest, &env), "nest {:?}", nest.bounds);
+        }
+
+        #[test]
+        fn widened_rows_match_the_cursor_walk(case in arb_nest()) {
+            let (nest, env) = case;
+            let space = IterationSpace::enumerate(&nest, &env);
+            prop_assert_eq!(space.widened(), stepped(&nest, &env), "nest {:?}", nest.bounds);
         }
 
         #[test]
@@ -497,11 +547,12 @@ mod cursor_tests {
             let mut c = IterCursor::new(&nest, &env);
             let (rows, count) = c.vectors_at(&starts);
             prop_assert_eq!(count, space.len());
+            let want = space.widened();
             for (i, &s) in starts.iter().enumerate() {
                 let row = &rows[i * space.depth()..(i + 1) * space.depth()];
-                prop_assert_eq!(row, space.get(s));
+                prop_assert_eq!(row, &want[s][..]);
                 prop_assert!(c.seek(row));
-                prop_assert_eq!(c.iv(), space.get(s));
+                prop_assert_eq!(c.iv(), &want[s][..]);
             }
         }
 
@@ -513,10 +564,10 @@ mod cursor_tests {
             bump in -2i64..=1,
         ) {
             let (nest, env) = case;
-            let space = IterationSpace::enumerate(&nest, &env);
+            let space = IterationSpace::enumerate(&nest, &env).widened();
             if !space.is_empty() {
-                let mut prefix = space.get(pick % space.len()).to_vec();
-                prefix.truncate(len.min(space.depth()));
+                let mut prefix = space[pick % space.len()].clone();
+                prefix.truncate(len);
                 *prefix.last_mut().unwrap() += bump;
                 let want = space.iter().find(|iv| iv[..prefix.len()] >= prefix[..]);
                 let mut c = IterCursor::new(&nest, &env);

@@ -41,6 +41,6 @@ mod program;
 
 pub use affine::{AffineExpr, ParamEnv, ParamId};
 pub use hash::{fx_digest, FxHasher};
-pub use iter::{IterCursor, IterationSet, IterationSpace, IterVec};
+pub use iter::{IterCursor, IterationSet, IterationSpace};
 pub use nest::{Access, ArrayRef, LoopBound, LoopNest, NestId, RefId, RefKind};
 pub use program::{Array, ArrayId, CompiledRef, DataEnv, Program};

@@ -158,19 +158,37 @@ impl LoopNest {
 
     /// Total number of iterations, honoring triangular/symbolic bounds.
     pub fn iteration_count(&self, env: &ParamEnv) -> u64 {
-        let mut count = 0u64;
-        let mut iv = vec![0i64; self.depth()];
-        self.count_rec(0, &mut iv, env, &mut count);
-        count
+        self.count_and_span(env).0
     }
 
-    fn count_rec(&self, level: usize, iv: &mut Vec<i64>, env: &ParamEnv, count: &mut u64) {
+    /// The iteration count, and the least and greatest value that any
+    /// loop index takes (`(i64::MAX, i64::MIN)` when no loop runs), from
+    /// one walk that evaluates every bound once.
+    pub(crate) fn count_and_span(&self, env: &ParamEnv) -> (u64, (i64, i64)) {
+        let mut count = 0u64;
+        let mut span = (i64::MAX, i64::MIN);
+        let mut iv = vec![0i64; self.depth()];
+        self.count_rec(0, &mut iv, env, &mut count, &mut span);
+        (count, span)
+    }
+
+    fn count_rec(
+        &self,
+        level: usize,
+        iv: &mut Vec<i64>,
+        env: &ParamEnv,
+        count: &mut u64,
+        span: &mut (i64, i64),
+    ) {
         if level == self.depth() {
             *count += 1;
             return;
         }
         let lo = self.bounds[level].lower.eval(&iv[..level], env);
         let hi = self.bounds[level].upper.eval(&iv[..level], env);
+        if lo < hi {
+            *span = (span.0.min(lo), span.1.max(hi - 1));
+        }
         // Fast path: remaining levels rectangular and this is the last.
         if level + 1 == self.depth() {
             *count += (hi - lo).max(0) as u64;
@@ -178,7 +196,7 @@ impl LoopNest {
         }
         for i in lo..hi {
             iv[level] = i;
-            self.count_rec(level + 1, iv, env, count);
+            self.count_rec(level + 1, iv, env, count, span);
         }
     }
 }

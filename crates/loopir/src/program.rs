@@ -158,21 +158,24 @@ pub struct CompiledRef<'a> {
 }
 
 impl CompiledRef<'_> {
-    /// Byte address of the reference at iteration vector `iv`.
+    /// Byte address of the reference at iteration vector `iv`: a row of
+    /// an [`crate::IterationSpace`] (`i32`) or an [`crate::IterCursor`]'s
+    /// position (`i64`). Each index is widened to `i64` inside the dot
+    /// product, so both widths give the same address.
     ///
     /// # Panics
     ///
     /// Panics if an index-array position is out of range, or, in debug
     /// builds, if the element is out of bounds.
     #[inline]
-    pub fn addr(&self, iv: &[i64]) -> u64 {
+    pub fn addr<I: Copy + Into<i64>>(&self, iv: &[I]) -> u64 {
         debug_assert!(self.coeffs.len() <= iv.len(), "iteration vector shorter than the nest");
         let [c0, c1, c2] = self.head;
         let subscript = match *iv {
-            [i] => self.constant + c0 * i,
-            [i, j] => self.constant + c0 * i + c1 * j,
-            [i, j, k] => self.constant + c0 * i + c1 * j + c2 * k,
-            _ => self.coeffs.iter().zip(iv).fold(self.constant, |v, (&c, &i)| v + c * i),
+            [i] => self.constant + c0 * i.into(),
+            [i, j] => self.constant + c0 * i.into() + c1 * j.into(),
+            [i, j, k] => self.constant + c0 * i.into() + c1 * j.into() + c2 * k.into(),
+            _ => self.coeffs.iter().zip(iv).fold(self.constant, |v, (&c, &i)| v + c * i.into()),
         };
         let elem = match self.indirect {
             None => subscript,
@@ -340,17 +343,6 @@ impl Program {
     ) -> Vec<CompiledRef<'a>> {
         nest.refs.iter().map(|r| self.compile(r, nest.depth(), data)).collect()
     }
-
-    /// Resolves reference `r` at iteration vector `iv` to a byte address:
-    /// [`Program::compile`] for `iv`'s length, then [`CompiledRef::addr`].
-    /// Loops over many iterations compile once instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`Program::compile`] and [`CompiledRef::addr`].
-    pub fn resolve(&self, r: &ArrayRef, iv: &[i64], data: &DataEnv) -> u64 {
-        self.compile(r, iv.len(), data).addr(iv)
-    }
 }
 
 #[cfg(test)]
@@ -383,7 +375,7 @@ mod tests {
         nest.add_ref(a, AffineExpr::var(0, 1), Access::Read);
         let id = p.add_nest(nest);
         let r = &p.nest(id).refs[0];
-        assert_eq!(p.resolve(r, &[7], &DataEnv::new()), base + 56);
+        assert_eq!(p.compile(r, 1, &DataEnv::new()).addr(&[7]), base + 56);
     }
 
     #[test]
@@ -397,9 +389,9 @@ mod tests {
         let id = p.add_nest(nest);
         let mut data = DataEnv::new();
         data.set_index_array(idx, vec![5, 4, 3, 2, 1, 0, 9, 8, 7, 6]);
-        let r = &p.nest(id).refs[0];
-        assert_eq!(p.resolve(r, &[0], &data), base + 40);
-        assert_eq!(p.resolve(r, &[6], &data), base + 72);
+        let r = p.compile(&p.nest(id).refs[0], 1, &data);
+        assert_eq!(r.addr(&[0]), base + 40);
+        assert_eq!(r.addr(&[6]), base + 72);
     }
 
     #[test]
@@ -471,7 +463,7 @@ mod compiled_ref_tests {
     use crate::nest::Access;
     use proptest::prelude::*;
 
-    /// The address formula `resolve` used before references were compiled:
+    /// The address formula references used before they were compiled:
     /// evaluate the subscript with [`AffineExpr::eval`], then scale.
     fn eval_formula(p: &Program, r: &ArrayRef, iv: &[i64], data: &DataEnv) -> u64 {
         let params = p.params();
@@ -487,7 +479,7 @@ mod compiled_ref_tests {
     }
 
     /// `Σ c·i + P0·d0 + P1·d1 + k` with up to five loop terms, so with
-    /// indices and parameters in 0..=5 it lies in 5..=235.
+    /// indices in -5..=5 and parameters in 0..=5 it lies in 5..=235.
     fn arb_expr() -> impl Strategy<Value = AffineExpr> {
         (collection::vec(-3i64..=3, 0..=5), collection::vec(-3i64..=3, 2), 110i64..=130).prop_map(
             |(coeffs, d, constant)| AffineExpr {
@@ -505,7 +497,7 @@ mod compiled_ref_tests {
             // 1–3 take the straight-line arms of `CompiledRef::addr`; 0, 4
             // and 5 its fallback.
             depth in 0usize..=5,
-            iv in collection::vec(0i64..=5, 5),
+            iv in collection::vec(-5i64..=5, 5),
             params in collection::vec(0i64..=5, 2),
             index in collection::vec(0i32..200, 256),
         ) {
@@ -531,11 +523,14 @@ mod compiled_ref_tests {
             let mut data = DataEnv::new();
             data.set_index_array(idx, index);
             let (nest, iv) = (p.nest(id), &iv[..depth]);
+            // The same values as an iteration space's `i32` row, whose
+            // negative entries must sign-extend.
+            let row: Vec<i32> = iv.iter().map(|&i| i as i32).collect();
             for r in &nest.refs {
                 let c = p.compile(r, depth, &data);
                 let want = eval_formula(&p, r, iv, &data);
                 prop_assert_eq!(c.addr(iv), want, "ref {:?} at {:?}", r, iv);
-                prop_assert_eq!(p.resolve(r, iv, &data), want);
+                prop_assert_eq!(c.addr(&row), want, "ref {:?} at i32 row {:?}", r, row);
             }
         }
     }

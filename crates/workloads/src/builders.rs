@@ -250,9 +250,11 @@ mod tests {
         let nest = &p.nests()[0];
         let space = IterationSpace::enumerate(nest, &p.params());
         assert_eq!(space.len(), 18 * 18);
-        for iv in space.iter() {
-            for r in &nest.refs {
-                let _ = p.resolve(r, iv, &DataEnv::new()); // panics if OOB
+        let data = DataEnv::new();
+        let refs = p.compile_refs(nest, &data);
+        for k in 0..space.len() {
+            for r in &refs {
+                let _ = r.addr(space.get(k)); // panics (debug) if OOB
             }
         }
     }
@@ -268,8 +270,9 @@ mod tests {
         assert_eq!(nest.refs.len(), 8);
         // Center iteration (0,0,0) → element (1,1,1) = 43 for n=6.
         let base = p.array(a).base;
+        let data = DataEnv::new();
         let addrs: Vec<u64> =
-            nest.refs[1..].iter().map(|r| p.resolve(r, &[0, 0, 0], &DataEnv::new())).collect();
+            p.compile_refs(nest, &data)[1..].iter().map(|r| r.addr(&[0, 0, 0])).collect();
         let elems: Vec<u64> = addrs.iter().map(|a| (a - base) / 8).collect();
         assert_eq!(elems, vec![43, 44, 42, 49, 37, 79, 7]);
     }

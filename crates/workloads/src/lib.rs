@@ -119,17 +119,19 @@ mod tests {
 
     #[test]
     fn index_values_are_in_bounds() {
-        // Resolve every access of every irregular nest: Program::resolve
-        // panics (debug) on out-of-bounds, so a full sweep is the check.
+        // Address every seventh iteration of every irregular nest:
+        // `CompiledRef::addr` panics (debug) on out-of-bounds, so the
+        // sweep is the check.
         for w in build_all(Scale::default()) {
             if !w.irregular {
                 continue;
             }
             for nest in w.program.nests() {
                 let space = IterationSpace::enumerate(nest, &w.program.params());
-                for iv in space.iter().step_by(7) {
-                    for r in &nest.refs {
-                        let _ = w.program.resolve(r, iv, &w.data);
+                let refs = w.program.compile_refs(nest, &w.data);
+                for k in (0..space.len()).step_by(7) {
+                    for r in &refs {
+                        let _ = r.addr(space.get(k));
                     }
                 }
             }
@@ -169,9 +171,10 @@ mod tests {
         // Index arrays identical.
         for nest in a.program.nests() {
             let space = IterationSpace::enumerate(nest, &a.program.params());
-            for iv in space.iter().step_by(97) {
-                for r in &nest.refs {
-                    assert_eq!(a.program.resolve(r, iv, &a.data), b.program.resolve(r, iv, &b.data));
+            let refs = a.program.compile_refs(nest, &a.data).into_iter();
+            for (ra, rb) in refs.zip(b.program.compile_refs(nest, &b.data)) {
+                for k in (0..space.len()).step_by(97) {
+                    assert_eq!(ra.addr(space.get(k)), rb.addr(space.get(k)));
                 }
             }
         }

@@ -320,9 +320,10 @@ mod tests {
         let w = lu(Scale::default());
         let nest = &w.program.nests()[0];
         let space = locmap_loopir::IterationSpace::enumerate(nest, &w.program.params());
-        for iv in space.iter().step_by(31) {
-            for r in &nest.refs {
-                let _ = w.program.resolve(r, iv, &w.data);
+        let refs = w.program.compile_refs(nest, &w.data);
+        for k in (0..space.len()).step_by(31) {
+            for r in &refs {
+                let _ = r.addr(space.get(k));
             }
         }
     }

@@ -2,7 +2,8 @@
 //!
 //! Runs the `figures` binary and compares its stdout with the committed
 //! file: `table4` and `multiprog` in full, fft's `fig07`, `fig15`,
-//! `fig16` and `resilience`, and the `fig07` of moldyn, radix and hpccg.
+//! `fig16` and `resilience`, the `fig07` of moldyn, radix and hpccg, and
+//! `table3` on fft and moldyn.
 //! CI also diffs each on the release build. The last three are irregular,
 //! so their goldens check the inspector's hand-off from `evaluate`'s
 //! baseline arm to its scheme arm. They pin the three index-array
@@ -11,7 +12,9 @@
 //! banded sparse-matrix columns.
 //! fft's `fig16` runs the KNL platform in all three cluster modes, so it
 //! pins the quadrant and SNC-4 address decoding. fft's `resilience` runs
-//! static faults and fault timelines. `multiprog` co-runs several slots
+//! static faults and fault timelines. `table3` counts each nest's sets and
+//! measures the fraction the balancer moves, on a regular app and an
+//! index-array one. `multiprog` co-runs several slots
 //! through the simulator's one event loop, mapped with `paper_default`'s
 //! options like every other figure.
 
@@ -82,6 +85,15 @@ fn fft_resilience_matches_golden() {
         "resilience",
         Some("fft"),
         include_str!("golden/resilience.fft.txt"),
+    );
+}
+
+#[test]
+fn fft_moldyn_table3_matches_golden() {
+    assert_golden(
+        "table3",
+        Some("fft,moldyn"),
+        include_str!("golden/table3.fft-moldyn.txt"),
     );
 }
 

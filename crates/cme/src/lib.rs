@@ -11,7 +11,9 @@
 //!
 //! The model is two true-LRU tag arrays, L1 and LLC, each set ordered
 //! most recently used first; they keep tags only, since the estimate
-//! reads nothing but whether an access hits. Each
+//! reads nothing but whether an access hits. The 8-way L1 and 16-way LLC
+//! of every machine geometry are replayed with their way counts fixed at
+//! compile time, any other geometry with run-time counts. Each
 //! [`CHECKPOINT_INTERVAL`] of a set's iterations first draws its sampling
 //! decisions into a buffer of kept indices, without a branch per draw,
 //! then replays the kept iterations; tallies live in per-set counters.
@@ -227,47 +229,100 @@ impl CmeEstimator {
         data: &DataEnv,
         ctl: &RunControl,
     ) -> Result<CmeEstimate, LocmapError> {
-        const CHUNK: usize = CHECKPOINT_INTERVAL as usize;
-        let rate = self.cfg.sample_rate;
-        let mut rng = SmallRng::seed_from_u64(self.cfg.seed);
-        let mut replay = Replay::new(&self.cfg, space, program.compile_refs(nest, data));
-        let nrefs = nest.refs.len();
-        let mut hit = vec![vec![0.0f64; nrefs]; sets.len()];
-        let mut l1_hit = vec![vec![0.0f64; nrefs]; sets.len()];
-        let mut kept = [0usize; CHUNK];
-
-        for (si, set) in sets.iter().enumerate() {
-            for start in set.indices().step_by(CHUNK) {
-                let end = set.end.min(start + CHUNK);
-                if end - start == CHUNK {
-                    ctl.checkpoint(CHECKPOINT_INTERVAL, si, sets.len())?;
-                }
-                if rate < 1.0 {
-                    // Every index is written; only a kept one advances
-                    // the cursor past it, so the draw is not a branch.
-                    let mut n = 0;
-                    for k in start..end {
-                        kept[n] = k;
-                        n += (rng.gen::<f64>() < rate) as usize;
-                    }
-                    kept[..n].iter().for_each(|&k| replay.iteration(k));
-                } else {
-                    (start..end).for_each(|k| replay.iteration(k));
-                }
+        let (cfg, refs) = (&self.cfg, program.compile_refs(nest, data));
+        // Every machine geometry pairs an 8-way L1 with a 16-way LLC; their
+        // replay knows its way counts at compile time.
+        match (cfg.l1.ways, cfg.llc.ways) {
+            (8, 16) => {
+                let l1 = LruTags::new(cfg.l1, Fixed::<8>);
+                let llc = LruTags::new(cfg.llc, Fixed::<16>);
+                estimate_sets(cfg, Replay::new(space, refs, l1, llc), sets, ctl)
             }
-            ctl.checkpoint(set.len() as u64 % CHECKPOINT_INTERVAL, si + 1, sets.len())?;
-            replay.flush(&mut hit[set.id], &mut l1_hit[set.id]);
-        }
-
-        // The noise knob draws after every sample, set by set.
-        if self.cfg.noise > 0.0 {
-            for h in hit.iter_mut().flatten() {
-                let eps = rng.gen_range(-self.cfg.noise..=self.cfg.noise);
-                *h = (*h + eps).clamp(0.0, 1.0);
+            (l1, llc) => {
+                let l1 = LruTags::new(cfg.l1, Dyn(l1 as usize));
+                let llc = LruTags::new(cfg.llc, Dyn(llc as usize));
+                estimate_sets(cfg, Replay::new(space, refs, l1, llc), sets, ctl)
             }
         }
+    }
+}
 
-        Ok(CmeEstimate { hit, l1_hit })
+/// The body of [`CmeEstimator::estimate_ctl`], once per pair of way-count
+/// forms: replays each set's sampled iterations through `replay`, then
+/// draws the noise.
+fn estimate_sets<A: Ways, B: Ways>(
+    cfg: &CmeConfig,
+    mut replay: Replay<'_, A, B>,
+    sets: &[IterationSet],
+    ctl: &RunControl,
+) -> Result<CmeEstimate, LocmapError> {
+    const CHUNK: usize = CHECKPOINT_INTERVAL as usize;
+    let rate = cfg.sample_rate;
+    let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    let nrefs = replay.refs.len();
+    let mut hit = vec![vec![0.0f64; nrefs]; sets.len()];
+    let mut l1_hit = vec![vec![0.0f64; nrefs]; sets.len()];
+    let mut kept = [0usize; CHUNK];
+
+    for (si, set) in sets.iter().enumerate() {
+        for start in set.indices().step_by(CHUNK) {
+            let end = set.end.min(start + CHUNK);
+            if end - start == CHUNK {
+                ctl.checkpoint(CHECKPOINT_INTERVAL, si, sets.len())?;
+            }
+            if rate < 1.0 {
+                // Every index is written; only a kept one advances
+                // the cursor past it, so the draw is not a branch.
+                let mut n = 0;
+                for k in start..end {
+                    kept[n] = k;
+                    n += (rng.gen::<f64>() < rate) as usize;
+                }
+                kept[..n].iter().for_each(|&k| replay.iteration(k));
+            } else {
+                (start..end).for_each(|k| replay.iteration(k));
+            }
+        }
+        ctl.checkpoint(set.len() as u64 % CHECKPOINT_INTERVAL, si + 1, sets.len())?;
+        replay.flush(&mut hit[set.id], &mut l1_hit[set.id]);
+    }
+
+    // The noise knob draws after every sample, set by set.
+    if cfg.noise > 0.0 {
+        for h in hit.iter_mut().flatten() {
+            let eps = rng.gen_range(-cfg.noise..=cfg.noise);
+            *h = (*h + eps).clamp(0.0, 1.0);
+        }
+    }
+
+    Ok(CmeEstimate { hit, l1_hit })
+}
+
+/// The way count of an [`LruTags`]: a compile-time constant, which lets
+/// the compiler unroll a set's scan, or a value known only at run time.
+trait Ways: Copy + std::fmt::Debug {
+    fn get(self) -> usize;
+}
+
+/// `W` ways, fixed at compile time.
+#[derive(Debug, Clone, Copy)]
+struct Fixed<const W: usize>;
+
+impl<const W: usize> Ways for Fixed<W> {
+    #[inline(always)]
+    fn get(self) -> usize {
+        W
+    }
+}
+
+/// A way count read at run time.
+#[derive(Debug, Clone, Copy)]
+struct Dyn(usize);
+
+impl Ways for Dyn {
+    #[inline(always)]
+    fn get(self) -> usize {
+        self.0
     }
 }
 
@@ -280,8 +335,8 @@ impl CmeEstimator {
 /// A key is a line index plus one, so the zeroed array starts empty (a
 /// line index is below `u64::MAX` for lines of two bytes or more).
 #[derive(Debug)]
-struct LruTags {
-    ways: usize,
+struct LruTags<W: Ways> {
+    ways: W,
     /// `sets - 1`: line `l` lives in set `l & set_mask`.
     set_mask: u64,
     /// `log2(line_bytes)`: byte address `a` lies in line `a >> line_shift`.
@@ -289,20 +344,21 @@ struct LruTags {
     keys: Vec<u64>,
 }
 
-impl LruTags {
-    /// An empty model of geometry `cfg`.
+impl<W: Ways> LruTags<W> {
+    /// An empty model of geometry `cfg`, whose `ways` must be `cfg.ways`.
     ///
     /// # Panics
     ///
     /// Panics on the geometries `locmap_mem::Cache::new` rejects.
-    fn new(cfg: CacheConfig) -> Self {
+    fn new(cfg: CacheConfig, ways: W) -> Self {
+        assert_eq!(ways.get(), cfg.ways as usize, "way count differs from the geometry's");
         assert!(cfg.ways > 0, "cache must have at least one way");
         assert!(cfg.line_bytes.is_power_of_two(), "line size must be a power of two");
         let sets = cfg.sets();
         assert!(sets > 0, "cache smaller than one set");
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         LruTags {
-            ways: cfg.ways as usize,
+            ways,
             set_mask: sets - 1,
             line_shift: cfg.line_bytes.trailing_zeros(),
             keys: vec![0; sets as usize * cfg.ways as usize],
@@ -315,8 +371,9 @@ impl LruTags {
     fn access(&mut self, addr: u64) -> bool {
         let line = addr >> self.line_shift;
         let key = line + 1;
-        let base = (line & self.set_mask) as usize * self.ways;
-        let set = &mut self.keys[base..base + self.ways];
+        let ways = self.ways.get();
+        let base = (line & self.set_mask) as usize * ways;
+        let set = &mut self.keys[base..base + ways];
         if set[0] == key {
             return true;
         }
@@ -346,28 +403,26 @@ struct RefCounts {
 /// The symbolic execution: replays iterations through the L1 and LLC
 /// models and tallies the current set's outcomes per reference.
 #[derive(Debug)]
-struct Replay<'a> {
+struct Replay<'a, A: Ways, B: Ways> {
     space: &'a IterationSpace,
     refs: Vec<CompiledRef<'a>>,
-    l1: LruTags,
-    llc: LruTags,
+    l1: LruTags<A>,
+    llc: LruTags<B>,
     /// Iterations replayed in the current set; every reference of a
     /// replayed iteration is counted, so one counter serves them all.
     sampled: u32,
     counts: Vec<RefCounts>,
 }
 
-impl<'a> Replay<'a> {
-    fn new(cfg: &CmeConfig, space: &'a IterationSpace, refs: Vec<CompiledRef<'a>>) -> Self {
+impl<'a, A: Ways, B: Ways> Replay<'a, A, B> {
+    fn new(
+        space: &'a IterationSpace,
+        refs: Vec<CompiledRef<'a>>,
+        l1: LruTags<A>,
+        llc: LruTags<B>,
+    ) -> Self {
         let counts = vec![RefCounts::default(); refs.len()];
-        Replay {
-            space,
-            refs,
-            l1: LruTags::new(cfg.l1),
-            llc: LruTags::new(cfg.llc),
-            sampled: 0,
-            counts,
-        }
+        Replay { space, refs, l1, llc, sampled: 0, counts }
     }
 
     /// Replays iteration `k`: an access that misses L1 probes the LLC.
@@ -751,7 +806,7 @@ mod kernel_tests {
         #[test]
         fn kernel_matches_reference_bit_for_bit(
             shape in (1u64..3_000, 0u8..2, 0usize..7),
-            knobs in (0usize..3, 0u8..2, 0u8..2),
+            knobs in (0usize..3, 0u8..2, 0usize..3),
             seed in 0u64..1 << 32,
         ) {
             let ((n, indirect, set_size), (rate, noise, llc)) = (shape, knobs);
@@ -767,8 +822,18 @@ mod kernel_tests {
                 seed,
                 ..CmeConfig::default()
             };
-            // A 16 KB LLC is crowded by the larger nests; 512 KB is not.
-            let cfg = if llc == 1 { base.with_llc_bytes(16 * 1024) } else { base };
+            // A 16 KB LLC is crowded by the larger nests; 512 KB is not. The
+            // third geometry, a 4-way L1 and a 2-way 16 KB LLC, leaves the
+            // 8/16 pair, so the estimator replays it with run-time way counts.
+            let cfg = match llc {
+                0 => base,
+                1 => base.with_llc_bytes(16 * 1024),
+                _ => CmeConfig {
+                    l1: CacheConfig { ways: 4, ..base.l1 },
+                    llc: CacheConfig { size_bytes: 16 * 1024, ways: 2, line_bytes: 64 },
+                    ..base
+                },
+            };
             let est = CmeEstimator::new(cfg);
             let run = |ctl: &RunControl| est.estimate_ctl(&p, nest, &space, &sets, &data, ctl);
             let reference =
@@ -806,7 +871,15 @@ mod kernel_tests {
                 _ => CacheConfig { size_bytes: 512, ways: 2, line_bytes: 64 },
             };
             let (sets, ways) = (cfg.sets(), cfg.ways as u64);
-            let (mut tags, mut cache) = (LruTags::new(cfg), Cache::new(cfg));
+            // Every geometry runs the run-time form; the 8- and 16-way ones
+            // also run the compile-time form the estimator picks for them.
+            let mut tags = LruTags::new(cfg, Dyn(cfg.ways as usize));
+            let (mut fixed8, mut fixed16) = match cfg.ways {
+                8 => (Some(LruTags::new(cfg, Fixed::<8>)), None),
+                16 => (None, Some(LruTags::new(cfg, Fixed::<16>))),
+                _ => (None, None),
+            };
+            let mut cache = Cache::new(cfg);
             for (x, hot, write) in ops {
                 // A third of the stream re-touches eight hot lines, a third
                 // crowds four sets with four times their ways, and a third
@@ -818,8 +891,21 @@ mod kernel_tests {
                 };
                 let addr = line * cfg.line_bytes + x % cfg.line_bytes;
                 let acc = if write == 1 { MemAccess::Write } else { MemAccess::Read };
-                prop_assert_eq!(tags.access(addr), cache.access(cache.line_of(addr), acc).is_hit());
+                let hit = cache.access(cache.line_of(addr), acc).is_hit();
+                prop_assert_eq!(tags.access(addr), hit);
+                if let Some(t) = &mut fixed8 {
+                    prop_assert_eq!(t.access(addr), hit);
+                }
+                if let Some(t) = &mut fixed16 {
+                    prop_assert_eq!(t.access(addr), hit);
+                }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "way count differs")]
+    fn a_compile_time_way_count_must_match_the_geometry() {
+        LruTags::new(CacheConfig::paper_l1(), Fixed::<16>);
     }
 }

@@ -3,7 +3,8 @@
 //!
 //! For each iteration set, every (sampled) access is resolved to a physical
 //! address once; the address determines the owning MC and, for shared LLCs,
-//! the home bank, so one scan builds both tables. The hit model splits the
+//! the home bank, so one scan builds both tables. Each reference decodes
+//! its MC and bank once per interleave unit it enters. The hit model splits the
 //! access's unit weight into L1-resident (invisible), LLC-hit (→ CAI) and
 //! LLC-miss (→ MAI) portions. Weights are normalized by the set's total
 //! access count, matching the paper's Table 1 worked example where 2 hits +
@@ -90,6 +91,13 @@ pub(crate) fn scan(
     let regions = if cai.is_some() { platform.region_count() } else { 0 };
     let tables = u64::from(mai) + u64::from(cai.is_some());
     let refs = inputs.compile_refs();
+    // Per reference, the last MC and bank region it decoded, kept across
+    // sets: consecutive sampled accesses rarely leave their unit.
+    let mc_of = |a| addr_map.mc_of(a).index();
+    let region_of = |a| bank_regions[addr_map.llc_bank_of(a) as usize].index();
+    let mut last_mc = vec![LastDecode::new(addr_map.mc_unit_shift(), mc_of); refs.len()];
+    let mut last_region =
+        vec![LastDecode::new(addr_map.llc_bank_unit_shift(), region_of); refs.len()];
     let mut weights = Vec::with_capacity(refs.len());
     let (mut mai_out, mut cai_out) = (Vec::new(), Vec::new());
     let (mut mc_w, mut bank_w) = (vec![0.0f64; mcs], vec![0.0f64; regions]);
@@ -114,13 +122,14 @@ pub(crate) fn scan(
         for k in inputs.sampled_indices(set) {
             scanned += 1;
             let iv = inputs.space.get(k);
-            for (r, &(to_mc, to_bank)) in refs.iter().zip(&weights) {
-                let addr = PhysAddr(r.addr(iv));
+            let last = last_mc.iter_mut().zip(&mut last_region);
+            for ((r, &(to_mc, to_bank)), (mc, region)) in refs.iter().zip(&weights).zip(last) {
+                let addr = r.addr(iv);
                 if to_mc > 0.0 {
-                    mc_w[addr_map.mc_of(addr).index()] += to_mc;
+                    mc_w[mc.get(addr, mc_of)] += to_mc;
                 }
                 if to_bank > 0.0 {
-                    bank_w[bank_regions[addr_map.llc_bank_of(addr) as usize].index()] += to_bank;
+                    bank_w[region.get(addr, region_of)] += to_bank;
                 }
             }
         }
@@ -137,6 +146,34 @@ pub(crate) fn scan(
         ctl.checkpoint(tables * scanned, si + 1, inputs.sets.len())?;
     }
     Ok((mai_out, cai_out))
+}
+
+/// One reference's last decode of an address to a table slot, keyed by
+/// the address's interleave unit: the address shifted right by the bits
+/// the decode ignores (`AddrMap::mc_unit_shift` or `llc_bank_unit_shift`).
+#[derive(Debug, Clone, Copy)]
+struct LastDecode {
+    shift: u32,
+    unit: u64,
+    slot: usize,
+}
+
+impl LastDecode {
+    /// Starts with address 0's decode, so the entry is always a true one.
+    fn new(shift: u32, decode: impl Fn(PhysAddr) -> usize) -> Self {
+        LastDecode { shift, unit: 0, slot: decode(PhysAddr(0)) }
+    }
+
+    /// The slot of `addr`, decoded only when it left the last one's unit.
+    #[inline]
+    fn get(&mut self, addr: u64, decode: impl Fn(PhysAddr) -> usize) -> usize {
+        let unit = addr >> self.shift;
+        if unit != self.unit {
+            self.unit = unit;
+            self.slot = decode(PhysAddr(addr));
+        }
+        self.slot
+    }
 }
 
 /// [`scan`] under a control that never aborts.
@@ -407,14 +444,21 @@ mod tests {
     }
 
     proptest! {
+        /// The scan, which decodes each reference's MC and bank once per
+        /// interleave unit, against a decode of every access: over page and
+        /// line sizes, bank counts, both interleaves of each target and
+        /// every cluster mode. No golden interleaves MCs by line, so a unit
+        /// keyed too coarsely there (a page) fails only here.
         #[test]
         fn scan_is_bit_identical_to_one_loop_per_table(
             shape in (collection::vec(1i64..=12, 1..=2), 1usize..=3, 0.05f64..=0.5),
             refs in collection::vec((collection::vec(0i64..=300, 2), 0i64..=64, 0usize..4), 1..=4),
             indirect in (0u8..=1, collection::vec(0i32..7000, 144), 0u64..u64::MAX),
+            sizes in (4u32..=7, 0u32..=5, 1u16..=9),
         ) {
             let (bounds, stride, fraction) = shape;
             let (with_indirect, index, seed) = indirect;
+            let (line_shift, page_over_line, quarter_banks) = sizes;
             let mut p = Program::new("scan");
             let arrays: Vec<_> =
                 (0..4).map(|a| p.add_array(format!("A{a}"), 8, 8192)).collect();
@@ -462,6 +506,10 @@ mod tests {
                 for (llc, kind) in arms {
                     let mut platform = Platform::paper_default_with(llc);
                     platform.addr_map = AddrMap::new(AddrMapConfig {
+                        page_bytes: 1 << (line_shift + page_over_line),
+                        line_bytes: 1 << line_shift,
+                        // Up to the mesh's 36 banks, in whole quadrants.
+                        llc_banks: 4 * quarter_banks,
                         mem_interleave,
                         llc_interleave,
                         cluster,

@@ -149,12 +149,33 @@ impl AddrMap {
         addr.0 >> self.page_shift
     }
 
+    /// `log2` of the unit bytes of interleaving at granularity `g`.
+    fn unit_shift(&self, g: Interleave) -> u32 {
+        match g {
+            Interleave::Page => self.page_shift,
+            Interleave::Line => self.line_shift,
+        }
+    }
+
     /// The unit index used for interleaving at granularity `g`.
     fn unit(&self, addr: PhysAddr, g: Interleave) -> u64 {
-        match g {
-            Interleave::Page => self.page(addr),
-            Interleave::Line => addr.0 >> self.line_shift,
-        }
+        addr.0 >> self.unit_shift(g)
+    }
+
+    /// The low address bits [`mc_of`](AddrMap::mc_of) ignores: `log2` of
+    /// the `mem_interleave` unit's bytes. Two addresses that agree above
+    /// them have the same MC (the cluster modes pick the quadrant by page,
+    /// which is never finer than the unit), so a caller walking nearby
+    /// addresses can decode once per unit.
+    pub fn mc_unit_shift(&self) -> u32 {
+        self.unit_shift(self.cfg.mem_interleave)
+    }
+
+    /// The low address bits [`llc_bank_of`](AddrMap::llc_bank_of) ignores:
+    /// `log2` of the `llc_interleave` unit's bytes, as
+    /// [`mc_unit_shift`](AddrMap::mc_unit_shift) is for the MC.
+    pub fn llc_bank_unit_shift(&self) -> u32 {
+        self.unit_shift(self.cfg.llc_interleave)
     }
 
     /// A cheap avalanche hash so that "uniform hashing" cluster modes do not
@@ -496,6 +517,26 @@ mod decode_tests {
                         "{cfg:?} {a}"
                     );
                     prop_assert_eq!(map.quadrant_of(a), want.quadrant_of(a), "{cfg:?} {a}");
+                    // Each decode ignores the bits below its interleave
+                    // unit: the unit's first and last byte decode like `a`.
+                    let units = [
+                        (map.mc_unit_shift(), cfg.mem_interleave),
+                        (map.llc_bank_unit_shift(), cfg.llc_interleave),
+                    ];
+                    for (shift, g) in units {
+                        prop_assert_eq!(a.0 >> shift, want.unit(a, g), "{cfg:?} {a}");
+                    }
+                    let ends = |shift: u32| {
+                        let low = (1u64 << shift) - 1;
+                        [PhysAddr(a.0 & !low), PhysAddr(a.0 | low)]
+                    };
+                    for b in ends(map.mc_unit_shift()) {
+                        prop_assert_eq!(map.mc_of(b), map.mc_of(a), "{cfg:?} {a} {b}");
+                    }
+                    for b in ends(map.llc_bank_unit_shift()) {
+                        let bank = map.llc_bank_of(b);
+                        prop_assert_eq!(bank, map.llc_bank_of(a), "{cfg:?} {a} {b}");
+                    }
                 }
             }
         }

@@ -1,15 +1,18 @@
 //! Golden figure outputs.
 //!
 //! Runs the `figures` binary and compares its stdout with the committed
-//! file: `table4` and `multiprog` in full, fft's `fig07`, `fig15`,
-//! `fig16` and `resilience`, the `fig07` of moldyn, radix and hpccg, and
-//! `table3` on fft and moldyn.
+//! file: `table4` and `multiprog` in full, fft's `fig07`, `fig08`,
+//! `fig15`, `fig16` and `resilience`, the `fig07` of moldyn, radix and
+//! hpccg, and `table3` on fft and moldyn.
 //! CI also diffs each on the release build. The last three are irregular,
 //! so their goldens check the inspector's hand-off from `evaluate`'s
 //! baseline arm to its scheme arm. They pin the three index-array
 //! generators: moldyn's clustered indices, radix's blocked permutation
 //! (whose scatter writes drive directory invalidations) and hpccg's
 //! banded sparse-matrix columns.
+//! fft's `fig08` runs `evaluate` on the shared S-NUCA LLC, so it pins the
+//! CAI scan over line-interleaved banks and the 16-way compiler-side LLC
+//! of the aggregate capacity.
 //! fft's `fig16` runs the KNL platform in all three cluster modes, so it
 //! pins the quadrant and SNC-4 address decoding. fft's `resilience` runs
 //! static faults and fault timelines. `table3` counts each nest's sets and
@@ -67,6 +70,11 @@ fn table4_matches_golden() {
 #[test]
 fn fft_fig07_matches_golden() {
     assert_golden("fig07", Some("fft"), include_str!("golden/fig07.fft.txt"));
+}
+
+#[test]
+fn fft_fig08_matches_golden() {
+    assert_golden("fig08", Some("fft"), include_str!("golden/fig08.fft.txt"));
 }
 
 #[test]

@@ -2,7 +2,8 @@
 
 use locmap_bench::Scheme;
 use locmap_core::LlcOrg;
-use locmap_workloads::Scale;
+use locmap_noc::FaultCounts;
+use locmap_workloads::{names, Scale};
 use std::collections::HashMap;
 
 /// Parsed command-line options shared by the subcommands.
@@ -30,15 +31,19 @@ impl Args {
         self.flags.get(key).map(String::as_str)
     }
 
-    /// `--app NAME` (required by run/map).
+    /// `--app NAME` (required by run/map), a benchmark `locmap list` names.
     pub fn app(&self) -> Result<&str, String> {
-        self.get("app").ok_or_else(|| "--app <name> is required (see `locmap list`)".into())
+        let name = self
+            .get("app")
+            .ok_or_else(|| "--app <name> is required (see `locmap list`)".to_string())?;
+        known(name)
     }
 
-    /// `--apps a,b,c` (required by corun).
+    /// `--apps a,b,c` (required by corun), each a benchmark `locmap list`
+    /// names.
     pub fn apps(&self) -> Result<Vec<&str>, String> {
         let raw = self.get("apps").ok_or_else(|| "--apps a,b,c is required".to_string())?;
-        Ok(raw.split(',').map(str::trim).filter(|s| !s.is_empty()).collect())
+        raw.split(',').map(str::trim).filter(|s| !s.is_empty()).map(known).collect()
     }
 
     /// `--apps a,b,c`, or `default` when the flag is absent (batch).
@@ -106,6 +111,17 @@ impl Args {
         }
     }
 
+    /// `--dead-links`, `--dead-routers`, `--dead-mcs` and `--dead-banks`
+    /// counts (each default 0).
+    pub fn fault_counts(&self) -> Result<FaultCounts, String> {
+        Ok(FaultCounts {
+            links: self.count("dead-links")?,
+            routers: self.count("dead-routers")?,
+            mcs: self.count("dead-mcs")?,
+            banks: self.count("dead-banks")?,
+        })
+    }
+
     /// `--KEY N` positive count with an explicit default — e.g.
     /// `--threads 4`. Zero is rejected: every caller needs at least one
     /// worker or repetition.
@@ -163,6 +179,16 @@ impl Args {
     }
 }
 
+/// `name` when it is a benchmark of the inventory, else the error every
+/// subcommand prints for an unknown one.
+fn known(name: &str) -> Result<&str, String> {
+    if names().contains(&name) {
+        Ok(name)
+    } else {
+        Err(format!("unknown benchmark {name:?}; see `locmap list`"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,14 +224,26 @@ mod tests {
     }
 
     #[test]
+    fn unknown_benchmarks_are_rejected() {
+        let unknown = "unknown benchmark \"nope\"; see `locmap list`";
+        assert_eq!(Args::parse(&argv(&["--app", "nope"])).unwrap().app().unwrap_err(), unknown);
+        let a = Args::parse(&argv(&["--apps", "mxm,nope"])).unwrap();
+        assert_eq!(a.apps().unwrap_err(), unknown);
+        assert_eq!(a.apps_or(&["mxm"]).unwrap_err(), unknown);
+        assert_eq!(Args::parse(&[]).unwrap().apps_or(&["mxm"]).unwrap(), vec!["mxm"]);
+    }
+
+    #[test]
     fn fault_flags_parse() {
-        let a = Args::parse(&argv(&["--dead-mcs", "2", "--seed", "13"])).unwrap();
-        assert_eq!(a.count("dead-mcs").unwrap(), 2);
-        assert_eq!(a.count("dead-links").unwrap(), 0);
+        let a = Args::parse(&argv(&["--dead-mcs", "2", "--dead-routers", "1", "--seed", "13"]))
+            .unwrap();
+        let counts = FaultCounts { routers: 1, mcs: 2, ..FaultCounts::default() };
+        assert_eq!(a.fault_counts().unwrap(), counts);
         assert_eq!(a.seed().unwrap(), 13);
         assert_eq!(Args::parse(&[]).unwrap().seed().unwrap(), 7);
+        assert!(Args::parse(&[]).unwrap().fault_counts().unwrap().is_empty());
         let bad = Args::parse(&argv(&["--dead-mcs", "-1"])).unwrap();
-        assert!(bad.count("dead-mcs").is_err());
+        assert!(bad.fault_counts().is_err());
     }
 
     #[test]

@@ -114,9 +114,6 @@ pub fn platform(args: &Args) -> Result<(), String> {
 /// `locmap run`.
 pub fn run(args: &Args) -> Result<(), String> {
     let name = args.app()?;
-    if !names().contains(&name) {
-        return Err(format!("unknown benchmark {name:?}; see `locmap list`"));
-    }
     let w = build(name, args.scale()?);
     let exp = Experiment::paper_default(args.llc()?);
     let scheme = args.scheme()?;
@@ -141,9 +138,6 @@ pub fn run(args: &Args) -> Result<(), String> {
 /// `locmap map`.
 pub fn map(args: &Args) -> Result<(), String> {
     let name = args.app()?;
-    if !names().contains(&name) {
-        return Err(format!("unknown benchmark {name:?}; see `locmap list`"));
-    }
     let w = build(name, args.scale()?);
     let platform = Platform::paper_default_with(args.llc()?);
     let compiler = Compiler::builder(platform.clone()).build().map_err(String::from)?;
@@ -179,9 +173,6 @@ pub fn map(args: &Args) -> Result<(), String> {
 /// mappings and print router-pressure heatmaps side by side.
 pub fn heat(args: &Args) -> Result<(), String> {
     let name = args.app()?;
-    if !names().contains(&name) {
-        return Err(format!("unknown benchmark {name:?}; see `locmap list`"));
-    }
     let w = build(name, args.scale()?);
     let platform = Platform::paper_default_with(args.llc()?);
     let compiler = Compiler::builder(platform.clone()).build().map_err(String::from)?;
@@ -214,17 +205,9 @@ pub fn heat(args: &Args) -> Result<(), String> {
 /// round-robin) mappings.
 pub fn faults(args: &Args) -> Result<(), String> {
     let name = args.app()?;
-    if !names().contains(&name) {
-        return Err(format!("unknown benchmark {name:?}; see `locmap list`"));
-    }
     let w = build(name, args.scale()?);
     let exp = Experiment::paper_default(args.llc()?);
-    let counts = FaultCounts {
-        links: args.count("dead-links")?,
-        routers: args.count("dead-routers")?,
-        mcs: args.count("dead-mcs")?,
-        banks: args.count("dead-banks")?,
-    };
+    let counts = args.fault_counts()?;
     let seed = args.seed()?;
     let plan =
         FaultPlan::random(seed, exp.platform.mesh, exp.platform.mc_coords.len(), counts);
@@ -260,19 +243,11 @@ pub fn faults(args: &Args) -> Result<(), String> {
 /// the online resilience controller and print the full recovery trace.
 pub fn heal(args: &Args) -> Result<(), String> {
     let name = args.app()?;
-    if !names().contains(&name) {
-        return Err(format!("unknown benchmark {name:?}; see `locmap list`"));
-    }
     let w = build(name, args.scale()?);
     let exp = Experiment::paper_default(args.llc()?);
     let mesh = exp.platform.mesh;
     let mc_count = exp.platform.mc_coords.len();
-    let mut counts = FaultCounts {
-        links: args.count("dead-links")?,
-        routers: args.count("dead-routers")?,
-        mcs: args.count("dead-mcs")?,
-        banks: args.count("dead-banks")?,
-    };
+    let mut counts = args.fault_counts()?;
     if counts.is_empty() {
         counts = FaultCounts { links: 1, routers: 1, mcs: 0, banks: 0 };
     }
@@ -333,11 +308,6 @@ pub fn corun(args: &Args) -> Result<(), String> {
     if app_names.len() < 2 {
         return Err("corun needs at least two apps".into());
     }
-    for n in &app_names {
-        if !names().contains(n) {
-            return Err(format!("unknown benchmark {n:?}; see `locmap list`"));
-        }
-    }
     let scale = args.scale()?;
     let exp = Experiment::paper_default(args.llc()?);
     let apps: Vec<_> = app_names.iter().map(|n| build(n, scale)).collect();
@@ -361,21 +331,10 @@ pub fn verify(args: &Args) -> Result<(), String> {
     use locmap_verify::{check_platform, check_request, DiagnosticSink, VerifyConfig};
 
     let app_names = args.apps_or(names())?;
-    for n in &app_names {
-        if !names().contains(n) {
-            return Err(format!("unknown benchmark {n:?}; see `locmap list`"));
-        }
-    }
     let scale = args.scale()?;
     let platform = Platform::paper_default_with(args.llc()?);
-    let counts = FaultCounts {
-        links: args.count("dead-links")?,
-        routers: args.count("dead-routers")?,
-        mcs: args.count("dead-mcs")?,
-        banks: args.count("dead-banks")?,
-    };
-    let faulty = counts.links + counts.routers + counts.mcs + counts.banks > 0;
-    let plan = if faulty {
+    let counts = args.fault_counts()?;
+    let plan = if !counts.is_empty() {
         let seed = args.seed()?;
         let plan = FaultPlan::random(seed, platform.mesh, platform.mc_coords.len(), counts);
         println!("fault plan : seed {seed}; {}", plan.summary());
@@ -437,11 +396,6 @@ pub fn overload(args: &Args) -> Result<(), String> {
     use locmap_bench::overload::{run_overload, OverloadConfig, OverloadReport};
 
     let app_names = args.apps_or(&["mxm", "swim"])?;
-    for n in &app_names {
-        if !names().contains(n) {
-            return Err(format!("unknown benchmark {n:?}; see `locmap list`"));
-        }
-    }
     let scale = args.scale()?;
     let exp = Experiment::paper_default(args.llc()?);
     let apps: Vec<_> = app_names.iter().map(|n| build(n, scale)).collect();

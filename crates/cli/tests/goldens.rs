@@ -1,9 +1,10 @@
 //! End-to-end goldens of the `locmap` binary: the four healing traces, the
-//! two overload reports, the four static-verification arms, and the
-//! mappings and heatmaps `map` and `heat` print, byte for byte. Each run is
-//! deterministic, so any change in the recovery policy, the admission
-//! ladder, the circuit breaker, the verifier's findings or the options the
-//! mapper runs with shows up as a diff here.
+//! two overload reports, the four static-verification arms, the two
+//! fault-scenario comparisons, and the mappings and heatmaps `map` and
+//! `heat` print, byte for byte. Each run is deterministic, so any change in
+//! the recovery policy, the admission ladder, the circuit breaker, the
+//! verifier's findings, the degraded-mode mapper or the options the mapper
+//! runs with shows up as a diff here.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -126,4 +127,24 @@ fn verify_private_dead_routers_and_links_matches_golden() {
 #[test]
 fn verify_dead_banks_and_mc_matches_golden() {
     verify(&["--dead-banks", "2", "--dead-mcs", "1", "--seed", "13"], "shared.dead-banks-mc");
+}
+
+/// `faults` compares fault-free, degraded-aware and fault-oblivious runs
+/// under one seed's plan. The dead-MC arm is CI's smoke run; the
+/// link-and-router arm runs the connectivity check and the routing detour
+/// end to end. Its aware run is slower than the oblivious one: a region
+/// with three live cores still takes a full region's share of sets.
+fn faults(args: &[&str], name: &str) {
+    let args = [&["faults", "--app", "mxm", "--seed", "7", "--scale", "0.3"][..], args].concat();
+    assert_matches_golden(&args, &format!("faults.mxm.{name}.txt"));
+}
+
+#[test]
+fn faults_private_dead_mc_matches_golden() {
+    faults(&["--llc", "private", "--dead-mcs", "1"], "private.dead-mc");
+}
+
+#[test]
+fn faults_shared_dead_links_and_router_matches_golden() {
+    faults(&["--llc", "shared", "--dead-links", "2", "--dead-routers", "1"], "shared.dead-links-router");
 }

@@ -504,7 +504,7 @@ mod tests {
         nest.add_ref(a, AffineExpr::var(1, 1), Access::Read);
         let id = p.add_nest(nest);
         let space = IterationSpace::enumerate(p.nest(id), &p.params());
-        let sets = space.split(elems as usize); // set 0 = pass 1, set 1 = pass 2
+        let sets = space.split_by_fraction(0.5); // set 0 = pass 1, set 1 = pass 2
         let est = CmeEstimator::new(CmeConfig { noise: 0.0, ..CmeConfig::default() })
             .estimate(&p, p.nest(id), &space, &sets, &DataEnv::new());
         // First pass: only the line-size-difference hits (~0.5); second
@@ -524,7 +524,7 @@ mod tests {
         nest.add_ref(a, AffineExpr::var(1, 1), Access::Read);
         let id = p.add_nest(nest);
         let space = IterationSpace::enumerate(p.nest(id), &p.params());
-        let sets = space.split(elems as usize);
+        let sets = space.split_by_fraction(0.5);
         let est = CmeEstimator::new(CmeConfig { noise: 0.0, ..CmeConfig::default() })
             .estimate(&p, p.nest(id), &space, &sets, &DataEnv::new());
         assert!(est.alpha(0) < 0.65);
@@ -654,7 +654,7 @@ mod more_tests {
         nest.add_ref(a, AffineExpr::var(1, 1), Access::Read);
         let id = p.add_nest(nest);
         let space = IterationSpace::enumerate(p.nest(id), &p.params());
-        let sets = space.split(elems as usize);
+        let sets = space.split_by_fraction(0.5);
         let small = CmeEstimator::new(
             CmeConfig { noise: 0.0, ..CmeConfig::default() }.with_llc_bytes(32 * 1024),
         )
@@ -815,7 +815,7 @@ mod kernel_tests {
             let space = IterationSpace::enumerate(nest, &p.params());
             // Sets below, at and above multiples of the checkpoint interval.
             let set_size = [100, 1023, 1024, 1025, 2048, 2049, 6000][set_size];
-            let sets = space.split(set_size);
+            let sets = space.split_by_fraction((set_size as f64 / space.len() as f64).min(1.0));
             let base = CmeConfig {
                 sample_rate: [1.0, 0.5, 0.3][rate],
                 noise: if noise == 1 { 0.06 } else { 0.0 },

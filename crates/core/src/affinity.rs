@@ -272,7 +272,7 @@ mod tests {
         nest.add_ref(d, AffineExpr::var(0, 1), Access::Read);
         let id = p.add_nest(nest);
         let space = IterationSpace::enumerate(p.nest(id), &p.params());
-        let sets = space.split(space.len()); // single set
+        let sets = space.split_by_fraction(1.0); // single set
         (p, space, sets)
     }
 

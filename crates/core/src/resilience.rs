@@ -773,11 +773,11 @@ mod tests {
         let aug = c.overlay(&FaultPlan::new(m, 4));
         let state = aug.state_at(500);
         assert!(state.router_alive(node), "the core itself is alive");
-        assert!(state.check_connected(false).is_err(), "but unreachable: stranded");
+        assert!(state.check_connected().is_err(), "but unreachable: stranded");
         let released = c.release_quarantine(600);
         assert_eq!(released.len(), 4);
         let clean = c.overlay(&FaultPlan::new(m, 4)).state_at(600);
-        assert!(clean.check_connected(false).is_ok());
+        assert!(clean.check_connected().is_ok());
         assert!(c.summary().healed >= 4);
     }
 

@@ -511,13 +511,10 @@ mod tests {
 
     #[test]
     fn degraded_mac_errors_when_no_mc_survives() {
-        use locmap_noc::FaultState;
+        use locmap_noc::FaultPlan;
         let p = Platform::paper_default();
-        let mut state = FaultState::none(p.mesh, p.mc_count());
-        for node in p.mesh.nodes() {
-            state.kill_router(node);
-        }
-        let state = state.effective(&p.mc_coords);
+        let plan = p.mesh.nodes().fold(FaultPlan::new(p.mesh, p.mc_count()), FaultPlan::dead_router);
+        let state = plan.state_at(0).effective(&p.mc_coords);
         assert!(Mac::compute_degraded(&p, MacPolicy::NearestSet, &state).is_err());
     }
 

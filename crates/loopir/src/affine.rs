@@ -153,11 +153,6 @@ impl AffineExpr {
             .fold(self.constant, |v, &(p, c)| v + c * env.value(p));
         (&self.coeffs[..self.coeffs.len().min(depth)], constant)
     }
-
-    /// The coefficient on loop index `depth` (0 when omitted).
-    pub fn coeff(&self, depth: usize) -> i64 {
-        self.coeffs.get(depth).copied().unwrap_or(0)
-    }
 }
 
 impl std::ops::Add<&AffineExpr> for AffineExpr {
@@ -321,7 +316,8 @@ mod more_tests {
     #[test]
     fn coeff_beyond_length_is_zero() {
         let e = AffineExpr::var(1, 7);
-        assert_eq!(e.coeff(5), 0);
-        assert_eq!(e.coeff(1), 7);
+        // Coefficients past the last stored one are omitted, i.e. zero.
+        assert_eq!(e.coeffs.get(5), None);
+        assert_eq!(e.coeffs.get(1), Some(&7));
     }
 }

@@ -88,16 +88,6 @@ impl IterationSpace {
         &self.flat[k * self.depth..(k + 1) * self.depth]
     }
 
-    /// Splits the space into [`IterationSet`]s of `set_size` consecutive
-    /// iterations (the final set may be smaller).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `set_size` is zero.
-    pub fn split(&self, set_size: usize) -> Vec<IterationSet> {
-        IterationSet::tile(self.len(), set_size)
-    }
-
     /// Splits using the paper's parameterization: set size = `fraction`
     /// of the total iteration count (default 0.25 % ⇒ `fraction = 0.0025`),
     /// with a minimum of one iteration per set.
@@ -259,7 +249,7 @@ impl IterationSet {
         self.end - self.start
     }
 
-    /// True when the set is empty (never produced by `split`).
+    /// True when the set is empty (never produced by a split).
     pub fn is_empty(&self) -> bool {
         self.start == self.end
     }
@@ -313,7 +303,7 @@ mod tests {
     fn split_exact_and_remainder() {
         let nest = LoopNest::rectangular("r", &[10]);
         let s = IterationSpace::enumerate(&nest, &ParamEnv::new());
-        let sets = s.split(4);
+        let sets = s.split_by_fraction(0.4);
         assert_eq!(sets.len(), 3);
         assert_eq!(sets[0].len(), 4);
         assert_eq!(sets[2].len(), 2);
@@ -384,7 +374,7 @@ mod tests {
     #[should_panic]
     fn split_zero_panics() {
         let nest = LoopNest::rectangular("r", &[4]);
-        IterationSpace::enumerate(&nest, &ParamEnv::new()).split(0);
+        IterationSpace::enumerate(&nest, &ParamEnv::new()).split_by_fraction(0.0);
     }
 }
 
@@ -404,7 +394,7 @@ mod more_tests {
     fn split_ids_are_dense_and_ordered() {
         let nest = LoopNest::rectangular("r", &[100]);
         let space = IterationSpace::enumerate(&nest, &ParamEnv::new());
-        for (i, s) in space.split(7).iter().enumerate() {
+        for (i, s) in space.split_by_fraction(0.07).iter().enumerate() {
             assert_eq!(s.id, i);
         }
     }
@@ -417,7 +407,7 @@ mod more_tests {
         );
         let space = IterationSpace::enumerate(&nest, &ParamEnv::new());
         assert!(space.is_empty());
-        assert!(space.split(5).is_empty());
+        assert!(space.split_by_fraction(0.05).is_empty());
     }
 
     #[test]
@@ -540,10 +530,11 @@ mod cursor_tests {
         }
 
         #[test]
-        fn seeking_set_starts_matches_get(case in arb_nest(), k in 1usize..=7) {
+        fn seeking_set_starts_matches_get(case in arb_nest(), fraction in 0.01f64..=1.0) {
             let (nest, env) = case;
             let space = IterationSpace::enumerate(&nest, &env);
-            let starts: Vec<usize> = space.split(k).iter().rev().map(|s| s.start).collect();
+            let sets = space.split_by_fraction(fraction);
+            let starts: Vec<usize> = sets.iter().rev().map(|s| s.start).collect();
             let mut c = IterCursor::new(&nest, &env);
             let (rows, count) = c.vectors_at(&starts);
             prop_assert_eq!(count, space.len());

@@ -18,7 +18,7 @@
 //! computations break ties by lowest index.
 
 use crate::error::LocmapError;
-use crate::routing::{link_target_torus, Direction, Link};
+use crate::routing::{link_target, Direction, Link};
 use crate::topology::{Coord, Mesh, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -121,24 +121,17 @@ impl FaultPlan {
         }
         match (a, b) {
             (FaultComponent::Link(l), FaultComponent::Link(r)) => {
-                l.from.index() < self.mesh.node_count() && reverse_link(self.mesh, l) == r
+                link_exists(self.mesh, l) && reverse_link(self.mesh, l) == r
             }
             _ => false,
         }
     }
 
-    /// True when `link` is its own target (torus wrap on a 1-wide or
-    /// 1-tall mesh) — a self-referential channel that cannot exist.
-    fn is_self_loop(&self, link: Link) -> bool {
-        link.from.index() < self.mesh.node_count()
-            && link_target_torus(self.mesh, link) == self.mesh.coord_of(link.from)
-    }
-
     /// Adds an arbitrary event, enforcing construction-time sanity:
     ///
-    /// * a link whose source lies outside the mesh, or that loops back to
-    ///   its own source (torus wrap on a degenerate mesh), is rejected with
-    ///   a typed [`LocmapError::FaultConflict`];
+    /// * a link that is not a mesh channel ([`link_exists`]) — its source
+    ///   lies outside the mesh, or it leaves the mesh edge — is rejected
+    ///   with a typed [`LocmapError::FaultConflict`];
     /// * an event duplicating an already scheduled one — same physical
     ///   component (a channel and its reverse are one wire) and the same
     ///   injection/repair cycles — is silently dropped.
@@ -147,15 +140,9 @@ impl FaultPlan {
     /// [`FaultPlan::validate`].
     pub fn push(&mut self, event: FaultEvent) -> Result<&mut Self, LocmapError> {
         if let FaultComponent::Link(l) = event.component {
-            if l.from.index() >= self.mesh.node_count() {
+            if !link_exists(self.mesh, l) {
                 return Err(LocmapError::FaultConflict(format!(
-                    "link source {} outside {}",
-                    l.from, self.mesh
-                )));
-            }
-            if self.is_self_loop(l) {
-                return Err(LocmapError::FaultConflict(format!(
-                    "link {}:{:?} is self-referential on {}",
+                    "link {}:{:?} is not a channel of {}",
                     l.from, l.dir, self.mesh
                 )));
             }
@@ -181,7 +168,7 @@ impl FaultPlan {
     ///
     /// # Panics
     ///
-    /// Panics on an out-of-mesh or self-referential link; use
+    /// Panics on a link that is not a mesh channel; use
     /// [`FaultPlan::push`] for fallible construction.
     pub fn dead_link(mut self, link: Link) -> Self {
         self.push_permanent(FaultComponent::Link(link)).unwrap_or_else(|e| panic!("{e}"));
@@ -330,8 +317,8 @@ impl FaultPlan {
         plan
     }
 
-    /// Checks the plan for internal consistency: components in range, no
-    /// self-referential links, repairs after injections, no component
+    /// Checks the plan for internal consistency: components in range,
+    /// links on mesh channels, repairs after injections, no component
     /// scheduled in *overlapping* windows (a channel and its reverse
     /// direction count as one component), and at least one memory
     /// controller alive in the permanent state.
@@ -352,15 +339,9 @@ impl FaultPlan {
         for (i, ev) in self.events.iter().enumerate() {
             match ev.component {
                 FaultComponent::Link(l) => {
-                    if l.from.index() >= n {
+                    if !link_exists(self.mesh, l) {
                         return Err(LocmapError::FaultConflict(format!(
-                            "event {i}: link source {} outside {}",
-                            l.from, self.mesh
-                        )));
-                    }
-                    if self.is_self_loop(l) {
-                        return Err(LocmapError::FaultConflict(format!(
-                            "event {i}: link {}:{:?} is self-referential on {}",
+                            "event {i}: link {}:{:?} is not a channel of {}",
                             l.from, l.dir, self.mesh
                         )));
                     }
@@ -500,9 +481,12 @@ impl FaultPlan {
     }
 }
 
-/// True when `link` corresponds to a physical mesh channel (its target
-/// stays in bounds without wrapping).
+/// True when `link` is a physical mesh channel: its source lies on the
+/// mesh and its target stays in bounds.
 pub fn link_exists(mesh: Mesh, link: Link) -> bool {
+    if link.from.index() >= mesh.node_count() {
+        return false;
+    }
     let c = mesh.coord_of(link.from);
     match link.dir {
         Direction::East => c.x + 1 < mesh.width(),
@@ -522,10 +506,14 @@ pub fn opposite(dir: Direction) -> Direction {
     }
 }
 
-/// The reverse channel of `link` (wrap-aware, so torus edge links reverse
-/// correctly; for interior links this is the plain opposite link).
+/// The reverse direction of the mesh channel `link`: the link from its
+/// target back to its source.
+///
+/// # Panics
+///
+/// Panics if `link` leaves the mesh (see [`link_exists`]).
 pub fn reverse_link(mesh: Mesh, link: Link) -> Link {
-    let target = link_target_torus(mesh, link);
+    let target = link_target(mesh, link);
     Link { from: mesh.node_at(target.x, target.y), dir: opposite(link.dir) }
 }
 
@@ -594,11 +582,6 @@ impl FaultState {
             FaultComponent::Mc(k) => self.mc_alive(k),
             FaultComponent::Bank(n) => self.bank_alive(n),
         }
-    }
-
-    /// Marks a router dead (used when folding derived faults).
-    pub fn kill_router(&mut self, node: NodeId) {
-        self.dead_router[node.index()] = true;
     }
 
     /// Counts of dead (links, routers, mcs, banks). Link faults count
@@ -696,15 +679,15 @@ impl FaultState {
 
     /// Verifies that every alive router can exchange messages with every
     /// other alive router over surviving links (strong connectivity of the
-    /// alive subgraph). `torus` selects wrap-around neighbor semantics.
-    pub fn check_connected(&self, torus: bool) -> Result<(), LocmapError> {
+    /// alive subgraph).
+    pub fn check_connected(&self) -> Result<(), LocmapError> {
         let n = self.mesh.node_count();
         let root = match (0..n).find(|&i| !self.dead_router[i]) {
             Some(i) => NodeId(i as u16),
             None => return Err(LocmapError::FaultConflict("all routers dead".into())),
         };
-        let forward = self.reach(root, torus, false);
-        let backward = self.reach(root, torus, true);
+        let forward = self.reach(root, false);
+        let backward = self.reach(root, true);
         for i in 0..n {
             if self.dead_router[i] {
                 continue;
@@ -721,7 +704,7 @@ impl FaultState {
 
     /// BFS reachability over the alive subgraph; `reverse` follows links
     /// backwards (who can reach `root`).
-    fn reach(&self, root: NodeId, torus: bool, reverse: bool) -> Vec<bool> {
+    fn reach(&self, root: NodeId, reverse: bool) -> Vec<bool> {
         let n = self.mesh.node_count();
         let mut seen = vec![false; n];
         seen[root.index()] = true;
@@ -729,10 +712,10 @@ impl FaultState {
         while let Some(u) = queue.pop_front() {
             for dir in [Direction::East, Direction::West, Direction::North, Direction::South] {
                 let out = Link { from: u, dir };
-                if !torus && !link_exists(self.mesh, out) {
+                if !link_exists(self.mesh, out) {
                     continue;
                 }
-                let tc = link_target_torus(self.mesh, out);
+                let tc = link_target(self.mesh, out);
                 let v = self.mesh.node_at(tc.x, tc.y);
                 // Forward: traverse u->v. Reverse: traverse v->u, i.e. the
                 // link that *arrives* at u from v, which is reverse(out).
@@ -952,7 +935,8 @@ mod tests {
 
     #[test]
     fn push_rejects_self_referential_links() {
-        // On a 1-wide mesh the East wrap of any node is the node itself.
+        // On a 1-wide mesh an East link could only wrap back to its own
+        // source: it is not a mesh channel.
         let skinny = Mesh::try_new(1, 4).unwrap();
         let loop_link = Link { from: skinny.node_at(0, 2), dir: Direction::East };
         let mut plan = FaultPlan::new(skinny, 1);
@@ -970,7 +954,31 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "self-referential")]
+    fn push_and_validate_reject_every_link_leaving_an_edge() {
+        let m = mesh();
+        let edges = (0..6u16).flat_map(|i| {
+            [
+                Link { from: m.node_at(5, i), dir: Direction::East },
+                Link { from: m.node_at(0, i), dir: Direction::West },
+                Link { from: m.node_at(i, 0), dir: Direction::North },
+                Link { from: m.node_at(i, 5), dir: Direction::South },
+            ]
+        });
+        for link in edges {
+            assert!(!link_exists(m, link));
+            let event = FaultEvent { component: FaultComponent::Link(link), inject_at: 0, repair_at: None };
+            let mut plan = FaultPlan::new(m, 4);
+            assert!(matches!(plan.push(event), Err(LocmapError::FaultConflict(_))), "{link:?}");
+            assert!(plan.events().is_empty());
+            // A plan that bypasses `push` (as deserialization would) fails
+            // validation instead.
+            let plan = FaultPlan { mesh: m, mc_count: 4, events: vec![event] };
+            assert!(matches!(plan.validate(), Err(LocmapError::FaultConflict(_))), "{link:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a channel")]
     fn dead_link_panics_on_self_loop() {
         let skinny = Mesh::try_new(4, 1).unwrap();
         let loop_link = Link { from: skinny.node_at(1, 0), dir: Direction::North };
@@ -1036,9 +1044,9 @@ mod tests {
         let m = Mesh::try_new(2, 1).unwrap();
         let cut = Link { from: m.node_at(0, 0), dir: Direction::East };
         let state = FaultPlan::new(m, 1).dead_link(cut).state_at(0);
-        assert!(matches!(state.check_connected(false), Err(LocmapError::Unreachable { .. })));
-        assert!(FaultState::none(m, 1).check_connected(false).is_ok());
-        assert!(FaultState::none(mesh(), 4).check_connected(true).is_ok());
+        assert!(matches!(state.check_connected(), Err(LocmapError::Unreachable { .. })));
+        assert!(FaultState::none(m, 1).check_connected().is_ok());
+        assert!(FaultState::none(mesh(), 4).check_connected().is_ok());
     }
 
     #[test]
@@ -1046,6 +1054,6 @@ mod tests {
         // Killing a corner router disconnects nothing else.
         let m = mesh();
         let state = FaultPlan::new(m, 4).dead_router(m.node_at(0, 0)).state_at(0);
-        assert!(state.check_connected(false).is_ok());
+        assert!(state.check_connected().is_ok());
     }
 }

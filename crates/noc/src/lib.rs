@@ -3,8 +3,16 @@
 //! This crate provides the physical-location substrate of the `locmap`
 //! system: mesh topology and coordinates, Manhattan distances, logical
 //! region partitioning (the paper's R1..R9), memory-controller placement,
-//! deterministic X-Y routing, and a cycle-based link-contention model that
-//! approximates wormhole switching.
+//! deterministic X-Y routing, fault injection, and a cycle-based
+//! link-contention model that approximates wormhole switching.
+//!
+//! The interconnect is a 2D mesh and nothing else: the mapper scores
+//! regions by Manhattan distance and the verifier proves X-Y routing
+//! deadlock-free on mesh channels, so the network routes over exactly
+//! those channels. [`route`]`(mesh, faults, src, dst)` is the one routing
+//! entry point — the X-Y route when it is intact, otherwise a
+//! deterministic breadth-first detour over the surviving channels — and
+//! [`FaultState::check_connected`] floods the same channels.
 //!
 //! The model intentionally exposes *relative positions* of cores, LLC banks
 //! and memory controllers — exactly the information the PLDI'18 paper argues
@@ -48,11 +56,9 @@ pub use faults::{
     FaultState,
 };
 pub use mc::{McId, McPlacement};
-pub use network::{Network, NocConfig, TopologyKind};
+pub use network::{Network, NocConfig};
 pub use packet::{MessageKind, FLIT_BYTES};
 pub use regions::{RegionGrid, RegionId};
-pub use routing::{
-    link_target, link_target_torus, route, route_xy, route_xy_torus, Direction, Link,
-};
+pub use routing::{link_target, route, route_xy, Direction, Link};
 pub use stats::NetworkStats;
 pub use topology::{Coord, Mesh, NodeId};

@@ -26,7 +26,9 @@ impl fmt::Display for McId {
     }
 }
 
-/// Where the (four) memory controllers attach to the mesh.
+/// Where the four memory controllers attach to the mesh. A machine with
+/// other controller coordinates lists them itself (`locmap-core`'s
+/// `Platform::mc_coords`).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum McPlacement {
     /// One MC at each corner of the chip — the paper's default
@@ -38,8 +40,6 @@ pub enum McPlacement {
     /// One MC at the midpoint of each side — the alternate placement of the
     /// Figure 9 sensitivity experiment.
     EdgeMidpoints,
-    /// Explicit attachment coordinates, one per MC.
-    Custom(Vec<Coord>),
 }
 
 impl McPlacement {
@@ -63,15 +63,6 @@ impl McPlacement {
                 Coord::new(w / 2, h), // bottom
                 Coord::new(0, h / 2), // left
             ],
-            McPlacement::Custom(coords) => coords.clone(),
-        }
-    }
-
-    /// Number of memory controllers.
-    pub fn count(&self, _mesh: Mesh) -> usize {
-        match self {
-            McPlacement::Corners | McPlacement::EdgeMidpoints => 4,
-            McPlacement::Custom(coords) => coords.len(),
         }
     }
 }
@@ -111,15 +102,6 @@ mod tests {
                 "{c} is a corner"
             );
         }
-    }
-
-    #[test]
-    fn custom_placement_roundtrips() {
-        let m = Mesh::try_new(4, 4).unwrap();
-        let coords = vec![Coord::new(1, 1), Coord::new(2, 2)];
-        let p = McPlacement::Custom(coords.clone());
-        assert_eq!(p.coords(m), coords);
-        assert_eq!(p.count(m), 2);
     }
 
     #[test]

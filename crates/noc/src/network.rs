@@ -26,18 +26,6 @@ use crate::topology::{Mesh, NodeId};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
-/// Physical topology of the interconnect (the paper's §3.9 notes the
-/// approach generalizes beyond 2D meshes; the torus is the natural first
-/// extension — same routers, plus wraparound links).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum TopologyKind {
-    /// 2D mesh (paper default).
-    #[default]
-    Mesh,
-    /// 2D torus: rows and columns wrap around.
-    Torus,
-}
-
 /// Static parameters of the on-chip network.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NocConfig {
@@ -51,13 +39,11 @@ pub struct NocConfig {
     /// When true the network is *ideal*: every message is delivered in zero
     /// cycles. Used for the Figure 2 potential study.
     pub ideal: bool,
-    /// Mesh or torus links.
-    pub topology: TopologyKind,
 }
 
 impl Default for NocConfig {
     fn default() -> Self {
-        NocConfig { router_delay: 3, link_traversal: 4, ideal: false, topology: TopologyKind::Mesh }
+        NocConfig { router_delay: 3, link_traversal: 4, ideal: false }
     }
 }
 
@@ -261,7 +247,7 @@ impl Network {
         }
         let pair = src.index() * n + dst.index();
         if self.route_slots[pair][1] == 0 {
-            let links = route(self.mesh, self.cfg.topology, &self.faults, src, dst)?;
+            let links = route(self.mesh, &self.faults, src, dst)?;
             self.route_slots[pair] = [self.route_links.len() as u32, links.len() as u32];
             self.route_links.extend(links.iter().map(|l| l.index() as u32));
         }
@@ -275,10 +261,7 @@ impl Network {
         if self.cfg.ideal || src == dst {
             return 0;
         }
-        let hops = match self.cfg.topology {
-            TopologyKind::Mesh => self.mesh.distance(src, dst) as u64,
-            TopologyKind::Torus => self.mesh.torus_distance(src, dst) as u64,
-        };
+        let hops = self.mesh.distance(src, dst) as u64;
         let flits = kind.flits() as u64;
         hops * (self.cfg.router_delay + self.cfg.link_traversal) + (flits - 1) * self.cfg.link_traversal
     }
@@ -617,22 +600,6 @@ mod tests {
     }
 
     #[test]
-    fn torus_shortens_far_routes() {
-        let mesh = Mesh::try_new(6, 6).unwrap();
-        let mut mesh_net = Network::new(NocConfig::default(), mesh);
-        let mut torus_net =
-            Network::new(NocConfig { topology: TopologyKind::Torus, ..NocConfig::default() }, mesh);
-        let src = mesh.node_at(0, 0);
-        let dst = mesh.node_at(5, 5);
-        let k = MessageKind::llc_response64();
-        assert!(torus_net.zero_load_latency(src, dst, k) < mesh_net.zero_load_latency(src, dst, k));
-        let tm = mesh_net.send(0, src, dst, k);
-        let tt = torus_net.send(0, src, dst, k);
-        assert!(tt < tm, "torus {tt} should beat mesh {tm}");
-        assert_eq!(torus_net.stats().total_hops, 2);
-    }
-
-    #[test]
     fn faulted_send_detours_and_costs_more() {
         use crate::faults::FaultPlan;
         use crate::routing::Direction;
@@ -711,12 +678,11 @@ mod tests {
     /// The memoised route of every ordered pair of distinct nodes, asked
     /// twice (filling the memo, then reading it), against [`route`].
     fn assert_memo_matches_route(net: &mut Network, faults: &FaultState) {
-        let (m, topology) = (net.mesh(), net.config().topology);
+        let m = net.mesh();
         for s in 0..m.node_count() as u16 {
             for d in (0..m.node_count() as u16).filter(|&d| d != s) {
                 let (s, d) = (NodeId(s), NodeId(d));
-                let want =
-                    route(m, topology, faults, s, d).map(|r| r.iter().map(|l| l.index() as u32).collect());
+                let want = route(m, faults, s, d).map(|r| r.iter().map(|l| l.index() as u32).collect());
                 for _ in 0..2 {
                     let got = net.memoised_route(s, d).map(|r| net.route_links[r].to_vec());
                     assert_eq!(got, want, "{s} -> {d}");
@@ -732,8 +698,6 @@ mod tests {
         let mesh = Mesh::try_new(6, 6).unwrap();
         let none = FaultState::none(mesh, 0);
         assert_memo_matches_route(&mut net6(), &none);
-        let torus = NocConfig { topology: TopologyKind::Torus, ..NocConfig::default() };
-        assert_memo_matches_route(&mut Network::new(torus, mesh), &none);
         let faults = FaultPlan::new(mesh, 4)
             .dead_link(Link { from: mesh.node_at(2, 1), dir: Direction::East })
             .dead_router(mesh.node_at(3, 3))

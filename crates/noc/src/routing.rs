@@ -6,7 +6,6 @@
 
 use crate::error::RouteError;
 use crate::faults::{link_exists, FaultState};
-use crate::network::TopologyKind;
 use crate::topology::{Coord, Mesh, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -58,41 +57,6 @@ impl Link {
 }
 
 /// The ordered list of directed links a message takes from `src` to `dst`
-/// under X-Y routing on a **torus**: each dimension is corrected in the
-/// shorter wrap direction, using the edge-wrap links. Ties (exactly half
-/// way) go the positive direction for determinism.
-pub fn route_xy_torus(mesh: Mesh, src: NodeId, dst: NodeId) -> Vec<Link> {
-    let w = mesh.width() as i32;
-    let h = mesh.height() as i32;
-    let s = mesh.coord_of(src);
-    let d = mesh.coord_of(dst);
-    let mut links = Vec::new();
-    let mut cur = s;
-
-    // Horizontal: pick the shorter wrap direction.
-    let dx = d.x as i32 - cur.x as i32;
-    let steps_east = dx.rem_euclid(w);
-    let east = steps_east <= w - steps_east;
-    let hsteps = if east { steps_east } else { w - steps_east };
-    for _ in 0..hsteps {
-        let dir = if east { Direction::East } else { Direction::West };
-        links.push(Link { from: mesh.node_at(cur.x, cur.y), dir });
-        cur.x = if east { (cur.x + 1) % mesh.width() } else { (cur.x + mesh.width() - 1) % mesh.width() };
-    }
-    // Vertical.
-    let dy = d.y as i32 - cur.y as i32;
-    let steps_south = dy.rem_euclid(h);
-    let south = steps_south <= h - steps_south;
-    let vsteps = if south { steps_south } else { h - steps_south };
-    for _ in 0..vsteps {
-        let dir = if south { Direction::South } else { Direction::North };
-        links.push(Link { from: mesh.node_at(cur.x, cur.y), dir });
-        cur.y = if south { (cur.y + 1) % mesh.height() } else { (cur.y + mesh.height() - 1) % mesh.height() };
-    }
-    links
-}
-
-/// The ordered list of directed links a message takes from `src` to `dst`
 /// under X-Y routing. Empty when `src == dst`.
 pub fn route_xy(mesh: Mesh, src: NodeId, dst: NodeId) -> Vec<Link> {
     let s = mesh.coord_of(src);
@@ -112,25 +76,21 @@ pub fn route_xy(mesh: Mesh, src: NodeId, dst: NodeId) -> Vec<Link> {
     links
 }
 
-/// The route a message takes from `src` to `dst` on a `topology` network
-/// in fault state `faults`.
+/// The route a message takes from `src` to `dst` in fault state `faults`.
 ///
-/// This is the dimension-ordered route ([`route_xy`], or
-/// [`route_xy_torus`] on a torus) when every link and intermediate router
-/// on it is alive — always, on a [`FaultState::none`] chip — and otherwise
-/// a deterministic breadth-first detour over the surviving subgraph
-/// (neighbors explored in fixed E, W, N, S order, wrap links included on
-/// a torus, so the same fault state always yields the same detour).
-/// Returns [`RouteError::Unreachable`] when no surviving path exists —
-/// never a route to the wrong node.
+/// This is the X-Y route ([`route_xy`]) when every link and intermediate
+/// router on it is alive — always, on a [`FaultState::none`] chip — and
+/// otherwise a deterministic breadth-first detour over the surviving mesh
+/// channels (neighbors explored in fixed E, W, N, S order, so the same
+/// fault state always yields the same detour). Returns
+/// [`RouteError::Unreachable`] when no surviving path exists — never a
+/// route to the wrong node.
 pub fn route(
     mesh: Mesh,
-    topology: TopologyKind,
     faults: &FaultState,
     src: NodeId,
     dst: NodeId,
 ) -> Result<Vec<Link>, RouteError> {
-    let torus = topology == TopologyKind::Torus;
     let unreachable = RouteError::Unreachable { from: src, to: dst };
     if !faults.router_alive(src) || !faults.router_alive(dst) {
         return Err(unreachable);
@@ -139,10 +99,10 @@ pub fn route(
         return Ok(Vec::new());
     }
 
-    // Fast path: the dimension-ordered route, when fully intact. Every
+    // Fast path: the X-Y route, when fully intact. Every
     // link must be alive, as must every intermediate router (each link's
     // source after the first; src and dst are already checked).
-    let xy = if torus { route_xy_torus(mesh, src, dst) } else { route_xy(mesh, src, dst) };
+    let xy = route_xy(mesh, src, dst);
     let intact = xy
         .iter()
         .enumerate()
@@ -161,10 +121,10 @@ pub fn route(
     'search: while let Some(u) = queue.pop_front() {
         for dir in [Direction::East, Direction::West, Direction::North, Direction::South] {
             let link = Link { from: u, dir };
-            if !torus && !link_exists(mesh, link) {
+            if !link_exists(mesh, link) {
                 continue;
             }
-            let tc = link_target_torus(mesh, link);
+            let tc = link_target(mesh, link);
             let v = mesh.node_at(tc.x, tc.y);
             if seen[v.index()] || !faults.link_alive(link) || !faults.router_alive(v) {
                 continue;
@@ -191,8 +151,11 @@ pub fn route(
     Ok(links)
 }
 
-/// The coordinate reached after traversing `link` (mesh semantics: no
-/// wrap; see [`link_target_torus`] for wraparound links).
+/// The coordinate reached after traversing `link`.
+///
+/// # Panics
+///
+/// Panics if `link` leaves the mesh (see [`link_exists`]).
 pub fn link_target(mesh: Mesh, link: Link) -> Coord {
     let c = mesh.coord_of(link.from);
     match link.dir {
@@ -200,18 +163,6 @@ pub fn link_target(mesh: Mesh, link: Link) -> Coord {
         Direction::West => Coord::new(c.x - 1, c.y),
         Direction::North => Coord::new(c.x, c.y - 1),
         Direction::South => Coord::new(c.x, c.y + 1),
-    }
-}
-
-/// The coordinate reached after traversing `link` with torus wraparound.
-pub fn link_target_torus(mesh: Mesh, link: Link) -> Coord {
-    let c = mesh.coord_of(link.from);
-    let (w, h) = (mesh.width(), mesh.height());
-    match link.dir {
-        Direction::East => Coord::new((c.x + 1) % w, c.y),
-        Direction::West => Coord::new((c.x + w - 1) % w, c.y),
-        Direction::North => Coord::new(c.x, (c.y + h - 1) % h),
-        Direction::South => Coord::new(c.x, (c.y + 1) % h),
     }
 }
 
@@ -269,58 +220,12 @@ mod tests {
     }
 
     #[test]
-    fn torus_route_length_equals_torus_distance() {
-        let m = Mesh::try_new(6, 6).unwrap();
-        for a in m.nodes() {
-            for b in m.nodes() {
-                assert_eq!(
-                    route_xy_torus(m, a, b).len() as u32,
-                    m.torus_distance(a, b),
-                    "{a}->{b}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn torus_route_is_contiguous_and_reaches_destination() {
-        let m = Mesh::try_new(5, 7).unwrap();
-        for a in m.nodes() {
-            for b in m.nodes() {
-                let route = route_xy_torus(m, a, b);
-                let mut cur = m.coord_of(a);
-                for link in &route {
-                    assert_eq!(m.coord_of(link.from), cur, "route not contiguous");
-                    cur = link_target_torus(m, *link);
-                }
-                assert_eq!(cur, m.coord_of(b), "route did not reach dst");
-            }
-        }
-    }
-
-    #[test]
-    fn torus_uses_wrap_for_far_pairs() {
-        let m = Mesh::try_new(6, 6).unwrap();
-        // (0,0) -> (5,0): one West wrap hop instead of five East hops.
-        let route = route_xy_torus(m, m.node_at(0, 0), m.node_at(5, 0));
-        assert_eq!(route.len(), 1);
-        assert_eq!(route[0].dir, Direction::West);
-    }
-
-    #[test]
     fn faulty_route_matches_xy_when_clean() {
         let m = Mesh::try_new(6, 6).unwrap();
         let clean = crate::faults::FaultState::none(m, 4);
         for a in m.nodes() {
             for b in m.nodes() {
-                assert_eq!(
-                    route(m, TopologyKind::Mesh, &clean, a, b).unwrap(),
-                    route_xy(m, a, b)
-                );
-                assert_eq!(
-                    route(m, TopologyKind::Torus, &clean, a, b).unwrap(),
-                    route_xy_torus(m, a, b)
-                );
+                assert_eq!(route(m, &clean, a, b).unwrap(), route_xy(m, a, b));
             }
         }
     }
@@ -333,7 +238,7 @@ mod tests {
         let dst = m.node_at(3, 0);
         let cut = Link { from: m.node_at(1, 0), dir: Direction::East };
         let state = FaultPlan::new(m, 4).dead_link(cut).state_at(0);
-        let path = route(m, TopologyKind::Mesh, &state, src, dst).unwrap();
+        let path = route(m, &state, src, dst).unwrap();
         // Detour exists, avoids the cut channel, and still arrives.
         assert!(path.iter().all(|l| state.link_alive(*l)));
         let mut cur = m.coord_of(src);
@@ -344,7 +249,7 @@ mod tests {
         assert_eq!(cur, m.coord_of(dst));
         assert_eq!(path.len(), 5, "minimal detour is 2 extra hops");
         // Determinism: same state, same route.
-        assert_eq!(path, route(m, TopologyKind::Mesh, &state, src, dst).unwrap());
+        assert_eq!(path, route(m, &state, src, dst).unwrap());
     }
 
     #[test]
@@ -354,15 +259,15 @@ mod tests {
         let dead = m.node_at(2, 0);
         let state = FaultPlan::new(m, 4).dead_router(dead).state_at(0);
         let path =
-            route(m, TopologyKind::Mesh, &state, m.node_at(0, 0), m.node_at(5, 0)).unwrap();
+            route(m, &state, m.node_at(0, 0), m.node_at(5, 0)).unwrap();
         for l in &path {
             assert_ne!(l.from, dead, "route passes through dead router");
             let t = link_target(m, *l);
             assert_ne!(m.node_at(t.x, t.y), dead, "route enters dead router");
         }
         // Endpoints on dead routers are unreachable by definition.
-        assert!(route(m, TopologyKind::Mesh, &state, dead, m.node_at(5, 5)).is_err());
-        assert!(route(m, TopologyKind::Mesh, &state, m.node_at(5, 5), dead).is_err());
+        assert!(route(m, &state, dead, m.node_at(5, 5)).is_err());
+        assert!(route(m, &state, m.node_at(5, 5), dead).is_err());
     }
 
     #[test]
@@ -374,34 +279,12 @@ mod tests {
             .dead_link(Link { from: m.node_at(0, 0), dir: Direction::East })
             .dead_link(Link { from: m.node_at(0, 0), dir: Direction::South })
             .state_at(0);
-        let err = route(m, TopologyKind::Mesh, &state, m.node_at(0, 0), m.node_at(1, 1))
+        let err = route(m, &state, m.node_at(0, 0), m.node_at(1, 1))
             .unwrap_err();
         assert_eq!(
             err,
             crate::error::RouteError::Unreachable { from: m.node_at(0, 0), to: m.node_at(1, 1) }
         );
-    }
-
-    #[test]
-    fn torus_faulty_route_uses_wrap_detour() {
-        use crate::faults::FaultPlan;
-        let m = Mesh::try_new(6, 6).unwrap();
-        let src = m.node_at(0, 0);
-        let dst = m.node_at(1, 0);
-        let cut = Link { from: src, dir: Direction::East };
-        let state = FaultPlan::new(m, 4).dead_link(cut).state_at(0);
-        let mesh_route = route(m, TopologyKind::Mesh, &state, src, dst).unwrap();
-        let torus_route = route(m, TopologyKind::Torus, &state, src, dst).unwrap();
-        // The torus detour may wrap; both must avoid the cut and arrive.
-        for (route, wrap) in [(&mesh_route, false), (&torus_route, true)] {
-            assert!(route.iter().all(|l| state.link_alive(*l)));
-            let mut cur = m.coord_of(src);
-            for l in route.iter() {
-                cur = if wrap { link_target_torus(m, *l) } else { link_target(m, *l) };
-            }
-            assert_eq!(cur, m.coord_of(dst));
-        }
-        assert_eq!(mesh_route.len(), 3);
     }
 
     #[test]

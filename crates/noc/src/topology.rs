@@ -124,16 +124,6 @@ impl Mesh {
     pub fn nodes(self) -> impl Iterator<Item = NodeId> {
         (0..self.node_count() as u16).map(NodeId)
     }
-
-    /// Distance in hops when the mesh's rows and columns wrap around
-    /// (torus links): each dimension takes the shorter way round.
-    pub fn torus_distance(self, a: NodeId, b: NodeId) -> u32 {
-        let ca = self.coord_of(a);
-        let cb = self.coord_of(b);
-        let dx = (ca.x as i32 - cb.x as i32).unsigned_abs();
-        let dy = (ca.y as i32 - cb.y as i32).unsigned_abs();
-        dx.min(self.width as u32 - dx) + dy.min(self.height as u32 - dy)
-    }
 }
 
 impl fmt::Display for Mesh {
@@ -176,24 +166,6 @@ mod tests {
     #[should_panic]
     fn node_at_out_of_bounds_panics() {
         Mesh::try_new(4, 4).unwrap().node_at(4, 0);
-    }
-
-    #[test]
-    fn torus_distance_wraps() {
-        let m = Mesh::try_new(6, 6).unwrap();
-        // Opposite corners are 2 hops apart on a torus (one wrap per axis).
-        assert_eq!(m.torus_distance(m.node_at(0, 0), m.node_at(5, 5)), 2);
-        // Short distances match Manhattan.
-        assert_eq!(m.torus_distance(m.node_at(1, 1), m.node_at(2, 3)), 3);
-        // Half-way points: both directions equal.
-        assert_eq!(m.torus_distance(m.node_at(0, 0), m.node_at(3, 0)), 3);
-        // Symmetry.
-        for a in m.nodes() {
-            for b in m.nodes() {
-                assert_eq!(m.torus_distance(a, b), m.torus_distance(b, a));
-                assert!(m.torus_distance(a, b) <= m.distance(a, b));
-            }
-        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use locmap_loopir::{
 use locmap_mem::{Access as MemAccess, Cache, Directory, Dram, PhysAddr};
 use locmap_noc::{
     route, FaultComponent, FaultPlan, FaultState, LocmapError, McId, MessageKind, Network, NodeId,
-    RunControl, TopologyKind,
+    RunControl,
 };
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
@@ -75,7 +75,7 @@ impl SimFaults {
     /// its bank and any attached MC down with it) and validates it: at
     /// least one MC and one LLC bank must survive and the alive routers
     /// must remain mutually reachable over surviving links.
-    fn new(state: &FaultState, platform: &Platform, cfg: &SimConfig) -> Result<Self, LocmapError> {
+    fn new(state: &FaultState, platform: &Platform) -> Result<Self, LocmapError> {
         if state.mesh() != platform.mesh {
             return Err(LocmapError::InvalidConfig(format!(
                 "fault state describes a {} but the platform has a {}",
@@ -86,7 +86,7 @@ impl SimFaults {
         let eff = state.effective(&platform.mc_coords);
         let mc_redirect = eff.mc_redirects(&platform.mc_coords)?;
         let bank_redirect = eff.bank_redirects()?;
-        eff.check_connected(cfg.noc.topology == TopologyKind::Torus)?;
+        eff.check_connected()?;
         Ok(SimFaults { state: eff, mc_redirect, bank_redirect })
     }
 }
@@ -223,7 +223,7 @@ impl SimulatorBuilder {
         let state = self
             .faults
             .unwrap_or_else(|| FaultState::none(self.platform.mesh, self.platform.mc_count()));
-        let faults = SimFaults::new(&state, &self.platform, &self.cfg)?;
+        let faults = SimFaults::new(&state, &self.platform)?;
         Ok(Simulator::construct(self.platform, self.cfg, faults))
     }
 }
@@ -262,7 +262,7 @@ impl Simulator {
     /// redirected addresses go to their nearest surviving MC/bank; on
     /// error the simulator is left unchanged.
     pub fn set_faults(&mut self, state: &FaultState) -> Result<(), LocmapError> {
-        let faults = SimFaults::new(state, &self.platform, &self.cfg)?;
+        let faults = SimFaults::new(state, &self.platform)?;
         // A dead router takes its core's L1 contents with it: drop the
         // core's cache and its sharer-directory entries, so no later write
         // tries to deliver an invalidation to a node nothing can reach.
@@ -721,7 +721,7 @@ impl Simulator {
     ) -> Option<FaultComponent> {
         let newly = |c: FaultComponent| old.alive(c) && !new.alive(c);
         for &(s, d) in &li.legs {
-            let path = route(self.platform.mesh, self.cfg.noc.topology, sent, s, d)
+            let path = route(self.platform.mesh, sent, s, d)
                 .expect("the leg was sent under `sent`, so its route exists");
             // Routers on the path (including endpoints), then its links.
             let routers = path.iter().map(|l| l.from).chain([d]).map(FaultComponent::Router);
@@ -1564,7 +1564,6 @@ mod topology_tests {
     use super::*;
     use locmap_core::Compiler;
     use locmap_loopir::{Access, AffineExpr, AffineExpr as AE, LoopNest};
-    use locmap_noc::TopologyKind;
 
     fn corner_heavy_program() -> (Program, locmap_loopir::NestId) {
         // Stride-64B scan: every access is a fresh line, maximal traffic.
@@ -1575,31 +1574,6 @@ mod topology_tests {
         let _ = AffineExpr::constant(0);
         let id = p.add_nest(nest);
         (p, id)
-    }
-
-    #[test]
-    fn torus_network_reduces_latency_for_default_mapping() {
-        let (p, id) = corner_heavy_program();
-        let platform = Platform::paper_default_with(LlcOrg::Private);
-        let compiler = Compiler::builder(platform.clone()).build().unwrap();
-        let mapping = compiler.default_mapping(&p, id);
-        let data = DataEnv::new();
-
-        let mut mesh_sim = Simulator::builder(platform.clone()).build().unwrap();
-        let mesh = mesh_sim.run_nest(&p, &mapping, &data);
-
-        let mut cfg = SimConfig::default();
-        cfg.noc.topology = TopologyKind::Torus;
-        let mut torus_sim = Simulator::builder(platform).config(cfg).build().unwrap();
-        let torus = torus_sim.run_nest(&p, &mapping, &data);
-
-        assert!(
-            torus.network.avg_hops() < mesh.network.avg_hops(),
-            "torus hops {:.2} !< mesh hops {:.2}",
-            torus.network.avg_hops(),
-            mesh.network.avg_hops()
-        );
-        assert!(torus.cycles <= mesh.cycles);
     }
 
     #[test]

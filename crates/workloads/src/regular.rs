@@ -307,12 +307,12 @@ mod tests {
             locmap_loopir::RefKind::Affine(e) => e,
             _ => unreachable!(),
         };
-        assert_eq!(c_expr.coeff(2), 0);
+        assert!(c_expr.coeffs.get(2).is_none_or(|&c| c == 0));
         let b_expr = match &nest.refs[2].kind {
             locmap_loopir::RefKind::Affine(e) => e,
             _ => unreachable!(),
         };
-        assert_eq!(b_expr.coeff(2), 256);
+        assert_eq!(b_expr.coeffs.get(2), Some(&256));
     }
 
     #[test]

@@ -24,7 +24,7 @@ fn figure5() -> (Program, IterationSpace, Vec<locmap_loopir::IterationSet>) {
     }
     let id = p.add_nest(nest);
     let space = IterationSpace::enumerate(p.nest(id), &p.params());
-    let sets = space.split(space.len());
+    let sets = space.split_by_fraction(1.0);
     (p, space, sets)
 }
 

@@ -6,8 +6,8 @@ use locmap_core::{
     Mac, MacPolicy, PlacementPolicy,
 };
 use locmap_noc::{
-    link_target, route, route_xy, FaultCounts, MessageKind, Network, NocConfig, RouteError,
-    TopologyKind,
+    link_exists, link_target, reverse_link, route, route_xy, Direction, FaultCounts, Link,
+    MessageKind, Network, NocConfig, RouteError,
 };
 use proptest::prelude::*;
 
@@ -145,14 +145,15 @@ proptest! {
         let (src, dst) = (NodeId(a % n), NodeId(b % n));
         let counts = FaultCounts { links, routers, ..FaultCounts::default() };
         let state = FaultPlan::random(seed, mesh, 4, counts).final_state();
-        match route(mesh, TopologyKind::Mesh, &state, src, dst) {
+        match route(mesh, &state, src, dst) {
             Ok(path) => {
-                // The route is contiguous from src, ends exactly at dst
-                // (never a wrong node), and every traversed link and
-                // entered router is alive.
+                // The route is contiguous from src over mesh channels, ends
+                // exactly at dst (never a wrong node), and every traversed
+                // link and entered router is alive.
                 let mut cur = src;
                 for l in &path {
                     prop_assert_eq!(l.from, cur, "route not contiguous");
+                    prop_assert!(link_exists(mesh, *l), "route leaves the mesh at {:?}", l);
                     prop_assert!(state.link_alive(*l), "route uses dead link");
                     let t = link_target(mesh, *l);
                     cur = mesh.node_at(t.x, t.y);
@@ -163,6 +164,23 @@ proptest! {
             Err(RouteError::Unreachable { from, to }) => {
                 prop_assert_eq!(from, src);
                 prop_assert_eq!(to, dst);
+            }
+        }
+    }
+
+    #[test]
+    fn reverse_link_is_an_involution_on_mesh_channels(mesh in arb_mesh()) {
+        for from in mesh.nodes() {
+            for dir in [Direction::East, Direction::West, Direction::North, Direction::South] {
+                let link = Link { from, dir };
+                if !link_exists(mesh, link) {
+                    continue;
+                }
+                let rev = reverse_link(mesh, link);
+                prop_assert!(link_exists(mesh, rev), "{:?} reverses off the mesh", link);
+                let t = link_target(mesh, link);
+                prop_assert_eq!(rev.from, mesh.node_at(t.x, t.y));
+                prop_assert_eq!(reverse_link(mesh, rev), link);
             }
         }
     }

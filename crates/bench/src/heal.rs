@@ -353,7 +353,7 @@ pub fn heal_run(
                 }
                 Err(SimError::Unsurvivable { cycle, source }) => {
                     // The stranded-machine escape hatch: when quarantine
-                    // itself partitions the mesh (the LM0304 shape),
+                    // itself partitions the mesh (the LM0302 shape),
                     // releasing probation beats giving up. Once.
                     if !released && !ctrl.quarantined().is_empty() {
                         ctrl.release_quarantine(cycle.max(now));

@@ -19,7 +19,7 @@ use crate::vectors::{AffinityVec, Cac, EtaMetric, Mac, MacPolicy};
 use locmap_cme::{CmeConfig, CmeEstimate, CmeEstimator};
 use locmap_loopir::{DataEnv, IterationSet, IterationSpace, NestId, Program};
 use locmap_mem::CacheConfig;
-use locmap_noc::{FaultState, LocmapError, NodeId, RegionId, RunControl};
+use locmap_noc::{nearest_survivor, FaultState, LocmapError, NodeId, RegionId, RunControl};
 use serde::{Deserialize, Serialize};
 
 /// How the shared-LLC (S-NUCA) assignment objective treats LLC misses.
@@ -296,23 +296,11 @@ impl Compiler {
             (0..nregions).map(|j| region_has(j, &|n| eff.bank_alive(n))).collect();
 
         // Nearest surviving region by centroid distance, region id breaking
-        // ties — the same rule FaultState uses for per-component redirects.
+        // ties — the one redirect rule, shared with FaultState's redirects.
         let nearest = |j: usize, alive: &[bool]| -> RegionId {
-            let from = RegionId(j as u16);
-            if alive[j] {
-                return from;
-            }
-            let mut best: Option<(f64, usize)> = None;
-            for (k, &a) in alive.iter().enumerate() {
-                if !a {
-                    continue;
-                }
-                let d = regions.region_distance(from, RegionId(k as u16));
-                if best.is_none_or(|(bd, _)| d < bd) {
-                    best = Some((d, k));
-                }
-            }
-            RegionId(best.expect("at least one region alive").1 as u16)
+            let dist = |k: usize| regions.region_distance(RegionId(j as u16), RegionId(k as u16));
+            let k = nearest_survivor(nregions, j, |k| alive[k], dist);
+            RegionId(k.expect("at least one region alive") as u16)
         };
         let core_region_redirect: Vec<RegionId> =
             (0..nregions).map(|j| nearest(j, &alive_regions)).collect();

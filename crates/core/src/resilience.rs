@@ -569,6 +569,15 @@ pub fn adopt_assignment(old: &NestMapping, fresh: &NestMapping) -> Option<NestMa
     Some(out)
 }
 
+/// Alive cores per region, lowest node index first.
+fn alive_cores_by_region(state: &FaultState, platform: &Platform) -> Vec<Vec<NodeId>> {
+    let regions = &platform.regions;
+    regions
+        .regions()
+        .map(|r| regions.nodes_in(r).into_iter().filter(|&n| state.router_alive(n)).collect())
+        .collect()
+}
+
 /// Nearest-region fallback placement (degradation rung 2): every set moves
 /// to an alive core of the region nearest to its current core, round-robin
 /// inside each region. Returns `None` when no router survives.
@@ -578,12 +587,7 @@ pub fn fallback_region_mapping(
     platform: &Platform,
 ) -> Option<NestMapping> {
     let mesh = platform.mesh;
-    let regions = &platform.regions;
-    // Alive cores per region, lowest node index first.
-    let alive: Vec<Vec<NodeId>> = regions
-        .regions()
-        .map(|r| regions.nodes_in(r).into_iter().filter(|&n| state.router_alive(n)).collect())
-        .collect();
+    let alive = alive_cores_by_region(state, platform);
     if alive.iter().all(Vec::is_empty) {
         return None;
     }
@@ -622,11 +626,7 @@ pub fn serial_region_mapping(
     state: &FaultState,
     platform: &Platform,
 ) -> Option<NestMapping> {
-    let regions = &platform.regions;
-    let alive: Vec<Vec<NodeId>> = regions
-        .regions()
-        .map(|r| regions.nodes_in(r).into_iter().filter(|&n| state.router_alive(n)).collect())
-        .collect();
+    let alive = alive_cores_by_region(state, platform);
     let best = (0..alive.len()).max_by_key(|&r| (alive[r].len(), usize::MAX - r))?;
     if alive[best].is_empty() {
         return None;
@@ -761,13 +761,13 @@ mod tests {
 
     #[test]
     fn all_links_dead_quarantine_strands_core_and_releases() {
-        // The LM0304-diagnosed edge case: quarantining every channel of a
+        // The LM0302-diagnosed edge case: quarantining every channel of a
         // node strands its (alive) core, so the quarantined state fails
         // connectivity — the driver's escape hatch force-releases.
         let mut c = controller();
         let m = mesh();
         let node = m.node_at(2, 2);
-        for dir in [Direction::East, Direction::West, Direction::North, Direction::South] {
+        for dir in Direction::ALL {
             c.record_fault(FaultComponent::Link(Link { from: node, dir }), 500);
         }
         let aug = c.overlay(&FaultPlan::new(m, 4));

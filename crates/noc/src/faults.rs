@@ -23,7 +23,6 @@ use crate::topology::{Coord, Mesh, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::fmt;
 
 /// A hardware component that can fail.
@@ -209,12 +208,7 @@ impl FaultPlan {
         let mut links: Vec<Link> = Vec::new();
         while links.len() < counts.links.min(n * 2) {
             let from = NodeId(rng.gen_range(0..n as u16));
-            let dir = match rng.gen_range(0..4u8) {
-                0 => Direction::East,
-                1 => Direction::West,
-                2 => Direction::North,
-                _ => Direction::South,
-            };
+            let dir = Direction::ALL[rng.gen_range(0..4u8) as usize];
             let link = Link { from, dir };
             if !link_exists(mesh, link) {
                 continue;
@@ -497,7 +491,7 @@ pub fn link_exists(mesh: Mesh, link: Link) -> bool {
 }
 
 /// The opposite direction of travel.
-pub fn opposite(dir: Direction) -> Direction {
+fn opposite(dir: Direction) -> Direction {
     match dir {
         Direction::East => Direction::West,
         Direction::West => Direction::East,
@@ -515,6 +509,29 @@ pub fn opposite(dir: Direction) -> Direction {
 pub fn reverse_link(mesh: Mesh, link: Link) -> Link {
     let target = link_target(mesh, link);
     Link { from: mesh.node_at(target.x, target.y), dir: opposite(link.dir) }
+}
+
+/// The nearest-survivor rule behind every degraded-mode redirect: `from`
+/// itself when `alive(from)`, otherwise the alive index in `0..count` at
+/// the smallest `dist`, the lowest index winning ties. `None` when nothing
+/// in `0..count` is alive.
+pub fn nearest_survivor<D: PartialOrd>(
+    count: usize,
+    from: usize,
+    alive: impl Fn(usize) -> bool,
+    dist: impl Fn(usize) -> D,
+) -> Option<usize> {
+    if alive(from) {
+        return Some(from);
+    }
+    let mut best: Option<(D, usize)> = None;
+    for k in (0..count).filter(|&k| alive(k)) {
+        let d = dist(k);
+        if best.as_ref().is_none_or(|(bd, _)| d < *bd) {
+            best = Some((d, k));
+        }
+    }
+    best.map(|(_, k)| k)
 }
 
 /// Dense alive/dead bitmaps for every component at one instant.
@@ -623,27 +640,13 @@ impl FaultState {
         if self.dead_mc.iter().all(|&d| d) {
             return Err(LocmapError::FaultConflict("all memory controllers dead".into()));
         }
-        let mut redirects = Vec::with_capacity(mc_coords.len());
-        for (k, &c) in mc_coords.iter().enumerate() {
-            if self.mc_alive(k) {
-                redirects.push(k);
-                continue;
-            }
-            let mut best = usize::MAX;
-            let mut best_dist = u32::MAX;
-            for (j, &cj) in mc_coords.iter().enumerate() {
-                if !self.mc_alive(j) {
-                    continue;
-                }
-                let d = c.manhattan(cj);
-                if d < best_dist {
-                    best_dist = d;
-                    best = j;
-                }
-            }
-            redirects.push(best);
-        }
-        Ok(redirects)
+        let n = mc_coords.len();
+        Ok((0..n)
+            .map(|k| {
+                let dist = |j: usize| mc_coords[k].manhattan(mc_coords[j]);
+                nearest_survivor(n, k, |j| self.mc_alive(j), dist).expect("a controller survives")
+            })
+            .collect())
     }
 
     /// For each node index, the alive LLC bank that homes its addresses:
@@ -653,81 +656,90 @@ impl FaultState {
         if self.dead_bank.iter().all(|&d| d) {
             return Err(LocmapError::FaultConflict("all LLC banks dead".into()));
         }
-        let mut redirects = Vec::with_capacity(self.mesh.node_count());
-        for node in self.mesh.nodes() {
-            if self.bank_alive(node) {
-                redirects.push(node.0);
-                continue;
-            }
-            let c = self.mesh.coord_of(node);
-            let mut best = u16::MAX;
-            let mut best_dist = u32::MAX;
-            for other in self.mesh.nodes() {
-                if !self.bank_alive(other) {
-                    continue;
-                }
-                let d = c.manhattan(self.mesh.coord_of(other));
-                if d < best_dist {
-                    best_dist = d;
-                    best = other.0;
-                }
-            }
-            redirects.push(best);
-        }
-        Ok(redirects)
+        let mesh = self.mesh;
+        let n = mesh.node_count();
+        Ok((0..n)
+            .map(|i| {
+                let c = mesh.coord_of(NodeId(i as u16));
+                let dist = |j: usize| c.manhattan(mesh.coord_of(NodeId(j as u16)));
+                nearest_survivor(n, i, |j| !self.dead_bank[j], dist).expect("a bank survives")
+                    as u16
+            })
+            .collect())
     }
 
     /// Verifies that every alive router can exchange messages with every
     /// other alive router over surviving links (strong connectivity of the
-    /// alive subgraph).
+    /// alive subgraph). One search suffices: a link fault kills both
+    /// directions of its channel, so whatever the first alive router
+    /// reaches can also reach it back.
     pub fn check_connected(&self) -> Result<(), LocmapError> {
         let n = self.mesh.node_count();
         let root = match (0..n).find(|&i| !self.dead_router[i]) {
             Some(i) => NodeId(i as u16),
             None => return Err(LocmapError::FaultConflict("all routers dead".into())),
         };
-        let forward = self.reach(root, false);
-        let backward = self.reach(root, true);
-        for i in 0..n {
-            if self.dead_router[i] {
-                continue;
-            }
-            if !forward[i] {
-                return Err(LocmapError::Unreachable { from: root, to: NodeId(i as u16) });
-            }
-            if !backward[i] {
-                return Err(LocmapError::Unreachable { from: NodeId(i as u16), to: root });
-            }
+        let (reached, _) = self.search(root, None);
+        match (0..n).find(|&i| !self.dead_router[i] && !reached[i]) {
+            Some(i) => Err(LocmapError::Unreachable { from: root, to: NodeId(i as u16) }),
+            None => Ok(()),
         }
-        Ok(())
     }
 
-    /// BFS reachability over the alive subgraph; `reverse` follows links
-    /// backwards (who can reach `root`).
-    fn reach(&self, root: NodeId, reverse: bool) -> Vec<bool> {
-        let n = self.mesh.node_count();
-        let mut seen = vec![false; n];
-        seen[root.index()] = true;
-        let mut queue = VecDeque::from([root]);
-        while let Some(u) = queue.pop_front() {
-            for dir in [Direction::East, Direction::West, Direction::North, Direction::South] {
-                let out = Link { from: u, dir };
-                if !link_exists(self.mesh, out) {
+    /// The nodes `src` reaches over the surviving channels, `src` included;
+    /// all `false` when its router is dead. Link faults are symmetric, so
+    /// the result is `src`'s connected component: every node in it
+    /// reaches exactly the same set.
+    pub fn reachable_from(&self, src: NodeId) -> Vec<bool> {
+        if !self.router_alive(src) {
+            return vec![false; self.mesh.node_count()];
+        }
+        self.search(src, None).0
+    }
+
+    /// The one breadth-first search over the surviving mesh channels,
+    /// shared by [`crate::route`]'s detour, [`Self::check_connected`] and
+    /// [`Self::reachable_from`]. From `src`, it follows alive links into
+    /// alive routers, exploring each node's neighbours in
+    /// [`Direction::ALL`] order, and stops as soon as it reaches `stop`.
+    /// Returns which nodes it reached and, for each, the link by which it
+    /// first reached it (`None` for `src` and for unreached nodes).
+    /// Stopping early never changes a reached node's predecessor chain.
+    pub(crate) fn search(
+        &self,
+        src: NodeId,
+        stop: Option<NodeId>,
+    ) -> (Vec<bool>, Vec<Option<Link>>) {
+        let mesh = self.mesh;
+        let n = mesh.node_count();
+        let mut reached = vec![false; n];
+        let mut prev = vec![None; n];
+        reached[src.index()] = true;
+        // Every node enters the queue once, so a vector and a read cursor
+        // serve as the FIFO.
+        let mut queue = vec![src];
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            for dir in Direction::ALL {
+                let link = Link { from: u, dir };
+                if !link_exists(mesh, link) || !self.link_alive(link) {
                     continue;
                 }
-                let tc = link_target(self.mesh, out);
-                let v = self.mesh.node_at(tc.x, tc.y);
-                // Forward: traverse u->v. Reverse: traverse v->u, i.e. the
-                // link that *arrives* at u from v, which is reverse(out).
-                let travelled = if reverse { reverse_link(self.mesh, out) } else { out };
-                if !self.link_alive(travelled) || self.dead_router[v.index()] || seen[v.index()] {
+                let tc = link_target(mesh, link);
+                let v = mesh.node_at(tc.x, tc.y);
+                if reached[v.index()] || !self.router_alive(v) {
                     continue;
                 }
-                seen[v.index()] = true;
-                queue.push_back(v);
+                reached[v.index()] = true;
+                prev[v.index()] = Some(link);
+                if stop == Some(v) {
+                    return (reached, prev);
+                }
+                queue.push(v);
             }
         }
-        seen
+        (reached, prev)
     }
 }
 
@@ -1037,6 +1049,17 @@ mod tests {
         // Nearest alive banks to (0,0) are n1 (east) and n6 (south); tie low.
         assert_eq!(r[0], 1);
         assert_eq!(r[1], 1);
+    }
+
+    #[test]
+    fn reachable_from_is_the_connected_component() {
+        let m = Mesh::try_new(3, 1).unwrap();
+        let cut = Link { from: m.node_at(0, 0), dir: Direction::East };
+        let state = FaultPlan::new(m, 1).dead_link(cut).dead_router(m.node_at(2, 0)).state_at(0);
+        assert_eq!(state.reachable_from(m.node_at(0, 0)), vec![true, false, false]);
+        assert_eq!(state.reachable_from(m.node_at(1, 0)), vec![false, true, false]);
+        // A dead router reaches nothing, not even itself.
+        assert_eq!(state.reachable_from(m.node_at(2, 0)), vec![false; 3]);
     }
 
     #[test]

@@ -11,8 +11,16 @@
 //! deadlock-free on mesh channels, so the network routes over exactly
 //! those channels. [`route`]`(mesh, faults, src, dst)` is the one routing
 //! entry point — the X-Y route when it is intact, otherwise a
-//! deterministic breadth-first detour over the surviving channels — and
-//! [`FaultState::check_connected`] floods the same channels.
+//! deterministic breadth-first detour over the surviving channels.
+//!
+//! One model of the surviving machine answers every question about it.
+//! A single breadth-first search over the surviving channels serves the
+//! detour, [`FaultState::check_connected`] and the public
+//! [`FaultState::reachable_from`] query; because a link fault kills both
+//! directions of its channel, one flood from any router finds its whole
+//! connected component. A single nearest-survivor rule,
+//! [`nearest_survivor`], picks the stand-in for every dead memory
+//! controller, LLC bank or region.
 //!
 //! The model intentionally exposes *relative positions* of cores, LLC banks
 //! and memory controllers — exactly the information the PLDI'18 paper argues
@@ -52,8 +60,8 @@ mod topology;
 pub use control::{Budget, CancelToken, RunControl};
 pub use error::{LocmapError, RouteError};
 pub use faults::{
-    link_exists, opposite, reverse_link, FaultComponent, FaultCounts, FaultEvent, FaultPlan,
-    FaultState,
+    link_exists, nearest_survivor, reverse_link, FaultComponent, FaultCounts, FaultEvent,
+    FaultPlan, FaultState,
 };
 pub use mc::{McId, McPlacement};
 pub use network::{Network, NocConfig};

@@ -5,10 +5,9 @@
 //! parts (Tilera, Xeon Phi), as the paper notes.
 
 use crate::error::RouteError;
-use crate::faults::{link_exists, FaultState};
+use crate::faults::FaultState;
 use crate::topology::{Coord, Mesh, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// One of the four mesh link directions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -21,6 +20,13 @@ pub enum Direction {
     North,
     /// Towards larger y.
     South,
+}
+
+impl Direction {
+    /// All four directions in [`Link::index`] order — also the fixed order
+    /// in which fault-aware searches explore a node's neighbours.
+    pub const ALL: [Direction; 4] =
+        [Direction::East, Direction::West, Direction::North, Direction::South];
 }
 
 /// A directed link leaving node `from` in direction `dir`.
@@ -39,13 +45,7 @@ impl Link {
     /// Dense index of this link, for per-link state arrays:
     /// `node_index * 4 + direction`.
     pub fn index(self) -> usize {
-        let d = match self.dir {
-            Direction::East => 0,
-            Direction::West => 1,
-            Direction::North => 2,
-            Direction::South => 3,
-        };
-        self.from.index() * 4 + d
+        self.from.index() * 4 + self.dir as usize
     }
 
     /// Total number of directed-link slots on `mesh` (including boundary
@@ -111,33 +111,11 @@ pub fn route(
         return Ok(xy);
     }
 
-    // Detour: BFS over the alive subgraph. Fixed direction order keeps the
-    // result deterministic; BFS keeps it minimal-hop on the survivors.
-    let n = mesh.node_count();
-    let mut prev: Vec<Option<Link>> = vec![None; n];
-    let mut seen = vec![false; n];
-    seen[src.index()] = true;
-    let mut queue = VecDeque::from([src]);
-    'search: while let Some(u) = queue.pop_front() {
-        for dir in [Direction::East, Direction::West, Direction::North, Direction::South] {
-            let link = Link { from: u, dir };
-            if !link_exists(mesh, link) {
-                continue;
-            }
-            let tc = link_target(mesh, link);
-            let v = mesh.node_at(tc.x, tc.y);
-            if seen[v.index()] || !faults.link_alive(link) || !faults.router_alive(v) {
-                continue;
-            }
-            seen[v.index()] = true;
-            prev[v.index()] = Some(link);
-            if v == dst {
-                break 'search;
-            }
-            queue.push_back(v);
-        }
-    }
-    if !seen[dst.index()] {
+    // Detour: the breadth-first search over the surviving channels, stopped
+    // at `dst`, which is minimal-hop and deterministic; walk its
+    // predecessor links back to `src`.
+    let (reached, prev) = faults.search(src, Some(dst));
+    if !reached[dst.index()] {
         return Err(unreachable);
     }
     let mut links = Vec::new();
@@ -155,7 +133,7 @@ pub fn route(
 ///
 /// # Panics
 ///
-/// Panics if `link` leaves the mesh (see [`link_exists`]).
+/// Panics if `link` leaves the mesh (see [`link_exists`](crate::link_exists)).
 pub fn link_target(mesh: Mesh, link: Link) -> Coord {
     let c = mesh.coord_of(link.from);
     match link.dir {
@@ -292,7 +270,7 @@ mod tests {
         let m = Mesh::try_new(6, 6).unwrap();
         let mut seen = std::collections::HashSet::new();
         for n in m.nodes() {
-            for dir in [Direction::East, Direction::West, Direction::North, Direction::South] {
+            for dir in Direction::ALL {
                 let l = Link { from: n, dir };
                 assert!(l.index() < Link::slot_count(m));
                 assert!(seen.insert(l.index()));

@@ -43,10 +43,7 @@ pub fn router_pressure(sim: &Simulator) -> Vec<f64> {
     let busy = sim.net_link_busy();
     mesh.nodes()
         .map(|n| {
-            [Direction::East, Direction::West, Direction::North, Direction::South]
-                .iter()
-                .map(|&dir| busy[Link { from: n, dir }.index()] as f64)
-                .sum()
+            Direction::ALL.iter().map(|&dir| busy[Link { from: n, dir }.index()] as f64).sum()
         })
         .collect()
 }

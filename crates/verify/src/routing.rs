@@ -8,7 +8,8 @@
 //!
 //! [`check_fault_plan`] replays every arm of a [`FaultPlan`] — each state
 //! the plan passes through plus its final state — and, per arm, floods the
-//! surviving subgraph from every live core. A core that can no longer
+//! surviving subgraph once per connected component of live routers
+//! ([`FaultState::reachable_from`]). A core that can no longer
 //! reach any live memory controller or any live LLC bank is stranded:
 //! scheduling work there would hang on the first miss, so the verifier
 //! names it in a structured diagnostic rather than letting a mapping
@@ -16,10 +17,7 @@
 
 use crate::diag::{Code, Diagnostic, DiagnosticSink, Entity};
 use locmap_core::Platform;
-use locmap_noc::{
-    link_exists, link_target, route_xy, Direction, FaultPlan, FaultState, NodeId,
-};
-use std::collections::VecDeque;
+use locmap_noc::{link_exists, link_target, route_xy, Direction, FaultPlan, FaultState, NodeId};
 
 /// Proves X-Y deadlock-freedom by exhaustive route enumeration.
 pub fn check_topology(platform: &Platform, sink: &mut DiagnosticSink) {
@@ -113,7 +111,9 @@ pub fn check_fault_plan(platform: &Platform, plan: &FaultPlan, sink: &mut Diagno
 }
 
 /// Checks one fault state: every live core must reach a live MC and a
-/// live bank over the surviving subgraph.
+/// live bank over the surviving subgraph. Link faults are symmetric, so
+/// every core of a connected component reaches the same nodes: one flood
+/// per component decides all of its cores.
 fn check_fault_arm(
     platform: &Platform,
     state: &FaultState,
@@ -135,14 +135,28 @@ fn check_fault_arm(
         format!("at cycle {cycle}")
     };
 
+    // Per node, whether its component sees (an MC, a bank); `None` until
+    // the component's flood has run.
+    let mut sees: Vec<Option<(bool, bool)>> = vec![None; mesh.node_count()];
     let mut region_ok = vec![false; platform.region_count()];
     for core in mesh.nodes() {
         if !eff.router_alive(core) {
             continue;
         }
-        let reach = flood(platform, &eff, core);
-        let sees_mc = mc_nodes.iter().any(|&n| reach[n.index()]);
-        let sees_bank = mesh.nodes().any(|n| reach[n.index()] && eff.bank_alive(n));
+        let (sees_mc, sees_bank) = match sees[core.index()] {
+            Some(verdict) => verdict,
+            None => {
+                let reach = eff.reachable_from(core);
+                let verdict = (
+                    mc_nodes.iter().any(|&n| reach[n.index()]),
+                    mesh.nodes().any(|n| reach[n.index()] && eff.bank_alive(n)),
+                );
+                for n in mesh.nodes().filter(|n| reach[n.index()]) {
+                    sees[n.index()] = Some(verdict);
+                }
+                verdict
+            }
+        };
         if sees_mc && sees_bank {
             region_ok[platform.regions.region_of(core).index()] = true;
             continue;
@@ -177,31 +191,6 @@ fn check_fault_arm(
             );
         }
     }
-}
-
-/// Breadth-first flood over the surviving subgraph from `src` (dead
-/// routers block transit; dead links block the hop).
-fn flood(platform: &Platform, eff: &FaultState, src: NodeId) -> Vec<bool> {
-    let mesh = platform.mesh;
-    let mut reach = vec![false; mesh.node_count()];
-    reach[src.index()] = true;
-    let mut queue = VecDeque::from([src]);
-    while let Some(n) = queue.pop_front() {
-        for dir in [Direction::East, Direction::West, Direction::North, Direction::South] {
-            let link = locmap_noc::Link { from: n, dir };
-            if !link_exists(mesh, link) || !eff.link_alive(link) {
-                continue;
-            }
-            let c = link_target(mesh, link);
-            let t = mesh.node_at(c.x, c.y);
-            if reach[t.index()] || !eff.router_alive(t) {
-                continue;
-            }
-            reach[t.index()] = true;
-            queue.push_back(t);
-        }
-    }
-    reach
 }
 
 #[cfg(test)]
@@ -267,6 +256,66 @@ mod tests {
             .iter()
             .any(|d| d.code == Code::STRANDED_CORE && d.message.contains(&format!("{node}")));
         assert!(named, "{}", sink.report());
+    }
+
+    #[test]
+    fn fault_arm_diagnostics_are_pinned() {
+        // Three separate stranded components — a core with a bank but no
+        // MC, a two-core island with neither, a corner core with its MC
+        // but no bank — plus region R3 with every router dead. The first
+        // island is repaired at cycle 100, so the arms differ.
+        let p = Platform::paper_default();
+        let m = p.mesh;
+        let link = |x, y, dir| locmap_noc::Link { from: m.node_at(x, y), dir };
+        let mut plan = FaultPlan::new(m, p.mc_count());
+        for dir in [Direction::East, Direction::West, Direction::South] {
+            plan.push(locmap_noc::FaultEvent {
+                component: locmap_noc::FaultComponent::Link(link(2, 0, dir)),
+                inject_at: 0,
+                repair_at: Some(100),
+            })
+            .unwrap();
+        }
+        let mut plan = plan
+            .dead_link(link(2, 3, Direction::West))
+            .dead_link(link(2, 3, Direction::North))
+            .dead_link(link(2, 3, Direction::South))
+            .dead_link(link(3, 3, Direction::East))
+            .dead_link(link(3, 3, Direction::North))
+            .dead_link(link(3, 3, Direction::South))
+            .dead_bank(m.node_at(2, 3))
+            .dead_bank(m.node_at(3, 3))
+            .dead_link(link(0, 5, Direction::North))
+            .dead_link(link(0, 5, Direction::East))
+            .dead_bank(m.node_at(0, 5));
+        for n in p.regions.nodes_in(locmap_noc::RegionId(2)) {
+            plan = plan.dead_router(n);
+        }
+        let mut sink = clean_sink();
+        check_fault_plan(&p, &plan, &mut sink);
+        let got: Vec<(Code, String)> =
+            sink.diagnostics().iter().map(|d| (d.code, d.message.clone())).collect();
+        // Per arm: cores in node order, then regions.
+        let mut want = Vec::new();
+        for when in ["at cycle 0", "at cycle 100", "in the final state"] {
+            let stranded = |core, missing| {
+                (Code::STRANDED_CORE, format!("core {core} cannot reach {missing} {when}"))
+            };
+            if when == "at cycle 0" {
+                want.push(stranded("n2", "any memory controller"));
+            }
+            want.push(stranded("n20", "any memory controller or LLC bank"));
+            want.push(stranded("n21", "any memory controller or LLC bank"));
+            want.push(stranded("n30", "any LLC bank"));
+            want.push((
+                Code::REGION_ISOLATED,
+                format!(
+                    "region R3 has no core that can reach memory {when}; the degraded mapper \
+                     will evacuate it entirely"
+                ),
+            ));
+        }
+        assert_eq!(got, want, "{}", sink.report());
     }
 
     #[test]

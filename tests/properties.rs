@@ -185,6 +185,42 @@ proptest! {
         }
     }
 
+    // One flood proves strong connectivity only because a link fault kills
+    // both directions of its channel; this pins that invariant for every
+    // state a random or timed plan passes through, and checks the flood's
+    // verdict against routing between every pair of alive routers.
+    #[test]
+    fn link_faults_are_symmetric_and_connectivity_matches_routing(
+        w in 2u16..=6,
+        h in 2u16..=6,
+        seed in 0u64..10_000,
+        links in 0usize..=4,
+        routers in 0usize..3,
+        transient in 0u8..2,
+    ) {
+        let mesh = Mesh::try_new(w, h).unwrap();
+        let counts = FaultCounts { links, routers, ..FaultCounts::default() };
+        let timed = FaultPlan::random_timed(seed, mesh, 4, counts, 100_000, transient == 1);
+        let mut states = vec![FaultPlan::random(seed, mesh, 4, counts).final_state()];
+        states.extend(timed.change_cycles().into_iter().map(|c| timed.state_at(c)));
+        for state in &states {
+            for from in mesh.nodes() {
+                for dir in [Direction::East, Direction::West, Direction::North, Direction::South] {
+                    let link = Link { from, dir };
+                    if link_exists(mesh, link) {
+                        let rev = reverse_link(mesh, link);
+                        prop_assert_eq!(state.link_alive(link), state.link_alive(rev), "{:?}", link);
+                    }
+                }
+            }
+            let alive: Vec<NodeId> = mesh.nodes().filter(|&n| state.router_alive(n)).collect();
+            let all_route = alive
+                .iter()
+                .all(|&a| alive.iter().all(|&b| route(mesh, state, a, b).is_ok()));
+            prop_assert_eq!(state.check_connected().is_ok(), all_route, "{:?}", state);
+        }
+    }
+
     #[test]
     fn faulted_simulation_is_bit_for_bit_deterministic(seed in 0u64..2_000) {
         use locmap_loopir::{Access, AffineExpr, DataEnv, LoopNest, Program};

@@ -83,6 +83,9 @@ pub struct BatchReport {
     /// Deny-level diagnostics the verifier found (always 0 for a healthy
     /// engine).
     pub verify_denies: usize,
+    /// The verifier's report of what it found; empty when it found
+    /// nothing.
+    pub verify_findings: String,
 }
 
 impl BatchReport {
@@ -103,6 +106,9 @@ impl BatchReport {
             100.0 * self.verify_secs / self.parallel_secs.max(1e-9),
             self.verify_denies
         );
+        if !self.verify_findings.is_empty() {
+            println!("{}", self.verify_findings);
+        }
     }
 }
 
@@ -177,7 +183,6 @@ pub fn run_throughput(cfg: &BatchConfig) -> Result<BatchReport, LocmapError> {
     let t3 = Instant::now();
     let sink = parallel_session.verify_batch(&requests, &parallel, &VerifyConfig::default());
     let verify_secs = t3.elapsed().as_secs_f64();
-    assert!(sink.is_clean(), "verifier rejected batch responses:\n{}", sink.report());
 
     let stats = parallel_session.cache_stats().mappings;
     Ok(BatchReport {
@@ -193,6 +198,7 @@ pub fn run_throughput(cfg: &BatchConfig) -> Result<BatchReport, LocmapError> {
         scaling: serial_secs / parallel_secs.max(1e-9),
         verify_secs,
         verify_denies: sink.deny_count(),
+        verify_findings: if sink.diagnostics().is_empty() { String::new() } else { sink.report() },
     })
 }
 

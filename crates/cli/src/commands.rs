@@ -38,7 +38,8 @@ USAGE:
                                           the fault-free run)
   locmap batch [--threads N] [--repeats N] [--apps a,b,...] [--llc L] [--scale F]
                                           batch-mapping throughput (defaults: 4
-                                          threads, 4 repeats, stencil suite)
+                                          threads, 4 repeats, stencil suite);
+                                          exits nonzero on a verifier Deny
   locmap verify [--apps a,b,...] [--llc L] [--scale F] [--seed N]
                 [--dead-mcs N] [--dead-links N] [--dead-routers N] [--dead-banks N]
                                           static verifier over workload mappings
@@ -438,7 +439,8 @@ pub fn overload(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `locmap batch`.
+/// `locmap batch`: map the kernels through a session, then verify the
+/// responses. Exits nonzero on any Deny-level diagnostic.
 pub fn batch(args: &Args) -> Result<(), String> {
     let cfg = BatchConfig {
         apps: args.apps_or(STENCIL_SUITE)?.iter().map(|s| s.to_string()).collect(),
@@ -449,5 +451,8 @@ pub fn batch(args: &Args) -> Result<(), String> {
     };
     let report = run_throughput(&cfg).map_err(|e| e.to_string())?;
     report.print();
+    if report.verify_denies > 0 {
+        return Err(format!("{} Deny-level diagnostic(s) on batch responses", report.verify_denies));
+    }
     Ok(())
 }

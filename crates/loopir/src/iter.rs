@@ -47,7 +47,7 @@ impl IterationSpace {
             let mut more = c.seek(&[]);
             // Every index fits `i32` (checked above), so `as` only narrows.
             while more {
-                let run = (c.iv[last]..c.hi).map(|i| i as i32);
+                let run = (c.iv[last]..c.run_end()).map(|i| i as i32);
                 match c.iv[..last] {
                     [] => flat.extend(run),
                     [a] => run.for_each(|i| flat.extend_from_slice(&[a as i32, i])),
@@ -57,7 +57,7 @@ impl IterationSpace {
                         flat.push(i);
                     }),
                 }
-                more = c.settle(last, c.hi);
+                more = c.next_run();
             }
         }
         debug_assert_eq!(flat.len(), count as usize * depth, "the count walk and the fill disagree");
@@ -152,6 +152,18 @@ impl<'a> IterCursor<'a> {
         } else {
             self.settle(last, next)
         }
+    }
+
+    /// The exclusive end of the current innermost run: the iterations
+    /// from the current one up to it differ only in their last index.
+    pub fn run_end(&self) -> i64 {
+        self.hi
+    }
+
+    /// Skips the rest of the current innermost run, to the first
+    /// iteration of the next one; `false` at the end of the space.
+    pub fn next_run(&mut self) -> bool {
+        self.settle(self.iv.len() - 1, self.hi)
     }
 
     /// Completes the position to the first iteration whose prefix

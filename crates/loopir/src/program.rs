@@ -86,20 +86,10 @@ impl DataEnv {
     /// # Panics
     ///
     /// Panics if the array contents were not installed.
-    fn index_array(&self, a: ArrayId) -> &[i32] {
+    pub fn index_array(&self, a: ArrayId) -> &[i32] {
         self.index_arrays
             .get(&a)
             .unwrap_or_else(|| panic!("index array {a:?} not installed in DataEnv"))
-    }
-
-    /// Fetches `a[pos]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the array contents were not installed or `pos` is out of
-    /// range.
-    pub fn index_value(&self, a: ArrayId, pos: i64) -> i64 {
-        i64::from(self.index_array(a)[pos as usize])
     }
 
     /// Whether contents for `a` are installed.
@@ -169,14 +159,7 @@ impl CompiledRef<'_> {
     /// builds, if the element is out of bounds.
     #[inline]
     pub fn addr<I: Copy + Into<i64>>(&self, iv: &[I]) -> u64 {
-        debug_assert!(self.coeffs.len() <= iv.len(), "iteration vector shorter than the nest");
-        let [c0, c1, c2] = self.head;
-        let subscript = match *iv {
-            [i] => self.constant + c0 * i.into(),
-            [i, j] => self.constant + c0 * i.into() + c1 * j.into(),
-            [i, j, k] => self.constant + c0 * i.into() + c1 * j.into() + c2 * k.into(),
-            _ => self.coeffs.iter().zip(iv).fold(self.constant, |v, (&c, &i)| v + c * i.into()),
-        };
+        let subscript = self.subscript(iv);
         let elem = match self.indirect {
             None => subscript,
             Some((index, offset)) => i64::from(index[subscript as usize]) + offset,
@@ -184,6 +167,40 @@ impl CompiledRef<'_> {
         // `addr_of` checks `elem` against the extent first.
         debug_assert_eq!(self.array.addr_of(elem), self.base + elem as u64 * self.element_bytes);
         self.base + elem as u64 * self.element_bytes
+    }
+
+    /// The reference's subscript at iteration vector `iv`: the element
+    /// index of an affine reference, the index-array position of an
+    /// indirect one. Either index width is accepted, as by
+    /// [`CompiledRef::addr`].
+    #[inline]
+    pub fn subscript<I: Copy + Into<i64>>(&self, iv: &[I]) -> i64 {
+        debug_assert!(self.coeffs.len() <= iv.len(), "iteration vector shorter than the nest");
+        let [c0, c1, c2] = self.head;
+        match *iv {
+            [i] => self.constant + c0 * i.into(),
+            [i, j] => self.constant + c0 * i.into() + c1 * j.into(),
+            [i, j, k] => self.constant + c0 * i.into() + c1 * j.into() + c2 * k.into(),
+            _ => self.coeffs.iter().zip(iv).fold(self.constant, |v, (&c, &i)| v + c * i.into()),
+        }
+    }
+
+    /// The element index that `subscript` (from [`CompiledRef::subscript`])
+    /// resolves to: the subscript itself for an affine reference; for an
+    /// indirect one, the index-array entry at that position plus the
+    /// offset, or `None` when the position lies outside the installed
+    /// contents. It never panics, and it does not check the element
+    /// against the array's extent: the verifier's bounds lint reads it to
+    /// find such subscripts.
+    #[inline]
+    pub fn element(&self, subscript: i64) -> Option<i64> {
+        match self.indirect {
+            None => Some(subscript),
+            Some((index, offset)) => {
+                let &x = index.get(usize::try_from(subscript).ok()?)?;
+                Some(i64::from(x) + offset)
+            }
+        }
     }
 }
 
@@ -470,7 +487,8 @@ mod compiled_ref_tests {
         let elem = match &r.kind {
             RefKind::Affine(e) => e.eval(iv, &params),
             RefKind::Indirect { index_array, position, offset } => {
-                data.index_value(*index_array, position.eval(iv, &params)) + offset
+                let pos = position.eval(iv, &params) as usize;
+                i64::from(data.index_array(*index_array)[pos]) + offset
             }
         };
         assert!(elem >= 0, "the strategies keep subscripts in bounds");
@@ -531,6 +549,8 @@ mod compiled_ref_tests {
                 let want = eval_formula(&p, r, iv, &data);
                 prop_assert_eq!(c.addr(iv), want, "ref {:?} at {:?}", r, iv);
                 prop_assert_eq!(c.addr(&row), want, "ref {:?} at i32 row {:?}", r, row);
+                let elem = c.element(c.subscript(iv)).expect("positions stay in the index array");
+                prop_assert_eq!(p.array(a).addr_of(elem), want, "element of {:?} at {:?}", r, iv);
             }
         }
     }

@@ -18,12 +18,17 @@
 //!   `f₂ − f₁`. When no such `k` exists for any write pair the nest is
 //!   provably safe and the pass finishes without touching the space.
 //! * **Exact fallback.** Triangular bounds, indirect subscripts, and
-//!   pairs the filter cannot clear fall back to a walk of the whole space
-//!   with an [`IterCursor`], which holds one iteration vector at a time: a
-//!   dependence is carried by the declared-parallel loop iff some array
-//!   element is written and touched from two different parallel-loop
-//!   indices ([`Code::CARRIED_DEPENDENCE`]). The findings come out in
-//!   array order, each naming its array's lowest conflicting element.
+//!   pairs the filter cannot clear fall back to one walk of the whole
+//!   space with an [`IterCursor`], one innermost run at a time. The walk
+//!   evaluates the references it needs through their [`CompiledRef`]s,
+//!   the form the mapper and the simulator address with, and does two
+//!   things at once: it records each reference's subscript and element
+//!   ranges for the bounds lint, and it fills one dense conflict table per
+//!   written array, sized by the array's extent. A dependence is carried
+//!   by the declared-parallel loop iff some array element is written and
+//!   touched from two different parallel-loop indices
+//!   ([`Code::CARRIED_DEPENDENCE`]). The findings come out in array
+//!   order, each naming its array's lowest conflicting element.
 //!   This is exact where a classic ZIV/SIV/GCD battery must answer
 //!   "maybe" (a strong-SIV test calls `A[i] = A[i+50]` over `0..50`
 //!   carried), so provably-parallel shipped workloads verify Deny-free.
@@ -35,31 +40,10 @@
 
 use crate::diag::{Code, Diagnostic, DiagnosticSink, Entity};
 use locmap_loopir::{
-    Access, AffineExpr, ArrayId, DataEnv, IterCursor, LoopNest, NestId, ParamEnv, Program, RefKind,
+    Access, AffineExpr, ArrayId, ArrayRef, CompiledRef, DataEnv, IterCursor, LoopNest, NestId,
+    ParamEnv, Program, RefKind,
 };
-use std::collections::{BTreeMap, HashMap};
-
-/// Calls `f` on every iteration vector of `nest` in execution order,
-/// holding one vector at a time.
-fn walk(nest: &LoopNest, env: &ParamEnv, mut f: impl FnMut(&[i64])) {
-    let mut cursor = IterCursor::new(nest, env);
-    let mut more = cursor.seek(&[]);
-    while more {
-        f(cursor.iv());
-        more = cursor.step();
-    }
-}
-
-/// The least and greatest value of `f` over the iterations of `nest`.
-fn walk_range(nest: &LoopNest, env: &ParamEnv, f: impl Fn(&[i64]) -> i64) -> (i64, i64) {
-    let (mut lo, mut hi) = (i64::MAX, i64::MIN);
-    walk(nest, env, |iv| {
-        let v = f(iv);
-        lo = lo.min(v);
-        hi = hi.max(v);
-    });
-    (lo, hi)
-}
+use std::borrow::Cow;
 
 /// Per-level inclusive index ranges `[lo, hi]`, or `None` when some bound
 /// depends on an enclosing loop index (triangular nests are walked instead).
@@ -103,7 +87,212 @@ fn affine_range(
     (lo, hi)
 }
 
+/// The affine subscript of `r` and the array it indexes: the accessed
+/// array for an affine reference, the index array for an indirect one.
+fn subscript_of(r: &ArrayRef) -> (&AffineExpr, ArrayId) {
+    match &r.kind {
+        RefKind::Affine(e) => (e, r.array),
+        RefKind::Indirect { index_array, position, .. } => (position, *index_array),
+    }
+}
+
+/// Whether `[lo, hi]` leaves `0..extent`.
+fn outside(lo: i64, hi: i64, extent: u64) -> bool {
+    lo < 0 || hi as u64 >= extent
+}
+
+/// What the bounds lint knows of one reference.
+#[derive(Debug, Clone, Copy)]
+struct Seen {
+    /// Least and greatest subscript: the element of an affine reference,
+    /// the index-array position of an indirect one.
+    subscripts: (i64, i64),
+    /// Least and greatest element an indirect reference's positions
+    /// resolved to.
+    elements: (i64, i64),
+    /// Whether some position fell outside the installed index array.
+    unresolved: bool,
+}
+
+impl Seen {
+    /// Nothing seen yet: empty ranges.
+    const NONE: Seen = Seen {
+        subscripts: (i64::MAX, i64::MIN),
+        elements: (i64::MAX, i64::MIN),
+        unresolved: false,
+    };
+}
+
+/// Widens `range` to cover `v`.
+fn cover(range: &mut (i64, i64), v: i64) {
+    range.0 = range.0.min(v);
+    range.1 = range.1.max(v);
+}
+
+/// The dense conflict table of one written array, one slot per element
+/// of its extent. Its conflicts are counted as they appear: an element
+/// that is written and touched from two parallel indices stays so.
+struct ConflictTable {
+    array: ArrayId,
+    /// Least and greatest parallel index that touched each element;
+    /// `[i32::MAX, i32::MIN]` while untouched.
+    span: Vec<[i32; 2]>,
+    /// One bit per element, set once a write touched it.
+    written: Vec<u64>,
+    /// The number of conflicting elements, and the lowest of them.
+    conflicts: Option<(usize, usize)>,
+}
+
+impl ConflictTable {
+    fn new(array: ArrayId, extent: u64) -> Self {
+        let extent = extent as usize;
+        ConflictTable {
+            array,
+            span: vec![[i32::MAX, i32::MIN]; extent],
+            written: vec![0; extent.div_ceil(64)],
+            conflicts: None,
+        }
+    }
+
+    /// Records a touch of element `e` from parallel index `p`. An element
+    /// outside the extent is skipped: its reference's range is out of
+    /// bounds, which the bounds lint reports and which drops legality.
+    #[inline]
+    fn touch(&mut self, e: i64, p: i32, write: bool) {
+        let Some(i) = usize::try_from(e).ok().filter(|&i| i < self.span.len()) else {
+            return;
+        };
+        let [lo, hi] = self.span[i];
+        let word = &mut self.written[i / 64];
+        let bit = 1 << (i % 64);
+        let was = lo < hi && *word & bit != 0;
+        let (lo, hi) = (lo.min(p), hi.max(p));
+        self.span[i] = [lo, hi];
+        if write {
+            *word |= bit;
+        }
+        if !was && lo < hi && *word & bit != 0 {
+            let (count, lowest) = self.conflicts.get_or_insert((0, i));
+            *count += 1;
+            *lowest = (*lowest).min(i);
+        }
+    }
+}
+
+/// One reference in the walk.
+struct Probe<'a> {
+    compiled: CompiledRef<'a>,
+    /// Its subscript's coefficient on the innermost index.
+    stride: i64,
+    /// The table it fills, and whether it writes.
+    table: Option<(usize, bool)>,
+    /// Whether it is affine, so its elements are its subscripts.
+    affine: bool,
+}
+
+/// Walks `nest`'s space once, one innermost run at a time, evaluating
+/// every reference through its compiled form: each one's subscript and
+/// element ranges come back in reference order, and each touch of an
+/// array with a table in `tables` goes into that table.
+///
+/// # Panics
+///
+/// Panics, naming the nest, if `tables` is not empty and a parallel index
+/// lies outside `i32`.
+fn walk(
+    program: &Program,
+    nest: &LoopNest,
+    data: &DataEnv,
+    env: &ParamEnv,
+    tables: &mut [ConflictTable],
+) -> Vec<Seen> {
+    // An indirect reference whose index array is not installed is walked
+    // as the affine read of the index array that its position makes.
+    let refs: Vec<Cow<ArrayRef>> = nest
+        .refs
+        .iter()
+        .map(|r| match &r.kind {
+            RefKind::Indirect { index_array, position, .. } if !data.has(*index_array) => {
+                Cow::Owned(ArrayRef {
+                    array: *index_array,
+                    kind: RefKind::Affine(position.clone()),
+                    access: Access::Read,
+                })
+            }
+            _ => Cow::Borrowed(r),
+        })
+        .collect();
+    let last = nest.depth() - 1;
+    let probes: Vec<Probe> = refs
+        .iter()
+        .map(|r| {
+            let table = tables.iter().position(|t| t.array == r.array);
+            Probe {
+                compiled: program.compile(r, nest.depth(), data),
+                stride: subscript_of(r).0.coeffs.get(last).copied().unwrap_or(0),
+                table: table.map(|t| (t, r.access == Access::Write)),
+                affine: matches!(r.kind, RefKind::Affine(_)),
+            }
+        })
+        .collect();
+    let par = nest.parallel_depth;
+
+    let mut seen = vec![Seen::NONE; probes.len()];
+    let mut cursor = IterCursor::new(nest, env);
+    let mut more = cursor.seek(&[]);
+    while more {
+        // One innermost run: the subscripts step by their innermost
+        // coefficient, and the parallel index is fixed unless it is the
+        // innermost index.
+        let iv = cursor.iv();
+        let (first, len) = (iv[last], cursor.run_end() - iv[last]);
+        let (p0, p_step) = match tables {
+            [] => (0, 0),
+            _ if par == last => (first, 1),
+            _ => (iv[par], 0),
+        };
+        // Both ends of the run fit `i32`, so every index between them does.
+        let fits = |p: i64| i32::try_from(p).is_ok();
+        assert!(
+            fits(p0) && fits(p0 + p_step * (len - 1)),
+            "nest {:?}: a parallel index lies outside the i32 range of the legality tables",
+            nest.name
+        );
+        let p0 = p0 as i32;
+        for (probe, s) in probes.iter().zip(&mut seen) {
+            let s0 = probe.compiled.subscript(iv);
+            cover(&mut s.subscripts, s0);
+            cover(&mut s.subscripts, s0 + probe.stride * (len - 1));
+            // An affine reference's elements are its subscripts.
+            if probe.affine && probe.table.is_none() {
+                continue;
+            }
+            // A subscript and a parallel index that both stay put touch
+            // one element from one index, however long the run.
+            let touches = if probe.stride == 0 && p_step == 0 { 1 } else { len };
+            for k in 0..touches {
+                let Some(e) = probe.compiled.element(s0 + probe.stride * k) else {
+                    s.unresolved = true;
+                    continue;
+                };
+                cover(&mut s.elements, e);
+                if let Some((t, write)) = probe.table {
+                    tables[t].touch(e, p0 + (p_step * k) as i32, write);
+                }
+            }
+        }
+        more = cursor.next_run();
+    }
+    seen
+}
+
 /// Lints one nest: degeneracy, subscript bounds, parallel legality.
+///
+/// # Panics
+///
+/// Panics, naming the nest, if the exact legality walk meets a parallel
+/// index outside `i32` (such a nest cannot be enumerated for mapping
+/// either).
 pub fn check_nest(program: &Program, nest_id: NestId, data: &DataEnv, sink: &mut DiagnosticSink) {
     let nest = program.nest(nest_id);
     let env = program.params();
@@ -125,18 +314,54 @@ pub fn check_nest(program: &Program, nest_id: NestId, data: &DataEnv, sink: &mut
         return;
     }
 
+    // Over a rectangular space every subscript's range follows from
+    // interval arithmetic, exactly (the space is not empty).
+    let static_seen: Option<Vec<Seen>> = rect.as_ref().map(|ranges| {
+        let range = |r| affine_range(subscript_of(r).0, ranges, &env, None);
+        nest.refs.iter().map(|r| Seen { subscripts: range(r), ..Seen::NONE }).collect()
+    });
+    let static_oob = static_seen.as_ref().is_some_and(|seen| {
+        nest.refs.iter().zip(seen).any(|(r, s)| {
+            let (lo, hi) = s.subscripts;
+            outside(lo, hi, program.array(subscript_of(r).1).extent)
+        })
+    });
+    let installed = |r: &ArrayRef| match &r.kind {
+        RefKind::Affine(_) => true,
+        RefKind::Indirect { index_array, .. } => data.has(*index_array),
+    };
+    // An indirect reference without its index array is either out of
+    // bounds or unresolved; either way legality is not checked.
+    let legality = nest.refs.iter().all(installed)
+        && !static_oob
+        && nest.parallel_depth < nest.depth()
+        && !rect.as_ref().is_some_and(|ranges| proves_no_conflict(nest, ranges, &env));
+
+    // Each written array gets a table, in array order, when legality is
+    // checked.
+    let written = if legality { written_arrays(nest) } else { Vec::new() };
+    let mut tables: Vec<ConflictTable> = (0..written.len() as u32)
+        .map(ArrayId)
+        .filter(|a| written[a.0 as usize])
+        .map(|a| ConflictTable::new(a, program.array(a).extent))
+        .collect();
+    // The walk resolves index arrays, ranges the subscripts of a
+    // non-rectangular nest and fills the tables.
+    let resolves = |r: &ArrayRef| matches!(r.kind, RefKind::Indirect { .. }) && installed(r);
+    let seen = match static_seen {
+        Some(seen) if !legality && !nest.refs.iter().any(resolves) => seen,
+        _ => walk(program, nest, data, &env, &mut tables),
+    };
+
     let mut any_oob = false;
     let mut any_unresolved = false;
 
-    for (ri, r) in nest.refs.iter().enumerate() {
+    for ((ri, r), s) in nest.refs.iter().enumerate().zip(&seen) {
         let arr = program.array(r.array);
+        let (lo, hi) = s.subscripts;
         match &r.kind {
             RefKind::Affine(e) => {
-                let (lo, hi) = match &rect {
-                    Some(ranges) => affine_range(e, ranges, &env, None),
-                    None => walk_range(nest, &env, |iv| e.eval(iv, &env)),
-                };
-                if lo < 0 || hi as u64 >= arr.extent {
+                if outside(lo, hi, arr.extent) {
                     any_oob = true;
                     sink.emit(
                         Diagnostic::new(
@@ -153,32 +378,42 @@ pub fn check_nest(program: &Program, nest_id: NestId, data: &DataEnv, sink: &mut
             }
             RefKind::Indirect { index_array, position, offset } => {
                 let idx_arr = program.array(*index_array);
-                let (plo, phi) = match &rect {
-                    Some(ranges) => affine_range(position, ranges, &env, None),
-                    None => walk_range(nest, &env, |iv| position.eval(iv, &env)),
-                };
-                if plo < 0 || phi as u64 >= idx_arr.extent {
+                if outside(lo, hi, idx_arr.extent) {
                     any_oob = true;
                     sink.emit(
                         Diagnostic::new(
                             Code::OOB_ACCESS,
                             format!(
-                                "index array {}[{position}] ranges over [{plo}, {phi}] but the \
+                                "index array {}[{position}] ranges over [{lo}, {hi}] but the \
                                  extent is {}",
                                 idx_arr.name, idx_arr.extent
                             ),
                         )
                         .entity(Entity::Ref { nest: nest_id, index: ri }),
                     );
+                } else if s.unresolved {
+                    // Inside the extent but past the installed contents.
+                    any_oob = true;
+                    sink.emit(
+                        Diagnostic::new(
+                            Code::OOB_ACCESS,
+                            format!(
+                                "index array {}[{position}] ranges over [{lo}, {hi}] but only {} \
+                                 entries are installed",
+                                idx_arr.name,
+                                data.index_array(*index_array).len()
+                            ),
+                        )
+                        .entity(Entity::Ref { nest: nest_id, index: ri })
+                        .suggest("install the whole index array in the DataEnv"),
+                    );
                 } else if data.has(*index_array) {
-                    // The fetched values are data, not affine: resolving
-                    // them is inherently a walk of the positions actually
-                    // touched (an interval over [plo, phi] could flag
+                    // The fetched values are data, not affine: their range
+                    // comes from the walk over the positions actually
+                    // touched (an interval over the positions could flag
                     // index-array slots the nest never reads).
-                    let (lo, hi) = walk_range(nest, &env, |iv| {
-                        data.index_value(*index_array, position.eval(iv, &env)) + offset
-                    });
-                    if lo < 0 || hi as u64 >= arr.extent {
+                    let (lo, hi) = s.elements;
+                    if outside(lo, hi, arr.extent) {
                         any_oob = true;
                         sink.emit(
                             Diagnostic::new(
@@ -236,15 +471,26 @@ pub fn check_nest(program: &Program, nest_id: NestId, data: &DataEnv, sink: &mut
         );
         return;
     }
-    if any_oob || nest.parallel_depth >= nest.depth() {
+    if any_oob || !legality {
         return;
     }
-    if let Some(ranges) = &rect {
-        if proves_no_conflict(nest, ranges, &env) {
-            return;
-        }
+    let par = nest.parallel_depth;
+    for t in &tables {
+        let Some((count, example)) = t.conflicts else { continue };
+        let name = &program.array(t.array).name;
+        sink.emit(
+            Diagnostic::new(
+                Code::CARRIED_DEPENDENCE,
+                format!(
+                    "splitting parallel loop i{par} across cores breaks a carried dependence on \
+                     {name}: {count} element(s) (e.g. {name}[{example}]) are written and touched \
+                     from different i{par} values",
+                ),
+            )
+            .entity(Entity::Nest(nest_id))
+            .suggest("the declared parallel_depth is not safe to tile; fix the nest or the depth"),
+        );
     }
-    check_parallel_legality(program, nest_id, data, sink);
 }
 
 /// Which array ids are written by the nest (arrays never written cannot
@@ -361,77 +607,13 @@ fn mul_range(c: i64, lo: i64, hi: i64) -> (i64, i64) {
     if c >= 0 { (c * lo, c * hi) } else { (c * hi, c * lo) }
 }
 
-/// Exact carried-dependence check by a walk of the space: an element-level
-/// conflict exists iff some element is written and accessed from two
-/// distinct values of the parallel-loop index. Findings come out in array
-/// order, each naming its array's lowest conflicting element.
-fn check_parallel_legality(
-    program: &Program,
-    nest_id: NestId,
-    data: &DataEnv,
-    sink: &mut DiagnosticSink,
-) {
-    let nest = program.nest(nest_id);
-    let env = program.params();
-    let par = nest.parallel_depth;
-    let written = written_arrays(nest);
-
-    // (array, element) -> (min/max parallel index seen, written?).
-    let mut touched: HashMap<(u32, i64), (i64, i64, bool)> = HashMap::new();
-    walk(nest, &env, |iv| {
-        let p = iv[par];
-        for r in &nest.refs {
-            if !written[r.array.0 as usize] {
-                continue;
-            }
-            let elem = match &r.kind {
-                RefKind::Affine(e) => e.eval(iv, &env),
-                RefKind::Indirect { index_array, position, offset } => {
-                    data.index_value(*index_array, position.eval(iv, &env)) + offset
-                }
-            };
-            let is_write = r.access == Access::Write;
-            touched
-                .entry((r.array.0, elem))
-                .and_modify(|(lo, hi, w)| {
-                    *lo = (*lo).min(p);
-                    *hi = (*hi).max(p);
-                    *w |= is_write;
-                })
-                .or_insert((p, p, is_write));
-        }
-    });
-
-    // array -> (conflicting elements, the lowest of them).
-    let mut conflicts: BTreeMap<u32, (usize, i64)> = BTreeMap::new();
-    for (&(arr, elem), &(lo, hi, w)) in &touched {
-        if w && lo < hi {
-            let e = conflicts.entry(arr).or_insert((0, elem));
-            e.0 += 1;
-            e.1 = e.1.min(elem);
-        }
-    }
-    for (arr, (count, example)) in conflicts {
-        let name = &program.array(ArrayId(arr)).name;
-        sink.emit(
-            Diagnostic::new(
-                Code::CARRIED_DEPENDENCE,
-                format!(
-                    "splitting parallel loop i{par} across cores breaks a carried dependence on \
-                     {name}: {count} element(s) (e.g. {name}[{example}]) are written and touched \
-                     from different i{par} values",
-                ),
-            )
-            .entity(Entity::Nest(nest_id))
-            .suggest("the declared parallel_depth is not safe to tile; fix the nest or the depth"),
-        );
-    }
-}
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use locmap_loopir::{Access, AffineExpr, LoopBound, LoopNest};
+    use locmap_loopir::LoopBound;
 
     fn sink() -> DiagnosticSink {
         DiagnosticSink::new()
@@ -649,5 +831,197 @@ mod tests {
         let mut s = sink();
         check_nest(&p, id, &data, &mut s);
         assert!(s.has(Code::OOB_ACCESS), "{}", s.report());
+    }
+
+    #[test]
+    fn index_array_shorter_than_its_extent_denies_lm0002() {
+        // Positions 0..4 lie inside idx's extent of 4, but only three
+        // entries are installed: the fourth position resolves to nothing.
+        let mut p = Program::new("t");
+        let a = p.add_array("A", 8, 10);
+        let idx = p.add_array("idx", 4, 4);
+        let mut nest = LoopNest::rectangular("n", &[4]);
+        nest.add_indirect_ref(a, idx, AffineExpr::var(0, 1), Access::Write);
+        let id = p.add_nest(nest);
+        let mut data = DataEnv::new();
+        data.set_index_array(idx, vec![0, 3, 1]);
+        let mut s = sink();
+        check_nest(&p, id, &data, &mut s);
+        assert_eq!(s.diagnostics().len(), 1, "{}", s.report());
+        let d = &s.diagnostics()[0];
+        assert_eq!(d.code, Code::OOB_ACCESS);
+        assert!(d.message.contains("only 3 entries are installed"), "{}", d.message);
+    }
+
+    /// Builds random nests from a stream of raw draws.
+    struct Draw<'a>(std::slice::Iter<'a, u32>);
+
+    impl Draw<'_> {
+        /// One of `choices`.
+        fn pick<T: Copy>(&mut self, choices: &[T]) -> T {
+            choices[*self.0.next().expect("enough draws") as usize % choices.len()]
+        }
+
+        /// An integer in `lo..=hi`.
+        fn int(&mut self, lo: i64, hi: i64) -> i64 {
+            lo + i64::from(*self.0.next().expect("enough draws")) % (hi - lo + 1)
+        }
+
+        /// `true` with probability `pct` percent.
+        fn chance(&mut self, pct: i64) -> bool {
+            self.int(0, 99) < pct
+        }
+
+        fn expr(&mut self, depth: usize) -> AffineExpr {
+            let coeffs: Vec<i64> =
+                (0..depth).map(|_| self.pick(&[0, 0, 1, 1, 1, 2, 3, -1])).collect();
+            AffineExpr::linear(&coeffs, self.pick(&[0, 0, 0, 1, 2, 5, -1]))
+        }
+    }
+
+    /// Draws per random nest: every draw below fits with room to spare.
+    const DRAWS: usize = 96;
+    /// Random nests per property-test case.
+    const NESTS_PER_CASE: usize = 8;
+
+    fn arb_draws() -> impl proptest::Strategy<Value = Vec<u32>> {
+        proptest::collection::vec(0u32..1 << 30, DRAWS * NESTS_PER_CASE)
+    }
+
+    /// A random one-nest program and its data: rectangular or triangular
+    /// bounds of depth 1–3, `parallel_depth` 0 or 1, one to four affine
+    /// or indirect references on two arrays through two index arrays,
+    /// each installed (injective or clustered contents, sometimes with an
+    /// out-of-bounds entry) or missing.
+    fn random_nest(draws: &[u32]) -> (Program, DataEnv) {
+        let mut d = Draw(draws.iter());
+        let mut p = Program::new("random");
+        let arrays = [
+            p.add_array("A", 8, d.int(12, 48) as u64),
+            p.add_array("B", 8, d.int(12, 48) as u64),
+        ];
+        let mut data = DataEnv::new();
+        let mut index_arrays = Vec::new();
+        for name in ["idx", "jdx"] {
+            let extent = d.int(4, 24) as usize;
+            let idx = p.add_array(name, 4, extent as u64);
+            index_arrays.push(idx);
+            if d.chance(80) {
+                let injective = d.chance(50);
+                let mut contents: Vec<i32> = (0..extent)
+                    .map(|k| if injective { k as i32 } else { d.int(0, 6) as i32 })
+                    .collect();
+                if d.chance(15) {
+                    contents[d.int(0, extent as i64 - 1) as usize] = d.pick(&[-1, 99]);
+                }
+                data.set_index_array(idx, contents);
+            }
+        }
+
+        let depth = d.int(1, 3) as usize;
+        let mut bounds = vec![LoopBound::range(if d.chance(4) { 0 } else { d.int(1, 6) })];
+        for level in 1..depth {
+            let outer = AffineExpr::var(level - 1, 1);
+            bounds.push(match d.int(0, 2) {
+                0 => LoopBound { lower: AffineExpr::constant(0), upper: outer.plus(d.int(0, 2)) },
+                1 => LoopBound {
+                    lower: outer.plus(d.int(0, 1)),
+                    upper: AffineExpr::constant(d.int(1, 7)),
+                },
+                _ => LoopBound {
+                    lower: AffineExpr::constant(d.int(0, 1)),
+                    upper: AffineExpr::constant(d.int(1, 6)),
+                },
+            });
+        }
+        let mut nest = LoopNest::with_bounds("n", bounds);
+        nest.parallel_depth = d.int(0, 1) as usize;
+        for _ in 0..d.int(1, 4) {
+            let array = d.pick(&arrays);
+            let access = if d.chance(50) { Access::Write } else { Access::Read };
+            let kind = if d.chance(35) {
+                RefKind::Indirect {
+                    index_array: d.pick(&index_arrays),
+                    position: d.expr(depth),
+                    offset: d.pick(&[0, 0, 1, -1, 2]),
+                }
+            } else {
+                RefKind::Affine(d.expr(depth))
+            };
+            nest.refs.push(ArrayRef { array, kind, access });
+        }
+        p.add_nest(nest);
+        (p, data)
+    }
+
+    fn diagnostics(
+        check: fn(&Program, NestId, &DataEnv, &mut DiagnosticSink),
+        p: &Program,
+        data: &DataEnv,
+    ) -> Vec<Diagnostic> {
+        let mut s = sink();
+        check(p, NestId(0), data, &mut s);
+        s.diagnostics().to_vec()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn check_nest_matches_the_hash_map_reference(draws in arb_draws()) {
+            for nest in draws.chunks(DRAWS) {
+                let (p, data) = random_nest(nest);
+                proptest::prop_assert_eq!(
+                    diagnostics(check_nest, &p, &data),
+                    diagnostics(reference::check_nest, &p, &data),
+                    "nest {:?}", p.nest(NestId(0))
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn equivalence_cases_cover_every_shape() {
+        // The property test above draws exactly these nests; count what
+        // they exercise, as the reference pass sees it.
+        let mut seen = std::collections::BTreeMap::<&str, usize>::new();
+        for case in 0..proptest::CASES {
+            let mut rng =
+                proptest::TestRng::for_case("check_nest_matches_the_hash_map_reference", case);
+            let draws = proptest::Strategy::new_value(&arb_draws(), &mut rng);
+            for nest in draws.chunks(DRAWS) {
+                let (p, data) = random_nest(nest);
+                let n = p.nest(NestId(0));
+                let found = diagnostics(reference::check_nest, &p, &data);
+                let has = |code| found.iter().any(|d| d.code == code);
+                let mut tally = |shape, yes: bool| *seen.entry(shape).or_default() += yes as usize;
+                let rect = rect_ranges(n, &p.params()).is_some();
+                tally("rectangular", rect);
+                tally("triangular", !rect);
+                for r in &n.refs {
+                    match &r.kind {
+                        RefKind::Affine(_) => tally("affine ref", true),
+                        RefKind::Indirect { index_array, .. } if data.has(*index_array) => {
+                            tally("installed indirect ref", true)
+                        }
+                        RefKind::Indirect { .. } => tally("missing indirect ref", true),
+                    }
+                }
+                tally("parallel depth 0", n.parallel_depth == 0);
+                tally("parallel depth 1", n.parallel_depth == 1);
+                let writes = n.refs.iter().any(|r| r.access == Access::Write);
+                tally("clean write", writes && n.parallel_depth < n.depth() && found.is_empty());
+                tally("conflicting write", has(Code::CARRIED_DEPENDENCE));
+                let oob = |needle: &str| {
+                    found.iter().any(|d| d.code == Code::OOB_ACCESS && d.message.contains(needle))
+                };
+                tally("out-of-bounds subscript", oob("] ranges over") && !oob("index array"));
+                tally("out-of-bounds resolved element", oob("resolves to"));
+                tally("out-of-range index-array position", oob("index array"));
+                tally("unresolved indirect", has(Code::UNRESOLVED_INDIRECT));
+                tally("empty nest", has(Code::EMPTY_NEST));
+            }
+        }
+        for (shape, count) in &seen {
+            assert!(*count > 0, "no random nest exercises {shape}: {seen:?}");
+        }
     }
 }

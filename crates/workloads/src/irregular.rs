@@ -396,7 +396,7 @@ mod tests {
             for k in 0..27i64 {
                 let col_ref = &nest.refs[2];
                 if let locmap_loopir::RefKind::Indirect { index_array, .. } = &col_ref.kind {
-                    let c = w.data.index_value(*index_array, r * 27 + k);
+                    let c = i64::from(w.data.index_array(*index_array)[(r * 27 + k) as usize]);
                     if (c - r).abs() <= 81 {
                         near += 1;
                     } else {
@@ -413,9 +413,9 @@ mod tests {
         let w = radix(Scale::default());
         let nest = &w.program.nests()[1];
         if let locmap_loopir::RefKind::Indirect { index_array, .. } = &nest.refs[1].kind {
+            let targets = w.data.index_array(*index_array);
             let mut seen = vec![false; 260_000];
-            for i in 0..260_000i64 {
-                let v = w.data.index_value(*index_array, i);
+            for &v in &targets[..260_000] {
                 assert!(!seen[v as usize], "duplicate target {v}");
                 seen[v as usize] = true;
             }
@@ -431,8 +431,9 @@ mod tests {
         for nest in w.program.nests() {
             for r in &nest.refs {
                 if let locmap_loopir::RefKind::Indirect { index_array, .. } = &r.kind {
-                    for i in (0..120_000i64).step_by(997) {
-                        let v = w.data.index_value(*index_array, i);
+                    let index = w.data.index_array(*index_array);
+                    for i in (0..120_000).step_by(997) {
+                        let v = i64::from(index[i]);
                         assert!(v >= 0 && v < tree_extent);
                     }
                 }

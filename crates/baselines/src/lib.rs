@@ -18,7 +18,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use locmap_core::{BalanceReport, NestMapping, Platform};
+use locmap_core::{NestMapping, Platform};
 use locmap_loopir::{DataEnv, IterationSpace, NestId, Program};
 use locmap_mem::PhysAddr;
 use locmap_noc::NodeId;
@@ -142,19 +142,7 @@ pub fn hardware_placement(
     for (rank, &s) in order.iter().enumerate() {
         assignment[s] = cores[rank % cores.len()].1;
     }
-    let regions = assignment.iter().map(|&n| platform.regions.region_of(n)).collect();
-
-    NestMapping {
-        nest,
-        sets: sets.to_vec(),
-        regions,
-        assignment,
-        balance: BalanceReport { moved: 0, total: sets.len() },
-        needs_inspector: false,
-        mai: Vec::new(),
-        cai: Vec::new(),
-        alphas: Vec::new(),
-    }
+    NestMapping::from_cores(nest, sets, assignment, &platform.regions)
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@ use locmap_bench::batch::{run_throughput, BatchConfig, STENCIL_SUITE};
 use locmap_bench::heal::heal_run;
 use locmap_bench::resilience::evaluate_resilience;
 use locmap_bench::{evaluate, Experiment};
-use locmap_core::{region_loads, Compiler, Mac, MacPolicy, Platform};
+use locmap_core::{region_loads, Compiler, Platform};
 use locmap_noc::{FaultCounts, FaultPlan, FaultState, Mesh, RegionGrid};
 use locmap_sim::{MultiprogramResult, SimConfig};
 use locmap_workloads::{build, names};
@@ -103,10 +103,10 @@ pub fn platform(args: &Args) -> Result<(), String> {
     println!("llc       : {llc:?}");
     println!("mcs       : {:?}", p.mc_coords);
     println!("page      : {} B, line: {} B", p.addr_map.config().page_bytes, p.addr_map.config().line_bytes);
-    let mac = Mac::compute(&p, MacPolicy::NearestSet);
+    let compiler = Compiler::builder(p.clone()).build().map_err(String::from)?;
     println!("\nMAC vectors (region -> MC affinities):");
     for r in p.regions.regions() {
-        println!("  {r}: {}", mac.of(r));
+        println!("  {r}: {}", compiler.mac().of(r));
     }
     println!("\nsimulator defaults:\n{}", SimConfig::default());
     Ok(())

@@ -1,10 +1,11 @@
 //! End-to-end goldens of the `locmap` binary: the four healing traces, the
 //! two overload reports, the four static-verification arms, the two
-//! fault-scenario comparisons, and the mappings and heatmaps `map` and
-//! `heat` print, byte for byte. Each run is deterministic, so any change in
-//! the recovery policy, the admission ladder, the circuit breaker, the
-//! verifier's findings, the degraded-mode mapper or the options the mapper
-//! runs with shows up as a diff here.
+//! fault-scenario comparisons, the mappings and heatmaps `map` and `heat`
+//! print, and the platform summary with its MAC table, byte for byte. Each
+//! run is deterministic, so any change in the recovery policy, the
+//! admission ladder, the circuit breaker, the verifier's findings, the
+//! degraded-mode mapper or the options the mapper runs with shows up as a
+//! diff here.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -99,6 +100,13 @@ fn map_moldyn_private_matches_golden() {
 fn heat_mxm_private_matches_golden() {
     let args = ["heat", "--app", "mxm", "--llc", "private", "--scale", "0.3"];
     assert_matches_golden(&args, "heat.mxm.private.txt");
+}
+
+/// `platform` is the only report that prints a healthy machine's MAC
+/// table (Figure 6a).
+#[test]
+fn platform_shared_matches_golden() {
+    assert_matches_golden(&["platform", "--llc", "shared"], "platform.shared.txt");
 }
 
 /// `verify` exits nonzero on any Deny-level finding; each golden pins the

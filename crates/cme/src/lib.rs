@@ -94,12 +94,6 @@ impl Default for CmeConfig {
 }
 
 impl CmeConfig {
-    /// A perfect-estimation configuration (Figure 15's oracle): full
-    /// sampling and zero noise.
-    pub fn perfect() -> Self {
-        CmeConfig { sample_rate: 1.0, noise: 0.0, ..CmeConfig::default() }
-    }
-
     /// Replaces the modeled LLC capacity, keeping 16-way 64 B geometry.
     ///
     /// # Panics
@@ -552,13 +546,6 @@ mod tests {
             let h = noisy.hit_probability(s, 0);
             assert!((0.0..=1.0).contains(&h));
         }
-    }
-
-    #[test]
-    fn perfect_config_has_no_noise() {
-        let c = CmeConfig::perfect();
-        assert_eq!(c.noise, 0.0);
-        assert_eq!(c.sample_rate, 1.0);
     }
 
     #[test]

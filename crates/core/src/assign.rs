@@ -88,11 +88,11 @@ pub fn assign_shared(
 mod tests {
     use super::*;
     use crate::platform::Platform;
-    use crate::vectors::MacPolicy;
+    use crate::Compiler;
 
     fn mac_cac() -> (Mac, Cac) {
-        let p = Platform::paper_default();
-        (Mac::compute(&p, MacPolicy::NearestSet), Cac::compute(&p))
+        let c = Compiler::builder(Platform::paper_default()).build().unwrap();
+        (c.mac().clone(), c.cac().clone())
     }
 
     #[test]

@@ -58,7 +58,6 @@ pub fn hash_options<H: Hasher>(h: &mut H, o: &MappingOptions) {
         }
     }
     o.eta.hash(h);
-    o.mac_policy.hash(h);
     o.placement.hash(h);
     h.write_usize(o.analysis_sample_stride);
     h.write_u8(o.balance as u8);

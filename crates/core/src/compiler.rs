@@ -15,11 +15,11 @@ use crate::balance::{balance_regions_masked, BalanceReport};
 use crate::hits::{AllMissModel, CmeModel, HitModel};
 use crate::placement::{place_in_regions_masked, PlacementPolicy};
 use crate::platform::{LlcOrg, Platform};
-use crate::vectors::{AffinityVec, Cac, EtaMetric, Mac, MacPolicy};
+use crate::vectors::{region_redirects, AffinityVec, Cac, EtaMetric, Mac};
 use locmap_cme::{CmeConfig, CmeEstimate, CmeEstimator};
 use locmap_loopir::{DataEnv, IterationSet, IterationSpace, NestId, Program};
 use locmap_mem::CacheConfig;
-use locmap_noc::{nearest_survivor, FaultState, LocmapError, NodeId, RegionId, RunControl};
+use locmap_noc::{FaultState, LocmapError, NodeId, RegionGrid, RegionId, RunControl};
 use serde::{Deserialize, Serialize};
 
 /// How the shared-LLC (S-NUCA) assignment objective treats LLC misses.
@@ -51,8 +51,6 @@ pub struct MappingOptions {
     pub alpha: AlphaPolicy,
     /// Vector-difference metric inside η.
     pub eta: EtaMetric,
-    /// MAC derivation policy.
-    pub mac_policy: MacPolicy,
     /// Within-region core selection.
     pub placement: PlacementPolicy,
     /// Analyze every k-th iteration when building MAI/CAI (1 = all).
@@ -86,7 +84,6 @@ impl MappingOptions {
                 .with_llc_bytes(llc_bytes.next_power_of_two()),
             alpha: AlphaPolicy::FromHits,
             eta: EtaMetric::L1,
-            mac_policy: MacPolicy::NearestSet,
             placement: PlacementPolicy::default(),
             analysis_sample_stride: 2,
             balance: true,
@@ -127,6 +124,29 @@ pub struct NestMapping {
 }
 
 impl NestMapping {
+    /// A mapping that no affinity vector scored: set `s` runs on
+    /// `cores[s]`, in the region of `grid` holding that core, with no
+    /// balancer move and empty MAI, CAI and α. The round-robin, locality
+    /// and hardware-placement schedules are built this way.
+    pub fn from_cores(
+        nest: NestId,
+        sets: &[IterationSet],
+        cores: Vec<NodeId>,
+        grid: &RegionGrid,
+    ) -> Self {
+        NestMapping {
+            nest,
+            sets: sets.to_vec(),
+            regions: cores.iter().map(|&n| grid.region_of(n)).collect(),
+            assignment: cores,
+            balance: BalanceReport { moved: 0, total: sets.len() },
+            needs_inspector: false,
+            mai: Vec::new(),
+            cai: Vec::new(),
+            alphas: Vec::new(),
+        }
+    }
+
     /// The core executing iteration set `k`.
     pub fn core_of(&self, set: usize) -> NodeId {
         self.assignment[set]
@@ -271,46 +291,33 @@ impl Compiler {
     ) -> Result<Self, LocmapError> {
         let eff = state.effective(&platform.mc_coords);
 
-        let mac = Mac::compute_degraded(&platform, options.mac_policy, &eff)?;
+        let mac = Mac::compute(&platform, &eff)?;
         let cac = match platform.llc {
             // Private LLCs never consult CAC; keep the fault-free one.
-            LlcOrg::Private => Cac::compute(&platform),
-            LlcOrg::SharedSNuca => Cac::compute_degraded(&platform, &eff)?,
+            LlcOrg::Private => {
+                Cac::compute(&platform, &FaultState::none(platform.mesh, platform.mc_count()))?
+            }
+            LlcOrg::SharedSNuca => Cac::compute(&platform, &eff)?,
         };
 
         let mc_redirect = eff.mc_redirects(&platform.mc_coords)?;
 
         let regions = &platform.regions;
-        let nregions = regions.region_count();
         let alive_cores: Vec<bool> =
             platform.mesh.nodes().map(|n| eff.router_alive(n)).collect();
-        let region_has = |j: usize, pred: &dyn Fn(NodeId) -> bool| {
-            regions.nodes_in(RegionId(j as u16)).iter().any(|&n| pred(n))
+        let region_has = |pred: &dyn Fn(NodeId) -> bool| -> Vec<bool> {
+            regions.regions().map(|r| regions.nodes_in(r).iter().any(|&n| pred(n))).collect()
         };
-        let alive_regions: Vec<bool> =
-            (0..nregions).map(|j| region_has(j, &|n| eff.router_alive(n))).collect();
-        if !alive_regions.iter().any(|&a| a) {
-            return Err(LocmapError::FaultConflict("no surviving cores to map onto".into()));
-        }
-        let bank_regions: Vec<bool> =
-            (0..nregions).map(|j| region_has(j, &|n| eff.bank_alive(n))).collect();
-
-        // Nearest surviving region by centroid distance, region id breaking
-        // ties — the one redirect rule, shared with FaultState's redirects.
-        let nearest = |j: usize, alive: &[bool]| -> RegionId {
-            let dist = |k: usize| regions.region_distance(RegionId(j as u16), RegionId(k as u16));
-            let k = nearest_survivor(nregions, j, |k| alive[k], dist);
-            RegionId(k.expect("at least one region alive") as u16)
-        };
-        let core_region_redirect: Vec<RegionId> =
-            (0..nregions).map(|j| nearest(j, &alive_regions)).collect();
-        let bank_region_redirect: Vec<usize> = if bank_regions.iter().any(|&a| a) {
-            (0..nregions).map(|j| nearest(j, &bank_regions).index()).collect()
-        } else {
-            // All banks dead: only reachable for private LLCs (everything
-            // bypasses to memory); CAI is unused, keep the identity map.
-            (0..nregions).collect()
-        };
+        let alive_regions = region_has(&|n| eff.router_alive(n));
+        let core_region_redirect = region_redirects(regions, &alive_regions)
+            .ok_or_else(|| LocmapError::FaultConflict("no surviving cores to map onto".into()))?;
+        let bank_region_redirect: Vec<usize> =
+            match region_redirects(regions, &region_has(&|n| eff.bank_alive(n))) {
+                Some(to) => to.iter().map(|r| r.index()).collect(),
+                // All banks dead: only reachable for private LLCs (everything
+                // bypasses to memory); CAI is unused, keep the identity map.
+                None => (0..regions.region_count()).collect(),
+            };
 
         Ok(Compiler {
             platform,
@@ -584,19 +591,7 @@ impl Compiler {
         let alive = &self.degraded.alive_cores;
         let cores: Vec<NodeId> = self.platform.mesh.nodes().filter(|n| alive[n.index()]).collect();
         let assignment: Vec<NodeId> = sets.iter().map(|s| cores[s.id % cores.len()]).collect();
-        let regions: Vec<RegionId> =
-            assignment.iter().map(|&n| self.platform.regions.region_of(n)).collect();
-        NestMapping {
-            nest: nest_id,
-            sets: sets.to_vec(),
-            regions,
-            assignment,
-            balance: BalanceReport { moved: 0, total: sets.len() },
-            needs_inspector: false,
-            mai: Vec::new(),
-            cai: Vec::new(),
-            alphas: Vec::new(),
-        }
+        NestMapping::from_cores(nest_id, sets, assignment, &self.platform.regions)
     }
 
     /// Convenience: the default mapping for a whole nest (used as the
@@ -635,17 +630,7 @@ impl Compiler {
             &d.alive_cores,
         )
         .expect("locality schedule only targets alive regions");
-        NestMapping {
-            nest: nest_id,
-            sets: sets.to_vec(),
-            regions: assignment_regions,
-            assignment,
-            balance: BalanceReport { moved: 0, total: n },
-            needs_inspector: false,
-            mai: Vec::new(),
-            cai: Vec::new(),
-            alphas: Vec::new(),
-        }
+        NestMapping::from_cores(nest_id, sets, assignment, regions)
     }
 
     /// Convenience: the [`Compiler::locality_schedule`] heuristic for a
@@ -998,19 +983,6 @@ mod objective_tests {
         let c = Compiler::builder(Platform::paper_default()).options(opts).build().unwrap();
         let m = c.map_nest(&p, id, &DataEnv::new());
         assert!(m.alphas.iter().all(|&a| (a - 0.7).abs() < 1e-12));
-    }
-
-    #[test]
-    fn inverse_distance_mac_changes_assignment_granularity() {
-        let (p, id) = stream(1 << 16);
-        let platform = Platform::paper_default_with(LlcOrg::Private);
-        let base = MappingOptions::scaled(&platform);
-        let o1 = MappingOptions { mac_policy: MacPolicy::NearestSet, ..base };
-        let o2 = MappingOptions { mac_policy: MacPolicy::InverseDistance, ..base };
-        let m1 = Compiler::builder(platform.clone()).options(o1).build().unwrap().map_nest(&p, id, &DataEnv::new());
-        let m2 = Compiler::builder(platform).options(o2).build().unwrap().map_nest(&p, id, &DataEnv::new());
-        // Both are valid (same shape); policies may or may not coincide.
-        assert_eq!(m1.assignment.len(), m2.assignment.len());
     }
 
     #[test]

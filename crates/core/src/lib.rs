@@ -82,7 +82,7 @@ pub use session::{
     AdmitTicket, MapRequest, MapResponse, MappingSession, MappingSessionBuilder, ServedMapping,
     SessionStats,
 };
-pub use vectors::{AffinityVec, EtaMetric, Mac, MacPolicy, Cac, CAC_SELF_WEIGHT};
+pub use vectors::{AffinityVec, EtaMetric, Mac, Cac, CAC_SELF_WEIGHT};
 
 /// One-line import for the common mapping workflow.
 ///

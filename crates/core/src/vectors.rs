@@ -1,8 +1,10 @@
-//! Affinity vectors and the η difference metric, plus the
-//! platform-derived MAC and CAC vectors.
+//! Affinity vectors and the η difference metric, plus the MAC and CAC
+//! tables, each derived by one constructor from the platform and the
+//! [`FaultState`] it runs under (a healthy machine is
+//! [`FaultState::none`]).
 
 use crate::platform::Platform;
-use locmap_noc::{FaultState, LocmapError, RegionId};
+use locmap_noc::{nearest_survivor, FaultState, LocmapError, RegionGrid, RegionId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -124,18 +126,6 @@ pub enum EtaMetric {
     Cosine,
 }
 
-/// How MAC weights are derived from region↔MC distances.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum MacPolicy {
-    /// Equal weight over the set of *nearest* MCs (ties split evenly) —
-    /// reproduces Figure 6a exactly on the default platform.
-    #[default]
-    NearestSet,
-    /// Weight proportional to `1 / (distance + 1)` — the "finer-granular"
-    /// alternative from the paper's §3.9 discussion.
-    InverseDistance,
-}
-
 /// The per-region memory-affinity-of-cores vectors (Figure 6a).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Mac {
@@ -143,35 +133,18 @@ pub struct Mac {
 }
 
 impl Mac {
-    /// Computes MAC for every region of `platform` under `policy`.
-    pub fn compute(platform: &Platform, policy: MacPolicy) -> Self {
-        let alive = vec![true; platform.mc_count()];
-        Self::compute_masked(platform, policy, &alive)
-            .expect("all-alive MAC computation cannot fail")
-    }
-
-    /// Computes MAC over the *surviving* memory controllers of a degraded
-    /// machine: dead MCs get zero weight and the nearest-set / inverse-
-    /// distance shares are taken over the alive set only, so η comparisons
-    /// steer iteration sets towards regions close to controllers that can
-    /// still serve them. Pass the *effective* fault state
-    /// ([`FaultState::effective`]) so MCs on dead routers count as dead.
-    pub fn compute_degraded(
-        platform: &Platform,
-        policy: MacPolicy,
-        state: &FaultState,
-    ) -> Result<Self, LocmapError> {
-        let alive: Vec<bool> = (0..platform.mc_count()).map(|k| state.mc_alive(k)).collect();
-        Self::compute_masked(platform, policy, &alive)
-    }
-
-    fn compute_masked(
-        platform: &Platform,
-        policy: MacPolicy,
-        alive: &[bool],
-    ) -> Result<Self, LocmapError> {
+    /// Computes MAC for every region of `platform` over the memory
+    /// controllers alive in `state`: equal weight over the set of *nearest*
+    /// alive MCs by Manhattan distance from the region's centroid, ties
+    /// split evenly, and zero weight on dead MCs. On a healthy machine
+    /// ([`FaultState::none`]) this reproduces Figure 6a exactly; on a
+    /// degraded one η comparisons steer iteration sets towards regions
+    /// close to controllers that can still serve them. Pass the
+    /// *effective* fault state ([`FaultState::effective`]) so MCs on dead
+    /// routers count as dead.
+    pub fn compute(platform: &Platform, state: &FaultState) -> Result<Self, LocmapError> {
         let m = platform.mc_count();
-        assert_eq!(alive.len(), m, "alive mask length must match MC count");
+        let alive: Vec<bool> = (0..m).map(|k| state.mc_alive(k)).collect();
         if !alive.iter().any(|&a| a) {
             return Err(LocmapError::FaultConflict("all memory controllers dead".into()));
         }
@@ -185,37 +158,22 @@ impl Mac {
                     .iter()
                     .map(|mc| (cx - mc.x as f64).abs() + (cy - mc.y as f64).abs())
                     .collect();
+                let dmin = dists
+                    .iter()
+                    .enumerate()
+                    .filter(|&(k, _)| alive[k])
+                    .map(|(_, &d)| d)
+                    .fold(f64::INFINITY, f64::min);
+                let nearest: Vec<usize> = dists
+                    .iter()
+                    .enumerate()
+                    .filter(|&(k, &d)| alive[k] && d <= dmin + 1e-6)
+                    .map(|(k, _)| k)
+                    .collect();
                 let mut w = vec![0.0; m];
-                match policy {
-                    MacPolicy::NearestSet => {
-                        let dmin = dists
-                            .iter()
-                            .enumerate()
-                            .filter(|&(k, _)| alive[k])
-                            .map(|(_, &d)| d)
-                            .fold(f64::INFINITY, f64::min);
-                        let nearest: Vec<usize> = dists
-                            .iter()
-                            .enumerate()
-                            .filter(|&(k, &d)| alive[k] && d <= dmin + 1e-6)
-                            .map(|(k, _)| k)
-                            .collect();
-                        let share = 1.0 / nearest.len() as f64;
-                        for k in nearest {
-                            w[k] = share;
-                        }
-                    }
-                    MacPolicy::InverseDistance => {
-                        let raw: Vec<f64> = dists
-                            .iter()
-                            .enumerate()
-                            .map(|(k, d)| if alive[k] { 1.0 / (d + 1.0) } else { 0.0 })
-                            .collect();
-                        let total: f64 = raw.iter().sum();
-                        for (k, r) in raw.into_iter().enumerate() {
-                            w[k] = r / total;
-                        }
-                    }
+                let share = 1.0 / nearest.len() as f64;
+                for k in nearest {
+                    w[k] = share;
                 }
                 AffinityVec::from(w)
             })
@@ -246,15 +204,26 @@ pub struct Cac {
 }
 
 impl Cac {
-    /// Computes CAC for every region of `platform`.
-    pub fn compute(platform: &Platform) -> Self {
+    /// Computes CAC for every region of `platform` over the LLC banks
+    /// alive in `state`.
+    ///
+    /// A region gives [`CAC_SELF_WEIGHT`] to its own banks and splits the
+    /// rest evenly over its 4-connected neighbors (all of it to itself
+    /// when it has none). Under bank faults each target region's weight is
+    /// scaled by the fraction of its banks still alive (a region that lost
+    /// half its banks caches half as much nearby data) and the row is
+    /// renormalized; a row that empties moves all its weight to the
+    /// nearest region that still has banks, by the same nearest-survivor
+    /// redirect the compiler folds CAI with. Pass the *effective* fault
+    /// state so banks on dead routers count as dead.
+    pub fn compute(platform: &Platform, state: &FaultState) -> Result<Self, LocmapError> {
+        let regions = &platform.regions;
         let n = platform.region_count();
-        let vectors = platform
-            .regions
+        let base: Vec<Vec<f64>> = regions
             .regions()
             .map(|r| {
                 let mut w = vec![0.0; n];
-                let neighbors = platform.regions.neighbors(r);
+                let neighbors = regions.neighbors(r);
                 if neighbors.is_empty() {
                     w[r.index()] = 1.0;
                 } else {
@@ -264,10 +233,44 @@ impl Cac {
                         w[nb.index()] = share;
                     }
                 }
+                w
+            })
+            .collect();
+        let alive_frac: Vec<f64> = regions
+            .regions()
+            .map(|r| {
+                let nodes = regions.nodes_in(r);
+                let alive = nodes.iter().filter(|&&node| state.bank_alive(node)).count();
+                alive as f64 / nodes.len() as f64
+            })
+            .collect();
+        if alive_frac.iter().all(|&f| f == 1.0) {
+            // No bank faults: the base table bit-for-bit, so a clean
+            // degraded compiler reproduces the fault-free mapping exactly
+            // (renormalizing by a mass of ~1.0 would inject FP noise).
+            return Ok(Cac { vectors: base.into_iter().map(AffinityVec::from).collect() });
+        }
+        let has_bank: Vec<bool> = alive_frac.iter().map(|&f| f > 0.0).collect();
+        let redirect = region_redirects(regions, &has_bank)
+            .ok_or_else(|| LocmapError::FaultConflict("all LLC banks dead".into()))?;
+        let vectors = base
+            .into_iter()
+            .enumerate()
+            .map(|(r, row)| {
+                let mut w: Vec<f64> = row.iter().zip(&alive_frac).map(|(x, f)| x * f).collect();
+                let mass: f64 = w.iter().sum();
+                if mass > 0.0 {
+                    w.iter_mut().for_each(|x| *x /= mass);
+                } else {
+                    // Everything this region would cache into is dead: its
+                    // own banks too, so the redirect leaves the region.
+                    w = vec![0.0; n];
+                    w[redirect[r].index()] = 1.0;
+                }
                 AffinityVec::from(w)
             })
             .collect();
-        Cac { vectors }
+        Ok(Cac { vectors })
     }
 
     /// The CAC vector of region `r`.
@@ -279,69 +282,20 @@ impl Cac {
     pub fn vectors(&self) -> &[AffinityVec] {
         &self.vectors
     }
+}
 
-    /// Computes CAC over the *surviving* LLC banks of a degraded machine:
-    /// each target region's weight is scaled by the fraction of its banks
-    /// still alive (a region that lost half its banks caches half as much
-    /// nearby data) and the row is renormalized. A region whose banks all
-    /// died gets zero weight; if that empties a row, the row's weight
-    /// moves to the nearest region (by centroid) that still has banks.
-    /// Pass the *effective* fault state so banks on dead routers count as
-    /// dead.
-    pub fn compute_degraded(platform: &Platform, state: &FaultState) -> Result<Self, LocmapError> {
-        let base = Self::compute(platform);
-        let regions = &platform.regions;
-        let n = platform.region_count();
-        let alive_frac: Vec<f64> = regions
-            .regions()
-            .map(|r| {
-                let nodes = regions.nodes_in(r);
-                let alive = nodes.iter().filter(|&&node| state.bank_alive(node)).count();
-                alive as f64 / nodes.len() as f64
-            })
-            .collect();
-        if alive_frac.iter().all(|&f| f == 0.0) {
-            return Err(LocmapError::FaultConflict("all LLC banks dead".into()));
-        }
-        if alive_frac.iter().all(|&f| f == 1.0) {
-            // No bank faults: return the base table bit-for-bit so a clean
-            // degraded compiler reproduces the fault-free mapping exactly
-            // (renormalizing by a mass of ~1.0 would inject FP noise).
-            return Ok(base);
-        }
-        let vectors = regions
-            .regions()
-            .map(|r| {
-                let mut w: Vec<f64> =
-                    base.of(r).0.iter().zip(&alive_frac).map(|(x, f)| x * f).collect();
-                let mass: f64 = w.iter().sum();
-                if mass > 0.0 {
-                    w.iter_mut().for_each(|x| *x /= mass);
-                } else {
-                    // Everything this region would cache into is dead: fall
-                    // back to the nearest region with surviving banks.
-                    let (cx, cy) = regions.centroid(r);
-                    let mut best = 0usize;
-                    let mut best_dist = f64::INFINITY;
-                    for q in regions.regions() {
-                        if alive_frac[q.index()] == 0.0 {
-                            continue;
-                        }
-                        let (qx, qy) = regions.centroid(q);
-                        let d = (cx - qx).abs() + (cy - qy).abs();
-                        if d < best_dist {
-                            best_dist = d;
-                            best = q.index();
-                        }
-                    }
-                    w = vec![0.0; n];
-                    w[best] = 1.0;
-                }
-                AffinityVec::from(w)
-            })
-            .collect();
-        Ok(Cac { vectors })
-    }
+/// For each region, the nearest region marked in `alive`: itself when
+/// alive, otherwise the alive region at the smallest
+/// [`RegionGrid::region_distance`], the lowest id winning ties — the one
+/// [`nearest_survivor`] rule. `None` when no region is alive.
+pub(crate) fn region_redirects(regions: &RegionGrid, alive: &[bool]) -> Option<Vec<RegionId>> {
+    let n = regions.region_count();
+    (0..n)
+        .map(|j| {
+            let dist = |k: usize| regions.region_distance(RegionId(j as u16), RegionId(k as u16));
+            nearest_survivor(n, j, |k| alive[k], dist).map(|k| RegionId(k as u16))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -356,6 +310,22 @@ mod tests {
         a.len() == b.len() && a.0.iter().zip(b).all(|(x, y)| close(*x, *y))
     }
 
+    fn healthy(p: &Platform) -> FaultState {
+        FaultState::none(p.mesh, p.mc_count())
+    }
+
+    /// The paper platform's fault-free MAC (Figure 6a).
+    fn paper_mac() -> Mac {
+        let p = Platform::paper_default();
+        Mac::compute(&p, &healthy(&p)).unwrap()
+    }
+
+    /// The paper platform's fault-free CAC (Figure 6c).
+    fn paper_cac() -> Cac {
+        let p = Platform::paper_default();
+        Cac::compute(&p, &healthy(&p)).unwrap()
+    }
+
     #[test]
     fn eta_matches_paper_table2_column1() {
         // MAI = (0.5, 0.25, 0.25, 0) against the Figure 6a MACs.
@@ -367,7 +337,7 @@ mod tests {
         // vectors: R2 and R5 tie at the minimum 0.125, and the paper's
         // chosen winner R5 attains the paper's printed minimum value.
         let mai = AffinityVec::from(vec![0.5, 0.25, 0.25, 0.0]);
-        let mac = Mac::compute(&Platform::paper_default(), MacPolicy::NearestSet);
+        let mac = paper_mac();
         let expected = [0.25, 0.125, 0.375, 0.25, 0.125, 0.25, 0.5, 0.375, 0.375];
         let etas: Vec<f64> = (0..9).map(|r| mai.eta(mac.of(RegionId(r)))).collect();
         for (r, (&e, &x)) in etas.iter().zip(&expected).enumerate() {
@@ -382,7 +352,7 @@ mod tests {
         // and R6 are the most suitable regions", which exact recomputation
         // confirms (both at 0.125).
         let mai = AffinityVec::from(vec![0.0, 0.25, 0.25, 0.0]);
-        let mac = Mac::compute(&Platform::paper_default(), MacPolicy::NearestSet);
+        let mac = paper_mac();
         let etas: Vec<f64> = (0..9).map(|r| mai.eta(mac.of(RegionId(r)))).collect();
         assert!(close(etas[4], 0.125), "R5 eta {}", etas[4]);
         assert!(close(etas[5], 0.125), "R6 eta {}", etas[5]);
@@ -399,7 +369,7 @@ mod tests {
     fn eta_matches_paper_table2_column2() {
         // MAI = (0, 0, 0.5, 0.5): paper says R8 wins with error 0.
         let mai = AffinityVec::from(vec![0.0, 0.0, 0.5, 0.5]);
-        let mac = Mac::compute(&Platform::paper_default(), MacPolicy::NearestSet);
+        let mac = paper_mac();
         let eta8 = mai.eta(mac.of(RegionId(7)));
         assert!(close(eta8, 0.0), "R8 eta = {eta8}");
         for r in 0..9 {
@@ -411,7 +381,7 @@ mod tests {
 
     #[test]
     fn mac_vectors_match_figure_6a() {
-        let mac = Mac::compute(&Platform::paper_default(), MacPolicy::NearestSet);
+        let mac = paper_mac();
         // MC order: MC1=TL, MC2=TR, MC3=BR, MC4=BL.
         assert!(vec_close(mac.of(RegionId(0)), &[1.0, 0.0, 0.0, 0.0])); // R1
         assert!(vec_close(mac.of(RegionId(1)), &[0.5, 0.5, 0.0, 0.0])); // R2
@@ -426,7 +396,7 @@ mod tests {
 
     #[test]
     fn cac_vectors_match_figure_6c() {
-        let cac = Cac::compute(&Platform::paper_default());
+        let cac = paper_cac();
         // R1: self 0.5, neighbors R2 and R4 get 0.25 each.
         assert!(vec_close(
             cac.of(RegionId(0)),
@@ -449,21 +419,10 @@ mod tests {
 
     #[test]
     fn cac_mass_is_one() {
-        let cac = Cac::compute(&Platform::paper_default());
+        let cac = paper_cac();
         for v in cac.vectors() {
             assert!(close(v.mass(), 1.0));
         }
-    }
-
-    #[test]
-    fn mac_inverse_distance_is_normalized_and_ordered() {
-        let mac = Mac::compute(&Platform::paper_default(), MacPolicy::InverseDistance);
-        let r1 = mac.of(RegionId(0));
-        assert!(close(r1.mass(), 1.0));
-        // R1 is closest to MC1 (top-left).
-        assert!(r1.0[0] > r1.0[1]);
-        assert!(r1.0[0] > r1.0[2]);
-        assert!(r1.0[0] > r1.0[3]);
     }
 
     #[test]
@@ -493,7 +452,7 @@ mod tests {
         use locmap_noc::FaultPlan;
         let p = Platform::paper_default();
         let state = FaultPlan::new(p.mesh, p.mc_count()).dead_mc(0).state_at(0);
-        let mac = Mac::compute_degraded(&p, MacPolicy::NearestSet, &state).unwrap();
+        let mac = Mac::compute(&p, &state).unwrap();
         for r in 0..9 {
             assert!(close(mac.of(RegionId(r)).0[0], 0.0), "R{} weights dead MC0", r + 1);
             assert!(close(mac.of(RegionId(r)).mass(), 1.0));
@@ -503,10 +462,7 @@ mod tests {
         assert!(close(r1.0[1], 0.5) && close(r1.0[3], 0.5), "{r1}");
         // A clean state reproduces the nominal MAC.
         let clean = FaultPlan::new(p.mesh, p.mc_count()).state_at(0);
-        assert_eq!(
-            Mac::compute_degraded(&p, MacPolicy::NearestSet, &clean).unwrap().vectors(),
-            Mac::compute(&p, MacPolicy::NearestSet).vectors()
-        );
+        assert_eq!(Mac::compute(&p, &clean).unwrap().vectors(), paper_mac().vectors());
     }
 
     #[test]
@@ -515,7 +471,7 @@ mod tests {
         let p = Platform::paper_default();
         let plan = p.mesh.nodes().fold(FaultPlan::new(p.mesh, p.mc_count()), FaultPlan::dead_router);
         let state = plan.state_at(0).effective(&p.mc_coords);
-        assert!(Mac::compute_degraded(&p, MacPolicy::NearestSet, &state).is_err());
+        assert!(Mac::compute(&p, &state).is_err());
     }
 
     #[test]
@@ -527,7 +483,7 @@ mod tests {
         for (x, y) in [(0, 0), (1, 0), (0, 1), (1, 1)] {
             plan = plan.dead_bank(p.mesh.node_at(x, y));
         }
-        let cac = Cac::compute_degraded(&p, &plan.state_at(0)).unwrap();
+        let cac = Cac::compute(&p, &plan.state_at(0)).unwrap();
         for r in 0..9 {
             let v = cac.of(RegionId(r));
             assert!(close(v.0[0], 0.0), "R{} still caches into dead R1: {v}", r + 1);
@@ -539,13 +495,33 @@ mod tests {
     }
 
     #[test]
+    fn emptied_cac_row_falls_back_to_the_nearest_region_lowest_id_on_ties() {
+        use locmap_noc::FaultPlan;
+        let p = Platform::paper_default();
+        // Kill every bank in R1, R2 and R4: R1's own and neighbor banks are
+        // all gone, so its row empties. R3, R5 and R7 all sit at centroid
+        // distance 4 from R1; the lowest id, R3, must win the tie.
+        let mut plan = FaultPlan::new(p.mesh, p.mc_count());
+        for r in [0, 1, 3] {
+            for node in p.regions.nodes_in(RegionId(r)) {
+                plan = plan.dead_bank(node);
+            }
+        }
+        for q in [2, 4, 6] {
+            assert_eq!(p.regions.region_distance(RegionId(0), RegionId(q)), 4.0);
+        }
+        let cac = Cac::compute(&p, &plan.state_at(0)).unwrap();
+        assert_eq!(cac.of(RegionId(0)).0[..], [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
+    }
+
+    #[test]
     fn single_region_cac_is_self_only() {
         use locmap_noc::{Mesh, RegionGrid};
         let mesh = Mesh::try_new(4, 4).unwrap();
         let mut p = Platform::paper_default();
         p.mesh = mesh;
         p.regions = RegionGrid::try_new(mesh, 1, 1).unwrap();
-        let cac = Cac::compute(&p);
+        let cac = Cac::compute(&p, &healthy(&p)).unwrap();
         assert!(vec_close(cac.of(RegionId(0)), &[1.0]));
     }
 }

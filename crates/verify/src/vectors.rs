@@ -6,16 +6,17 @@
 //! relevant level, so mass may be *below* 1 but never above).
 //!
 //! Platform-level checks recompute the MAC table from scratch — Manhattan
-//! distances between region centroids and MC coordinates, nearest-set or
-//! inverse-distance shares — and the CAC table from the self-weight /
+//! distances between region centroids and MC coordinates, equal shares
+//! over the nearest alive set — and the CAC table from the self-weight /
 //! neighbor-share rule, then compare against what the compiler actually
-//! holds. Under a fault state the recomputation masks dead components
-//! exactly as the degraded builders document, so a stale or mismasked
-//! table is caught no matter which path produced it.
+//! holds. The recomputation masks the components dead in the compiler's
+//! fault state exactly as `Mac::compute` and `Cac::compute` document (a
+//! healthy machine masks nothing), so a stale or mismasked table is
+//! caught whatever state it was built for.
 
 use crate::config::EPSILON;
 use crate::diag::{Code, Diagnostic, DiagnosticSink, Entity};
-use locmap_core::{Compiler, LlcOrg, MacPolicy, NestMapping, CAC_SELF_WEIGHT};
+use locmap_core::{Compiler, LlcOrg, NestMapping, CAC_SELF_WEIGHT};
 use locmap_noc::RegionId;
 
 /// Audits the MAI/CAI vectors (and α values) stored in `mapping`.
@@ -105,38 +106,25 @@ fn check_mac(compiler: &Compiler, sink: &mut DiagnosticSink) {
             continue;
         }
         // Manhattan distances from the region centroid to every MC, then
-        // the policy's share rule over the alive set — recomputed here
-        // from first principles, not taken from locmap-core.
+        // equal shares over the nearest alive set — recomputed here from
+        // first principles, not taken from locmap-core.
         let (cx, cy) = p.regions.centroid(r);
         let dists: Vec<f64> = p
             .mc_coords
             .iter()
             .map(|mc| (cx - mc.x as f64).abs() + (cy - mc.y as f64).abs())
             .collect();
+        let dmin = dists
+            .iter()
+            .zip(&alive)
+            .filter(|&(_, &a)| a)
+            .map(|(&d, _)| d)
+            .fold(f64::INFINITY, f64::min);
+        let nearest: Vec<usize> =
+            (0..m).filter(|&k| alive[k] && dists[k] <= dmin + 1e-6).collect();
         let mut want = vec![0.0; m];
-        match compiler.options().mac_policy {
-            MacPolicy::NearestSet => {
-                let dmin = dists
-                    .iter()
-                    .zip(&alive)
-                    .filter(|&(_, &a)| a)
-                    .map(|(&d, _)| d)
-                    .fold(f64::INFINITY, f64::min);
-                let nearest: Vec<usize> = (0..m)
-                    .filter(|&k| alive[k] && dists[k] <= dmin + 1e-6)
-                    .collect();
-                for &k in &nearest {
-                    want[k] = 1.0 / nearest.len() as f64;
-                }
-            }
-            MacPolicy::InverseDistance => {
-                let raw: Vec<f64> =
-                    (0..m).map(|k| if alive[k] { 1.0 / (dists[k] + 1.0) } else { 0.0 }).collect();
-                let total: f64 = raw.iter().sum();
-                for (k, x) in raw.into_iter().enumerate() {
-                    want[k] = x / total;
-                }
-            }
+        for &k in &nearest {
+            want[k] = 1.0 / nearest.len() as f64;
         }
 
         emit_vector_checks("MAC", r, &got.0, &want, &alive, Code::MAC_MISMATCH, sink);
@@ -311,6 +299,26 @@ mod tests {
             .dead_router(p.mesh.node_at(1, 1))
             .dead_bank(p.mesh.node_at(4, 4));
         let c = Compiler::builder(p).faults(&plan.final_state()).build().unwrap();
+        let mut sink = DiagnosticSink::new();
+        check_platform_vectors(&c, &mut sink);
+        assert!(sink.diagnostics().is_empty(), "{}", sink.report());
+    }
+
+    #[test]
+    fn emptied_cac_row_falls_back_to_lowest_id_nearest_region() {
+        use locmap_noc::FaultPlan;
+        // Every bank of R1, R2 and R4 dead: R1's CAC row has no surviving
+        // self or neighbor bank, and R3, R5 and R7 tie at centroid
+        // distance 4, so the row goes one-hot on R3.
+        let p = Platform::paper_default_with(LlcOrg::SharedSNuca);
+        let mut plan = FaultPlan::new(p.mesh, p.mc_count());
+        for r in [0, 1, 3] {
+            for node in p.regions.nodes_in(RegionId(r)) {
+                plan = plan.dead_bank(node);
+            }
+        }
+        let c = Compiler::builder(p).faults(&plan.final_state()).build().unwrap();
+        assert_eq!(c.cac().of(RegionId(0)).0[..], [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
         let mut sink = DiagnosticSink::new();
         check_platform_vectors(&c, &mut sink);
         assert!(sink.diagnostics().is_empty(), "{}", sink.report());

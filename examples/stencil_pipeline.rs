@@ -10,9 +10,7 @@
 //! ```
 
 use locmap_cme::{CmeConfig, CmeEstimator};
-use locmap_core::{
-    compute_cai, compute_mai, AffinityInputs, Cac, CmeModel, Mac, MacPolicy,
-};
+use locmap_core::{compute_cai, compute_mai, AffinityInputs, CmeModel};
 use locmap_loopir::IterationSpace;
 use locmap_sim::prelude::*;
 use locmap_verify::{nests::check_nest, Code, DiagnosticSink};
@@ -51,20 +49,19 @@ fn main() {
         est.alpha(0)
     );
 
-    // --- The four affinity vectors for the first iteration set.
+    // --- The four affinity vectors for the first iteration set; MAC and
+    // CAC are the compiler's, derived from the platform it maps for.
     let model = CmeModel::new(est);
     let inputs = AffinityInputs::full(program, nest, &space, &sets, &w.data);
     let mai = compute_mai(&inputs, &platform, &model);
     let cai = compute_cai(&inputs, &platform, &model);
-    let mac = Mac::compute(&platform, MacPolicy::NearestSet);
-    let cac = Cac::compute(&platform);
+    let compiler = Compiler::builder(platform.clone()).build().unwrap();
     println!("MAI(set 0) = {}", mai[0]);
     println!("CAI(set 0) = {}", cai[0]);
-    println!("MAC(R1)    = {}", mac.of(locmap_noc::RegionId(0)));
-    println!("CAC(R5)    = {}", cac.of(locmap_noc::RegionId(4)));
+    println!("MAC(R1)    = {}", compiler.mac().of(RegionId(0)));
+    println!("CAC(R5)    = {}", compiler.cac().of(RegionId(4)));
 
     // --- Full pass + simulation.
-    let compiler = Compiler::builder(platform.clone()).build().unwrap();
     let optimized = compiler.map_nest(program, nest_id, &w.data);
     let default = compiler.default_mapping(program, nest_id);
 

@@ -4,8 +4,7 @@
 
 use locmap_core::prelude::*;
 use locmap_core::{
-    compute_cai, compute_mai, AffinityInputs, AffinityVec, Cac, HitModel, Mac,
-    MacPolicy, MeasuredRates,
+    compute_cai, compute_mai, AffinityInputs, AffinityVec, Cac, HitModel, Mac, MeasuredRates,
 };
 use locmap_loopir::IterationSpace;
 
@@ -57,7 +56,7 @@ fn table1_mai_with_and_without_cme() {
 #[test]
 fn table2_error_values_recomputed() {
     let platform = Platform::paper_default();
-    let mac = Mac::compute(&platform, MacPolicy::NearestSet);
+    let mac = Mac::compute(&platform, &FaultState::none(platform.mesh, platform.mc_count())).unwrap();
 
     // Column 2: MAI (0,0,0.5,0.5) → R8 with error exactly 0.
     let mai = AffinityVec::from(vec![0.0, 0.0, 0.5, 0.5]);
@@ -87,8 +86,9 @@ fn table2_error_values_recomputed() {
 #[test]
 fn figure6_mac_and_cac_vectors() {
     let platform = Platform::paper_default();
-    let mac = Mac::compute(&platform, MacPolicy::NearestSet);
-    let cac = Cac::compute(&platform);
+    let healthy = FaultState::none(platform.mesh, platform.mc_count());
+    let mac = Mac::compute(&platform, &healthy).unwrap();
+    let cac = Cac::compute(&platform, &healthy).unwrap();
 
     // Figure 6a spot checks (MC order: TL, TR, BR, BL).
     assert_eq!(*mac.of(RegionId(0)).0, [1.0, 0.0, 0.0, 0.0]);

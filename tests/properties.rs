@@ -2,8 +2,8 @@
 
 use locmap_core::prelude::*;
 use locmap_core::{
-    assign_private, balance_regions, place_in_regions, AffinityVec, Cac, EtaMetric,
-    Mac, MacPolicy, PlacementPolicy,
+    assign_private, balance_regions, place_in_regions, AffinityVec, Cac, EtaMetric, Mac,
+    PlacementPolicy,
 };
 use locmap_noc::{
     link_exists, link_target, reverse_link, route, route_xy, Direction, FaultCounts, Link,
@@ -65,7 +65,7 @@ proptest! {
     #[test]
     fn assignment_always_picks_a_minimum(mai in proptest::collection::vec(arb_affinity(4), 1..20)) {
         let platform = Platform::paper_default();
-        let mac = Mac::compute(&platform, MacPolicy::NearestSet);
+        let mac = Mac::compute(&platform, &FaultState::none(platform.mesh, platform.mc_count())).unwrap();
         let picks = assign_private(&mai, &mac, EtaMetric::L1);
         for (v, r) in mai.iter().zip(&picks) {
             let chosen = v.eta(mac.of(*r));
@@ -122,8 +122,9 @@ proptest! {
         let mesh = Mesh::try_new(6, 6).unwrap();
         let mut platform = Platform::paper_default();
         platform.regions = RegionGrid::try_new(mesh, cols, rows).unwrap();
-        let mac = Mac::compute(&platform, MacPolicy::NearestSet);
-        let cac = Cac::compute(&platform);
+        let healthy = FaultState::none(platform.mesh, platform.mc_count());
+        let mac = Mac::compute(&platform, &healthy).unwrap();
+        let cac = Cac::compute(&platform, &healthy).unwrap();
         for v in mac.vectors() {
             prop_assert!((v.mass() - 1.0).abs() < 1e-9);
         }
